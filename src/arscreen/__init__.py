@@ -11,7 +11,6 @@ from .ar_core import (
     ObservedSeries,
     SeriesPanel,
     ar1_loglik,
-    build_ar1_covariance,
     cdf_standardize,
     conditional_bayes_factor,
     log_conditional_bayes_factor,
@@ -73,7 +72,6 @@ __all__ = [
     "ObservedSeries",
     "SeriesPanel",
     "ar1_loglik",
-    "build_ar1_covariance",
     "cdf_standardize",
     "conditional_bayes_factor",
     "log_conditional_bayes_factor",

@@ -3,9 +3,13 @@
 A unit's observations on integer times t_1 < ... < t_T are modeled as a
 zero-mean stationary AR(1) with autoregressive coefficient phi (|phi| < 1)
 and innovation variance v, so the covariance between observations at t_i
-and t_j is v / (1 - phi^2) * phi^(|t_i - t_j|). For consecutive times the
-log-likelihood is evaluated in O(T) through the prediction-error
-decomposition; for gapped times a dense Cholesky factorization is used.
+and t_j is v / (1 - phi^2) * phi^(|t_i - t_j|). The observed series is
+Markov whatever its gaps (Jones 1980): across a gap of d steps the
+transition coefficient is phi^d and the innovation variance is
+v (1 - phi^(2d)) / (1 - phi^2). One O(T) prediction-error recursion
+therefore whitens every time pattern, and the precision matrix is
+tridiagonal in closed form. Both read a gap table that stores each
+distinct gap once, so the per-gap coefficients are evaluated once per call.
 
 A constant mean shift with prior N(0, shift_var) can be integrated out in
 closed form, which yields the conditional Bayes factor used by both the
@@ -17,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 from scipy.special import ndtri
 from scipy.stats import rankdata
 
-from .errors import DomainError, InvalidInputError, NumericalError
+from .errors import DomainError, InvalidInputError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -70,11 +73,6 @@ class ObservedSeries:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    @property
-    def contiguous(self) -> bool:
-        """True when the times are consecutive integers."""
-        return len(self) == 1 or bool(np.all(np.diff(self.times) == 1))
-
 
 @dataclass(frozen=True)
 class SeriesPanel:
@@ -109,51 +107,70 @@ class SeriesPanel:
         return tuple(s.unit_id for s in self.series)
 
 
-def build_ar1_covariance(params: ArParams, times: np.ndarray) -> np.ndarray:
-    """Dense stationary AR(1) covariance matrix over the given integer times."""
-    times = np.asarray(times, dtype=np.int64)
-    lags = np.abs(times[:, None] - times[None, :])
-    return stationary_variance(params) * np.power(params.phi, lags)
+@dataclass(frozen=True)
+class GapTable:
+    """Steps between consecutive observation times, stored by distinct gap.
+
+    ``sizes`` holds the distinct gaps in ascending order and ``counts`` the
+    number of steps with each; ``step`` gives, for each of the T - 1 steps,
+    its index into ``sizes``. A time vector has few distinct gaps, so the
+    per-gap fields are tuples and per-gap coefficients are scalar arithmetic.
+    """
+
+    sizes: tuple[int, ...]
+    counts: tuple[int, ...]
+    step: np.ndarray
 
 
-def _whiten(values: np.ndarray, times: np.ndarray, contiguous: bool,
-            params: ArParams) -> tuple[np.ndarray, float]:
+def gap_table(times: np.ndarray) -> GapTable:
+    """Gap table of strictly increasing integer times."""
+    diffs = np.diff(np.asarray(times, dtype=np.int64))
+    sizes, step, counts = np.unique(diffs, return_inverse=True, return_counts=True)
+    return GapTable(tuple(sizes.tolist()), tuple(counts.tolist()), step)
+
+
+def _gap_coefficients(params: ArParams, sizes: tuple[int, ...]) -> tuple[list, list]:
+    """Per distinct gap d: the transition coefficient phi^d and the ratio
+    (1 - phi^(2d)) / (1 - phi^2) of the d-step innovation variance to v,
+    which is exactly 1 for d = 1."""
+    phi = params.phi
+    coef = [phi ** d for d in sizes]
+    return coef, [(1.0 - c * c) / (1.0 - phi * phi) for c in coef]
+
+
+def _whiten(values: np.ndarray, gaps: GapTable, params: ArParams) -> tuple[np.ndarray, float]:
     """Whiten rows of ``values`` (shape (n, T)) under the AR(1) covariance.
 
     Returns (E, logdet) with E @ E.T summing to the quadratic forms:
     each row e satisfies e.e = y' Sigma^{-1} y, and logdet = log|Sigma|.
-    O(T) per row for consecutive times, dense Cholesky otherwise.
+    O(T) per row: each step is standardized by its prediction error across
+    its gap.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    T = values.shape[1]
-    if contiguous:
-        s = stationary_variance(params)
-        E = np.empty_like(values)
-        E[:, 0] = values[:, 0] / np.sqrt(s)
-        if T > 1:
-            E[:, 1:] = (values[:, 1:] - params.phi * values[:, :-1]) / np.sqrt(params.v)
-        logdet = float(np.log(s) + (T - 1) * np.log(params.v))
-        return E, logdet
-    cov = build_ar1_covariance(params, times)
-    try:
-        L = cholesky(cov, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"AR(1) covariance factorization failed for {params!r}: {exc}") from exc
-    E = solve_triangular(L, values.T, lower=True).T
-    logdet = float(2.0 * np.sum(np.log(np.diag(L))))
+    s = stationary_variance(params)
+    coef, ratio = _gap_coefficients(params, gaps.sizes)
+    innov_var = [params.v * r for r in ratio]
+    logdet = float(np.log(s) + sum(n * np.log(w) for n, w in zip(gaps.counts, innov_var)))
+    if len(coef) == 1:
+        coef, innov_var = coef[0], innov_var[0]
+    else:
+        coef, innov_var = np.take(coef, gaps.step), np.take(innov_var, gaps.step)
+    E = np.empty_like(values)
+    E[:, 0] = values[:, 0] / np.sqrt(s)
+    E[:, 1:] = (values[:, 1:] - coef * values[:, :-1]) / np.sqrt(innov_var)
     return E, logdet
 
 
-def gaussian_parts(values: np.ndarray, times: np.ndarray, contiguous: bool,
+def gaussian_parts(values: np.ndarray, gaps: GapTable,
                    params: ArParams) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Per-row quadratic forms needed by the mean-shift marginal likelihood.
 
-    For rows y of ``values`` returns (q_yy, q_y1, s11, logdet) where
-    q_yy = y' Sigma^{-1} y, q_y1 = y' Sigma^{-1} 1 and s11 = 1' Sigma^{-1} 1.
+    For rows y of ``values`` observed at times with gap table ``gaps``
+    returns (q_yy, q_y1, s11, logdet) where q_yy = y' Sigma^{-1} y,
+    q_y1 = y' Sigma^{-1} 1 and s11 = 1' Sigma^{-1} 1.
     """
-    times = np.asarray(times, dtype=np.int64)
-    stacked = np.vstack([np.atleast_2d(values), np.ones((1, times.size))])
-    E, logdet = _whiten(stacked, times, contiguous, params)
+    stacked = np.vstack([np.atleast_2d(values), np.ones((1, gaps.step.size + 1))])
+    E, logdet = _whiten(stacked, gaps, params)
     Ey, e1 = E[:-1], E[-1]
     q_yy = np.einsum("ij,ij->i", Ey, Ey)
     q_y1 = Ey @ e1
@@ -161,25 +178,14 @@ def gaussian_parts(values: np.ndarray, times: np.ndarray, contiguous: bool,
     return q_yy, q_y1, s11, logdet
 
 
-def ar1_loglik(series: ObservedSeries, params: ArParams, method: str = "auto") -> float:
-    """Log-likelihood of a series under the stationary AR(1) null.
-
-    ``method`` selects the evaluation path: "auto" uses the O(T) recursion
-    for consecutive times and dense Cholesky otherwise; "fast" and "dense"
-    force a path (``fast`` requires consecutive times).
-    """
-    if method not in ("auto", "fast", "dense"):
-        raise DomainError(f"unknown likelihood method {method!r}")
-    if method == "fast" and not series.contiguous:
-        raise DomainError(f"unit {series.unit_id!r}: fast path requires consecutive times")
-    contiguous = series.contiguous if method == "auto" else (method == "fast")
-    E, logdet = _whiten(series.values, series.times, contiguous, params)
+def ar1_loglik(series: ObservedSeries, params: ArParams) -> float:
+    """Log-likelihood of a series under the stationary AR(1) null."""
+    E, logdet = _whiten(series.values, gap_table(series.times), params)
     q_yy = float(E[0] @ E[0])
     return -0.5 * (len(series) * LOG_2PI + logdet + q_yy)
 
 
-def mean_shift_loglik(series: ObservedSeries, params: ArParams, shift_var: float,
-                      method: str = "auto") -> float:
+def mean_shift_loglik(series: ObservedSeries, params: ArParams, shift_var: float) -> float:
     """Marginal log-likelihood with a constant mean shift integrated out.
 
     The shift has prior N(0, shift_var), so the marginal covariance is
@@ -188,12 +194,7 @@ def mean_shift_loglik(series: ObservedSeries, params: ArParams, shift_var: float
     """
     if shift_var < 0.0:
         raise DomainError(f"shift variance must be nonnegative, got {shift_var}")
-    if method not in ("auto", "fast", "dense"):
-        raise DomainError(f"unknown likelihood method {method!r}")
-    if method == "fast" and not series.contiguous:
-        raise DomainError(f"unit {series.unit_id!r}: fast path requires consecutive times")
-    contiguous = series.contiguous if method == "auto" else (method == "fast")
-    q_yy, q_y1, s11, logdet = gaussian_parts(series.values, series.times, contiguous, params)
+    q_yy, q_y1, s11, logdet = gaussian_parts(series.values, gap_table(series.times), params)
     null = -0.5 * (len(series) * LOG_2PI + logdet + float(q_yy[0]))
     denom = 1.0 + shift_var * s11
     return null - 0.5 * np.log(denom) + 0.5 * shift_var * float(q_y1[0]) ** 2 / denom
@@ -201,7 +202,7 @@ def mean_shift_loglik(series: ObservedSeries, params: ArParams, shift_var: float
 
 def log_conditional_bayes_factor(series: ObservedSeries, params: ArParams, shift_var: float) -> float:
     """Log Bayes factor of the mean-shift alternative against the AR(1) null."""
-    q_yy, q_y1, s11, _ = gaussian_parts(series.values, series.times, series.contiguous, params)
+    q_yy, q_y1, s11, _ = gaussian_parts(series.values, gap_table(series.times), params)
     denom = 1.0 + shift_var * s11
     return -0.5 * np.log(denom) + 0.5 * shift_var * float(q_y1[0]) ** 2 / denom
 
@@ -248,7 +249,7 @@ class TimesGroup:
     indices: np.ndarray      # positions in panel order
     times: np.ndarray        # shared times, shape (T,)
     values: np.ndarray       # stacked observations, shape (n, T)
-    contiguous: bool
+    gaps: GapTable           # gap table of the shared times
     grid_pos: np.ndarray | None = None   # positions of times within a global grid
     unit_ids: tuple[str, ...] | None = None
 
@@ -259,6 +260,11 @@ class TimesGroup:
     @property
     def length(self) -> int:
         return int(self.times.size)
+
+    @property
+    def contiguous(self) -> bool:
+        """True when the shared times are consecutive integers."""
+        return self.gaps.sizes in ((), (1,))
 
 
 def panel_groups(panel: SeriesPanel, grid: np.ndarray | None = None) -> list[TimesGroup]:
@@ -274,7 +280,6 @@ def panel_groups(panel: SeriesPanel, grid: np.ndarray | None = None) -> list[Tim
     for key, idx in buckets.items():
         times = np.asarray(key, dtype=np.int64)
         values = np.vstack([panel[i].values for i in idx])
-        contiguous = times.size == 1 or bool(np.all(np.diff(times) == 1))
         pos = None
         if grid is not None:
             pos = np.searchsorted(grid, times)
@@ -282,7 +287,7 @@ def panel_groups(panel: SeriesPanel, grid: np.ndarray | None = None) -> list[Tim
                 bad = panel[idx[0]].unit_id
                 raise InvalidInputError(f"unit {bad!r} has times outside the trajectory grid")
         ids = tuple(panel[i].unit_id for i in idx)
-        groups.append(TimesGroup(np.asarray(idx, dtype=np.int64), times, values, contiguous, pos, ids))
+        groups.append(TimesGroup(np.asarray(idx, dtype=np.int64), times, values, gap_table(times), pos, ids))
     return groups
 
 
@@ -290,42 +295,37 @@ def group_gaussian_parts(group: TimesGroup, params: ArParams,
                          values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float, float]:
     """``gaussian_parts`` for a whole group at once (optionally overriding values)."""
     v = group.values if values is None else values
-    return gaussian_parts(v, group.times, group.contiguous, params)
+    return gaussian_parts(v, group.gaps, params)
 
 
 def group_whiten(group: TimesGroup, params: ArParams,
                  values: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Whitened rows and covariance log-determinant for a group."""
     v = group.values if values is None else values
-    return _whiten(v, group.times, group.contiguous, params)
+    return _whiten(v, group.gaps, params)
 
 
-def ar1_precision(params: ArParams, times: np.ndarray) -> np.ndarray:
-    """Inverse of the stationary AR(1) covariance over the given times.
+def ar1_precision(params: ArParams, gaps: GapTable) -> np.ndarray:
+    """Inverse of the stationary AR(1) covariance over times with gap table ``gaps``.
 
-    Closed-form tridiagonal matrix for consecutive times, dense inverse
-    otherwise.
+    The observed series is Markov, so the precision is tridiagonal in closed
+    form (Rue & Held 2005). With coefficient a and innovation variance w of
+    a step, the step's off-diagonal entry is -a / w; a diagonal entry is
+    1 / w of the step into it plus a^2 / w of the step out of it, and the
+    first entry is 1 / w of the first step.
     """
-    times = np.asarray(times, dtype=np.int64)
-    T = times.size
-    contiguous = T == 1 or bool(np.all(np.diff(times) == 1))
-    if contiguous:
-        Q = np.zeros((T, T))
-        if T == 1:
-            Q[0, 0] = 1.0 / stationary_variance(params)
-            return Q
-        phi, v = params.phi, params.v
-        d = np.full(T, (1.0 + phi * phi) / v)
-        d[0] = d[-1] = 1.0 / v
-        Q[np.arange(T), np.arange(T)] = d
-        off = np.full(T - 1, -phi / v)
-        Q[np.arange(T - 1), np.arange(1, T)] = off
-        Q[np.arange(1, T), np.arange(T - 1)] = off
-        return Q
-    cov = build_ar1_covariance(params, times)
-    try:
-        L = cholesky(cov, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"AR(1) covariance factorization failed for {params!r}: {exc}") from exc
-    inv = solve_triangular(L, np.eye(T), lower=True)
-    return inv.T @ inv
+    T = gaps.step.size + 1
+    if T == 1:
+        return np.array([[1.0 / stationary_variance(params)]])
+    coef, ratio = _gap_coefficients(params, gaps.sizes)
+    inv_r = np.take([1.0 / r for r in ratio], gaps.step)
+    diag = np.empty(T)
+    diag[0] = inv_r[0]
+    diag[1:] = inv_r
+    diag[1:-1] += np.take([c * c / r for c, r in zip(coef, ratio)], gaps.step[1:])
+    off = -np.take([c / r for c, r in zip(coef, ratio)], gaps.step) / params.v
+    Q = np.zeros((T, T))
+    Q[np.arange(T), np.arange(T)] = diag / params.v
+    Q[np.arange(T - 1), np.arange(1, T)] = off
+    Q[np.arange(1, T), np.arange(T - 1)] = off
+    return Q

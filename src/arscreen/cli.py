@@ -26,7 +26,7 @@ import numpy as np
 
 from .ar_core import SeriesPanel, cdf_standardize
 from .errors import ArscreenError, DomainError, InvalidInputError, NumericalError
-from .panel_io import read_panel, write_panel, write_table
+from .panel_io import _fmt, read_panel, write_panel, write_table
 from .parametric import (
     ParametricPrior,
     build_importance_sampler,
@@ -52,12 +52,6 @@ from .mcmc import stream, stick_weights
 
 DEFAULT_THRESHOLDS = (0.5, 0.9)
 BAND_QUANTILES = (0.05, 0.5, 0.95)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,8 @@ def inclusion_probabilities_parametric(draws: WeightedDraws, panel: SeriesPanel,
     w2 = float(np.dot(wbar, wbar))
     var = s2_ww - 2.0 * prob * s2_w + prob * prob * w2
     stderr = np.sqrt(np.maximum(var, 0.0))
-    return InclusionSummary(panel.unit_ids, prob, stderr)
+    # The normalized weights sum to 1 only up to rounding.
+    return InclusionSummary(panel.unit_ids, np.clip(prob, 0.0, 1.0), stderr)
 
 
 def _weighted_quantile(x: np.ndarray, w: np.ndarray, q: float) -> float:

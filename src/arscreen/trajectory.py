@@ -303,23 +303,20 @@ def _resid_partitions(groups: list[TimesGroup], assignments: np.ndarray):
 def gp_atom_conditional(workspace: GpWorkspace, observations) -> tuple[np.ndarray, np.ndarray]:
     """Exact Gaussian conditional of one gp path given assigned units.
 
-    ``observations`` is an iterable of (grid_positions, values, params)
-    where values is (m, T) stacked series observed at those positions with
-    AR(1) noise law ``params``. Returns the posterior mean and covariance
-    on the grid for the precision-form conditional Lambda = C^-1 + S with
-    S = sum P' Q P, evaluated through the equivalent well-conditioned
-    identity Lambda^-1 = (I + C S)^-1 C so C is never inverted explicitly.
+    ``observations`` is an iterable of (grid_positions, gaps, values, params)
+    where values is (m, T) stacked series observed at those positions, gaps
+    is the gap table of their times, and ``params`` the AR(1) noise law.
+    Returns the posterior mean and covariance on the grid for the
+    precision-form conditional Lambda = C^-1 + S with S = sum P' Q P,
+    evaluated through the equivalent well-conditioned identity
+    Lambda^-1 = (I + C S)^-1 C so C is never inverted explicitly.
     """
-    return _gp_conditional_core(workspace, observations)
-
-
-def _gp_conditional_core(workspace: GpWorkspace, observations) -> tuple[np.ndarray, np.ndarray]:
     g_size = workspace.grid.size
     noise_prec = np.zeros((g_size, g_size))
     b = np.zeros(g_size)
-    for pos, values, params in observations:
+    for pos, gaps, values, params in observations:
         values = np.atleast_2d(values)
-        Q = ar1_precision(params, workspace.grid[pos])
+        Q = ar1_precision(params, gaps)
         idx = np.ix_(pos, pos)
         noise_prec[idx] += values.shape[0] * Q
         b[pos] += Q @ values.sum(axis=0)
@@ -334,7 +331,7 @@ def _gp_conditional_core(workspace: GpWorkspace, observations) -> tuple[np.ndarr
 
 
 def _draw_gp_conditional(workspace: GpWorkspace, observations, rng) -> np.ndarray:
-    mean, cov = _gp_conditional_core(workspace, observations)
+    mean, cov = gp_atom_conditional(workspace, observations)
     try:
         factor = cholesky(cov, lower=True)
     except np.linalg.LinAlgError:
@@ -479,7 +476,7 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
                 if atom_l < state.gp_set.n_frozen:
                     continue
                 vals = g.values[rows[sel][atoms_here == atom_l]]
-                members_by_gp_atom[int(atom_l)].append((g.grid_pos, vals, params))
+                members_by_gp_atom[int(atom_l)].append((g.grid_pos, g.gaps, vals, params))
     for l in range(state.gp_set.n_frozen, Lg):
         obs = members_by_gp_atom.get(l, [])
         try:

@@ -17,6 +17,7 @@ from arscreen.ar_core import (
     ObservedSeries,
     SeriesPanel,
     ar1_loglik,
+    gap_table,
     mean_shift_loglik,
     panel_groups,
 )
@@ -101,7 +102,7 @@ def test_criterion_1_oracle_equivalence():
         k = int(rng.integers(2, g_len + 1))
         pos = np.sort(rng.choice(g_len, size=k, replace=False))
         vals = rng.normal(size=(m, k))
-        mean, cov = gp_atom_conditional(ws, [(pos, vals, params)])
+        mean, cov = gp_atom_conditional(ws, [(pos, gap_table(grid[pos]), vals, params)])
         noise = dense_ar1_cov(phi, v, grid[pos])
         mean_o, cov_o = dense_gp_conditional(ws.cov, [(pos, row, noise) for row in vals])
         d3 = max(np.abs(mean - mean_o).max(), np.abs(cov - cov_o).max())

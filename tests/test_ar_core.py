@@ -12,9 +12,9 @@ from arscreen.ar_core import (
     SeriesPanel,
     ar1_loglik,
     ar1_precision,
-    build_ar1_covariance,
     cdf_standardize,
     conditional_bayes_factor,
+    gap_table,
     gaussian_parts,
     group_gaussian_parts,
     log_conditional_bayes_factor,
@@ -42,32 +42,38 @@ def random_times(rng, max_len=30) -> np.ndarray:
 
 
 class TestCovariance:
+    """The AR(1) covariance: its closed-form precision against the dense
+    oracle, the stationary variance, and the parameter domain."""
+
     def test_frozen_example(self):
-        cov = build_ar1_covariance(ArParams(0.9, 0.5), np.array([1, 3]))
+        Q = ar1_precision(ArParams(0.9, 0.5), gap_table(np.array([1, 3])))
         s = 0.5 / (1 - 0.81)
-        assert cov == pytest.approx(np.array([[s, s * 0.81], [s * 0.81, s]]), rel=1e-15)
+        cov = np.array([[s, s * 0.81], [s * 0.81, s]])
+        assert Q == pytest.approx(np.linalg.inv(cov), rel=1e-12)
 
     @pytest.mark.parametrize("trial", range(50))
     def test_matches_entrywise_oracle(self, trial):
         rng = np.random.default_rng(1000 + trial)
         p = random_params(rng)
         times = random_times(rng)
-        cov = build_ar1_covariance(p, times)
-        assert np.allclose(cov, dense_ar1_cov(p.phi, p.v, times), rtol=1e-12, atol=0)
+        Q = ar1_precision(p, gap_table(times))
+        inv = np.linalg.inv(dense_ar1_cov(p.phi, p.v, times))
+        assert np.allclose(Q, inv, rtol=1e-9, atol=1e-9 * np.abs(inv).max())
+        assert np.array_equal(np.triu(Q, 2), np.zeros_like(Q))
 
     @pytest.mark.parametrize("trial", range(50))
     def test_symmetric_positive_definite(self, trial):
         rng = np.random.default_rng(2000 + trial)
         p = random_params(rng)
         times = random_times(rng)
-        cov = build_ar1_covariance(p, times)
-        assert np.array_equal(cov, cov.T)
-        L = np.linalg.cholesky(cov)
+        Q = ar1_precision(p, gap_table(times))
+        assert np.array_equal(Q, Q.T)
+        L = np.linalg.cholesky(Q)
         assert np.min(np.diag(L)) > 0
 
     def test_zero_phi_is_diagonal(self):
-        cov = build_ar1_covariance(ArParams(0.0, 2.0), np.array([0, 1, 5]))
-        assert np.array_equal(cov, 2.0 * np.eye(3))
+        Q = ar1_precision(ArParams(0.0, 2.0), gap_table(np.array([0, 1, 5])))
+        assert np.array_equal(Q, 0.5 * np.eye(3))
 
     def test_stationary_variance_matches_long_simulation(self):
         from arscreen.simulation import simulate_ar1
@@ -105,18 +111,26 @@ class TestLoglik:
 
     @pytest.mark.parametrize("trial", range(40))
     def test_fast_and_dense_paths_agree(self, trial):
+        """Consecutive times: the O(T) recursion against the dense oracle."""
         rng = np.random.default_rng(4000 + trial)
         p = random_params(rng)
         T = rng.integers(1, 40)
-        s = ObservedSeries("u", np.arange(T), rng.normal(size=T))
-        fast = ar1_loglik(s, p, method="fast")
-        dense = ar1_loglik(s, p, method="dense")
-        assert fast == pytest.approx(dense, rel=1e-9, abs=1e-9)
+        y = rng.normal(size=T)
+        s = ObservedSeries("u", np.arange(T), y)
+        dense = dense_ar1_loglik(y, p.phi, p.v, np.arange(T))
+        assert ar1_loglik(s, p) == pytest.approx(dense, rel=1e-9, abs=1e-9)
 
-    def test_fast_path_requires_consecutive_times(self):
-        s = ObservedSeries("u", np.array([0, 2]), np.array([0.1, 0.2]))
-        with pytest.raises(DomainError):
-            ar1_loglik(s, ArParams(0.5, 1.0), method="fast")
+    def test_finite_at_phi_next_to_one_on_gapped_times(self):
+        """Gapped times at |phi| one ulp below 1, where a dense Cholesky of
+        the covariance fails: the Markov recursion stays finite."""
+        times = np.array([0, 1, 3, 4, 9, 10])
+        y = np.random.default_rng(12).normal(size=times.size)
+        s = ObservedSeries("u", times, y)
+        for phi in (np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0)):
+            p = ArParams(float(phi), 0.7)
+            assert np.isfinite(ar1_loglik(s, p))
+            assert np.isfinite(mean_shift_loglik(s, p, 1.0))
+            assert np.all(np.isfinite(ar1_precision(p, gap_table(times))))
 
 
 class TestMeanShift:
@@ -155,14 +169,18 @@ class TestMeanShift:
         assert conditional_bayes_factor(s, p, sv) == pytest.approx(np.exp(direct), rel=1e-12)
 
     def test_path_choice_does_not_change_bayes_factor(self):
+        """The Bayes factor from the recursion equals the dense-oracle one,
+        on consecutive and on gapped times."""
         rng = np.random.default_rng(77)
         p = ArParams(0.6, 1.2)
-        s = ObservedSeries("u", np.arange(20), rng.normal(size=20))
-        lbf_fast = mean_shift_loglik(s, p, 1.0, method="fast") - ar1_loglik(s, p, method="fast")
-        lbf_dense = mean_shift_loglik(s, p, 1.0, method="dense") - ar1_loglik(s, p, method="dense")
-        mixed = mean_shift_loglik(s, p, 1.0, method="dense") - ar1_loglik(s, p, method="fast")
-        assert lbf_fast == pytest.approx(lbf_dense, abs=1e-9)
-        assert lbf_fast == pytest.approx(mixed, abs=1e-9)
+        for times in (np.arange(20), np.array([0, 1, 2, 5, 6, 9, 14, 15, 16, 30])):
+            y = rng.normal(size=times.size)
+            s = ObservedSeries("u", times, y)
+            lbf = mean_shift_loglik(s, p, 1.0) - ar1_loglik(s, p)
+            lbf_dense = (dense_shift_loglik(y, p.phi, p.v, times, 1.0)
+                         - dense_ar1_loglik(y, p.phi, p.v, times))
+            assert lbf == pytest.approx(lbf_dense, abs=1e-9)
+            assert log_conditional_bayes_factor(s, p, 1.0) == pytest.approx(lbf_dense, abs=1e-9)
 
     def test_negative_shift_var_rejected(self):
         s = ObservedSeries("u", np.array([0]), np.array([1.0]))
@@ -177,8 +195,7 @@ class TestGaussianParts:
         p = random_params(rng)
         times = random_times(rng)
         Y = rng.normal(size=(3, times.size))
-        contiguous = times.size == 1 or bool(np.all(np.diff(times) == 1))
-        q_yy, q_y1, s11, logdet = gaussian_parts(Y, times, contiguous, p)
+        q_yy, q_y1, s11, logdet = gaussian_parts(Y, gap_table(times), p)
         cov = dense_ar1_cov(p.phi, p.v, times)
         inv = np.linalg.inv(cov)
         ones = np.ones(times.size)
@@ -194,7 +211,7 @@ class TestPrecision:
         rng = np.random.default_rng(8000 + trial)
         p = random_params(rng)
         times = random_times(rng, max_len=15)
-        Q = ar1_precision(p, times)
+        Q = ar1_precision(p, gap_table(times))
         cov = dense_ar1_cov(p.phi, p.v, times)
         assert np.allclose(Q @ cov, np.eye(times.size), atol=1e-8)
 

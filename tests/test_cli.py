@@ -424,10 +424,11 @@ class TestCliCommands:
     def test_console_entry_point(self, tmp_path):
         panel_path = _write_small_panel(tmp_path)
         proc = subprocess.run(
-            [sys.executable, "-m", "arscreen.cli", "standardize",
+            [sys.executable, "-m", "arscreen", "standardize",
              "--input", panel_path, "--output-dir", str(tmp_path / "sub")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
         assert os.path.exists(str(tmp_path / "sub" / "standardized.csv"))
 
     def test_cluster_mle_panel_mismatch(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel, ar1_loglik
+from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel, ar1_loglik, gap_table
 from arscreen.errors import DomainError, InvalidInputError, NumericalError
 from arscreen.mcmc import stream
 from arscreen.parametric import ParametricPrior
@@ -165,7 +165,7 @@ class TestKrigingUpdate:
             pos = np.sort(rng.choice(16, size=t_len, replace=False))
             params = ArParams(float(rng.uniform(-0.7, 0.9)), float(rng.uniform(0.1, 1.5)))
             vals = rng.normal(size=(m, t_len))
-            observations.append((pos, vals, params))
+            observations.append((pos, gap_table(grid[pos]), vals, params))
             noise = dense_ar1_cov(params.phi, params.v, grid[pos])
             for row in vals:
                 oracle_obs.append((pos, row, noise))
@@ -184,7 +184,7 @@ class TestKrigingUpdate:
         grid = np.arange(10, dtype=np.int64)
         ws = prepare_gp_workspace(GpKernelParams(1.25, 13.0), grid)
         target = ws.chol @ stream(77, "pin").standard_normal(10)
-        obs = [(np.arange(10), np.tile(target, (40, 1)), ArParams(0.0, 1e-4))]
+        obs = [(np.arange(10), gap_table(grid), np.tile(target, (40, 1)), ArParams(0.0, 1e-4))]
         mean, cov = gp_atom_conditional(ws, obs)
         assert np.allclose(mean, target, atol=1e-2)
         assert np.all(np.diag(cov) < 1e-4)
