@@ -11,6 +11,17 @@ therefore whitens every time pattern, and the precision matrix is
 tridiagonal in closed form. Both read a gap table that stores each
 distinct gap once, so the per-gap coefficients are evaluated once per call.
 
+The log-likelihood under any (phi, v) depends on a unit only through a
+few lag statistics per distinct gap: the first value and its square, and
+over the steps of each gap the sums of the step difference, of the
+previous value, and of their squares and product. ``lag_stats`` collects
+them for a whole panel in one pass over its time groups; ``LagStats``
+then turns them into the log-likelihood of every unit under every
+parameter pair with one (units x statistics) by (statistics x pairs)
+matrix product, and into the mean-shift quadratic forms with products of
+the same kind. Statistics add across units, so a pooled row scores a
+whole cluster in O(number of gaps).
+
 A constant mean shift with prior N(0, shift_var) can be integrated out in
 closed form, which yields the conditional Bayes factor used by both the
 parametric and nonparametric screens.
@@ -129,13 +140,17 @@ def gap_table(times: np.ndarray) -> GapTable:
     return GapTable(tuple(sizes.tolist()), tuple(counts.tolist()), step)
 
 
-def _gap_coefficients(params: ArParams, sizes: tuple[int, ...]) -> tuple[list, list]:
+def _gap_coefficients(phi, sizes) -> tuple[np.ndarray, np.ndarray]:
     """Per distinct gap d: the transition coefficient phi^d and the ratio
     (1 - phi^(2d)) / (1 - phi^2) of the d-step innovation variance to v,
-    which is exactly 1 for d = 1."""
-    phi = params.phi
-    coef = [phi ** d for d in sizes]
-    return coef, [(1.0 - c * c) / (1.0 - phi * phi) for c in coef]
+    which is exactly 1 for d = 1.
+
+    ``phi`` is a scalar or an array; both results have its shape plus a
+    trailing axis over ``sizes``.
+    """
+    phi = np.asarray(phi, dtype=float)[..., None]
+    coef = phi ** np.asarray(sizes, dtype=float)
+    return coef, (1.0 - coef * coef) / (1.0 - phi * phi)
 
 
 def _whiten(values: np.ndarray, gaps: GapTable, params: ArParams) -> tuple[np.ndarray, float]:
@@ -148,13 +163,13 @@ def _whiten(values: np.ndarray, gaps: GapTable, params: ArParams) -> tuple[np.nd
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     s = stationary_variance(params)
-    coef, ratio = _gap_coefficients(params, gaps.sizes)
-    innov_var = [params.v * r for r in ratio]
-    logdet = float(np.log(s) + sum(n * np.log(w) for n, w in zip(gaps.counts, innov_var)))
-    if len(coef) == 1:
-        coef, innov_var = coef[0], innov_var[0]
+    coef, ratio = _gap_coefficients(params.phi, gaps.sizes)
+    innov_var = params.v * ratio
+    logdet = float(np.log(s) + np.dot(gaps.counts, np.log(innov_var)))
+    if coef.size == 1:
+        coef, innov_var = float(coef[0]), float(innov_var[0])
     else:
-        coef, innov_var = np.take(coef, gaps.step), np.take(innov_var, gaps.step)
+        coef, innov_var = coef[gaps.step], innov_var[gaps.step]
     E = np.empty_like(values)
     E[:, 0] = values[:, 0] / np.sqrt(s)
     E[:, 1:] = (values[:, 1:] - coef * values[:, :-1]) / np.sqrt(innov_var)
@@ -305,6 +320,130 @@ def group_whiten(group: TimesGroup, params: ArParams,
     return _whiten(v, group.gaps, params)
 
 
+def unit_id_at(groups: list[TimesGroup], index: int) -> str:
+    """Id of the unit at panel position ``index``, for error messages; the
+    position itself when the groups carry no ids."""
+    for g in groups:
+        hit = np.flatnonzero(g.indices == index)
+        if hit.size:
+            return g.unit_ids[int(hit[0])] if g.unit_ids else str(index)
+    return str(index)
+
+
+# --- lag statistics: every unit reduced to a few sums per distinct gap ---
+
+
+@dataclass(frozen=True)
+class LagStats:
+    """AR(1) sufficient statistics of a set of rows (units, or pooled units).
+
+    With D panel-wide distinct gaps ``sizes``, first value y0, and over the
+    steps of gap d the differences e = y_t - y_{t-1} and previous values
+    p = y_{t-1}, the columns are
+
+    - ``terms`` (rows, 2 + 4D): units, steps per gap, y0^2, sum e^2 per gap,
+      sum e p per gap, sum p^2 per gap: everything the log-likelihood reads;
+    - ``linear`` (rows, 1 + 2D): y0, sum e per gap, sum p per gap, which
+      q_y1 adds.
+
+    The quadratic form across a gap with coefficient a is
+    sum (y_t - a y_{t-1})^2 = sum e^2 + 2 (1 - a) sum e p + (1 - a)^2 sum p^2;
+    in differences it stays accurate as phi^d approaches 1. Every column is
+    a sum over units, so rows of several units add into one pooled row.
+    """
+
+    sizes: tuple[int, ...]
+    terms: np.ndarray
+    linear: np.ndarray
+
+    def __getitem__(self, rows) -> "LagStats":
+        return LagStats(self.sizes, self.terms[rows], self.linear[rows])
+
+    @property
+    def length(self) -> np.ndarray:
+        """Observations per row."""
+        return self.terms[..., :1 + len(self.sizes)].sum(axis=-1)
+
+    def pool(self, labels: np.ndarray, size: int) -> "LagStats":
+        """Rows summed within each label: row k pools the rows labelled k."""
+        terms = np.zeros((size, self.terms.shape[1]))
+        linear = np.zeros((size, self.linear.shape[1]))
+        np.add.at(terms, labels, self.terms)
+        np.add.at(linear, labels, self.linear)
+        return LagStats(self.sizes, terms, linear)
+
+    def loglik(self, phi, v) -> np.ndarray:
+        """Null AR(1) log-likelihood of every row under every (phi, v) pair.
+
+        Scalars give one value per row; 1-d arrays of L pairs give a
+        (rows, L) matrix from one matrix product.
+        """
+        logdet, q_yy, _, _ = _lag_coefficients(phi, v, self.sizes)
+        coef = -0.5 * np.concatenate([LOG_2PI + logdet, q_yy], axis=-1)
+        return self.terms @ coef.T
+
+    def gaussian_parts(self, params: ArParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row (q_yy, q_y1, s11, logdet), as ``gaussian_parts`` returns
+        them for rows observed at their own times."""
+        logdet, q_yy, s11, q_y1 = _lag_coefficients(params.phi, params.v, self.sizes)
+        k = 1 + len(self.sizes)
+        counts, quad = self.terms[..., :k], self.terms[..., k:]
+        return quad @ q_yy, self.linear @ q_y1, counts @ s11, counts @ logdet
+
+
+def _lag_coefficients(phi, v, sizes):
+    """Weights that turn lag statistics into the Gaussian parts under (phi, v).
+
+    ``phi`` and ``v`` are scalars or equal-length 1-d arrays; each result
+    has a trailing axis over statistic columns. With s = v / (1 - phi^2),
+    a = phi^d, b = 1 - a and w = 1 / (v r_d) per gap, returns the weights of
+    logdet and s11 on (units, steps), of q_yy on (y0^2, e^2, e p, p^2) and of
+    q_y1 on (y0, e, p).
+    """
+    a, ratio = _gap_coefficients(phi, sizes)
+    v = np.asarray(v, dtype=float)[..., None]
+    phi = np.asarray(phi, dtype=float)[..., None]
+    inv_s = (1.0 - phi * phi) / v
+    w = 1.0 / (v * ratio)
+    b = 1.0 - a
+    bw, bbw = b * w, b * b * w
+    logdet = np.concatenate([-np.log(inv_s), -np.log(w)], axis=-1)
+    q_yy = np.concatenate([inv_s, w, 2.0 * bw, bbw], axis=-1)
+    s11 = np.concatenate([inv_s, bbw], axis=-1)
+    q_y1 = np.concatenate([inv_s, bw, bbw], axis=-1)
+    return logdet, q_yy, s11, q_y1
+
+
+def lag_stats(groups: list[TimesGroup], values: list[np.ndarray] | None = None) -> LagStats:
+    """Lag statistics of every unit in ``groups``, one row per unit in panel order.
+
+    ``values`` optionally overrides each group's observation matrix (the
+    joint sampler passes de-trended values). Overflow is left to show as
+    non-finite statistics, which the callers' likelihood checks name.
+    """
+    sizes = np.unique(np.array([d for g in groups for d in g.gaps.sizes], dtype=np.int64))
+    D = sizes.size
+    n_units = sum(g.n for g in groups)
+    terms = np.empty((n_units, 2 + 4 * D))
+    linear = np.empty((n_units, 1 + 2 * D))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gi, g in enumerate(groups):
+            y = g.values if values is None else values[gi]
+            gap = np.searchsorted(sizes, g.gaps.sizes)[g.gaps.step]
+            onehot = (gap[:, None] == np.arange(D)[None, :]).astype(float)
+            prev = y[:, :-1]
+            diff = y[:, 1:] - prev
+            sums = (np.stack([diff * diff, diff * prev, prev * prev, diff, prev]) @ onehot).transpose(1, 0, 2)
+            rows = g.indices
+            terms[rows, 0] = 1.0
+            terms[rows, 1:1 + D] = onehot.sum(axis=0)
+            terms[rows, 1 + D] = y[:, 0] * y[:, 0]
+            terms[rows, 2 + D:] = sums[:, :3].reshape(g.n, 3 * D)
+            linear[rows, 0] = y[:, 0]
+            linear[rows, 1:] = sums[:, 3:].reshape(g.n, 2 * D)
+    return LagStats(tuple(sizes.tolist()), terms, linear)
+
+
 def ar1_precision(params: ArParams, gaps: GapTable) -> np.ndarray:
     """Inverse of the stationary AR(1) covariance over times with gap table ``gaps``.
 
@@ -317,13 +456,13 @@ def ar1_precision(params: ArParams, gaps: GapTable) -> np.ndarray:
     T = gaps.step.size + 1
     if T == 1:
         return np.array([[1.0 / stationary_variance(params)]])
-    coef, ratio = _gap_coefficients(params, gaps.sizes)
-    inv_r = np.take([1.0 / r for r in ratio], gaps.step)
+    coef, ratio = _gap_coefficients(params.phi, gaps.sizes)
+    inv_r = (1.0 / ratio)[gaps.step]
     diag = np.empty(T)
     diag[0] = inv_r[0]
     diag[1:] = inv_r
-    diag[1:-1] += np.take([c * c / r for c, r in zip(coef, ratio)], gaps.step[1:])
-    off = -np.take([c / r for c, r in zip(coef, ratio)], gaps.step) / params.v
+    diag[1:-1] += (coef * coef / ratio)[gaps.step[1:]]
+    off = -(coef / ratio)[gaps.step] / params.v
     Q = np.zeros((T, T))
     Q[np.arange(T), np.arange(T)] = diag / params.v
     Q[np.arange(T - 1), np.arange(1, T)] = off

@@ -18,7 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_core import ArParams, SeriesPanel, TimesGroup, group_whiten, panel_groups, LOG_2PI
+from .ar_core import ArParams, LagStats, SeriesPanel, TimesGroup, lag_stats, panel_groups, unit_id_at
+# Not called here: bench/layers.py probes dp_residual.group_whiten, so the
+# name stays bound (its call count reads 0).
+from .ar_core import group_whiten  # noqa: F401
 from .errors import DomainError, NumericalError
 from .mcmc import (
     adapt_scale,
@@ -155,34 +158,21 @@ def init_residual_state(n_units: int, concentration: float, base: ParametricPrio
     )
 
 
-def _loglik_matrix(groups: list[TimesGroup], stick: StickState, n_units: int,
-                   values: list[np.ndarray] | None) -> np.ndarray:
-    """Null AR(1) log-likelihood of every unit under every atom."""
-    L = stick.truncation
-    out = np.empty((n_units, L))
-    for gi, g in enumerate(groups):
-        vals = g.values if values is None else values[gi]
-        for l in range(L):
-            E, logdet = group_whiten(g, stick.atom(l), values=vals)
-            q = np.einsum("ij,ij->i", E, E)
-            out[g.indices, l] = -0.5 * (g.length * LOG_2PI + logdet + q)
-    return out
-
-
 def _check_finite(ll: np.ndarray, groups: list[TimesGroup]) -> None:
     if np.all(np.isfinite(ll)):
         return
     unit, atom = np.argwhere(~np.isfinite(ll))[0]
-    name = str(unit)
-    for g in groups:
-        hit = np.flatnonzero(g.indices == unit)
-        if hit.size and g.unit_ids is not None:
-            name = g.unit_ids[int(hit[0])]
-    raise NumericalError(f"non-finite residual log-likelihood for unit {name!r} under atom {int(atom)}")
+    raise NumericalError(f"non-finite residual log-likelihood for unit "
+                         f"{unit_id_at(groups, int(unit))!r} under atom {int(atom)}")
 
 
-def _atom_logpost_factory(state: DpResidualState, member_blocks, likelihood_off: bool):
-    """Log conditional for one atom in x = (atanh phi, log v) coordinates."""
+def _atom_logpost_factory(state: DpResidualState, member_stats: LagStats | None,
+                          likelihood_off: bool):
+    """Log conditional for one atom in x = (atanh phi, log v) coordinates.
+
+    ``member_stats`` is the pooled lag-statistics row of the atom's members,
+    so each evaluation costs O(number of distinct gaps).
+    """
     base = state.base
 
     def logpost(x: np.ndarray) -> float:
@@ -196,37 +186,30 @@ def _atom_logpost_factory(state: DpResidualState, member_blocks, likelihood_off:
             return -np.inf
         if likelihood_off:
             return lp
-        params = ArParams(phi, v)
-        total = lp
-        for g, rows, vals in member_blocks:
-            sub = (g.values if vals is None else vals)[rows]
-            E, logdet = group_whiten(g, params, values=sub)
-            q = float(np.einsum("ij,ij->", E, E))
-            total += -0.5 * (rows.size * (g.length * LOG_2PI + logdet) + q)
-        return total
+        return lp + float(member_stats.loglik(phi, v))
 
     return logpost
 
 
-def _sweep_residual(state: DpResidualState, groups: list[TimesGroup], n_units: int,
-                    rng: np.random.Generator, adapt: bool, likelihood_off: bool,
-                    values: list[np.ndarray] | None = None) -> np.ndarray:
+def _sweep_residual(state: DpResidualState, groups: list[TimesGroup], stats: LagStats | None,
+                    rng: np.random.Generator, adapt: bool) -> None:
     """One blocked Gibbs sweep over assignments, sticks, and atoms.
 
-    ``values`` optionally overrides each group's observation matrix (the
-    joint trajectory sampler passes current residuals). Returns the per-unit
-    log-likelihood row sums under the new assignments for reuse by callers.
+    ``stats`` are the lag statistics of the values the mixture models (the
+    joint trajectory sampler passes those of the current residuals); None
+    holds the likelihood constant. ``groups`` only name units in errors.
     Mutates ``state`` in place.
     """
     L = state.truncation
+    n_units = state.assignments.size
     log_w = np.full(L, -np.inf)
     pos = state.stick.weights > 0
     log_w[pos] = np.log(state.stick.weights[pos])
 
-    if likelihood_off:
+    if stats is None:
         ll = np.zeros((n_units, L))
     else:
-        ll = _loglik_matrix(groups, state.stick, n_units, values)
+        ll = stats.loglik(state.stick.phi, state.stick.v)
         _check_finite(ll, groups)
     state.assignments = gumbel_argmax(ll + log_w[None, :], rng).astype(np.int64)
 
@@ -235,22 +218,14 @@ def _sweep_residual(state: DpResidualState, groups: list[TimesGroup], n_units: i
     state.stick.sticks = sticks
     state.stick.weights = weights
 
-    members_by_atom: dict[int, list[tuple[TimesGroup, np.ndarray, np.ndarray | None]]] = {}
-    for gi, g in enumerate(groups):
-        a = state.assignments[g.indices]
-        for l in np.unique(a):
-            rows = np.flatnonzero(a == l)
-            members_by_atom.setdefault(int(l), []).append(
-                (g, rows, None if values is None else values[gi])
-            )
-
+    pooled = None if stats is None else stats.pool(state.assignments, L)
     for l in range(L):
         if counts[l] == 0:
             phi, v = _draw_base_atoms(state.base, 1, rng)
             state.stick.phi[l] = phi[0]
             state.stick.v[l] = v[0]
             continue
-        logpost = _atom_logpost_factory(state, members_by_atom.get(l, []), likelihood_off)
+        logpost = _atom_logpost_factory(state, None if pooled is None else pooled[l], pooled is None)
         x = np.array([np.arctanh(state.stick.phi[l]), np.log(state.stick.v[l])])
         x_new, _, accepted = rw_metropolis_step(x, logpost, state.prop_scale[l], rng)
         state.stick.phi[l] = np.tanh(x_new[0])
@@ -259,8 +234,6 @@ def _sweep_residual(state: DpResidualState, groups: list[TimesGroup], n_units: i
             factor = adapt_scale(1.0, accepted, int(state.adapt_steps[l]))
             state.prop_scale[l] *= factor
             state.adapt_steps[l] += 1
-
-    return ll[np.arange(n_units), state.assignments]
 
 
 def gibbs_sweep_residual(state: DpResidualState, panel, rng: np.random.Generator,
@@ -274,8 +247,8 @@ def gibbs_sweep_residual(state: DpResidualState, panel, rng: np.random.Generator
     returned.
     """
     groups = panel if isinstance(panel, list) else panel_groups(panel)
-    n_units = int(sum(g.n for g in groups))
-    _sweep_residual(state, groups, n_units, rng, adapt, likelihood_off)
+    stats = None if likelihood_off else lag_stats(groups)
+    _sweep_residual(state, groups, stats, rng, adapt)
     return state
 
 
@@ -288,15 +261,15 @@ def run_residual_chain(panel: SeriesPanel, concentration: float, base: Parametri
     stick weights, atoms, and assignment histogram.
     """
     groups = panel_groups(panel)
-    n_units = len(panel)
-    state = init_residual_state(n_units, concentration, base, truncation,
+    stats = lag_stats(groups)
+    state = init_residual_state(len(panel), concentration, base, truncation,
                                 rng=stream(seed, "residual-chain", "init"))
     rng = stream(seed, "residual-chain", "sweeps")
     for _ in range(n_burn):
-        _sweep_residual(state, groups, n_units, rng, adapt=True, likelihood_off=False)
+        _sweep_residual(state, groups, stats, rng, adapt=True)
     records = []
     for _ in range(n_keep):
-        _sweep_residual(state, groups, n_units, rng, adapt=False, likelihood_off=False)
+        _sweep_residual(state, groups, stats, rng, adapt=False)
         records.append({
             "weights": state.stick.weights.copy(),
             "phi": state.stick.phi.copy(),

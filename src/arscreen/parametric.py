@@ -19,7 +19,10 @@ from scipy.optimize import minimize
 from scipy.special import expit, gammaln, logit, ndtr
 from scipy.stats import multivariate_t
 
-from .ar_core import ArParams, SeriesPanel, group_gaussian_parts, panel_groups, LOG_2PI
+from .ar_core import ArParams, LagStats, SeriesPanel, lag_stats, panel_groups, LOG_2PI
+# Not called here: bench/layers.py probes parametric.group_gaussian_parts, so
+# the name stays bound (its call count reads 0).
+from .ar_core import group_gaussian_parts  # noqa: F401
 from .errors import DomainError, InvalidInputError, ModeSearchError, NumericalError
 from .mcmc import normalized_weights_and_ess, stream
 
@@ -109,31 +112,26 @@ class InclusionSummary:
         return classify_flags(self, threshold)
 
 
-def _mixture_loglik_terms(groups, params: ArParams, shift_var: float,
-                          out_null: np.ndarray, out_logbf: np.ndarray) -> None:
-    """Fill per-unit null log-likelihood and log Bayes factor arrays."""
-    for g in groups:
-        q_yy, q_y1, s11, logdet = group_gaussian_parts(g, params)
-        null = -0.5 * (g.length * LOG_2PI + logdet + q_yy)
-        denom = 1.0 + shift_var * s11
-        logbf = -0.5 * np.log(denom) + 0.5 * shift_var * q_y1 ** 2 / denom
-        out_null[g.indices] = null
-        out_logbf[g.indices] = logbf
+def _mixture_loglik_terms(stats: LagStats, params: ArParams,
+                          shift_var: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-unit null log-likelihood and log Bayes factor, O(units x gaps)."""
+    q_yy, q_y1, s11, logdet = stats.gaussian_parts(params)
+    null = -0.5 * (stats.length * LOG_2PI + logdet + q_yy)
+    denom = 1.0 + shift_var * s11
+    logbf = -0.5 * np.log(denom) + 0.5 * shift_var * q_y1 ** 2 / denom
+    return null, logbf
 
 
-def _panel_log_marginal(groups, n_units: int, params: ArParams, p: float,
-                        shift_var: float) -> float:
+def _panel_log_marginal(stats: LagStats, params: ArParams, p: float, shift_var: float) -> float:
     """Sum over units of log[(1-p) null + p alt]."""
-    null = np.empty(n_units)
-    logbf = np.empty(n_units)
-    _mixture_loglik_terms(groups, params, shift_var, null, logbf)
+    null, logbf = _mixture_loglik_terms(stats, params, shift_var)
     return float(np.sum(null + np.logaddexp(np.log1p(-p), np.log(p) + logbf)))
 
 
 _PENALTY = -1.0e300
 
 
-def _make_transformed_logpost(groups, n_units: int, prior: ParametricPrior):
+def _make_transformed_logpost(stats: LagStats, prior: ParametricPrior):
     """Joint log posterior in x = (atanh phi, log v, logit p), Jacobian included."""
 
     def logpost(x: np.ndarray) -> float:
@@ -146,7 +144,7 @@ def _make_transformed_logpost(groups, n_units: int, prior: ParametricPrior):
         lp = prior.log_density_phi_v(phi, v) + log_jac
         if not np.isfinite(lp):
             return _PENALTY
-        ll = _panel_log_marginal(groups, n_units, ArParams(phi, v), p, prior.shift_var)
+        ll = _panel_log_marginal(stats, ArParams(phi, v), p, prior.shift_var)
         total = ll + lp
         return float(total) if np.isfinite(total) else _PENALTY
 
@@ -205,8 +203,7 @@ def build_importance_sampler(panel: SeriesPanel, prior: ParametricPrior,
     if n_draws < 2:
         raise DomainError(f"need at least 2 importance draws, got {n_draws}")
     _require_fittable(panel)
-    groups = panel_groups(panel)
-    logpost = _make_transformed_logpost(groups, len(panel), prior)
+    logpost = _make_transformed_logpost(lag_stats(panel_groups(panel)), prior)
 
     starts = [
         np.array([np.arctanh(prior.phi_mean), 0.0, logit(0.1)]),
@@ -261,17 +258,15 @@ def inclusion_probabilities_parametric(draws: WeightedDraws, panel: SeriesPanel,
     error.
     """
     _require_fittable(panel)
-    groups = panel_groups(panel)
+    stats = lag_stats(panel_groups(panel))
     n = len(panel)
     wbar = draws.normalized_weights
-    null = np.empty(n)
-    logbf = np.empty(n)
     s1 = np.zeros(n)
     s2_ww = np.zeros(n)
     s2_w = np.zeros(n)
     for k in range(draws.n_draws):
         phi, v, p = draws.draws[k]
-        _mixture_loglik_terms(groups, ArParams(float(phi), float(v)), prior.shift_var, null, logbf)
+        _, logbf = _mixture_loglik_terms(stats, ArParams(float(phi), float(v)), prior.shift_var)
         if not np.all(np.isfinite(logbf)):
             bad = int(np.flatnonzero(~np.isfinite(logbf))[0])
             raise NumericalError(

@@ -33,7 +33,9 @@ from .ar_core import (
     ar1_loglik,
     ar1_precision,
     group_whiten,
+    lag_stats,
     panel_groups,
+    unit_id_at,
 )
 from .dp_residual import DpResidualState, init_residual_state, _sweep_residual
 from .errors import DomainError, InvalidInputError, NumericalError
@@ -284,14 +286,6 @@ def init_fdp_state(n_units: int, config: ModelConfig, grid, seed: int = 0,
                     grid, config.kernel, nu)
 
 
-def _unit_name(groups: list[TimesGroup], unit: int) -> str:
-    for g in groups:
-        hit = np.flatnonzero(g.indices == unit)
-        if hit.size:
-            return g.unit_ids[int(hit[0])] if g.unit_ids else str(unit)
-    return str(unit)
-
-
 def _resid_partitions(groups: list[TimesGroup], assignments: np.ndarray):
     """Yield (group, atom_index, member_rows) for every occupied pair."""
     for g in groups:
@@ -422,7 +416,6 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     groups = panel if isinstance(panel, list) else panel_groups(panel, grid=state.grid)
     if workspace is None:
         workspace = prepare_gp_workspace(state.kernel, state.grid)
-    n = state.n_units
     Lf = state.flat_set.truncation
 
     # (a) joint draw of (component, atom) per unit
@@ -431,7 +424,7 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     if np.any(bad):
         unit = int(np.flatnonzero(bad)[0])
         raise NumericalError(
-            f"assignment stage (a): no finite component score for unit {_unit_name(groups, unit)!r}"
+            f"assignment stage (a): no finite component score for unit {unit_id_at(groups, unit)!r}"
         )
     pick = np.argmax(scores + rng.gumbel(size=scores.shape), axis=1)
     state.unit_component = np.where(pick == 0, NULL,
@@ -492,10 +485,9 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     _update_traj_sticks(state.gp_set, gp_counts, state.traj_concentration, rng)
 
     # (f) residual mixture on de-trended values
-    resid_values = _detrended_values(state, groups)
+    stats = None if likelihood_off else lag_stats(groups, _detrended_values(state, groups))
     try:
-        _sweep_residual(state.residual, groups, n, rng, adapt, likelihood_off,
-                        values=resid_values)
+        _sweep_residual(state.residual, groups, stats, rng, adapt)
     except NumericalError as exc:
         raise NumericalError(f"residual stage (f): {exc}") from exc
     return state
@@ -519,16 +511,11 @@ def _detrended_values(state: FdpState, groups: list[TimesGroup]) -> list[np.ndar
 
 def complete_data_loglik(state: FdpState, groups: list[TimesGroup]) -> float:
     """Sum over units of the component log-likelihood at the current state."""
-    resid = _detrended_values(state, groups)
-    total = 0.0
-    for gi, g in enumerate(groups):
-        a = state.residual.assignments[g.indices]
-        for l in np.unique(a):
-            rows = np.flatnonzero(a == l)
-            E, logdet = group_whiten(g, state.residual.stick.atom(l), values=resid[gi][rows])
-            q = float(np.einsum("ij,ij->", E, E))
-            total += -0.5 * (rows.size * (g.length * LOG_2PI + logdet) + q)
-    return total
+    stick = state.residual.stick
+    pooled = lag_stats(groups, _detrended_values(state, groups)).pool(
+        state.residual.assignments, stick.truncation)
+    # Row l pools the units on residual atom l and is scored under atom l.
+    return float(np.trace(pooled.loglik(stick.phi, stick.v)))
 
 
 @dataclass

@@ -272,12 +272,13 @@ def test_criterion_6_sampler_correctness():
     state_q.assignments[:] = 0
     state_q.stick.phi[0] = 0.0
     groups_q = panel_groups(panel_q)
+    from arscreen.ar_core import lag_stats
     from arscreen.dp_residual import _atom_logpost_factory
     draws_v = []
     x = np.array([0.0, np.log(state_q.stick.v[0])])
     scale = np.array([0.0, 0.45])
-    blocks = [(groups_q[0], np.arange(4), None)]
-    logpost = _atom_logpost_factory(state_q, blocks, likelihood_off=False)
+    member_stats = lag_stats(groups_q).pool(np.zeros(4, dtype=np.int64), 1)[0]
+    logpost = _atom_logpost_factory(state_q, member_stats, likelihood_off=False)
     logp = logpost(x)
     for step in range(30000):
         x, logp, _ = rw_metropolis_step(x, logpost, scale, rng_q, log_target_x=logp)

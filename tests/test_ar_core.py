@@ -17,6 +17,7 @@ from arscreen.ar_core import (
     gap_table,
     gaussian_parts,
     group_gaussian_parts,
+    lag_stats,
     log_conditional_bayes_factor,
     mean_shift_loglik,
     panel_groups,
@@ -203,6 +204,86 @@ class TestGaussianParts:
         assert q_y1 == pytest.approx(Y @ inv @ ones, rel=1e-9, abs=1e-9)
         assert s11 == pytest.approx(ones @ inv @ ones, rel=1e-9)
         assert logdet == pytest.approx(np.linalg.slogdet(cov)[1], rel=1e-9, abs=1e-9)
+
+
+def gapped_panel(rng, n_units=12) -> SeriesPanel:
+    """Units on their own random subsets of 0..59, so the panel has many
+    distinct gaps, with persistent values of mixed scale."""
+    series = []
+    for i in range(n_units):
+        T = int(rng.integers(2, 26))
+        times = np.sort(rng.choice(np.arange(60), size=T, replace=False))
+        y = np.cumsum(rng.normal(size=T)) * rng.uniform(0.2, 5.0)
+        series.append(ObservedSeries(f"u{i}", times, y))
+    return SeriesPanel(tuple(series))
+
+
+class TestLagStats:
+    """Lag statistics against whitening and the dense oracles on gapped panels."""
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_loglik_matrix_matches_whitening_and_dense_oracle(self, trial):
+        rng = np.random.default_rng(9000 + trial)
+        panel = gapped_panel(rng)
+        stats = lag_stats(panel_groups(panel))
+        assert len(stats.sizes) >= 5
+        phi = np.concatenate([[-0.999, 0.999], rng.uniform(-0.999, 0.999, size=4)])
+        v = rng.uniform(0.05, 4.0, size=phi.size)
+        ll = stats.loglik(phi, v)
+        assert ll.shape == (len(panel), phi.size)
+        for i, s in enumerate(panel):
+            gaps = gap_table(s.times)
+            for l in range(phi.size):
+                p = ArParams(float(phi[l]), float(v[l]))
+                q_yy, _, _, logdet = gaussian_parts(s.values, gaps, p)
+                via_whiten = -0.5 * (len(s) * np.log(2 * np.pi) + logdet + q_yy[0])
+                dense = dense_ar1_loglik(s.values, p.phi, p.v, s.times)
+                assert ll[i, l] == pytest.approx(via_whiten, rel=1e-10)
+                assert ll[i, l] == pytest.approx(dense, rel=1e-10)
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_gaussian_parts_match_whitening_and_dense_solves(self, trial):
+        rng = np.random.default_rng(9100 + trial)
+        panel = gapped_panel(rng)
+        stats = lag_stats(panel_groups(panel))
+        assert len(stats.sizes) >= 5
+        for phi in (-0.999, 0.999, rng.uniform(-0.999, 0.999)):
+            p = ArParams(float(phi), float(rng.uniform(0.05, 4.0)))
+            q_yy, q_y1, s11, logdet = stats.gaussian_parts(p)
+            for i, s in enumerate(panel):
+                w_yy, w_y1, w_11, w_det = gaussian_parts(s.values, gap_table(s.times), p)
+                cov = dense_ar1_cov(p.phi, p.v, s.times)
+                inv = np.linalg.inv(cov)
+                ones = np.ones(len(s))
+                d_yy, d_y1, d_11 = s.values @ inv @ s.values, s.values @ inv @ ones, ones @ inv @ ones
+                d_det = np.linalg.slogdet(cov)[1]
+                for want_yy, want_y1, want_11, want_det in ((w_yy[0], w_y1[0], w_11, w_det),
+                                                            (d_yy, d_y1, d_11, d_det)):
+                    assert q_yy[i] == pytest.approx(want_yy, rel=1e-10)
+                    assert s11[i] == pytest.approx(want_11, rel=1e-10)
+                    assert logdet[i] == pytest.approx(want_det, rel=1e-10)
+                    assert abs(q_y1[i] - want_y1) <= 1e-10 * np.sqrt(want_yy * want_11)
+
+    def test_finite_at_phi_next_to_one(self):
+        panel = gapped_panel(np.random.default_rng(9200))
+        stats = lag_stats(panel_groups(panel))
+        phi = np.array([np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0)])
+        assert np.all(np.isfinite(stats.loglik(phi, np.array([0.7, 0.7]))))
+        for p in phi:
+            assert all(np.all(np.isfinite(x)) for x in stats.gaussian_parts(ArParams(float(p), 0.7)))
+
+    def test_pooled_row_scores_the_sum_of_its_members(self):
+        rng = np.random.default_rng(9300)
+        panel = gapped_panel(rng)
+        stats = lag_stats(panel_groups(panel))
+        labels = rng.integers(0, 3, size=len(panel))
+        pooled = stats.pool(labels, 4)
+        phi, v = np.array([0.4, -0.6, 0.95, 0.1]), np.array([1.0, 0.3, 2.0, 0.8])
+        ll = stats.loglik(phi, v)
+        for k in range(4):
+            want = ll[labels == k].sum(axis=0)
+            assert pooled[k].loglik(phi, v) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert np.array_equal(pooled.length, np.bincount(labels, [len(s) for s in panel], 4))
 
 
 class TestPrecision:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta, chisquare, invgamma, kstest, truncnorm
 
-from arscreen.ar_core import ArParams, panel_groups
+from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel, lag_stats, panel_groups
 from arscreen.dp_residual import (
     elicit_concentration,
     expected_clusters,
@@ -15,7 +15,7 @@ from arscreen.dp_residual import (
     run_residual_chain,
     _atom_logpost_factory,
 )
-from arscreen.errors import DomainError
+from arscreen.errors import DomainError, NumericalError
 from arscreen.mcmc import rw_metropolis_step, stream
 from arscreen.parametric import ParametricPrior
 from arscreen.simulation import MixtureScenario, generate_mixture_panel
@@ -116,8 +116,8 @@ class TestConjugateOracle:
         for g in groups:
             g.values = z[: g.n]
         state = init_residual_state(5, 1.0, base, truncation=3, rng=stream(1, "conj-init"))
-        member_blocks = [(g, np.arange(g.n), None) for g in groups]
-        logpost = _atom_logpost_factory(state, member_blocks, likelihood_off=False)
+        member_stats = lag_stats(groups).pool(np.zeros(5, dtype=np.int64), 1)[0]
+        logpost = _atom_logpost_factory(state, member_stats, likelihood_off=False)
         scale = np.array([0.0, 0.45])
         x = np.array([0.0, 0.0])
         rng = stream(1, "conj-chain")
@@ -189,6 +189,18 @@ class TestSweeps:
             assert np.array_equal(a["weights"], b["weights"])
             assert np.array_equal(a["phi"], b["phi"])
             assert np.array_equal(a["counts"], b["counts"])
+
+    def test_overflowing_unit_is_named(self):
+        """Squares of values near 1e200 overflow: the sweep raises and names
+        the unit rather than assigning it on a non-finite likelihood."""
+        rng = np.random.default_rng(8)
+        times = np.array([0, 1, 3, 4, 7, 8, 9])
+        series = [ObservedSeries(f"u{i}", times, rng.normal(size=times.size)) for i in range(4)]
+        series.append(ObservedSeries("huge", times[1:], 1e200 * (1.0 + rng.uniform(size=6))))
+        state = init_residual_state(5, 1.0, ParametricPrior(), truncation=4,
+                                    rng=stream(5, "overflow-init"))
+        with pytest.raises(NumericalError, match="unit 'huge'"):
+            gibbs_sweep_residual(state, SeriesPanel(tuple(series)), stream(5, "overflow-sweeps"))
 
     def test_adaptation_moves_scales_only_during_burn(self):
         panel = tiny_panel(n=10, T=12, seed=6)
