@@ -14,13 +14,16 @@ distinct gap once, so the per-gap coefficients are evaluated once per call.
 The log-likelihood under any (phi, v) depends on a unit only through a
 few lag statistics per distinct gap: the first value and its square, and
 over the steps of each gap the sums of the step difference, of the
-previous value, and of their squares and product. ``lag_stats`` collects
-them for a whole panel in one pass over its time groups; ``LagStats``
-then turns them into the log-likelihood of every unit under every
-parameter pair with one (units x statistics) by (statistics x pairs)
-matrix product, and into the mean-shift quadratic forms with products of
-the same kind. Statistics add across units, so a pooled row scores a
-whole cluster in O(number of gaps).
+previous value, and of their squares and product. A ``StepTable`` holds
+a whole panel flat: every observation with its unit, and every step with
+its gap, whatever each unit's time pattern. ``lag_stats`` sums over its
+steps; ``LagStats`` then turns the sums into the log-likelihood of every
+unit under every parameter pair with one (units x statistics) by
+(statistics x pairs) matrix product, and into the mean-shift quadratic
+forms with products of the same kind. Statistics add across units,
+so a pooled row scores a whole cluster in O(number of gaps).
+``step_precision`` gives the entries of every unit's tridiagonal precision
+at once, for the terms that involve other paths than the data.
 
 A constant mean shift with prior N(0, shift_var) can be integrated out in
 closed form, which yields the conditional Bayes factor used by both the
@@ -254,7 +257,7 @@ def cdf_standardize(panel: SeriesPanel) -> SeriesPanel:
     return SeriesPanel(tuple(out), min_length=panel.min_length)
 
 
-# --- grouped panel representation for vectorized likelihood work ---
+# --- panel representations for vectorized likelihood work ---
 
 
 @dataclass
@@ -262,19 +265,12 @@ class TimesGroup:
     """Units sharing one observation-time vector, stacked for vectorized whitening."""
 
     indices: np.ndarray      # positions in panel order
-    times: np.ndarray        # shared times, shape (T,)
     values: np.ndarray       # stacked observations, shape (n, T)
     gaps: GapTable           # gap table of the shared times
-    grid_pos: np.ndarray | None = None   # positions of times within a global grid
-    unit_ids: tuple[str, ...] | None = None
 
     @property
     def n(self) -> int:
         return int(self.indices.size)
-
-    @property
-    def length(self) -> int:
-        return int(self.times.size)
 
     @property
     def contiguous(self) -> bool:
@@ -282,12 +278,8 @@ class TimesGroup:
         return self.gaps.sizes in ((), (1,))
 
 
-def panel_groups(panel: SeriesPanel, grid: np.ndarray | None = None) -> list[TimesGroup]:
-    """Group panel units by their observation-time vectors.
-
-    When ``grid`` is given, each group's times must be a subset of it and
-    the positions are cached for restricting grid-valued trajectories.
-    """
+def panel_groups(panel: SeriesPanel) -> list[TimesGroup]:
+    """Group panel units by their observation-time vectors."""
     buckets: dict[tuple[int, ...], list[int]] = {}
     for i, s in enumerate(panel):
         buckets.setdefault(tuple(int(t) for t in s.times), []).append(i)
@@ -295,39 +287,66 @@ def panel_groups(panel: SeriesPanel, grid: np.ndarray | None = None) -> list[Tim
     for key, idx in buckets.items():
         times = np.asarray(key, dtype=np.int64)
         values = np.vstack([panel[i].values for i in idx])
-        pos = None
-        if grid is not None:
-            pos = np.searchsorted(grid, times)
-            if np.any(pos >= grid.size) or np.any(grid[np.minimum(pos, grid.size - 1)] != times):
-                bad = panel[idx[0]].unit_id
-                raise InvalidInputError(f"unit {bad!r} has times outside the trajectory grid")
-        ids = tuple(panel[i].unit_id for i in idx)
-        groups.append(TimesGroup(np.asarray(idx, dtype=np.int64), times, values, gap_table(times), pos, ids))
+        groups.append(TimesGroup(np.asarray(idx, dtype=np.int64), values, gap_table(times)))
     return groups
 
 
-def group_gaussian_parts(group: TimesGroup, params: ArParams,
-                         values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """``gaussian_parts`` for a whole group at once (optionally overriding values)."""
-    v = group.values if values is None else values
-    return gaussian_parts(v, group.gaps, params)
+def group_gaussian_parts(group: TimesGroup, params: ArParams) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``gaussian_parts`` for a whole group at once."""
+    return gaussian_parts(group.values, group.gaps, params)
 
 
-def group_whiten(group: TimesGroup, params: ArParams,
-                 values: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def group_whiten(group: TimesGroup, params: ArParams) -> tuple[np.ndarray, float]:
     """Whitened rows and covariance log-determinant for a group."""
-    v = group.values if values is None else values
-    return _whiten(v, group.gaps, params)
+    return _whiten(group.values, group.gaps, params)
 
 
-def unit_id_at(groups: list[TimesGroup], index: int) -> str:
-    """Id of the unit at panel position ``index``, for error messages; the
-    position itself when the groups carry no ids."""
-    for g in groups:
-        hit = np.flatnonzero(g.indices == index)
-        if hit.size:
-            return g.unit_ids[int(hit[0])] if g.unit_ids else str(index)
-    return str(index)
+@dataclass(frozen=True)
+class StepTable:
+    """Every observation of a panel in one flat array, unit by unit in panel
+    order, with the steps between them. A step joins an observation to the
+    one before it in the same unit: its later observation is ``later`` and
+    its earlier one ``later - 1``.
+    """
+
+    unit_ids: tuple[str, ...]
+    values: np.ndarray        # (n_obs,) observations
+    unit: np.ndarray          # (n_obs,) unit index of each observation
+    first: np.ndarray         # (N,) index of each unit's first observation
+    sizes: tuple[int, ...]    # panel-wide distinct gaps, ascending
+    later: np.ndarray         # (n_steps,) later observation of each step
+    gap: np.ndarray           # (n_steps,) index of each step's gap into ``sizes``
+    pos: np.ndarray | None = None     # (n_obs,) grid position of each observation
+    pairs: np.ndarray | None = None   # (P, 2) distinct grid-position pairs of steps
+    pair: np.ndarray | None = None    # (n_steps,) index of each step into ``pairs``
+
+    @property
+    def n_units(self) -> int:
+        return int(self.first.size)
+
+
+def step_table(panel: SeriesPanel, grid: np.ndarray | None = None) -> StepTable:
+    """Flat step table of a panel; with ``grid``, every time must lie on it."""
+    lengths = np.array([len(s) for s in panel], dtype=np.int64)
+    times = np.concatenate([s.times for s in panel] + [np.empty(0, dtype=np.int64)])
+    values = np.concatenate([s.values for s in panel] + [np.empty(0)])
+    unit = np.repeat(np.arange(lengths.size), lengths)
+    first = np.cumsum(lengths) - lengths
+    is_later = np.ones(times.size, dtype=bool)
+    is_later[first] = False
+    later = np.flatnonzero(is_later)
+    sizes, gap = np.unique(times[later] - times[later - 1], return_inverse=True)
+    pos = pairs = pair = None
+    if grid is not None:
+        pos = np.searchsorted(grid, times)
+        off = (pos >= grid.size) | (grid[np.minimum(pos, grid.size - 1)] != times)
+        if np.any(off):
+            bad = panel[int(unit[np.argmax(off)])].unit_id
+            raise InvalidInputError(f"unit {bad!r} has times outside the trajectory grid")
+        keys, pair = np.unique(pos[later - 1] * grid.size + pos[later], return_inverse=True)
+        pairs = np.column_stack(np.divmod(keys, grid.size))
+    return StepTable(panel.unit_ids, values, unit, first, tuple(sizes.tolist()), later, gap,
+                     pos, pairs, pair)
 
 
 # --- lag statistics: every unit reduced to a few sums per distinct gap ---
@@ -382,13 +401,14 @@ class LagStats:
         coef = -0.5 * np.concatenate([LOG_2PI + logdet, q_yy], axis=-1)
         return self.terms @ coef.T
 
-    def gaussian_parts(self, params: ArParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def gaussian_parts(self, phi, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-row (q_yy, q_y1, s11, logdet), as ``gaussian_parts`` returns
-        them for rows observed at their own times."""
-        logdet, q_yy, s11, q_y1 = _lag_coefficients(params.phi, params.v, self.sizes)
+        them for rows observed at their own times. As in ``loglik``, scalars
+        give one value per row and 1-d arrays of L pairs (rows, L) matrices."""
+        logdet, q_yy, s11, q_y1 = _lag_coefficients(phi, v, self.sizes)
         k = 1 + len(self.sizes)
         counts, quad = self.terms[..., :k], self.terms[..., k:]
-        return quad @ q_yy, self.linear @ q_y1, counts @ s11, counts @ logdet
+        return quad @ q_yy.T, self.linear @ q_y1.T, counts @ s11.T, counts @ logdet.T
 
 
 def _lag_coefficients(phi, v, sizes):
@@ -414,57 +434,57 @@ def _lag_coefficients(phi, v, sizes):
     return logdet, q_yy, s11, q_y1
 
 
-def lag_stats(groups: list[TimesGroup], values: list[np.ndarray] | None = None) -> LagStats:
-    """Lag statistics of every unit in ``groups``, one row per unit in panel order.
+def lag_stats(table: StepTable, values: np.ndarray | None = None) -> LagStats:
+    """Lag statistics of every unit in ``table``, one row per unit in panel order.
 
-    ``values`` optionally overrides each group's observation matrix (the
-    joint sampler passes de-trended values). Overflow is left to show as
-    non-finite statistics, which the callers' likelihood checks name.
+    ``values`` optionally overrides the observations (the joint sampler
+    passes de-trended values). Overflow is left to show as non-finite
+    statistics, which the callers' likelihood checks name.
     """
-    sizes = np.unique(np.array([d for g in groups for d in g.gaps.sizes], dtype=np.int64))
-    D = sizes.size
-    n_units = sum(g.n for g in groups)
-    terms = np.empty((n_units, 2 + 4 * D))
-    linear = np.empty((n_units, 1 + 2 * D))
+    y = table.values if values is None else values
+    N, D = table.n_units, len(table.sizes)
+    step_key = table.unit[table.later] * D + table.gap
+
+    def per_gap(weights=None):
+        return np.bincount(step_key, weights, minlength=N * D).reshape(N, D)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for gi, g in enumerate(groups):
-            y = g.values if values is None else values[gi]
-            gap = np.searchsorted(sizes, g.gaps.sizes)[g.gaps.step]
-            onehot = (gap[:, None] == np.arange(D)[None, :]).astype(float)
-            prev = y[:, :-1]
-            diff = y[:, 1:] - prev
-            sums = (np.stack([diff * diff, diff * prev, prev * prev, diff, prev]) @ onehot).transpose(1, 0, 2)
-            rows = g.indices
-            terms[rows, 0] = 1.0
-            terms[rows, 1:1 + D] = onehot.sum(axis=0)
-            terms[rows, 1 + D] = y[:, 0] * y[:, 0]
-            terms[rows, 2 + D:] = sums[:, :3].reshape(g.n, 3 * D)
-            linear[rows, 0] = y[:, 0]
-            linear[rows, 1:] = sums[:, 3:].reshape(g.n, 2 * D)
-    return LagStats(tuple(sizes.tolist()), terms, linear)
+        prev = y[table.later - 1]
+        diff = y[table.later] - prev
+        y0 = y[table.first]
+        terms = np.column_stack([np.ones(N), per_gap(), y0 * y0, per_gap(diff * diff),
+                                 per_gap(diff * prev), per_gap(prev * prev)])
+        linear = np.column_stack([y0, per_gap(diff), per_gap(prev)])
+    return LagStats(table.sizes, terms, linear)
 
 
-def ar1_precision(params: ArParams, gaps: GapTable) -> np.ndarray:
-    """Inverse of the stationary AR(1) covariance over times with gap table ``gaps``.
+def step_precision(table: StepTable, phi: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of every unit's AR(1) precision under its own (phi, v), given
+    one value each per unit: the diagonal at each observation and the
+    off-diagonal at each step.
 
     The observed series is Markov, so the precision is tridiagonal in closed
     form (Rue & Held 2005). With coefficient a and innovation variance w of
     a step, the step's off-diagonal entry is -a / w; a diagonal entry is
-    1 / w of the step into it plus a^2 / w of the step out of it, and the
-    first entry is 1 / w of the first step.
+    1 / w of the step into it (1 / s for a unit's first observation) plus
+    a^2 / w of the step out of it.
     """
+    coef, ratio = _gap_coefficients(phi, table.sizes)
+    u = table.unit[table.later]
+    a = coef[u, table.gap]
+    inv_w = 1.0 / (v[u] * ratio[u, table.gap])
+    diag = np.zeros(table.values.size)
+    diag[table.first] = (1.0 - phi * phi) / v
+    diag[table.later] += inv_w
+    diag[table.later - 1] += a * a * inv_w
+    return diag, -a * inv_w
+
+
+def ar1_precision(params: ArParams, gaps: GapTable) -> np.ndarray:
+    """Inverse of the stationary AR(1) covariance over times with gap table
+    ``gaps``: the tridiagonal of ``step_precision`` for one unit."""
     T = gaps.step.size + 1
-    if T == 1:
-        return np.array([[1.0 / stationary_variance(params)]])
-    coef, ratio = _gap_coefficients(params.phi, gaps.sizes)
-    inv_r = (1.0 / ratio)[gaps.step]
-    diag = np.empty(T)
-    diag[0] = inv_r[0]
-    diag[1:] = inv_r
-    diag[1:-1] += (coef * coef / ratio)[gaps.step[1:]]
-    off = -(coef / ratio)[gaps.step] / params.v
-    Q = np.zeros((T, T))
-    Q[np.arange(T), np.arange(T)] = diag / params.v
-    Q[np.arange(T - 1), np.arange(1, T)] = off
-    Q[np.arange(1, T), np.arange(T - 1)] = off
-    return Q
+    one_unit = StepTable(("",), np.zeros(T), np.zeros(T, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                         gaps.sizes, np.arange(1, T), gaps.step)
+    diag, off = step_precision(one_unit, np.array([params.phi]), np.array([params.v]))
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

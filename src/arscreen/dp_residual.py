@@ -13,15 +13,13 @@ post-burn-in chain has a fixed kernel.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_core import ArParams, LagStats, SeriesPanel, TimesGroup, lag_stats, panel_groups, unit_id_at
-# Not called here: bench/layers.py probes dp_residual.group_whiten, so the
-# name stays bound (its call count reads 0).
-from .ar_core import group_whiten  # noqa: F401
+from .ar_core import ArParams, LagStats, SeriesPanel, StepTable, lag_stats, step_table
+# Bound only for the probes in bench/layers.py; not called here (counts read 0).
+from .ar_core import group_whiten, panel_groups  # noqa: F401
 from .errors import DomainError, NumericalError
 from .mcmc import (
     adapt_scale,
@@ -118,9 +116,6 @@ class DpResidualState:
     def counts(self) -> np.ndarray:
         return np.bincount(self.assignments, minlength=self.truncation)
 
-    def clone(self) -> "DpResidualState":
-        return copy.deepcopy(self)
-
 
 def _draw_base_atoms(base: ParametricPrior, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     phi = np.array([truncated_normal(base.phi_mean, np.sqrt(base.phi_var), -1.0, 1.0, rng)
@@ -158,14 +153,6 @@ def init_residual_state(n_units: int, concentration: float, base: ParametricPrio
     )
 
 
-def _check_finite(ll: np.ndarray, groups: list[TimesGroup]) -> None:
-    if np.all(np.isfinite(ll)):
-        return
-    unit, atom = np.argwhere(~np.isfinite(ll))[0]
-    raise NumericalError(f"non-finite residual log-likelihood for unit "
-                         f"{unit_id_at(groups, int(unit))!r} under atom {int(atom)}")
-
-
 def _atom_logpost_factory(state: DpResidualState, member_stats: LagStats | None,
                           likelihood_off: bool):
     """Log conditional for one atom in x = (atanh phi, log v) coordinates.
@@ -191,13 +178,13 @@ def _atom_logpost_factory(state: DpResidualState, member_stats: LagStats | None,
     return logpost
 
 
-def _sweep_residual(state: DpResidualState, groups: list[TimesGroup], stats: LagStats | None,
+def _sweep_residual(state: DpResidualState, table: StepTable, stats: LagStats | None,
                     rng: np.random.Generator, adapt: bool) -> None:
     """One blocked Gibbs sweep over assignments, sticks, and atoms.
 
     ``stats`` are the lag statistics of the values the mixture models (the
     joint trajectory sampler passes those of the current residuals); None
-    holds the likelihood constant. ``groups`` only name units in errors.
+    holds the likelihood constant. ``table`` only names units in errors.
     Mutates ``state`` in place.
     """
     L = state.truncation
@@ -210,7 +197,10 @@ def _sweep_residual(state: DpResidualState, groups: list[TimesGroup], stats: Lag
         ll = np.zeros((n_units, L))
     else:
         ll = stats.loglik(state.stick.phi, state.stick.v)
-        _check_finite(ll, groups)
+        if not np.all(np.isfinite(ll)):
+            unit, atom = np.argwhere(~np.isfinite(ll))[0]
+            raise NumericalError(f"non-finite residual log-likelihood for unit "
+                                 f"{table.unit_ids[unit]!r} under atom {int(atom)}")
     state.assignments = gumbel_argmax(ll + log_w[None, :], rng).astype(np.int64)
 
     counts = state.counts()
@@ -240,15 +230,15 @@ def gibbs_sweep_residual(state: DpResidualState, panel, rng: np.random.Generator
                          adapt: bool = False, likelihood_off: bool = False) -> DpResidualState:
     """One full Gibbs sweep for a standalone residual mixture fit.
 
-    ``panel`` may be a SeriesPanel or a prebuilt group list. With
+    ``panel`` may be a SeriesPanel or a prebuilt step table. With
     ``likelihood_off`` the likelihood is held constant (every unit scores
     zero under every atom), which turns the sweep into a prior-preserving
     kernel for invariance testing. The state is updated in place and
     returned.
     """
-    groups = panel if isinstance(panel, list) else panel_groups(panel)
-    stats = None if likelihood_off else lag_stats(groups)
-    _sweep_residual(state, groups, stats, rng, adapt)
+    table = panel if isinstance(panel, StepTable) else step_table(panel)
+    stats = None if likelihood_off else lag_stats(table)
+    _sweep_residual(state, table, stats, rng, adapt)
     return state
 
 
@@ -260,16 +250,16 @@ def run_residual_chain(panel: SeriesPanel, concentration: float, base: Parametri
     Returns the final state and one record per retained sweep with the
     stick weights, atoms, and assignment histogram.
     """
-    groups = panel_groups(panel)
-    stats = lag_stats(groups)
+    table = step_table(panel)
+    stats = lag_stats(table)
     state = init_residual_state(len(panel), concentration, base, truncation,
                                 rng=stream(seed, "residual-chain", "init"))
     rng = stream(seed, "residual-chain", "sweeps")
     for _ in range(n_burn):
-        _sweep_residual(state, groups, stats, rng, adapt=True)
+        _sweep_residual(state, table, stats, rng, adapt=True)
     records = []
     for _ in range(n_keep):
-        _sweep_residual(state, groups, stats, rng, adapt=False)
+        _sweep_residual(state, table, stats, rng, adapt=False)
         records.append({
             "weights": state.stick.weights.copy(),
             "phi": state.stick.phi.copy(),

@@ -19,10 +19,9 @@ from scipy.optimize import minimize
 from scipy.special import expit, gammaln, logit, ndtr
 from scipy.stats import multivariate_t
 
-from .ar_core import ArParams, LagStats, SeriesPanel, lag_stats, panel_groups, LOG_2PI
-# Not called here: bench/layers.py probes parametric.group_gaussian_parts, so
-# the name stays bound (its call count reads 0).
-from .ar_core import group_gaussian_parts  # noqa: F401
+from .ar_core import ArParams, LagStats, SeriesPanel, lag_stats, step_table, LOG_2PI
+# Bound only for the probes in bench/layers.py; not called here (counts read 0).
+from .ar_core import group_gaussian_parts, panel_groups  # noqa: F401
 from .errors import DomainError, InvalidInputError, ModeSearchError, NumericalError
 from .mcmc import normalized_weights_and_ess, stream
 
@@ -115,7 +114,7 @@ class InclusionSummary:
 def _mixture_loglik_terms(stats: LagStats, params: ArParams,
                           shift_var: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-unit null log-likelihood and log Bayes factor, O(units x gaps)."""
-    q_yy, q_y1, s11, logdet = stats.gaussian_parts(params)
+    q_yy, q_y1, s11, logdet = stats.gaussian_parts(params.phi, params.v)
     null = -0.5 * (stats.length * LOG_2PI + logdet + q_yy)
     denom = 1.0 + shift_var * s11
     logbf = -0.5 * np.log(denom) + 0.5 * shift_var * q_y1 ** 2 / denom
@@ -203,7 +202,7 @@ def build_importance_sampler(panel: SeriesPanel, prior: ParametricPrior,
     if n_draws < 2:
         raise DomainError(f"need at least 2 importance draws, got {n_draws}")
     _require_fittable(panel)
-    logpost = _make_transformed_logpost(lag_stats(panel_groups(panel)), prior)
+    logpost = _make_transformed_logpost(lag_stats(step_table(panel)), prior)
 
     starts = [
         np.array([np.arctanh(prior.phi_mean), 0.0, logit(0.1)]),
@@ -258,7 +257,7 @@ def inclusion_probabilities_parametric(draws: WeightedDraws, panel: SeriesPanel,
     error.
     """
     _require_fittable(panel)
-    stats = lag_stats(panel_groups(panel))
+    stats = lag_stats(step_table(panel))
     n = len(panel)
     wbar = draws.normalized_weights
     s1 = np.zeros(n)

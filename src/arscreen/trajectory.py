@@ -29,14 +29,14 @@ from .ar_core import (
     ArParams,
     ObservedSeries,
     SeriesPanel,
-    TimesGroup,
+    StepTable,
     ar1_loglik,
-    ar1_precision,
-    group_whiten,
     lag_stats,
-    panel_groups,
-    unit_id_at,
+    step_precision,
+    step_table,
 )
+# Bound only for the probes in bench/layers.py; not called here (counts read 0).
+from .ar_core import ar1_precision, group_whiten, panel_groups  # noqa: F401
 from .dp_residual import DpResidualState, init_residual_state, _sweep_residual
 from .errors import DomainError, InvalidInputError, NumericalError
 from .mcmc import sample_sticks, stick_weights, stream
@@ -286,35 +286,18 @@ def init_fdp_state(n_units: int, config: ModelConfig, grid, seed: int = 0,
                     grid, config.kernel, nu)
 
 
-def _resid_partitions(groups: list[TimesGroup], assignments: np.ndarray):
-    """Yield (group, atom_index, member_rows) for every occupied pair."""
-    for g in groups:
-        a = assignments[g.indices]
-        for l in np.unique(a):
-            yield g, int(l), np.flatnonzero(a == l)
-
-
-def gp_atom_conditional(workspace: GpWorkspace, observations) -> tuple[np.ndarray, np.ndarray]:
+def gp_atom_conditional(workspace: GpWorkspace, noise_prec: np.ndarray,
+                        b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact Gaussian conditional of one gp path given assigned units.
 
-    ``observations`` is an iterable of (grid_positions, gaps, values, params)
-    where values is (m, T) stacked series observed at those positions, gaps
-    is the gap table of their times, and ``params`` the AR(1) noise law.
-    Returns the posterior mean and covariance on the grid for the
-    precision-form conditional Lambda = C^-1 + S with S = sum P' Q P,
-    evaluated through the equivalent well-conditioned identity
-    Lambda^-1 = (I + C S)^-1 C so C is never inverted explicitly.
+    ``noise_prec`` is S = sum P' Q P and ``b`` = sum P' Q y over the
+    assigned units, where P restricts the grid to a unit's times and Q is
+    the precision of its AR(1) noise. Returns the posterior mean and
+    covariance on the grid for the precision-form conditional
+    Lambda = C^-1 + S, evaluated through the equivalent well-conditioned
+    identity Lambda^-1 = (I + C S)^-1 C so C is never inverted explicitly.
     """
-    g_size = workspace.grid.size
-    noise_prec = np.zeros((g_size, g_size))
-    b = np.zeros(g_size)
-    for pos, gaps, values, params in observations:
-        values = np.atleast_2d(values)
-        Q = ar1_precision(params, gaps)
-        idx = np.ix_(pos, pos)
-        noise_prec[idx] += values.shape[0] * Q
-        b[pos] += Q @ values.sum(axis=0)
-    system = np.eye(g_size) + workspace.cov @ noise_prec
+    system = np.eye(workspace.grid.size) + workspace.cov @ noise_prec
     try:
         lu_piv = lu_factor(system)
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -324,8 +307,8 @@ def gp_atom_conditional(workspace: GpWorkspace, observations) -> tuple[np.ndarra
     return cov @ b, cov
 
 
-def _draw_gp_conditional(workspace: GpWorkspace, observations, rng) -> np.ndarray:
-    mean, cov = gp_atom_conditional(workspace, observations)
+def _draw_gp_conditional(workspace: GpWorkspace, noise_prec, b, rng) -> np.ndarray:
+    mean, cov = gp_atom_conditional(workspace, noise_prec, b)
     try:
         factor = cholesky(cov, lower=True)
     except np.linalg.LinAlgError:
@@ -334,13 +317,58 @@ def _draw_gp_conditional(workspace: GpWorkspace, observations, rng) -> np.ndarra
     return mean + factor @ z
 
 
-def _assignment_scores(state: FdpState, groups: list[TimesGroup], likelihood_off: bool):
-    """Unit-by-component score matrix and cached whitened cross terms.
+@dataclass(frozen=True)
+class _UnitNoise:
+    """Each unit's AR(1) noise under its current residual atom, computed once
+    per sweep: the null log-likelihood and the flat-level terms q_y1 and
+    s11 of its data, and its precision Q as the gp terms read it, on the
+    grid: Q y, the diagonal of Q, and Q's entry at each distinct step pair."""
+
+    null: np.ndarray    # (N,)
+    q_y1: np.ndarray    # (N,)
+    s11: np.ndarray     # (N,)
+    qy: np.ndarray      # (N, G)
+    diag: np.ndarray    # (N, G)
+    pair: np.ndarray    # (N, P)
+
+
+def _unit_noise(state: FdpState, table: StepTable) -> _UnitNoise:
+    """``_UnitNoise`` of every unit in ``table`` (grid positions required)."""
+    stick, atom = state.residual.stick, state.residual.assignments
+    stats = lag_stats(table)
+    rows = np.arange(atom.size)
+    q_yy, q_y1, s11, logdet = (x[rows, atom] for x in stats.gaussian_parts(stick.phi, stick.v))
+    null = -0.5 * (stats.length * LOG_2PI + logdet + q_yy)
+    diag, off = step_precision(table, stick.phi[atom], stick.v[atom])
+    y, later = table.values, table.later
+    qy = diag * y
+    qy[later] += off * y[later - 1]
+    qy[later - 1] += off * y[later]
+    qy_grid, diag_grid = np.zeros((2, table.n_units, state.grid.size))
+    qy_grid[table.unit, table.pos] = qy
+    diag_grid[table.unit, table.pos] = diag
+    pair = np.zeros((table.n_units, len(table.pairs)))
+    pair[table.unit[later], table.pair] = off
+    return _UnitNoise(null, q_y1, s11, qy_grid, diag_grid, pair)
+
+
+def _gp_atom_terms(noise: _UnitNoise, table: StepTable,
+                   members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S = sum P' Q P and b = sum P' Q y over the ``members`` (a unit mask)."""
+    S = np.diag(noise.diag[members].sum(axis=0))
+    prev, cur = table.pairs.T
+    S[prev, cur] = S[cur, prev] = noise.pair[members].sum(axis=0)
+    return S, noise.qy[members].sum(axis=0)
+
+
+def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise | None):
+    """Unit-by-component score matrix and the flat-level terms.
 
     Columns are [null | flat atoms | gp atoms]; entry = log component prob
     + log atom weight + component log-likelihood under the unit's current
-    residual parameters. Also returns per-unit q_y1 and s11 (for the flat
-    conjugate update) under the current residual assignment.
+    residual parameters, read from ``noise`` (None holds the likelihood
+    constant). Also returns per-unit q_y1 and s11 (for the flat conjugate
+    update) under the current residual assignment.
     """
     n = state.n_units
     Lf, Lg = state.flat_set.truncation, state.gp_set.truncation
@@ -349,37 +377,21 @@ def _assignment_scores(state: FdpState, groups: list[TimesGroup], likelihood_off
         log_wf = np.log(state.flat_set.weights)
         log_wg = np.log(state.gp_set.weights)
     scores = np.empty((n, 1 + Lf + Lg))
-    q_y1_u = np.zeros(n)
-    s11_u = np.zeros(n)
-    if likelihood_off:
-        scores[:, 0] = log_cp[NULL]
-        scores[:, 1:1 + Lf] = log_cp[FLAT] + log_wf[None, :]
-        scores[:, 1 + Lf:] = log_cp[GP] + log_wg[None, :]
-        return scores, q_y1_u, s11_u
+    scores[:, 0] = log_cp[NULL]
+    scores[:, 1:1 + Lf] = log_cp[FLAT] + log_wf[None, :]
+    scores[:, 1 + Lf:] = log_cp[GP] + log_wg[None, :]
+    if noise is None:
+        return scores, np.zeros(n), np.zeros(n)
 
     levels = state.flat_set.levels
-    for g, l, rows in _resid_partitions(groups, state.residual.assignments):
-        params = state.residual.stick.atom(l)
-        idx = g.indices[rows]
-        paths_t = state.gp_set.paths[:, g.grid_pos]
-        stacked = np.vstack([g.values[rows], np.ones((1, g.length)), paths_t])
-        E, logdet = group_whiten(g, params, values=stacked)
-        Ey, e1, Ep = E[:rows.size], E[rows.size], E[rows.size + 1:]
-        q_yy = np.einsum("ij,ij->i", Ey, Ey)
-        q_y1 = Ey @ e1
-        s11 = float(e1 @ e1)
-        q_pp = np.einsum("ij,ij->i", Ep, Ep)
-        cross = Ey @ Ep.T
-        ll_null = -0.5 * (g.length * LOG_2PI + logdet + q_yy)
-        scores[idx, 0] = log_cp[NULL] + ll_null
-        ll_flat = (ll_null[:, None] + levels[None, :] * q_y1[:, None]
-                   - 0.5 * s11 * levels[None, :] ** 2)
-        scores[idx, 1:1 + Lf] = log_cp[FLAT] + log_wf[None, :] + ll_flat
-        ll_gp = ll_null[:, None] + cross - 0.5 * q_pp[None, :]
-        scores[idx, 1 + Lf:] = log_cp[GP] + log_wg[None, :] + ll_gp
-        q_y1_u[idx] = q_y1
-        s11_u[idx] = s11
-    return scores, q_y1_u, s11_u
+    paths = state.gp_set.paths
+    prev, cur = table.pairs.T
+    q_pp = noise.diag @ (paths * paths).T + 2.0 * noise.pair @ (paths[:, prev] * paths[:, cur]).T
+    null, q_y1 = noise.null[:, None], noise.q_y1[:, None]
+    scores[:, :1] += null
+    scores[:, 1:1 + Lf] += null + levels * q_y1 - 0.5 * noise.s11[:, None] * levels ** 2
+    scores[:, 1 + Lf:] += null + noise.qy @ paths.T - 0.5 * q_pp
+    return scores, noise.q_y1, noise.s11
 
 
 def _flat_level_posterior(prior_var: float, s11_sum, q_y1_sum):
@@ -407,24 +419,25 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
                       workspace: GpWorkspace | None = None) -> FdpState:
     """One full sweep of the joint sampler; mutates and returns ``state``.
 
-    ``panel`` may be a SeriesPanel or a prebuilt group list (grid positions
+    ``panel`` may be a SeriesPanel or a prebuilt step table (grid positions
     required). ``likelihood_off`` holds the likelihood constant in every
     block, turning the sweep into a prior-preserving kernel for invariance
     tests. Proposal adaptation in the residual block runs only with
     ``adapt`` set.
     """
-    groups = panel if isinstance(panel, list) else panel_groups(panel, grid=state.grid)
+    table = panel if isinstance(panel, StepTable) else step_table(panel, grid=state.grid)
     if workspace is None:
         workspace = prepare_gp_workspace(state.kernel, state.grid)
     Lf = state.flat_set.truncation
 
     # (a) joint draw of (component, atom) per unit
-    scores, q_y1_u, s11_u = _assignment_scores(state, groups, likelihood_off)
+    noise = None if likelihood_off else _unit_noise(state, table)
+    scores, q_y1_u, s11_u = _assignment_scores(state, table, noise)
     bad = ~np.isfinite(np.max(scores, axis=1))
     if np.any(bad):
         unit = int(np.flatnonzero(bad)[0])
         raise NumericalError(
-            f"assignment stage (a): no finite component score for unit {unit_id_at(groups, unit)!r}"
+            f"assignment stage (a): no finite component score for unit {table.unit_ids[unit]!r}"
         )
     pick = np.argmax(scores + rng.gumbel(size=scores.shape), axis=1)
     state.unit_component = np.where(pick == 0, NULL,
@@ -439,12 +452,10 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     # (c) flat levels: conjugate normal given members; prior draw when empty
     kappa1 = state.kernel.variance
     is_flat = state.unit_component == FLAT
-    flat_counts = np.bincount(state.unit_atom[is_flat], minlength=Lf)
-    a_sum = np.zeros(Lf)
-    b_sum = np.zeros(Lf)
-    if not likelihood_off:
-        np.add.at(a_sum, state.unit_atom[is_flat], s11_u[is_flat])
-        np.add.at(b_sum, state.unit_atom[is_flat], q_y1_u[is_flat])
+    flat_atoms = state.unit_atom[is_flat]
+    flat_counts = np.bincount(flat_atoms, minlength=Lf)
+    a_sum = np.bincount(flat_atoms, s11_u[is_flat], minlength=Lf)
+    b_sum = np.bincount(flat_atoms, q_y1_u[is_flat], minlength=Lf)
     post_mean, post_var = _flat_level_posterior(kappa1, a_sum, b_sum)
     start = state.flat_set.n_frozen
     z = rng.standard_normal(Lf - start)
@@ -457,24 +468,11 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     Lg = state.gp_set.truncation
     is_gp = state.unit_component == GP
     gp_counts = np.bincount(state.unit_atom[is_gp], minlength=Lg)
-    members_by_gp_atom: dict[int, list] = {l: [] for l in range(state.gp_set.n_frozen, Lg)}
-    if not likelihood_off:
-        for g, l, rows in _resid_partitions(groups, state.residual.assignments):
-            params = state.residual.stick.atom(l)
-            sel = is_gp[g.indices[rows]]
-            if not np.any(sel):
-                continue
-            atoms_here = state.unit_atom[g.indices[rows[sel]]]
-            for atom_l in np.unique(atoms_here):
-                if atom_l < state.gp_set.n_frozen:
-                    continue
-                vals = g.values[rows[sel][atoms_here == atom_l]]
-                members_by_gp_atom[int(atom_l)].append((g.grid_pos, g.gaps, vals, params))
     for l in range(state.gp_set.n_frozen, Lg):
-        obs = members_by_gp_atom.get(l, [])
         try:
-            if obs:
-                state.gp_set.paths[l] = _draw_gp_conditional(workspace, obs, rng)
+            if noise is not None and gp_counts[l]:
+                S, b = _gp_atom_terms(noise, table, is_gp & (state.unit_atom == l))
+                state.gp_set.paths[l] = _draw_gp_conditional(workspace, S, b, rng)
             else:
                 state.gp_set.paths[l] = workspace.chol @ rng.standard_normal(state.grid.size)
         except NumericalError as exc:
@@ -485,34 +483,22 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     _update_traj_sticks(state.gp_set, gp_counts, state.traj_concentration, rng)
 
     # (f) residual mixture on de-trended values
-    stats = None if likelihood_off else lag_stats(groups, _detrended_values(state, groups))
+    stats = None if likelihood_off else lag_stats(table, _detrended_values(state, table))
     try:
-        _sweep_residual(state.residual, groups, stats, rng, adapt)
+        _sweep_residual(state.residual, table, stats, rng, adapt)
     except NumericalError as exc:
         raise NumericalError(f"residual stage (f): {exc}") from exc
     return state
 
 
-def _detrended_values(state: FdpState, groups: list[TimesGroup]) -> list[np.ndarray]:
-    out = []
-    for g in groups:
-        vals = g.values.copy()
-        comp = state.unit_component[g.indices]
-        atom = state.unit_atom[g.indices]
-        flat_rows = np.flatnonzero(comp == FLAT)
-        if flat_rows.size:
-            vals[flat_rows] -= state.flat_set.levels[atom[flat_rows]][:, None]
-        gp_rows = np.flatnonzero(comp == GP)
-        if gp_rows.size:
-            vals[gp_rows] -= state.gp_set.paths[np.ix_(atom[gp_rows], g.grid_pos)]
-        out.append(vals)
-    return out
+def _detrended_values(state: FdpState, table: StepTable) -> np.ndarray:
+    return table.values - _trajectory_matrix(state)[table.unit, table.pos]
 
 
-def complete_data_loglik(state: FdpState, groups: list[TimesGroup]) -> float:
+def complete_data_loglik(state: FdpState, table: StepTable) -> float:
     """Sum over units of the component log-likelihood at the current state."""
     stick = state.residual.stick
-    pooled = lag_stats(groups, _detrended_values(state, groups)).pool(
+    pooled = lag_stats(table, _detrended_values(state, table)).pool(
         state.residual.assignments, stick.truncation)
     # Row l pools the units on residual atom l and is scored under atom l.
     return float(np.trace(pooled.loglik(stick.phi, stick.v)))
@@ -573,12 +559,11 @@ def _combined_atom_weights(state: FdpState) -> list[tuple[str, int, float]]:
 
 def _trajectory_matrix(state: FdpState) -> np.ndarray:
     """Per-unit trajectory values on the grid at the current state."""
-    n, g_len = state.n_units, state.grid.size
-    f = np.zeros((n, g_len), dtype=np.float32)
+    f = np.zeros((state.n_units, state.grid.size))
     is_flat = state.unit_component == FLAT
-    f[is_flat] = state.flat_set.levels[state.unit_atom[is_flat]][:, None].astype(np.float32)
+    f[is_flat] = state.flat_set.levels[state.unit_atom[is_flat]][:, None]
     is_gp = state.unit_component == GP
-    f[is_gp] = state.gp_set.paths[state.unit_atom[is_gp]].astype(np.float32)
+    f[is_gp] = state.gp_set.paths[state.unit_atom[is_gp]]
     return f
 
 
@@ -603,7 +588,7 @@ def run_chain(panel: SeriesPanel, config: ModelConfig, n_burn: int, n_keep: int,
         raise InvalidInputError("cannot fit an empty panel")
     grid = np.unique(np.concatenate([s.times for s in panel]))
     workspace = prepare_gp_workspace(config.kernel, grid)
-    groups = panel_groups(panel, grid=grid)
+    table = step_table(panel, grid=grid)
     n = len(panel)
 
     state = initial_state if initial_state is not None else init_fdp_state(
@@ -612,7 +597,7 @@ def run_chain(panel: SeriesPanel, config: ModelConfig, n_burn: int, n_keep: int,
     rng = stream(seed, "joint-chain", "sweeps")
 
     for _ in range(n_burn):
-        gibbs_sweep_joint(state, groups, rng, adapt=True, workspace=workspace)
+        gibbs_sweep_joint(state, table, rng, adapt=True, workspace=workspace)
 
     n_frozen_flat = state.flat_set.n_frozen
     n_frozen_gp = state.gp_set.n_frozen
@@ -630,10 +615,10 @@ def run_chain(panel: SeriesPanel, config: ModelConfig, n_burn: int, n_keep: int,
     best_state = None
 
     for t in range(n_keep):
-        gibbs_sweep_joint(state, groups, rng, adapt=False, workspace=workspace)
+        gibbs_sweep_joint(state, table, rng, adapt=False, workspace=workspace)
         nonnull = state.unit_component != NULL
         inclusion_counts += nonnull
-        ll = complete_data_loglik(state, groups)
+        ll = complete_data_loglik(state, table)
         logliks[t] = ll
         if ll > best_loglik:
             best_loglik = ll
@@ -650,7 +635,7 @@ def run_chain(panel: SeriesPanel, config: ModelConfig, n_burn: int, n_keep: int,
             top_atoms=tuple(_combined_atom_weights(state)[:5]) if at_stride else (),
         ))
         if collect_bands and at_stride:
-            band_samples.append(_trajectory_matrix(state))
+            band_samples.append(_trajectory_matrix(state).astype(np.float32))
             band_sweeps.append(t)
         if membership is not None:
             bucket = np.full(n, len(labels) - 2, dtype=np.int64)   # "other"

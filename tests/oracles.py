@@ -69,6 +69,24 @@ def dense_gp_conditional(prior_cov: np.ndarray, obs_list) -> tuple[np.ndarray, n
     return mean, cov
 
 
+def dense_gp_precision_terms(grid_size: int, obs_list) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled noise precision S = sum P' noise_cov^-1 P and b = sum P' noise_cov^-1 y.
+
+    ``obs_list`` holds (grid_positions, values, noise_cov) triples as in
+    ``dense_gp_conditional``; P picks the positions out of the grid and
+    each noise covariance is inverted densely.
+    """
+    S = np.zeros((grid_size, grid_size))
+    b = np.zeros(grid_size)
+    for pos, y, noise_cov in obs_list:
+        P = np.zeros((len(pos), grid_size))
+        P[np.arange(len(pos)), np.asarray(pos)] = 1.0
+        inv = np.linalg.inv(np.asarray(noise_cov))
+        S += P.T @ inv @ P
+        b += P.T @ inv @ np.asarray(y, dtype=float)
+    return S, b
+
+
 def crp_expected_tables(alpha: float, n: int) -> float:
     """Expected number of occupied tables after n customers, by full enumeration.
 

@@ -17,9 +17,8 @@ from arscreen.ar_core import (
     ObservedSeries,
     SeriesPanel,
     ar1_loglik,
-    gap_table,
     mean_shift_loglik,
-    panel_groups,
+    step_table,
 )
 from arscreen.cli import main
 from arscreen.dp_residual import (
@@ -58,6 +57,7 @@ from oracles import (
     dense_ar1_cov,
     dense_ar1_loglik,
     dense_gp_conditional,
+    dense_gp_precision_terms,
     dense_shift_loglik,
 )
 
@@ -102,9 +102,10 @@ def test_criterion_1_oracle_equivalence():
         k = int(rng.integers(2, g_len + 1))
         pos = np.sort(rng.choice(g_len, size=k, replace=False))
         vals = rng.normal(size=(m, k))
-        mean, cov = gp_atom_conditional(ws, [(pos, gap_table(grid[pos]), vals, params)])
         noise = dense_ar1_cov(phi, v, grid[pos])
-        mean_o, cov_o = dense_gp_conditional(ws.cov, [(pos, row, noise) for row in vals])
+        obs = [(pos, row, noise) for row in vals]
+        mean, cov = gp_atom_conditional(ws, *dense_gp_precision_terms(g_len, obs))
+        mean_o, cov_o = dense_gp_conditional(ws.cov, obs)
         d3 = max(np.abs(mean - mean_o).max(), np.abs(cov - cov_o).max())
         worst = max(worst, d1, d2, d3)
     elapsed = time.time() - t0
@@ -246,13 +247,13 @@ def test_criterion_6_sampler_correctness():
     grid = np.arange(5, dtype=np.int64)
     panel_j = SeriesPanel(tuple(ObservedSeries(f"j{i}", grid, np.zeros(5))
                                 for i in range(3)))
-    groups = panel_groups(panel_j, grid=grid)
+    table = step_table(panel_j, grid=grid)
     ws = prepare_gp_workspace(cfg.kernel, grid)
     rng_j = stream(62, "inv-joint")
     state_j = init_fdp_state(3, cfg, grid, rng=rng_j, workspace=ws)
     cps = []
     for t in range(10000):
-        gibbs_sweep_joint(state_j, groups, rng_j, likelihood_off=True, workspace=ws)
+        gibbs_sweep_joint(state_j, table, rng_j, likelihood_off=True, workspace=ws)
         sums_ok &= abs(state_j.component_probs.sum() - 1.0) < 1e-12
         sums_ok &= abs(state_j.flat_set.weights.sum() - 1.0) < 1e-12
         sums_ok &= abs(state_j.gp_set.weights.sum() - 1.0) < 1e-12
@@ -271,13 +272,12 @@ def test_criterion_6_sampler_correctness():
     state_q = init_residual_state(4, 1.0, base, truncation=3, rng=rng_q)
     state_q.assignments[:] = 0
     state_q.stick.phi[0] = 0.0
-    groups_q = panel_groups(panel_q)
     from arscreen.ar_core import lag_stats
     from arscreen.dp_residual import _atom_logpost_factory
     draws_v = []
     x = np.array([0.0, np.log(state_q.stick.v[0])])
     scale = np.array([0.0, 0.45])
-    member_stats = lag_stats(groups_q).pool(np.zeros(4, dtype=np.int64), 1)[0]
+    member_stats = lag_stats(step_table(panel_q)).pool(np.zeros(4, dtype=np.int64), 1)[0]
     logpost = _atom_logpost_factory(state_q, member_stats, likelihood_off=False)
     logp = logpost(x)
     for step in range(30000):

@@ -22,6 +22,7 @@ from arscreen.ar_core import (
     mean_shift_loglik,
     panel_groups,
     stationary_variance,
+    step_table,
 )
 from arscreen.errors import DomainError, InvalidInputError
 
@@ -225,7 +226,7 @@ class TestLagStats:
     def test_loglik_matrix_matches_whitening_and_dense_oracle(self, trial):
         rng = np.random.default_rng(9000 + trial)
         panel = gapped_panel(rng)
-        stats = lag_stats(panel_groups(panel))
+        stats = lag_stats(step_table(panel))
         assert len(stats.sizes) >= 5
         phi = np.concatenate([[-0.999, 0.999], rng.uniform(-0.999, 0.999, size=4)])
         v = rng.uniform(0.05, 4.0, size=phi.size)
@@ -245,11 +246,11 @@ class TestLagStats:
     def test_gaussian_parts_match_whitening_and_dense_solves(self, trial):
         rng = np.random.default_rng(9100 + trial)
         panel = gapped_panel(rng)
-        stats = lag_stats(panel_groups(panel))
+        stats = lag_stats(step_table(panel))
         assert len(stats.sizes) >= 5
         for phi in (-0.999, 0.999, rng.uniform(-0.999, 0.999)):
             p = ArParams(float(phi), float(rng.uniform(0.05, 4.0)))
-            q_yy, q_y1, s11, logdet = stats.gaussian_parts(p)
+            q_yy, q_y1, s11, logdet = stats.gaussian_parts(p.phi, p.v)
             for i, s in enumerate(panel):
                 w_yy, w_y1, w_11, w_det = gaussian_parts(s.values, gap_table(s.times), p)
                 cov = dense_ar1_cov(p.phi, p.v, s.times)
@@ -266,16 +267,16 @@ class TestLagStats:
 
     def test_finite_at_phi_next_to_one(self):
         panel = gapped_panel(np.random.default_rng(9200))
-        stats = lag_stats(panel_groups(panel))
+        stats = lag_stats(step_table(panel))
         phi = np.array([np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0)])
         assert np.all(np.isfinite(stats.loglik(phi, np.array([0.7, 0.7]))))
         for p in phi:
-            assert all(np.all(np.isfinite(x)) for x in stats.gaussian_parts(ArParams(float(p), 0.7)))
+            assert all(np.all(np.isfinite(x)) for x in stats.gaussian_parts(float(p), 0.7))
 
     def test_pooled_row_scores_the_sum_of_its_members(self):
         rng = np.random.default_rng(9300)
         panel = gapped_panel(rng)
-        stats = lag_stats(panel_groups(panel))
+        stats = lag_stats(step_table(panel))
         labels = rng.integers(0, 3, size=len(panel))
         pooled = stats.pool(labels, 4)
         phi, v = np.array([0.4, -0.6, 0.95, 0.1]), np.array([1.0, 0.3, 2.0, 0.8])
@@ -364,11 +365,39 @@ class TestPanelTypes:
             start = rng.integers(0, 3)
             series.append(ObservedSeries(f"u{i}", np.arange(start, start + T), rng.normal(size=T)))
         panel = SeriesPanel(tuple(series))
-        grid = np.arange(0, 12)
-        groups = panel_groups(panel, grid=grid)
+        groups = panel_groups(panel)
         seen = np.concatenate([g.indices for g in groups])
         assert sorted(seen.tolist()) == list(range(20))
         for g in groups:
-            assert np.array_equal(grid[g.grid_pos], g.times)
             q_yy, _, _, _ = group_gaussian_parts(g, ArParams(0.3, 1.0))
             assert q_yy.shape == (g.n,)
+
+    def test_step_table_layout(self):
+        rng = np.random.default_rng(6)
+        series = []
+        for i in range(15):
+            times = np.sort(rng.choice(np.arange(2, 30), size=int(rng.integers(1, 12)), replace=False))
+            series.append(ObservedSeries(f"u{i}", times, rng.normal(size=times.size)))
+        panel = SeriesPanel(tuple(series))
+        grid = np.arange(0, 32)
+        table = step_table(panel, grid=grid)
+        assert table.unit_ids == panel.unit_ids
+        assert np.array_equal(table.values, np.concatenate([s.values for s in panel]))
+        assert np.array_equal(np.bincount(table.unit, minlength=15), [len(s) for s in panel])
+        assert np.array_equal(table.unit[table.first], np.arange(15))
+        times = np.concatenate([s.times for s in panel])
+        assert np.array_equal(grid[table.pos], times)
+        later = table.later
+        assert np.array_equal(np.sort(np.concatenate([table.first, later])), np.arange(times.size))
+        assert np.array_equal(table.unit[later], table.unit[later - 1])
+        assert np.array_equal(np.asarray(table.sizes)[table.gap], times[later] - times[later - 1])
+        assert np.array_equal(table.pairs[table.pair], np.column_stack([table.pos[later - 1],
+                                                                        table.pos[later]]))
+
+    def test_step_table_names_unit_off_grid(self):
+        panel = SeriesPanel((ObservedSeries("on", np.array([0, 2, 4]), np.zeros(3)),
+                             ObservedSeries("off", np.array([1, 2, 9]), np.zeros(3))))
+        for grid in (np.arange(0, 9), np.arange(0, 12, 2)):
+            with pytest.raises(InvalidInputError, match="unit 'off' has times outside the trajectory grid"):
+                step_table(panel, grid=grid)
+

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta, chisquare, invgamma, kstest, truncnorm
 
-from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel, lag_stats, panel_groups
+from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel, lag_stats, step_table
 from arscreen.dp_residual import (
     elicit_concentration,
     expected_clusters,
@@ -62,7 +62,7 @@ class TestPriorInvariance:
         alpha = 1.3
         base = ParametricPrior()
         panel = tiny_panel()
-        groups = panel_groups(panel)
+        table = step_table(panel)
         state = init_residual_state(len(panel), alpha, base, truncation=5,
                                     rng=stream(42, "inv-init"))
         rng = stream(42, "inv-sweeps")
@@ -71,7 +71,7 @@ class TestPriorInvariance:
         phi0 = np.empty(n_sweeps)
         v0 = np.empty(n_sweeps)
         for t in range(n_sweeps):
-            gibbs_sweep_residual(state, groups, rng, likelihood_off=True)
+            gibbs_sweep_residual(state, table, rng, likelihood_off=True)
             assert abs(state.stick.weights.sum() - 1.0) < 1e-12
             stick0[t] = state.stick.sticks[0]
             phi0[t] = state.stick.phi[0]
@@ -89,12 +89,12 @@ class TestPriorInvariance:
         alpha = 1.0
         state = init_residual_state(3, alpha, ParametricPrior(), truncation=5,
                                     rng=stream(7, "freq-init"))
-        groups = panel_groups(tiny_panel())
+        table = step_table(tiny_panel())
         rng = stream(7, "freq-sweeps")
         counts = np.zeros(5)
         n_sweeps, thin = 5000, 5
         for t in range(n_sweeps):
-            gibbs_sweep_residual(state, groups, rng, likelihood_off=True)
+            gibbs_sweep_residual(state, table, rng, likelihood_off=True)
             if t % thin == 0:
                 counts[state.assignments[0]] += 1
         # marginal P(assignment = l) is E[w_l] = (1/(1+a)) (a/(1+a))^l, remainder at the end
@@ -112,11 +112,9 @@ class TestConjugateOracle:
         rng_data = np.random.default_rng(5)
         z = rng_data.normal(0.0, 0.7, size=(5, 20))
         scenario_panel = tiny_panel(n=5, T=20, seed=3)
-        groups = panel_groups(scenario_panel)
-        for g in groups:
-            g.values = z[: g.n]
+        table = step_table(scenario_panel)
         state = init_residual_state(5, 1.0, base, truncation=3, rng=stream(1, "conj-init"))
-        member_stats = lag_stats(groups).pool(np.zeros(5, dtype=np.int64), 1)[0]
+        member_stats = lag_stats(table, z.ravel()).pool(np.zeros(5, dtype=np.int64), 1)[0]
         logpost = _atom_logpost_factory(state, member_stats, likelihood_off=False)
         scale = np.array([0.0, 0.45])
         x = np.array([0.0, 0.0])
@@ -142,12 +140,12 @@ class TestSweeps:
         panel, truth = generate_mixture_panel(
             MixtureScenario(comps, n_units=200, length=30), seed=31
         )
-        groups = panel_groups(panel)
+        table = step_table(panel)
         state = init_residual_state(len(panel), 1.0, ParametricPrior(), truncation=20,
                                     rng=stream(9, "purity-init"))
         rng = stream(9, "purity-sweeps")
         for t in range(500):
-            gibbs_sweep_residual(state, groups, rng, adapt=t < 250)
+            gibbs_sweep_residual(state, table, rng, adapt=t < 250)
         purity_hits = 0
         for l in np.unique(state.assignments):
             members = truth.component[state.assignments == l]
@@ -160,7 +158,7 @@ class TestSweeps:
         before_phi = state.stick.phi.copy()
         before_v = state.stick.v.copy()
         rng = stream(2, "empty-sweeps")
-        gibbs_sweep_residual(state, panel_groups(tiny_panel()), rng)
+        gibbs_sweep_residual(state, step_table(tiny_panel()), rng)
         empty = np.setdiff1d(np.arange(8), state.assignments)
         assert empty.size > 0
         assert not np.allclose(state.stick.phi[empty], before_phi[empty])
@@ -170,12 +168,12 @@ class TestSweeps:
 
     def test_weights_sum_to_one_every_sweep(self):
         panel = tiny_panel(n=6, T=8)
-        groups = panel_groups(panel)
+        table = step_table(panel)
         state = init_residual_state(6, 2.0, ParametricPrior(), truncation=10,
                                     rng=stream(3, "sum-init"))
         rng = stream(3, "sum-sweeps")
         for _ in range(200):
-            gibbs_sweep_residual(state, groups, rng)
+            gibbs_sweep_residual(state, table, rng)
             assert abs(state.stick.weights.sum() - 1.0) < 1e-12
             np.testing.assert_array_less(-1e-300, state.stick.weights)
 
@@ -204,15 +202,15 @@ class TestSweeps:
 
     def test_adaptation_moves_scales_only_during_burn(self):
         panel = tiny_panel(n=10, T=12, seed=6)
-        groups = panel_groups(panel)
+        table = step_table(panel)
         state = init_residual_state(10, 1.0, ParametricPrior(), truncation=4,
                                     rng=stream(4, "adapt-init"))
         rng = stream(4, "adapt-sweeps")
         start = state.prop_scale.copy()
         for _ in range(50):
-            gibbs_sweep_residual(state, groups, rng, adapt=True)
+            gibbs_sweep_residual(state, table, rng, adapt=True)
         assert not np.allclose(state.prop_scale, start)
         frozen = state.prop_scale.copy()
         for _ in range(50):
-            gibbs_sweep_residual(state, groups, rng, adapt=False)
+            gibbs_sweep_residual(state, table, rng, adapt=False)
         assert np.array_equal(state.prop_scale, frozen)

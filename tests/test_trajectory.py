@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel, ar1_loglik, gap_table
+from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel, ar1_loglik, step_table
 from arscreen.errors import DomainError, InvalidInputError, NumericalError
 from arscreen.mcmc import stream
 from arscreen.parametric import ParametricPrior
@@ -17,6 +17,8 @@ from arscreen.trajectory import (
     ModelConfig,
     TrajectoryAtom,
     _assignment_scores,
+    _gp_atom_terms,
+    _unit_noise,
     _flat_level_posterior,
     component_loglik,
     complete_data_loglik,
@@ -30,12 +32,12 @@ from arscreen.trajectory import (
     run_chain,
     sample_trajectory_atom,
 )
-from arscreen.ar_core import panel_groups
 from oracles import (
     conjugate_level_posterior,
     dense_ar1_cov,
     dense_ar1_loglik,
     dense_gp_conditional,
+    dense_gp_precision_terms,
 )
 
 
@@ -158,25 +160,24 @@ class TestKrigingUpdate:
         rng = stream(70 + case, "krige")
         grid = np.arange(16, dtype=np.int64)
         ws = prepare_gp_workspace(GpKernelParams(1.25, 13.0), grid)
-        observations, oracle_obs = [], []
+        oracle_obs = []
         for b in range(case % 3 + 1):
             m = int(rng.integers(1, 4))
             t_len = int(rng.integers(3, 12))
             pos = np.sort(rng.choice(16, size=t_len, replace=False))
             params = ArParams(float(rng.uniform(-0.7, 0.9)), float(rng.uniform(0.1, 1.5)))
             vals = rng.normal(size=(m, t_len))
-            observations.append((pos, gap_table(grid[pos]), vals, params))
             noise = dense_ar1_cov(params.phi, params.v, grid[pos])
             for row in vals:
                 oracle_obs.append((pos, row, noise))
-        mean, cov = gp_atom_conditional(ws, observations)
+        mean, cov = gp_atom_conditional(ws, *dense_gp_precision_terms(16, oracle_obs))
         mean_o, cov_o = dense_gp_conditional(ws.cov, oracle_obs)
         assert np.allclose(mean, mean_o, atol=1e-8)
         assert np.allclose(cov, cov_o, atol=1e-8)
 
     def test_no_observations_recovers_prior(self):
         ws = prepare_gp_workspace(GpKernelParams(1.25, 13.0), np.arange(8))
-        mean, cov = gp_atom_conditional(ws, [])
+        mean, cov = gp_atom_conditional(ws, np.zeros((8, 8)), np.zeros(8))
         assert np.allclose(mean, 0.0)
         assert np.allclose(cov, ws.cov, atol=1e-10)
 
@@ -184,10 +185,35 @@ class TestKrigingUpdate:
         grid = np.arange(10, dtype=np.int64)
         ws = prepare_gp_workspace(GpKernelParams(1.25, 13.0), grid)
         target = ws.chol @ stream(77, "pin").standard_normal(10)
-        obs = [(np.arange(10), gap_table(grid), np.tile(target, (40, 1)), ArParams(0.0, 1e-4))]
-        mean, cov = gp_atom_conditional(ws, obs)
+        noise = dense_ar1_cov(0.0, 1e-4, grid)
+        obs = [(np.arange(10), row, noise) for row in np.tile(target, (40, 1))]
+        mean, cov = gp_atom_conditional(ws, *dense_gp_precision_terms(10, obs))
         assert np.allclose(mean, target, atol=1e-2)
         assert np.all(np.diag(cov) < 1e-4)
+
+
+class TestGpAtomTerms:
+    def test_pooled_terms_match_dense_oracle(self):
+        """Stage (d)'s S = sum P'QP and b = sum P'Qy per gp atom, with members
+        on different residual atoms and their own gapped times."""
+        panel = _gapped_panel(10, 20, seed=7)
+        grid = np.arange(20, dtype=np.int64)
+        state = init_fdp_state(10, SMALL_CONFIG, grid, rng=stream(9, "st"))
+        state.residual.assignments = np.arange(10) % 3
+        state.residual.stick.phi[:3] = (0.9, -0.6, 0.3)
+        labels = np.array([0, 0, 1, 1, 1, -1, 2, 0, -1, 2])
+        table = step_table(panel, grid=grid)
+        noise = _unit_noise(state, table)
+        for k in range(3):
+            S, b = _gp_atom_terms(noise, table, labels == k)
+            obs = []
+            for i in np.flatnonzero(labels == k):
+                th = state.residual.stick.atom(state.residual.assignments[i])
+                s = panel[i]
+                obs.append((s.times, s.values, dense_ar1_cov(th.phi, th.v, s.times)))
+            S_o, b_o = dense_gp_precision_terms(grid.size, obs)
+            assert np.abs(S - S_o).max() <= 1e-10 * np.abs(S_o).max()
+            assert np.abs(b - b_o).max() <= 1e-10 * np.abs(b_o).max()
 
 
 class TestFlatLevelPosterior:
@@ -209,13 +235,21 @@ class TestFlatLevelPosterior:
         assert np.allclose(var, 1.25)
 
 
+def _gapped_panel(n_units, grid_size, seed):
+    """Units on their own random subsets of the grid, so steps span several gaps."""
+    rng = stream(seed, "gapped-panel")
+    series = []
+    for i in range(n_units):
+        times = np.sort(rng.choice(grid_size, size=int(rng.integers(4, grid_size - 4)), replace=False))
+        series.append(ObservedSeries(f"g{i}", times, rng.normal(size=times.size) + (i % 3)))
+    return SeriesPanel(tuple(series))
+
+
 class TestAssignmentScores:
-    def test_scores_match_scalar_logliks(self):
-        panel = _panel(6, 15, seed=5, shift=2.0, n_shift=2)
-        grid = np.arange(15, dtype=np.int64)
-        state = init_fdp_state(6, SMALL_CONFIG, grid, rng=stream(8, "st"))
-        groups = panel_groups(panel, grid=grid)
-        scores, q_y1_u, s11_u = _assignment_scores(state, groups, likelihood_off=False)
+    @staticmethod
+    def _check_scores_match_scalar_logliks(panel, state, grid):
+        table = step_table(panel, grid=grid)
+        scores, q_y1_u, s11_u = _assignment_scores(state, table, _unit_noise(state, table))
         log_cp = np.log(state.component_probs)
         for i, s in enumerate(panel):
             th = state.residual.stick.atom(state.residual.assignments[i])
@@ -231,6 +265,21 @@ class TestAssignmentScores:
                 col = 1 + state.flat_set.truncation + l
                 assert scores[i, col] == pytest.approx(expect, rel=1e-9, abs=1e-9)
 
+    def test_scores_match_scalar_logliks(self):
+        panel = _panel(6, 15, seed=5, shift=2.0, n_shift=2)
+        grid = np.arange(15, dtype=np.int64)
+        state = init_fdp_state(6, SMALL_CONFIG, grid, rng=stream(8, "st"))
+        self._check_scores_match_scalar_logliks(panel, state, grid)
+
+    def test_scores_match_scalar_logliks_gapped_near_unit_root(self):
+        panel = _gapped_panel(6, 20, seed=6)
+        grid = np.arange(20, dtype=np.int64)
+        assert len(step_table(panel).sizes) >= 3
+        state = init_fdp_state(6, SMALL_CONFIG, grid, rng=stream(8, "st"))
+        state.residual.assignments = np.arange(6) % 2
+        state.residual.stick.phi[:2] = (0.999, -0.999)
+        self._check_scores_match_scalar_logliks(panel, state, grid)
+
     def test_zero_series_prefers_null_at_uniform_weights(self):
         times = np.arange(30, dtype=np.int64)
         panel = SeriesPanel((ObservedSeries("z", times, np.zeros(30)),))
@@ -239,8 +288,8 @@ class TestAssignmentScores:
         lf, lg = state.flat_set.truncation, state.gp_set.truncation
         state.flat_set.weights = np.ones(lf) / lf
         state.gp_set.weights = np.ones(lg) / lg
-        groups = panel_groups(panel, grid=times)
-        scores, _, _ = _assignment_scores(state, groups, likelihood_off=False)
+        table = step_table(panel, grid=times)
+        scores, _, _ = _assignment_scores(state, table, _unit_noise(state, table))
         flat_best = scores[0, 1:1 + lf] - np.log(1.0 / lf)
         gp_best = scores[0, 1 + lf:] - np.log(1.0 / lg)
         assert scores[0, 0] >= flat_best.max()
@@ -264,13 +313,13 @@ class TestPriorInvariance:
         times = grid
         panel = SeriesPanel(tuple(
             ObservedSeries(f"u{i}", times, np.zeros(g_len)) for i in range(n_units)))
-        groups = panel_groups(panel, grid=grid)
+        table = step_table(panel, grid=grid)
         ws = prepare_gp_workspace(SMALL_CONFIG.kernel, grid)
         rng = stream(123, "prior-inv")
         state = init_fdp_state(n_units, SMALL_CONFIG, grid, rng=rng, workspace=ws)
         cp0, cp1, cp2, stick_f, stick_g, level0, path00 = [], [], [], [], [], [], []
         for t in range(n_sweeps):
-            gibbs_sweep_joint(state, groups, rng, likelihood_off=True, workspace=ws)
+            gibbs_sweep_joint(state, table, rng, likelihood_off=True, workspace=ws)
             assert abs(state.flat_set.weights.sum() - 1.0) < 1e-12
             assert abs(state.gp_set.weights.sum() - 1.0) < 1e-12
             if t % thin == 0:
@@ -297,21 +346,21 @@ class TestSweepMechanics:
     def test_relabeling_gp_atoms_is_invariant(self):
         panel = _panel(8, 12, seed=21, shift=2.0, n_shift=3)
         grid = np.arange(12, dtype=np.int64)
-        groups = panel_groups(panel, grid=grid)
+        table = step_table(panel, grid=grid)
         state = init_fdp_state(8, SMALL_CONFIG, grid, rng=stream(22, "st"))
-        base = complete_data_loglik(state, groups)
+        base = complete_data_loglik(state, table)
         perm = np.roll(np.arange(state.gp_set.truncation), 3)
         lookup = np.argsort(perm)
         state.gp_set.paths = state.gp_set.paths[perm]
         state.gp_set.weights = state.gp_set.weights[perm]
         is_gp = state.unit_component == GP
         state.unit_atom[is_gp] = lookup[state.unit_atom[is_gp]]
-        assert complete_data_loglik(state, groups) == pytest.approx(base, rel=1e-12)
+        assert complete_data_loglik(state, table) == pytest.approx(base, rel=1e-12)
 
     def test_frozen_atoms_do_not_move(self):
         panel = _panel(10, 12, seed=31, shift=2.5, n_shift=4)
         grid = np.arange(12, dtype=np.int64)
-        groups = panel_groups(panel, grid=grid)
+        table = step_table(panel, grid=grid)
         state = init_fdp_state(10, SMALL_CONFIG, grid, rng=stream(32, "st"))
         state.flat_set.n_frozen = 1
         state.gp_set.n_frozen = 2
@@ -321,7 +370,7 @@ class TestSweepMechanics:
         w_g = state.gp_set.weights[:2].copy()
         rng = stream(33, "sw")
         for _ in range(40):
-            gibbs_sweep_joint(state, groups, rng)
+            gibbs_sweep_joint(state, table, rng)
             assert state.flat_set.levels[0] == level0
             assert state.flat_set.weights[0] == w_f0
             assert np.array_equal(state.gp_set.paths[:2], paths_head)
