@@ -11,9 +11,9 @@ One sweep updates, in order: (a) each unit's (component, atom) pair from
 its exact discrete conditional; (b) component probabilities from a
 Dirichlet posterior; (c) flat levels by conjugate normal draws; (d) gp
 paths by their exact Gaussian conditionals (a kriging update in precision
-form); (e) both trajectory stick sets; (f) the residual mixture on the
-de-trended series. Inclusion probabilities are retained-sweep frequencies
-of a unit being non-null.
+form, whitened and stacked over atoms); (e) both trajectory stick sets; (f)
+the residual mixture on the de-trended series. Inclusion probabilities are
+retained-sweep frequencies of a unit being non-null.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, lu_factor, lu_solve
+from scipy.linalg import cholesky, solve_triangular
 
 from .ar_core import (
     LOG_2PI,
@@ -72,19 +72,6 @@ def gp_covariance(kernel: GpKernelParams, times) -> np.ndarray:
     return kernel.variance * np.exp(-0.5 * dt * dt)
 
 
-def _stable_cholesky(cov: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of cov + jitter*scale*I, escalating jitter on failure."""
-    eye = np.eye(cov.shape[0])
-    for jitter in JITTER_LADDER:
-        try:
-            return cholesky(cov + jitter * scale * eye, lower=True), jitter
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericalError(
-        f"covariance factorization failed after jitter escalation to {JITTER_LADDER[-1]:g} x scale"
-    )
-
-
 @dataclass
 class GpWorkspace:
     """Per-chain cache of the grid kernel: jittered covariance and its factor."""
@@ -97,11 +84,19 @@ class GpWorkspace:
 
 
 def prepare_gp_workspace(kernel: GpKernelParams, grid) -> GpWorkspace:
+    """Grid kernel with the first ``JITTER_LADDER`` step (times the kernel
+    variance) on its diagonal that factorizes. Only this prior factor may
+    need jitter: every posterior factors M >= I (``gp_atom_conditional``)."""
     grid = np.asarray(grid, dtype=np.int64)
-    cov = gp_covariance(kernel, grid)
-    chol, jitter = _stable_cholesky(cov, kernel.variance)
-    eye = np.eye(grid.size)
-    return GpWorkspace(grid, kernel, cov + jitter * kernel.variance * eye, chol, jitter)
+    kernel_cov = gp_covariance(kernel, grid)
+    for jitter in JITTER_LADDER:
+        cov = kernel_cov + jitter * kernel.variance * np.eye(grid.size)
+        try:
+            return GpWorkspace(grid, kernel, cov, cholesky(cov, lower=True), jitter)
+        except np.linalg.LinAlgError:
+            pass
+    raise NumericalError(f"covariance factorization failed after jitter escalation to "
+                         f"{JITTER_LADDER[-1]:g} x scale")
 
 
 @dataclass
@@ -288,33 +283,37 @@ def init_fdp_state(n_units: int, config: ModelConfig, grid, seed: int = 0,
 
 def gp_atom_conditional(workspace: GpWorkspace, noise_prec: np.ndarray,
                         b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Gaussian conditional of one gp path given assigned units.
+    """Exact Gaussian conditional of gp paths given their assigned units.
 
-    ``noise_prec`` is S = sum P' Q P and ``b`` = sum P' Q y over the
-    assigned units, where P restricts the grid to a unit's times and Q is
-    the precision of its AR(1) noise. Returns the posterior mean and
-    covariance on the grid for the precision-form conditional
-    Lambda = C^-1 + S, evaluated through the equivalent well-conditioned
-    identity Lambda^-1 = (I + C S)^-1 C so C is never inverted explicitly.
+    ``noise_prec`` is S = sum P' Q P and ``b`` = sum P' Q y over an atom's
+    units (P picks the unit's times from the grid, Q is its AR(1) noise
+    precision), for one atom or stacked over K. With the prior factor
+    C = L L' the posterior covariance is L M^-1 L', M = I + L' S L = R R'
+    (Rasmussen & Williams 2006, GPML 3.4). S is a sum of P'QP terms, so it
+    is positive semidefinite and M >= I: its Cholesky cannot fail on finite
+    input. Returns the mean L M^-1 L' b and R; the covariance is F F' with
+    F = L R^-T, and ``_gp_draw`` draws mean + F z.
     """
-    system = np.eye(workspace.grid.size) + workspace.cov @ noise_prec
-    try:
-        lu_piv = lu_factor(system)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"gp conditional solve failed: {exc}") from exc
-    cov = lu_solve(lu_piv, workspace.cov)
-    cov = 0.5 * (cov + cov.T)
-    return cov @ b, cov
+    L, G = workspace.chol, workspace.grid.size
+    R = np.linalg.cholesky(np.eye(G) + L.T @ noise_prec @ L)
+    stacked = R.reshape(-1, G, G)
+    w = _solve_lower(stacked, _solve_lower(stacked, (b @ L).reshape(-1, G)), trans=1)
+    return (w @ L.T).reshape(np.shape(b)), R
 
 
-def _draw_gp_conditional(workspace: GpWorkspace, noise_prec, b, rng) -> np.ndarray:
-    mean, cov = gp_atom_conditional(workspace, noise_prec, b)
-    try:
-        factor = cholesky(cov, lower=True)
-    except np.linalg.LinAlgError:
-        factor, _ = _stable_cholesky(cov, workspace.kernel.variance)
-    z = rng.standard_normal(workspace.grid.size)
-    return mean + factor @ z
+def _solve_lower(R: np.ndarray, x: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Row k solves R[k] u = x[k] (``trans`` 0) or R[k]' u = x[k] (1), R[k] lower
+    triangular: one O(G^2) solve per atom, as numpy has no triangular gufunc."""
+    out = np.empty_like(x)
+    for k in range(len(x)):
+        out[k] = solve_triangular(R[k], x[k], lower=True, trans=trans, check_finite=False)
+    return out
+
+
+def _gp_draw(workspace: GpWorkspace, mean: np.ndarray, R: np.ndarray,
+             z: np.ndarray) -> np.ndarray:
+    """Stage (d)'s draw map: mean + L R^-T z per row of (K, G) standard normals."""
+    return mean + _solve_lower(R, z, trans=1) @ workspace.chol.T
 
 
 @dataclass(frozen=True)
@@ -352,13 +351,25 @@ def _unit_noise(state: FdpState, table: StepTable) -> _UnitNoise:
     return _UnitNoise(null, q_y1, s11, qy_grid, diag_grid, pair)
 
 
-def _gp_atom_terms(noise: _UnitNoise, table: StepTable,
-                   members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S = sum P' Q P and b = sum P' Q y over the ``members`` (a unit mask)."""
-    S = np.diag(noise.diag[members].sum(axis=0))
+def _gp_atom_terms(noise: _UnitNoise, table: StepTable, unit_atom: np.ndarray,
+                   atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S = sum P'QP (K, G, G) and b = sum P'Qy (K, G) over the units on each
+    gp atom in ``atoms`` (``unit_atom`` is -1 off the gp component), by one
+    membership product. Members are checked first: in the product 0 * NaN
+    would reach every atom, and the Cholesky returns NaN without error."""
+    rows = np.flatnonzero(np.isin(unit_atom, atoms))
+    terms = np.hstack([noise.diag[rows], noise.pair[rows], noise.qy[rows]])
+    bad = rows[~np.isfinite(terms).all(axis=1)]
+    if bad.size:
+        raise NumericalError(f"gp-path stage (d), atom {unit_atom[bad].min()}: "
+                             "non-finite noise precision or data term")
+    G = noise.diag.shape[1]
+    sums = (atoms[:, None] == unit_atom[rows]) @ terms
+    S = np.zeros((atoms.size, G, G))
+    S[:, range(G), range(G)] = sums[:, :G]
     prev, cur = table.pairs.T
-    S[prev, cur] = S[cur, prev] = noise.pair[members].sum(axis=0)
-    return S, noise.qy[members].sum(axis=0)
+    S[:, prev, cur] = S[:, cur, prev] = sums[:, G:-G]
+    return S, sums[:, -G:]
 
 
 def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise | None):
@@ -383,8 +394,7 @@ def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise | No
     if noise is None:
         return scores, np.zeros(n), np.zeros(n)
 
-    levels = state.flat_set.levels
-    paths = state.gp_set.paths
+    levels, paths = state.flat_set.levels, state.gp_set.paths
     prev, cur = table.pairs.T
     q_pp = noise.diag @ (paths * paths).T + 2.0 * noise.pair @ (paths[:, prev] * paths[:, cur]).T
     null, q_y1 = noise.null[:, None], noise.q_y1[:, None]
@@ -403,15 +413,10 @@ def _flat_level_posterior(prior_var: float, s11_sum, q_y1_sum):
 
 def _update_traj_sticks(tset: TrajectorySticks, counts: np.ndarray, nu: float,
                         rng: np.random.Generator) -> None:
-    k = tset.n_frozen
-    if k == 0:
-        tset.sticks, tset.weights = sample_sticks(counts, nu, rng)
-        return
-    frozen = tset.weights[:k]
-    free_mass = 1.0 - float(frozen.sum())
-    sticks, wfree = sample_sticks(counts[k:], nu, rng)
-    tset.sticks = sticks
-    tset.weights = np.concatenate([frozen, free_mass * wfree])
+    """Redraw the free tail's sticks; frozen atoms keep their weights."""
+    frozen = tset.weights[:tset.n_frozen]
+    tset.sticks, wfree = sample_sticks(counts[tset.n_frozen:], nu, rng)
+    tset.weights = np.concatenate([frozen, (1.0 - float(frozen.sum())) * wfree])
 
 
 def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
@@ -435,10 +440,8 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     scores, q_y1_u, s11_u = _assignment_scores(state, table, noise)
     bad = ~np.isfinite(np.max(scores, axis=1))
     if np.any(bad):
-        unit = int(np.flatnonzero(bad)[0])
-        raise NumericalError(
-            f"assignment stage (a): no finite component score for unit {table.unit_ids[unit]!r}"
-        )
+        raise NumericalError("assignment stage (a): no finite component score for unit "
+                             f"{table.unit_ids[int(np.argmax(bad))]!r}")
     pick = np.argmax(scores + rng.gumbel(size=scores.shape), axis=1)
     state.unit_component = np.where(pick == 0, NULL,
                                     np.where(pick <= Lf, FLAT, GP)).astype(np.int8)
@@ -450,33 +453,30 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     state.component_probs = rng.dirichlet(1.0 + comp_counts)
 
     # (c) flat levels: conjugate normal given members; prior draw when empty
-    kappa1 = state.kernel.variance
     is_flat = state.unit_component == FLAT
     flat_atoms = state.unit_atom[is_flat]
     flat_counts = np.bincount(flat_atoms, minlength=Lf)
     a_sum = np.bincount(flat_atoms, s11_u[is_flat], minlength=Lf)
     b_sum = np.bincount(flat_atoms, q_y1_u[is_flat], minlength=Lf)
-    post_mean, post_var = _flat_level_posterior(kappa1, a_sum, b_sum)
+    post_mean, post_var = _flat_level_posterior(state.kernel.variance, a_sum, b_sum)
     start = state.flat_set.n_frozen
-    z = rng.standard_normal(Lf - start)
-    new_levels = post_mean[start:] + np.sqrt(post_var[start:]) * z
+    new_levels = post_mean[start:] + np.sqrt(post_var[start:]) * rng.standard_normal(Lf - start)
     if not np.all(np.isfinite(new_levels)):
         raise NumericalError("flat-level stage (c): non-finite conjugate draw")
     state.flat_set.levels[start:] = new_levels
 
-    # (d) gp paths: exact Gaussian conditional per atom; prior draw when empty
+    # (d) gp paths: one stacked conditional over the busy atoms; prior draw when empty
     Lg = state.gp_set.truncation
     is_gp = state.unit_component == GP
     gp_counts = np.bincount(state.unit_atom[is_gp], minlength=Lg)
-    for l in range(state.gp_set.n_frozen, Lg):
-        try:
-            if noise is not None and gp_counts[l]:
-                S, b = _gp_atom_terms(noise, table, is_gp & (state.unit_atom == l))
-                state.gp_set.paths[l] = _draw_gp_conditional(workspace, S, b, rng)
-            else:
-                state.gp_set.paths[l] = workspace.chol @ rng.standard_normal(state.grid.size)
-        except NumericalError as exc:
-            raise NumericalError(f"gp-path stage (d), atom {l}: {exc}") from exc
+    free = np.arange(state.gp_set.n_frozen, Lg)
+    z = rng.standard_normal((free.size, state.grid.size))
+    state.gp_set.paths[free] = z @ workspace.chol.T
+    if noise is not None:
+        busy = free[gp_counts[free] > 0]
+        S, b = _gp_atom_terms(noise, table, np.where(is_gp, state.unit_atom, -1), busy)
+        mean, R = gp_atom_conditional(workspace, S, b)
+        state.gp_set.paths[busy] = _gp_draw(workspace, mean, R, z[busy - state.gp_set.n_frozen])
 
     # (e) trajectory stick sets
     _update_traj_sticks(state.flat_set, flat_counts, state.traj_concentration, rng)

@@ -87,6 +87,12 @@ def dense_gp_precision_terms(grid_size: int, obs_list) -> tuple[np.ndarray, np.n
     return S, b
 
 
+def whitened_gp_cov(prior_chol: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Covariance L M^-1 L' of a GP conditional given in whitened form, where
+    L is the prior factor and M = R R'; M is rebuilt and inverted densely."""
+    return prior_chol @ np.linalg.inv(R @ R.T) @ prior_chol.T
+
+
 def crp_expected_tables(alpha: float, n: int) -> float:
     """Expected number of occupied tables after n customers, by full enumeration.
 

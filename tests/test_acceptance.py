@@ -59,6 +59,7 @@ from oracles import (
     dense_gp_conditional,
     dense_gp_precision_terms,
     dense_shift_loglik,
+    whitened_gp_cov,
 )
 
 CHECKERBOARD = tuple((ArParams(phi, v), 0.25)
@@ -104,7 +105,8 @@ def test_criterion_1_oracle_equivalence():
         vals = rng.normal(size=(m, k))
         noise = dense_ar1_cov(phi, v, grid[pos])
         obs = [(pos, row, noise) for row in vals]
-        mean, cov = gp_atom_conditional(ws, *dense_gp_precision_terms(g_len, obs))
+        mean, R = gp_atom_conditional(ws, *dense_gp_precision_terms(g_len, obs))
+        cov = whitened_gp_cov(ws.chol, R)
         mean_o, cov_o = dense_gp_conditional(ws.cov, obs)
         d3 = max(np.abs(mean - mean_o).max(), np.abs(cov - cov_o).max())
         worst = max(worst, d1, d2, d3)

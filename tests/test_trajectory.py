@@ -18,6 +18,7 @@ from arscreen.trajectory import (
     TrajectoryAtom,
     _assignment_scores,
     _gp_atom_terms,
+    _gp_draw,
     _unit_noise,
     _flat_level_posterior,
     component_loglik,
@@ -38,6 +39,7 @@ from oracles import (
     dense_ar1_loglik,
     dense_gp_conditional,
     dense_gp_precision_terms,
+    whitened_gp_cov,
 )
 
 
@@ -155,8 +157,10 @@ class TestComponentLoglik:
 
 
 class TestKrigingUpdate:
-    @pytest.mark.parametrize("case", range(5))
-    def test_matches_dense_conditioning(self, case):
+    @staticmethod
+    def _dense_case(case):
+        """The workspace of a 16-point grid and the (positions, values, noise
+        covariance) triples of a random atom's members, as the oracle takes them."""
         rng = stream(70 + case, "krige")
         grid = np.arange(16, dtype=np.int64)
         ws = prepare_gp_workspace(GpKernelParams(1.25, 13.0), grid)
@@ -170,16 +174,43 @@ class TestKrigingUpdate:
             noise = dense_ar1_cov(params.phi, params.v, grid[pos])
             for row in vals:
                 oracle_obs.append((pos, row, noise))
-        mean, cov = gp_atom_conditional(ws, *dense_gp_precision_terms(16, oracle_obs))
+        return ws, oracle_obs
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_matches_dense_conditioning(self, case):
+        ws, oracle_obs = self._dense_case(case)
+        mean, R = gp_atom_conditional(ws, *dense_gp_precision_terms(16, oracle_obs))
+        cov = whitened_gp_cov(ws.chol, R)
         mean_o, cov_o = dense_gp_conditional(ws.cov, oracle_obs)
         assert np.allclose(mean, mean_o, atol=1e-8)
         assert np.allclose(cov, cov_o, atol=1e-8)
 
+    @pytest.mark.parametrize("case", range(3))
+    def test_draw_map_covariance_matches_dense(self, case):
+        """Stage (d)'s draw map applied to the G unit vectors gives rows A with
+        A'A equal to the dense posterior covariance."""
+        ws, oracle_obs = self._dense_case(case)
+        mean, R = gp_atom_conditional(ws, *dense_gp_precision_terms(16, oracle_obs))
+        A = _gp_draw(ws, np.zeros((16, 16)), np.repeat(R[None], 16, axis=0), np.eye(16))
+        _, cov_o = dense_gp_conditional(ws.cov, oracle_obs)
+        assert np.allclose(A.T @ A, cov_o, atol=1e-8)
+
+    def test_stacked_call_equals_single_calls(self):
+        ws = self._dense_case(0)[0]
+        terms = [dense_gp_precision_terms(16, self._dense_case(case)[1]) for case in range(5)]
+        means, Rs = gp_atom_conditional(ws, np.stack([S for S, _ in terms]),
+                                        np.stack([b for _, b in terms]))
+        assert means.shape == (5, 16) and Rs.shape == (5, 16, 16)
+        for k, (S, b) in enumerate(terms):
+            mean, R = gp_atom_conditional(ws, S, b)
+            assert np.allclose(means[k], mean, rtol=1e-12, atol=1e-12)
+            assert np.allclose(Rs[k], R, rtol=1e-12, atol=1e-12)
+
     def test_no_observations_recovers_prior(self):
         ws = prepare_gp_workspace(GpKernelParams(1.25, 13.0), np.arange(8))
-        mean, cov = gp_atom_conditional(ws, np.zeros((8, 8)), np.zeros(8))
+        mean, R = gp_atom_conditional(ws, np.zeros((8, 8)), np.zeros(8))
         assert np.allclose(mean, 0.0)
-        assert np.allclose(cov, ws.cov, atol=1e-10)
+        assert np.allclose(whitened_gp_cov(ws.chol, R), ws.cov, atol=1e-10)
 
     def test_tight_noise_pins_prior_draw(self):
         grid = np.arange(10, dtype=np.int64)
@@ -187,9 +218,27 @@ class TestKrigingUpdate:
         target = ws.chol @ stream(77, "pin").standard_normal(10)
         noise = dense_ar1_cov(0.0, 1e-4, grid)
         obs = [(np.arange(10), row, noise) for row in np.tile(target, (40, 1))]
-        mean, cov = gp_atom_conditional(ws, *dense_gp_precision_terms(10, obs))
+        mean, R = gp_atom_conditional(ws, *dense_gp_precision_terms(10, obs))
         assert np.allclose(mean, target, atol=1e-2)
-        assert np.all(np.diag(cov) < 1e-4)
+        assert np.all(np.diag(whitened_gp_cov(ws.chol, R)) < 1e-4)
+
+    def test_near_unit_root_gapped_members_pin_target(self):
+        """40 members on their own gapped subsets of the grid under AR(1) noise
+        at phi = 0.999, v = 1e-8: M = I + L'SL still factorizes, the draws are
+        finite and the mean pins the target path."""
+        rng = stream(78, "pin-unit-root")
+        grid = np.arange(20, dtype=np.int64)
+        ws = prepare_gp_workspace(GpKernelParams(1.25, 13.0), grid)
+        target = ws.chol @ rng.standard_normal(20)
+        obs = []
+        for _ in range(40):
+            pos = np.sort(rng.choice(20, size=int(rng.integers(4, 16)), replace=False))
+            obs.append((pos, target[pos], dense_ar1_cov(0.999, 1e-8, grid[pos])))
+        mean, R = gp_atom_conditional(ws, *dense_gp_precision_terms(20, obs))
+        assert np.all(np.isfinite(R)) and np.all(np.diag(R) >= 1.0)
+        draws = _gp_draw(ws, mean, np.repeat(R[None], 50, axis=0), rng.standard_normal((50, 20)))
+        assert np.all(np.isfinite(draws))
+        assert np.allclose(mean, target, atol=1e-4)
 
 
 class TestGpAtomTerms:
@@ -204,8 +253,9 @@ class TestGpAtomTerms:
         labels = np.array([0, 0, 1, 1, 1, -1, 2, 0, -1, 2])
         table = step_table(panel, grid=grid)
         noise = _unit_noise(state, table)
+        S_all, b_all = _gp_atom_terms(noise, table, labels, np.arange(3))
         for k in range(3):
-            S, b = _gp_atom_terms(noise, table, labels == k)
+            S, b = S_all[k], b_all[k]
             obs = []
             for i in np.flatnonzero(labels == k):
                 th = state.residual.stick.atom(state.residual.assignments[i])
@@ -214,6 +264,26 @@ class TestGpAtomTerms:
             S_o, b_o = dense_gp_precision_terms(grid.size, obs)
             assert np.abs(S - S_o).max() <= 1e-10 * np.abs(S_o).max()
             assert np.abs(b - b_o).max() <= 1e-10 * np.abs(b_o).max()
+
+    def test_non_finite_atom_named(self):
+        """A stack with one atom whose member has a non-finite term names that
+        atom; a non-finite unit on no stacked atom is not summed."""
+        panel = _gapped_panel(10, 20, seed=7)
+        grid = np.arange(20, dtype=np.int64)
+        state = init_fdp_state(10, SMALL_CONFIG, grid, rng=stream(9, "st"))
+        table = step_table(panel, grid=grid)
+        noise = _unit_noise(state, table)
+        labels = np.array([0, 4, 4, 7, 7, -1, 0, 4, -1, 7])
+        noise.diag[5, 0] = np.inf
+        S, b = _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]))
+        assert np.all(np.isfinite(S)) and np.all(np.isfinite(b))
+        noise.qy[2, 3] = np.nan
+        with pytest.raises(NumericalError, match=r"gp-path stage \(d\), atom 4:"):
+            _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]))
+        noise.qy[2, 3] = 0.0
+        noise.diag[9, 5] = np.inf
+        with pytest.raises(NumericalError, match=r"gp-path stage \(d\), atom 7:"):
+            _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]))
 
 
 class TestFlatLevelPosterior:
