@@ -20,10 +20,8 @@ from .ar_core import (
 from .cli import (
     RunConfig,
     frozen_cluster_rerun,
-    load_chain,
     mle_trajectory_set,
     report_summaries,
-    save_chain,
 )
 from .dp_residual import (
     elicit_concentration,
@@ -62,9 +60,11 @@ from .trajectory import (
     gibbs_sweep_joint,
     gp_covariance,
     init_fdp_state,
+    load_chain,
     merge_inclusion,
     run_chain,
     sample_trajectory_atom,
+    save_chain,
 )
 
 __all__ = [
@@ -79,10 +79,8 @@ __all__ = [
     "stationary_variance",
     "RunConfig",
     "frozen_cluster_rerun",
-    "load_chain",
     "mle_trajectory_set",
     "report_summaries",
-    "save_chain",
     "elicit_concentration",
     "expected_clusters",
     "gibbs_sweep_residual",
@@ -111,7 +109,9 @@ __all__ = [
     "gibbs_sweep_joint",
     "gp_covariance",
     "init_fdp_state",
+    "load_chain",
     "merge_inclusion",
     "run_chain",
     "sample_trajectory_atom",
+    "save_chain",
 ]

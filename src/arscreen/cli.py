@@ -20,7 +20,7 @@ import hashlib
 import os
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -43,9 +43,11 @@ from .trajectory import (
     TrajectoryAtom,
     default_hyperparameters,
     init_fdp_state,
+    load_chain,
     merge_inclusion,
     prepare_gp_workspace,
     run_chain,
+    save_chain,
 )
 from .ar_core import ArParams
 from .mcmc import stream, stick_weights
@@ -143,110 +145,6 @@ def _output_comments(seed: int, fingerprint: str) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# chain persistence
-
-
-def save_chain(chain: ChainOutput, path: str) -> None:
-    """Persist a chain to ``.npz`` with everything reports and clustering need."""
-    best = chain.best_state
-    gamma_sweeps = [r.index for r in chain.records if r.gamma is not None]
-    gamma = np.stack([r.gamma for r in chain.records if r.gamma is not None]) \
-        if gamma_sweeps else np.zeros((0, len(chain.unit_ids)), dtype=np.int8)
-    bands = chain.band_samples if chain.band_samples is not None \
-        else np.zeros((0, len(chain.unit_ids), chain.grid.size), dtype=np.float32)
-    membership = chain.membership_counts if chain.membership_counts is not None \
-        else np.zeros((0, 0), dtype=np.int64)
-    np.savez(
-        path,
-        schema=np.int64(1),
-        unit_ids=np.array(chain.unit_ids),
-        grid=chain.grid.astype(np.int64),
-        inclusion=chain.inclusion,
-        logliks=chain.logliks,
-        n_burn=np.int64(chain.n_burn),
-        n_keep=np.int64(chain.n_keep),
-        seed=np.int64(chain.seed),
-        fingerprint=np.array(chain.fingerprint),
-        comp_probs=np.stack([r.component_probs for r in chain.records]),
-        comp_counts=np.stack([r.component_counts for r in chain.records]),
-        gamma_sweeps=np.asarray(gamma_sweeps, dtype=np.int64),
-        gamma=gamma,
-        band_sweeps=np.asarray(chain.band_sweeps, dtype=np.int64),
-        band_samples=bands,
-        membership_counts=membership,
-        membership_labels=np.array(chain.membership_labels, dtype="U32"),
-        best_sweep=np.int64(chain.best_sweep),
-        best_loglik=np.float64(chain.logliks[chain.best_sweep]),
-        best_component_probs=best.component_probs,
-        best_flat_levels=best.flat_set.levels,
-        best_flat_weights=best.flat_set.weights,
-        best_gp_paths=best.gp_set.paths,
-        best_gp_weights=best.gp_set.weights,
-        best_unit_component=best.unit_component.astype(np.int8),
-        best_unit_atom=best.unit_atom.astype(np.int64),
-        kernel_variance=np.float64(chain.config.kernel.variance),
-        kernel_length_scale=np.float64(chain.config.kernel.length_scale),
-    )
-
-
-@dataclass
-class LoadedChain:
-    """Read-back view of a persisted chain (arrays only, no sampler state)."""
-
-    unit_ids: tuple[str, ...]
-    grid: np.ndarray
-    inclusion: np.ndarray
-    logliks: np.ndarray
-    n_burn: int
-    n_keep: int
-    seed: int
-    fingerprint: str
-    comp_probs: np.ndarray
-    band_sweeps: np.ndarray
-    band_samples: np.ndarray
-    membership_counts: np.ndarray
-    membership_labels: tuple[str, ...]
-    best_sweep: int
-    best_component_probs: np.ndarray
-    best_flat_levels: np.ndarray
-    best_flat_weights: np.ndarray
-    best_gp_paths: np.ndarray
-    best_gp_weights: np.ndarray
-    kernel: GpKernelParams
-
-
-def load_chain(path: str) -> LoadedChain:
-    if not os.path.exists(path):
-        raise InvalidInputError(f"chain file not found: {path}")
-    with np.load(path) as z:
-        if int(z["schema"]) != 1:
-            raise InvalidInputError(f"unsupported chain schema {int(z['schema'])} in {path}")
-        return LoadedChain(
-            unit_ids=tuple(str(u) for u in z["unit_ids"]),
-            grid=z["grid"],
-            inclusion=z["inclusion"],
-            logliks=z["logliks"],
-            n_burn=int(z["n_burn"]),
-            n_keep=int(z["n_keep"]),
-            seed=int(z["seed"]),
-            fingerprint=str(z["fingerprint"]),
-            comp_probs=z["comp_probs"],
-            band_sweeps=z["band_sweeps"],
-            band_samples=z["band_samples"],
-            membership_counts=z["membership_counts"],
-            membership_labels=tuple(str(s) for s in z["membership_labels"]),
-            best_sweep=int(z["best_sweep"]),
-            best_component_probs=z["best_component_probs"],
-            best_flat_levels=z["best_flat_levels"],
-            best_flat_weights=z["best_flat_weights"],
-            best_gp_paths=z["best_gp_paths"],
-            best_gp_weights=z["best_gp_weights"],
-            kernel=GpKernelParams(float(z["kernel_variance"]),
-                                  float(z["kernel_length_scale"])),
-        )
-
-
-# ---------------------------------------------------------------------------
 # maximum-likelihood trajectory set and frozen reruns
 
 
@@ -273,18 +171,7 @@ class MleTrajectorySet:
         return len(self.atoms)
 
 
-def _best_arrays(chain) -> tuple[int, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(chain, ChainOutput):
-        best = chain.best_state
-        return (chain.best_sweep, float(chain.logliks[chain.best_sweep]),
-                best.component_probs, best.flat_set.levels, best.flat_set.weights,
-                best.gp_set.paths, best.gp_set.weights, chain.grid)
-    return (chain.best_sweep, float(chain.logliks[chain.best_sweep]),
-            chain.best_component_probs, chain.best_flat_levels, chain.best_flat_weights,
-            chain.best_gp_paths, chain.best_gp_weights, chain.grid)
-
-
-def mle_trajectory_set(chain, top_k: int) -> MleTrajectorySet:
+def mle_trajectory_set(chain: ChainOutput, top_k: int) -> MleTrajectorySet:
     """Extract the top-``top_k`` trajectory atoms from the best retained sweep.
 
     The best sweep maximizes the complete-data log-likelihood over all
@@ -294,12 +181,13 @@ def mle_trajectory_set(chain, top_k: int) -> MleTrajectorySet:
     """
     if top_k < 1:
         raise DomainError(f"top_k must be at least 1, got {top_k}")
-    sweep, loglik, cp, f_levels, f_weights, g_paths, g_weights, grid = _best_arrays(chain)
+    cp, f_weights, g_weights = (chain.best_component_probs, chain.best_flat_weights,
+                                chain.best_gp_weights)
     alt_mass = cp[FLAT] + cp[GP]
     ranked = [("flat", l, float(cp[FLAT] * f_weights[l]), float(f_weights[l]))
               for l in range(f_weights.size)]
     ranked += [("gp", l, float(cp[GP] * g_weights[l]), float(g_weights[l]))
-               for l in range(g_paths.shape[0])]
+               for l in range(g_weights.size)]
     if alt_mass > 0.0:
         ranked = [(k, l, w / alt_mass, sw) for k, l, w, sw in ranked]
     ranked.sort(key=lambda r: (-r[2], r[0], r[1]))
@@ -314,13 +202,13 @@ def mle_trajectory_set(chain, top_k: int) -> MleTrajectorySet:
         names.append(f"c{rank:02d}_{kind}")
         set_w.append(sw)
         if kind == "flat":
-            atoms.append(TrajectoryAtom("flat", weight=w, level=float(f_levels[l])))
+            atoms.append(TrajectoryAtom("flat", weight=w, level=float(chain.best_flat_levels[l])))
         else:
-            atoms.append(TrajectoryAtom("gp", weight=w, path=g_paths[l].copy(),
-                                        grid=grid.copy()))
-    return MleTrajectorySet(sweep, loglik, np.asarray(cp, dtype=float).copy(),
-                            tuple(names), tuple(atoms), np.asarray(set_w), grid.copy(),
-                            top_k)
+            atoms.append(TrajectoryAtom("gp", weight=w, path=chain.best_gp_paths[l].copy(),
+                                        grid=chain.grid.copy()))
+    return MleTrajectorySet(chain.best_sweep, float(chain.logliks[chain.best_sweep]),
+                            np.asarray(cp, dtype=float).copy(), tuple(names), tuple(atoms),
+                            np.asarray(set_w), chain.grid.copy(), top_k)
 
 
 def _atom_digest(levels, f_weights, paths, g_weights) -> str:
@@ -416,7 +304,8 @@ class ReportBundle:
     summary_lines: list[str]
 
 
-def report_summaries(chain, thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS) -> ReportBundle:
+def report_summaries(chain: ChainOutput,
+                     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS) -> ReportBundle:
     """Inclusion table with flag columns, plot-ready trajectory bands, and
     one discovery-count line per threshold."""
     for t in thresholds:
@@ -429,9 +318,8 @@ def report_summaries(chain, thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS) 
                 for u, p in zip(unit_ids, inclusion)]
     band_header = ("unit_id", "time", "band_lo", "band_mid", "band_hi")
     band_rows: list[list] = []
-    bands = chain.band_samples
-    if bands is not None and len(bands):
-        qs = np.quantile(np.asarray(bands, dtype=float), BAND_QUANTILES, axis=0)
+    if len(chain.band_samples):
+        qs = np.quantile(np.asarray(chain.band_samples, dtype=float), BAND_QUANTILES, axis=0)
         for i, u in enumerate(unit_ids):
             for j, t in enumerate(chain.grid):
                 band_rows.append([u, int(t), qs[0, i, j], qs[1, i, j], qs[2, i, j]])
@@ -599,23 +487,10 @@ def _cmd_fit_np(args) -> int:
         save_chain(chain, os.path.join(outdir, f"chain_{c}.npz"))
         chains.append(chain)
     pooled = merge_inclusion(chains)
-    lead = chains[0]
     thresholds = tuple(sorted(set(DEFAULT_THRESHOLDS) | {args.threshold}))
-    bundle = report_summaries(
-        LoadedView(panel.unit_ids, pooled, lead.band_samples, lead.grid),
-        thresholds=thresholds)
+    bundle = report_summaries(replace(chains[0], inclusion=pooled), thresholds=thresholds)
     write_report(bundle, outdir, args.seed, fingerprint)
     return 0
-
-
-@dataclass
-class LoadedView:
-    """Minimal duck-typed view for reporting pooled results."""
-
-    unit_ids: tuple[str, ...]
-    inclusion: np.ndarray
-    band_samples: np.ndarray | None
-    grid: np.ndarray
 
 
 def _cmd_report(args) -> int:

@@ -19,7 +19,9 @@ retained-sweep frequencies of a unit being non-null.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import os
+import zipfile
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -242,6 +244,7 @@ class FdpState:
         if np.any(self.unit_atom[nonnull] < 0):
             raise InvalidInputError("non-null units must carry a valid atom index")
 
+    # Bound only for the probes in bench/layers.py; not called here (counts read 0).
     def clone(self) -> "FdpState":
         return copy.deepcopy(self)
 
@@ -505,37 +508,44 @@ def complete_data_loglik(state: FdpState, table: StepTable) -> float:
 
 
 @dataclass
-class SweepRecord:
-    """Light summary of one retained sweep."""
-
-    index: int
-    loglik: float
-    component_probs: np.ndarray
-    component_counts: np.ndarray        # (n_null, n_flat, n_gp)
-    gamma: np.ndarray | None = None     # per-unit components, stride sweeps only
-    top_atoms: tuple = ()               # (kind, index, combined weight) triples
-
-
-@dataclass
 class ChainOutput:
-    """Everything retained from one MCMC run."""
+    """Everything retained from one MCMC run, one field per ``.npz`` entry.
+
+    Per retained sweep: ``logliks``, ``comp_probs`` and ``comp_counts``
+    (units per null/flat/gp). Every ``checkpoint_stride`` retained sweeps
+    (``gamma_sweeps``): each unit's component in ``gamma`` and, when bands
+    are collected (``band_sweeps``), its float32 trajectory on the grid.
+    ``membership_counts`` bins units over ``membership_labels`` ({each
+    frozen atom, other, null}) in frozen-atom reruns, shape (0, 0)
+    otherwise. The ``best_*`` arrays snapshot the state at ``best_sweep``,
+    the retained sweep of highest complete-data log-likelihood.
+    """
 
     unit_ids: tuple[str, ...]
     grid: np.ndarray
     inclusion: np.ndarray
+    logliks: np.ndarray
     n_burn: int
     n_keep: int
     seed: int
     fingerprint: str
-    logliks: np.ndarray
-    records: list[SweepRecord]
+    comp_probs: np.ndarray              # (n_keep, 3)
+    comp_counts: np.ndarray             # (n_keep, 3)
+    gamma_sweeps: np.ndarray
+    gamma: np.ndarray                   # (n_strided, N) int8
+    band_sweeps: np.ndarray
+    band_samples: np.ndarray            # (n_saved, N, G) float32
+    membership_counts: np.ndarray       # (N, n_frozen_total + 2) or (0, 0)
+    membership_labels: tuple[str, ...]
     best_sweep: int
-    best_state: FdpState
-    config: ModelConfig
-    band_sweeps: tuple[int, ...] = ()
-    band_samples: np.ndarray | None = None       # (n_saved, N, G) float32
-    membership_counts: np.ndarray | None = None  # (N, n_frozen_total + 2)
-    membership_labels: tuple[str, ...] = ()
+    best_component_probs: np.ndarray
+    best_flat_levels: np.ndarray
+    best_flat_weights: np.ndarray
+    best_gp_paths: np.ndarray
+    best_gp_weights: np.ndarray
+    best_unit_component: np.ndarray
+    best_unit_atom: np.ndarray
+    kernel: GpKernelParams
 
     def flagged(self, threshold: float) -> tuple[str, ...]:
         if not (0.0 < threshold <= 1.0):
@@ -543,18 +553,59 @@ class ChainOutput:
         return tuple(u for u, p in zip(self.unit_ids, self.inclusion) if p >= threshold)
 
 
-def _combined_atom_weights(state: FdpState) -> list[tuple[str, int, float]]:
-    """Atoms of both trajectory sets weighted within the combined alternative."""
-    cp = state.component_probs
-    alt_mass = cp[FLAT] + cp[GP]
-    if alt_mass <= 0.0:
-        return []
-    out = [("flat", l, float(cp[FLAT] / alt_mass * state.flat_set.weights[l]))
-           for l in range(state.flat_set.truncation)]
-    out += [("gp", l, float(cp[GP] / alt_mass * state.gp_set.weights[l]))
-            for l in range(state.gp_set.truncation)]
-    out.sort(key=lambda kiw: -kiw[2])
-    return out
+# Entries of a schema-1 chain file in the order ``save_chain`` writes them: the
+# schema, then one per field, with the best sweep's loglik after ``best_sweep``
+# and the kernel's two parameters in place of ``kernel``.
+_SPLIT = {"best_sweep": ("best_sweep", "best_loglik"),
+          "kernel": ("kernel_variance", "kernel_length_scale")}
+_CHAIN_KEYS = ("schema",) + tuple(k for f in fields(ChainOutput)
+                                   for k in _SPLIT.get(f.name, (f.name,)))
+
+
+def save_chain(chain: ChainOutput, path: str) -> None:
+    """Persist a chain to ``.npz`` (schema 1), one entry per field."""
+    values = {f.name: getattr(chain, f.name) for f in fields(chain)}
+    values.update(schema=np.int64(1), best_loglik=chain.logliks[chain.best_sweep],
+                  kernel_variance=np.float64(chain.kernel.variance),
+                  kernel_length_scale=np.float64(chain.kernel.length_scale),
+                  membership_labels=np.array(chain.membership_labels, dtype="U32"))
+    np.savez(path, **{k: np.asarray(values[k]) for k in _CHAIN_KEYS})
+
+
+def load_chain(path: str) -> ChainOutput:
+    """Read a chain written by ``save_chain``; a missing or malformed file
+    raises ``InvalidInputError`` naming the path (and the missing entry)."""
+    if not os.path.exists(path):
+        raise InvalidInputError(f"chain file not found: {path}")
+    if not zipfile.is_zipfile(path):
+        raise InvalidInputError(f"not a chain file (no .npz archive): {path}")
+    try:
+        with np.load(path) as z:
+            if "schema" in z.files and int(z["schema"]) != 1:
+                raise InvalidInputError(f"unsupported chain schema {int(z['schema'])} in {path}")
+            missing = [k for k in _CHAIN_KEYS if k not in z.files]
+            if missing:
+                raise InvalidInputError(f"chain file {path} lacks entry {missing[0]!r}")
+            cast = {"int": int, "str": str, "tuple[str, ...]": lambda a: tuple(map(str, a))}
+            values = {f.name: cast.get(f.type, np.asarray)(z[f.name])
+                      for f in fields(ChainOutput) if f.name != "kernel"}
+            kernel = GpKernelParams(float(z["kernel_variance"]), float(z["kernel_length_scale"]))
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise InvalidInputError(f"unreadable chain file {path}: {exc}") from exc
+    return ChainOutput(**values, kernel=kernel)
+
+
+def _best_snapshot(state: FdpState) -> dict[str, np.ndarray]:
+    """The ``best_*`` arrays of ``ChainOutput`` copied from ``state``.
+    ``np.copy`` keeps the memory order (gp paths are Fortran-ordered), so
+    the saved ``.npy`` headers match the state's arrays."""
+    return {"best_component_probs": np.copy(state.component_probs),
+            "best_flat_levels": np.copy(state.flat_set.levels),
+            "best_flat_weights": np.copy(state.flat_set.weights),
+            "best_gp_paths": np.copy(state.gp_set.paths),
+            "best_gp_weights": np.copy(state.gp_set.weights),
+            "best_unit_component": np.copy(state.unit_component),
+            "best_unit_atom": np.copy(state.unit_atom)}
 
 
 def _trajectory_matrix(state: FdpState) -> np.ndarray:
@@ -573,12 +624,12 @@ def run_chain(panel: SeriesPanel, config: ModelConfig, n_burn: int, n_keep: int,
               membership_tracking: bool = False) -> ChainOutput:
     """Burn-in plus retained sweeps of the joint sampler, from a prior draw.
 
-    Checkpoint records carry per-unit components and atom summaries every
-    ``checkpoint_stride`` retained sweeps (light records in between), and
-    the complete-data log-likelihood is tracked for every retained sweep so
-    maximum-likelihood sweep selection does not depend on the stride.
-    ``membership_tracking`` accumulates per-unit frequencies over
-    {each frozen atom, other, null} for frozen-atom reruns.
+    Per-unit components (and, with ``collect_bands``, trajectories) are
+    kept every ``checkpoint_stride`` retained sweeps; the complete-data
+    log-likelihood is tracked for every retained sweep so maximum-likelihood
+    sweep selection does not depend on the stride. ``membership_tracking``
+    accumulates per-unit frequencies over {each frozen atom, other, null}
+    for frozen-atom reruns.
     """
     if n_burn < 0 or n_keep < 1:
         raise DomainError("need n_burn >= 0 and n_keep >= 1")
@@ -603,41 +654,34 @@ def run_chain(panel: SeriesPanel, config: ModelConfig, n_burn: int, n_keep: int,
     n_frozen_gp = state.gp_set.n_frozen
     labels = tuple(f"flat_{l + 1}" for l in range(n_frozen_flat)) + \
         tuple(f"gp_{l + 1}" for l in range(n_frozen_gp)) + ("other", "null")
-    membership = np.zeros((n, len(labels)), dtype=np.int64) if membership_tracking else None
+    membership = np.zeros((n, len(labels)) if membership_tracking else (0, 0), dtype=np.int64)
+    strided = np.arange(0, n_keep, checkpoint_stride)
+    band_sweeps = strided if collect_bands else strided[:0]
 
     inclusion_counts = np.zeros(n, dtype=np.int64)
     logliks = np.empty(n_keep)
-    records: list[SweepRecord] = []
-    band_samples = []
-    band_sweeps = []
+    comp_probs = np.empty((n_keep, 3))
+    comp_counts = np.empty((n_keep, 3), dtype=np.int64)
+    gamma = np.empty((strided.size, n), dtype=np.int8)
+    band_samples = np.empty((band_sweeps.size, n, grid.size), dtype=np.float32)
     best_loglik = -np.inf
     best_sweep = -1
-    best_state = None
 
     for t in range(n_keep):
         gibbs_sweep_joint(state, table, rng, adapt=False, workspace=workspace)
         nonnull = state.unit_component != NULL
         inclusion_counts += nonnull
-        ll = complete_data_loglik(state, table)
-        logliks[t] = ll
-        if ll > best_loglik:
-            best_loglik = ll
-            best_sweep = t
-            best_state = state.clone()
-        comp_counts = np.array([np.sum(state.unit_component == c) for c in (NULL, FLAT, GP)])
-        at_stride = (t % checkpoint_stride) == 0
-        records.append(SweepRecord(
-            index=t,
-            loglik=ll,
-            component_probs=state.component_probs.copy(),
-            component_counts=comp_counts,
-            gamma=state.unit_component.copy() if at_stride else None,
-            top_atoms=tuple(_combined_atom_weights(state)[:5]) if at_stride else (),
-        ))
-        if collect_bands and at_stride:
-            band_samples.append(_trajectory_matrix(state).astype(np.float32))
-            band_sweeps.append(t)
-        if membership is not None:
+        logliks[t] = complete_data_loglik(state, table)
+        if logliks[t] > best_loglik:
+            best_loglik, best_sweep, best = logliks[t], t, _best_snapshot(state)
+        comp_probs[t] = state.component_probs
+        comp_counts[t] = np.bincount(state.unit_component, minlength=3)
+        if t % checkpoint_stride == 0:
+            k = t // checkpoint_stride
+            gamma[k] = state.unit_component
+            if collect_bands:
+                band_samples[k] = _trajectory_matrix(state)
+        if membership_tracking:
             bucket = np.full(n, len(labels) - 2, dtype=np.int64)   # "other"
             bucket[~nonnull] = len(labels) - 1                      # "null"
             fz_flat = (state.unit_component == FLAT) & (state.unit_atom < n_frozen_flat)
@@ -645,25 +689,15 @@ def run_chain(panel: SeriesPanel, config: ModelConfig, n_burn: int, n_keep: int,
             fz_gp = (state.unit_component == GP) & (state.unit_atom < n_frozen_gp)
             bucket[fz_gp] = n_frozen_flat + state.unit_atom[fz_gp]
             membership[np.arange(n), bucket] += 1
+    if best_sweep < 0:
+        raise NumericalError("no retained sweep has a finite complete-data log-likelihood")
 
     return ChainOutput(
-        unit_ids=panel.unit_ids,
-        grid=grid,
-        inclusion=inclusion_counts / n_keep,
-        n_burn=n_burn,
-        n_keep=n_keep,
-        seed=seed,
-        fingerprint=fingerprint,
-        logliks=logliks,
-        records=records,
-        best_sweep=best_sweep,
-        best_state=best_state,
-        config=config,
-        band_sweeps=tuple(band_sweeps),
-        band_samples=np.stack(band_samples) if band_samples else None,
-        membership_counts=membership,
-        membership_labels=labels,
-    )
+        unit_ids=panel.unit_ids, grid=grid, inclusion=inclusion_counts / n_keep,
+        logliks=logliks, n_burn=n_burn, n_keep=n_keep, seed=seed, fingerprint=fingerprint,
+        comp_probs=comp_probs, comp_counts=comp_counts, gamma_sweeps=strided, gamma=gamma,
+        band_sweeps=band_sweeps, band_samples=band_samples, membership_counts=membership,
+        membership_labels=labels, best_sweep=best_sweep, **best, kernel=config.kernel)
 
 
 def merge_inclusion(chains: list[ChainOutput]) -> np.ndarray:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from arscreen.mcmc import stream
 from arscreen.panel_io import read_panel, read_table, write_panel
 from arscreen.parametric import ParametricPrior
 from arscreen.simulation import simulate_ar1
-from arscreen.trajectory import GpKernelParams, ModelConfig, run_chain
+from arscreen.trajectory import ChainOutput, GpKernelParams, ModelConfig, run_chain
 
 TEST_CONFIG = ModelConfig(
     kernel=GpKernelParams(1.25, 13.0),
@@ -146,7 +147,7 @@ class TestScenarios:
 
 
 class TestChainPersistence:
-    def test_round_trip(self, fitted_chain, tmp_path):
+    def test_round_trip(self, fitted_chain, rerun, tmp_path):
         panel, chain = fitted_chain
         path = str(tmp_path / "chain.npz")
         save_chain(chain, path)
@@ -157,10 +158,42 @@ class TestChainPersistence:
         assert loaded.best_sweep == chain.best_sweep
         assert loaded.seed == chain.seed
         assert loaded.fingerprint == "deadbeefdeadbeef"
-        assert np.array_equal(loaded.best_flat_levels, chain.best_state.flat_set.levels)
-        assert np.array_equal(loaded.best_gp_paths, chain.best_state.gp_set.paths)
+        assert np.array_equal(loaded.best_flat_levels, chain.best_flat_levels)
+        assert np.array_equal(loaded.best_gp_paths, chain.best_gp_paths)
         assert np.array_equal(loaded.band_samples, chain.band_samples)
-        assert loaded.kernel == chain.config.kernel
+        assert loaded.kernel == chain.kernel == TEST_CONFIG.kernel
+        # Every field survives, also for a frozen rerun's chain: no bands,
+        # with membership counts.
+        frozen_chain = rerun[2].chain
+        assert len(frozen_chain.band_samples) == 0 and frozen_chain.membership_counts.size
+        for k, direct in enumerate((chain, frozen_chain)):
+            path = str(tmp_path / f"chain_{k}.npz")
+            save_chain(direct, path)
+            loaded = load_chain(path)
+            for f in fields(ChainOutput):
+                a, b = getattr(loaded, f.name), getattr(direct, f.name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                    assert np.array_equal(a, b), f.name
+                else:
+                    assert type(a) is type(b) and a == b, f.name
+            assert report_summaries(loaded) == report_summaries(direct)
+
+    def test_malformed_chain_exits_3(self, fitted_chain, tmp_path, capsys):
+        _, chain = fitted_chain
+        panel_path = _write_small_panel(tmp_path)
+        rc = main(["report", "--chain", panel_path, "--output-dir", str(tmp_path / "a")])
+        assert rc == 3
+        assert panel_path in capsys.readouterr().err
+        save_chain(chain, str(tmp_path / "full.npz"))
+        with np.load(str(tmp_path / "full.npz")) as z:
+            entries = {k: z[k] for k in z.files if k != "grid"}
+        np.savez(str(tmp_path / "nogrid.npz"), **entries)
+        rc = main(["report", "--chain", str(tmp_path / "nogrid.npz"),
+                   "--output-dir", str(tmp_path / "b")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "nogrid.npz" in err and "'grid'" in err
 
     def test_missing_chain_named(self):
         with pytest.raises(InvalidInputError, match="nowhere.npz"):
@@ -249,11 +282,11 @@ class TestFrozenRerun:
 
     def test_frozen_atoms_unchanged(self, rerun):
         _, frozen, result = rerun
-        final = result.chain.best_state
-        k_flat = final.flat_set.n_frozen
+        final = result.chain
+        k_flat = sum(label.startswith("flat_") for label in final.membership_labels)
         for name, atom in zip(frozen.names, frozen.atoms):
             if atom.kind == "flat":
-                assert float(atom.level) in [float(l) for l in final.flat_set.levels[:k_flat]]
+                assert float(atom.level) in [float(l) for l in final.best_flat_levels[:k_flat]]
         assert result.atom_digest
 
     def test_deterministic(self, fitted_chain):
