@@ -203,26 +203,27 @@ def ar1_loglik(series: ObservedSeries, params: ArParams) -> float:
     return -0.5 * (len(series) * LOG_2PI + logdet + q_yy)
 
 
-def mean_shift_loglik(series: ObservedSeries, params: ArParams, shift_var: float) -> float:
-    """Marginal log-likelihood with a constant mean shift integrated out.
+def log_shift_bayes_factor(q_y1, s11, shift_var: float):
+    """Log Bayes factor of a constant N(0, shift_var) mean shift against none, from
+    q_y1 = y' Sigma^{-1} 1 and s11 = 1' Sigma^{-1} 1 (elementwise over arrays), by
+    Sherman-Morrison and the matrix determinant lemma on Sigma + shift_var * 11'."""
+    denom = 1.0 + shift_var * s11
+    return -0.5 * np.log(denom) + 0.5 * shift_var * q_y1 ** 2 / denom
 
-    The shift has prior N(0, shift_var), so the marginal covariance is
-    Sigma + shift_var * 11'; the rank-one update is evaluated via the
-    Sherman-Morrison identity and the matrix determinant lemma.
-    """
+
+def mean_shift_loglik(series: ObservedSeries, params: ArParams, shift_var: float) -> float:
+    """Marginal log-likelihood with a constant mean shift N(0, shift_var) integrated out."""
     if shift_var < 0.0:
         raise DomainError(f"shift variance must be nonnegative, got {shift_var}")
     q_yy, q_y1, s11, logdet = gaussian_parts(series.values, gap_table(series.times), params)
     null = -0.5 * (len(series) * LOG_2PI + logdet + float(q_yy[0]))
-    denom = 1.0 + shift_var * s11
-    return null - 0.5 * np.log(denom) + 0.5 * shift_var * float(q_y1[0]) ** 2 / denom
+    return null + log_shift_bayes_factor(float(q_y1[0]), s11, shift_var)
 
 
 def log_conditional_bayes_factor(series: ObservedSeries, params: ArParams, shift_var: float) -> float:
     """Log Bayes factor of the mean-shift alternative against the AR(1) null."""
-    q_yy, q_y1, s11, _ = gaussian_parts(series.values, gap_table(series.times), params)
-    denom = 1.0 + shift_var * s11
-    return -0.5 * np.log(denom) + 0.5 * shift_var * float(q_y1[0]) ** 2 / denom
+    _, q_y1, s11, _ = gaussian_parts(series.values, gap_table(series.times), params)
+    return log_shift_bayes_factor(float(q_y1[0]), s11, shift_var)
 
 
 def conditional_bayes_factor(series: ObservedSeries, params: ArParams, shift_var: float) -> float:

@@ -19,7 +19,8 @@ from scipy.optimize import minimize
 from scipy.special import expit, gammaln, logit, ndtr
 from scipy.stats import multivariate_t
 
-from .ar_core import ArParams, LagStats, SeriesPanel, lag_stats, step_table, LOG_2PI
+from .ar_core import (LOG_2PI, LagStats, SeriesPanel, lag_stats, log_shift_bayes_factor,
+                      step_table)
 # Bound only for the probes in bench/layers.py; not called here (counts read 0).
 from .ar_core import group_gaussian_parts, panel_groups  # noqa: F401
 from .errors import DomainError, InvalidInputError, ModeSearchError, NumericalError
@@ -65,18 +66,18 @@ class ParametricPrior:
         v = self.var_scale / rng.gamma(self.var_shape, size=size)
         return phi, v
 
-    def log_density_phi_v(self, phi: float, v: float) -> float:
-        """Log prior density of (phi, v); -inf outside the domain."""
-        if not (-1.0 < phi < 1.0) or v <= 0.0:
-            return -np.inf
+    def log_density_phi_v(self, phi, v):
+        """Log prior density of (phi, v), elementwise over scalars or arrays;
+        -inf outside the domain, a Python-float v = 0.0 included."""
         sd = np.sqrt(self.phi_var)
         trunc = ndtr((1.0 - self.phi_mean) / sd) - ndtr((-1.0 - self.phi_mean) / sd)
-        lp_phi = (-0.5 * np.log(2.0 * np.pi * self.phi_var)
-                  - 0.5 * (phi - self.phi_mean) ** 2 / self.phi_var
-                  - np.log(trunc))
         a, b = self.var_shape, self.var_scale
-        lp_v = a * np.log(b) - gammaln(a) - (a + 1.0) * np.log(v) - b / v
-        return lp_phi + lp_v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lp_phi = (-0.5 * np.log(2.0 * np.pi * self.phi_var)
+                      - 0.5 * (phi - self.phi_mean) ** 2 / self.phi_var
+                      - np.log(trunc))
+            lp_v = a * np.log(b) - gammaln(a) - (a + 1.0) * np.log(v) - b / np.asarray(v)
+        return np.where((-1.0 < phi) & (phi < 1.0) & (v > 0.0), lp_phi + lp_v, -np.inf)
 
 
 @dataclass
@@ -111,43 +112,40 @@ class InclusionSummary:
         return classify_flags(self, threshold)
 
 
-def _mixture_loglik_terms(stats: LagStats, params: ArParams,
-                          shift_var: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-unit null log-likelihood and log Bayes factor, O(units x gaps)."""
-    q_yy, q_y1, s11, logdet = stats.gaussian_parts(params.phi, params.v)
-    null = -0.5 * (stats.length * LOG_2PI + logdet + q_yy)
-    denom = 1.0 + shift_var * s11
-    logbf = -0.5 * np.log(denom) + 0.5 * shift_var * q_y1 ** 2 / denom
-    return null, logbf
-
-
-def _panel_log_marginal(stats: LagStats, params: ArParams, p: float, shift_var: float) -> float:
-    """Sum over units of log[(1-p) null + p alt]."""
-    null, logbf = _mixture_loglik_terms(stats, params, shift_var)
-    return float(np.sum(null + np.logaddexp(np.log1p(-p), np.log(p) + logbf)))
-
-
 _PENALTY = -1.0e300
+# (units x draws) entries scored at once: memory stays flat in the number of draws.
+_BLOCK_ENTRIES = 2 ** 14
 
 
-def _make_transformed_logpost(stats: LagStats, prior: ParametricPrior):
-    """Joint log posterior in x = (atanh phi, log v, logit p), Jacobian included."""
+def _blocks(n_units: int, n_draws: int):
+    """Slices of draws that hold about ``_BLOCK_ENTRIES`` (unit, draw) entries each."""
+    step = max(1, _BLOCK_ENTRIES // max(n_units, 1))
+    return (slice(k, k + step) for k in range(0, n_draws, step))
 
-    def logpost(x: np.ndarray) -> float:
-        phi = np.tanh(x[0])
-        v = np.exp(x[1])
-        p = expit(x[2])
-        if not (-1.0 < phi < 1.0) or not (0.0 < v < np.inf) or not (0.0 < p < 1.0):
-            return _PENALTY
+
+def _log_target(stats: LagStats, prior: ParametricPrior, xs: np.ndarray) -> np.ndarray:
+    """Joint log posterior at each row x = (atanh phi, log v, logit p) of ``xs``,
+    Jacobian included, with ``_PENALTY`` wherever it is not finite.
+
+    Each unit's likelihood is the two-point mixture (1 - p) null + p alt,
+    whose Gaussian parts come from the lag statistics for a block of rows
+    at once.
+    """
+    xs = np.atleast_2d(xs)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phi, v, p = np.tanh(xs[:, 0]), np.exp(xs[:, 1]), expit(xs[:, 2])
         log_jac = np.log1p(-phi * phi) + np.log(v) + np.log(p) + np.log1p(-p)
         lp = prior.log_density_phi_v(phi, v) + log_jac
-        if not np.isfinite(lp):
-            return _PENALTY
-        ll = _panel_log_marginal(stats, ArParams(phi, v), p, prior.shift_var)
-        total = ll + lp
-        return float(total) if np.isfinite(total) else _PENALTY
-
-    return logpost
+    # log_jac is finite exactly where |phi| < 1, 0 < v < inf and 0 < p < 1.
+    keep = np.flatnonzero(np.isfinite(lp))
+    total = np.full(len(xs), _PENALTY)
+    for rows in _blocks(len(stats.terms), keep.size):
+        k = keep[rows]
+        q_yy, q_y1, s11, logdet = stats.gaussian_parts(phi[k], v[k])
+        null = -0.5 * (stats.length[:, None] * LOG_2PI + logdet + q_yy)
+        logbf = log_shift_bayes_factor(q_y1, s11, prior.shift_var)
+        total[k] = np.sum(null + np.logaddexp(np.log1p(-p[k]), np.log(p[k]) + logbf), axis=0) + lp[k]
+    return np.where(np.isfinite(total), total, _PENALTY)
 
 
 def _fd_hessian(f, x: np.ndarray) -> np.ndarray:
@@ -202,7 +200,10 @@ def build_importance_sampler(panel: SeriesPanel, prior: ParametricPrior,
     if n_draws < 2:
         raise DomainError(f"need at least 2 importance draws, got {n_draws}")
     _require_fittable(panel)
-    logpost = _make_transformed_logpost(lag_stats(step_table(panel)), prior)
+    stats = lag_stats(step_table(panel))
+
+    def objective(x):
+        return -_log_target(stats, prior, x)[0]
 
     starts = [
         np.array([np.arctanh(prior.phi_mean), 0.0, logit(0.1)]),
@@ -211,7 +212,7 @@ def build_importance_sampler(panel: SeriesPanel, prior: ParametricPrior,
     best = None
     last_x = starts[0]
     for x0 in starts:
-        res = minimize(lambda x: -logpost(x), x0, method="BFGS",
+        res = minimize(objective, x0, method="BFGS",
                        options={"maxiter": 500, "gtol": 1e-6})
         last_x = res.x
         converged = bool(res.success) or float(np.max(np.abs(res.jac))) < 1e-3
@@ -221,17 +222,14 @@ def build_importance_sampler(panel: SeriesPanel, prior: ParametricPrior,
         raise ModeSearchError("posterior mode search did not converge", last_iterate=last_x)
     mode = best.x
 
-    H = _fd_hessian(lambda x: -logpost(x), mode)
+    H = _fd_hessian(objective, mode)
     shape = _proposal_shape(H)
 
     rng = stream(seed, "parametric-proposal")
     proposal = multivariate_t(loc=mode, shape=shape, df=PROPOSAL_DF)
     xs = np.atleast_2d(proposal.rvs(size=n_draws, random_state=rng))
     log_q = proposal.logpdf(xs)
-    log_target = np.array([logpost(x) for x in xs])
-    if np.any(np.isnan(log_target)):
-        raise NumericalError("importance target evaluated to NaN")
-    log_w = log_target - log_q
+    log_w = _log_target(stats, prior, xs) - log_q
 
     _, ess = normalized_weights_and_ess(log_w)
     messages = []
@@ -258,27 +256,23 @@ def inclusion_probabilities_parametric(draws: WeightedDraws, panel: SeriesPanel,
     """
     _require_fittable(panel)
     stats = lag_stats(step_table(panel))
-    n = len(panel)
     wbar = draws.normalized_weights
-    s1 = np.zeros(n)
-    s2_ww = np.zeros(n)
-    s2_w = np.zeros(n)
-    for k in range(draws.n_draws):
-        phi, v, p = draws.draws[k]
-        _, logbf = _mixture_loglik_terms(stats, ArParams(float(phi), float(v)), prior.shift_var)
+    phi, v, p = draws.draws.T
+    prob, s2_ww, s2_w = np.zeros((3, len(panel)))
+    for rows in _blocks(len(panel), draws.n_draws):
+        _, q_y1, s11, _ = stats.gaussian_parts(phi[rows], v[rows])
+        logbf = log_shift_bayes_factor(q_y1, s11, prior.shift_var)
         if not np.all(np.isfinite(logbf)):
-            bad = int(np.flatnonzero(~np.isfinite(logbf))[0])
+            k, unit = np.argwhere(~np.isfinite(logbf.T))[0]   # first draw, then first unit
             raise NumericalError(
-                f"non-finite Bayes factor for unit {panel[bad].unit_id!r} at draw {k}"
+                f"non-finite Bayes factor for unit {panel[unit].unit_id!r} at draw {rows.start + k}"
             )
-        pi = expit(logit(p) + logbf)
-        w = wbar[k]
-        s1 += w * pi
-        s2_ww += w * w * pi * pi
-        s2_w += w * w * pi
-    prob = s1
-    w2 = float(np.dot(wbar, wbar))
-    var = s2_ww - 2.0 * prob * s2_w + prob * prob * w2
+        pi = expit(logit(p[rows]) + logbf)
+        w = wbar[rows]
+        prob += pi @ w
+        s2_ww += (pi * pi) @ (w * w)
+        s2_w += pi @ (w * w)
+    var = s2_ww - 2.0 * prob * s2_w + prob * prob * float(np.dot(wbar, wbar))
     stderr = np.sqrt(np.maximum(var, 0.0))
     # The normalized weights sum to 1 only up to rounding.
     return InclusionSummary(panel.unit_ids, np.clip(prob, 0.0, 1.0), stderr)

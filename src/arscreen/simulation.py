@@ -11,7 +11,6 @@ isolates the effect of the signal from Monte Carlo noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.signal import lfilter
@@ -44,9 +43,7 @@ class MixtureScenario:
 
     ``components`` pairs each ArParams with its mixing probability (summing
     to one). When ``shift_prob`` is positive, each unit independently gets a
-    mean trajectory with that probability; ``shift_source(rng, times)``
-    returns the trajectory values (default: a constant level drawn
-    N(0, shift_var)).
+    constant mean shift drawn N(0, shift_var) with that probability.
     """
 
     components: tuple[tuple[ArParams, float], ...]
@@ -54,7 +51,6 @@ class MixtureScenario:
     length: int
     shift_prob: float = 0.0
     shift_var: float = 1.0
-    shift_source: Callable[[np.random.Generator, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         probs = np.array([p for _, p in self.components], dtype=float)
@@ -101,10 +97,7 @@ def generate_mixture_panel(scenario: MixtureScenario, seed: int) -> tuple[Series
         y = simulate_ar1(scenario.components[c][0], scenario.length, rng)
         if scenario.shift_prob > 0.0 and rng.uniform() < scenario.shift_prob:
             nonnull[i] = True
-            if scenario.shift_source is None:
-                y = y + rng.normal(0.0, np.sqrt(scenario.shift_var))
-            else:
-                y = y + np.asarray(scenario.shift_source(rng, times), dtype=float)
+            y = y + rng.normal(0.0, np.sqrt(scenario.shift_var))
         series.append(ObservedSeries(_unit_id(i, scenario.n_units), times, y))
     panel = SeriesPanel(tuple(series))
     return panel, TruthLabels(panel.unit_ids, nonnull, comp)

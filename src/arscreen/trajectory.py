@@ -198,16 +198,12 @@ class ModelConfig:
 
 
 def default_hyperparameters(n_units: int) -> ModelConfig:
-    """Elicited defaults: kernel (1.25, 13), concentrations 10/ln N and 15/ln N."""
+    """Elicited defaults: the default kernel and base prior, with
+    concentrations 10/ln N and 15/ln N."""
     if n_units < 2:
         raise DomainError(f"defaults need a panel of at least 2 units, got {n_units}")
     log_n = np.log(n_units)
-    return ModelConfig(
-        kernel=GpKernelParams(variance=1.25, length_scale=13.0),
-        base=ParametricPrior(phi_mean=0.5, phi_var=0.0625, var_shape=2.0, var_scale=1.0),
-        resid_concentration=10.0 / log_n,
-        traj_concentration=15.0 / log_n,
-    )
+    return ModelConfig(resid_concentration=10.0 / log_n, traj_concentration=15.0 / log_n)
 
 
 @dataclass
@@ -560,6 +556,8 @@ _SPLIT = {"best_sweep": ("best_sweep", "best_loglik"),
           "kernel": ("kernel_variance", "kernel_length_scale")}
 _CHAIN_KEYS = ("schema",) + tuple(k for f in fields(ChainOutput)
                                    for k in _SPLIT.get(f.name, (f.name,)))
+_SCALAR_KEYS = ("schema", "best_loglik", "kernel_variance", "kernel_length_scale") + tuple(
+    f.name for f in fields(ChainOutput) if f.type in ("int", "str"))
 
 
 def save_chain(chain: ChainOutput, path: str) -> None:
@@ -574,13 +572,16 @@ def save_chain(chain: ChainOutput, path: str) -> None:
 
 def load_chain(path: str) -> ChainOutput:
     """Read a chain written by ``save_chain``; a missing or malformed file
-    raises ``InvalidInputError`` naming the path (and the missing entry)."""
+    raises ``InvalidInputError`` naming the path (and the offending entry)."""
     if not os.path.exists(path):
         raise InvalidInputError(f"chain file not found: {path}")
     if not zipfile.is_zipfile(path):
         raise InvalidInputError(f"not a chain file (no .npz archive): {path}")
     try:
         with np.load(path) as z:
+            for k in _SCALAR_KEYS:
+                if k in z.files and z[k].shape != ():
+                    raise InvalidInputError(f"chain file {path}: entry {k!r} is not a scalar")
             if "schema" in z.files and int(z["schema"]) != 1:
                 raise InvalidInputError(f"unsupported chain schema {int(z['schema'])} in {path}")
             missing = [k for k in _CHAIN_KEYS if k not in z.files]
@@ -592,7 +593,18 @@ def load_chain(path: str) -> ChainOutput:
             kernel = GpKernelParams(float(z["kernel_variance"]), float(z["kernel_length_scale"]))
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise InvalidInputError(f"unreadable chain file {path}: {exc}") from exc
-    return ChainOutput(**values, kernel=kernel)
+    chain = ChainOutput(**values, kernel=kernel)
+    n, k = len(chain.unit_ids), chain.n_keep
+    shapes = {"inclusion": (n,), "logliks": (k,), "comp_probs": (k, 3), "comp_counts": (k, 3),
+              "gamma": (len(chain.gamma_sweeps), n),
+              "band_samples": (len(chain.band_sweeps), n, chain.grid.size)}
+    for name, want in shapes.items():
+        if getattr(chain, name).shape != want:
+            raise InvalidInputError(f"chain file {path}: entry {name!r} has shape "
+                                    f"{getattr(chain, name).shape}, expected {want}")
+    if not 0 <= chain.best_sweep < k:
+        raise InvalidInputError(f"chain file {path}: entry 'best_sweep' is not one of {k} sweeps")
+    return chain
 
 
 def _best_snapshot(state: FdpState) -> dict[str, np.ndarray]:

@@ -144,3 +144,76 @@ def conjugate_level_posterior(prior_var: float, q_y1_sum: float, s11_sum: float)
     prec = 1.0 / prior_var + s11_sum
     var = 1.0 / prec
     return var * q_y1_sum, var
+
+
+# --- the parametric screen, one draw and one unit at a time ---
+
+PENALTY = -1.0e300
+
+
+def dense_gaussian_parts(y, phi: float, v: float, times):
+    """(y' S^-1 y, y' S^-1 1, 1' S^-1 1, log|S|) of one series from its dense covariance S."""
+    cov = dense_ar1_cov(phi, v, times)
+    y = np.asarray(y, dtype=float)
+    ones = np.ones(y.size)
+    sy, s1 = np.linalg.solve(cov, np.column_stack([y, ones])).T
+    return y @ sy, y @ s1, ones @ s1, np.linalg.slogdet(cov)[1]
+
+
+def dense_log_bayes_factor(y, phi: float, v: float, times, shift_var: float):
+    """Log Bayes factor of a N(0, shift_var) mean shift, from the dense parts."""
+    _, q_y1, s11, _ = dense_gaussian_parts(y, phi, v, times)
+    denom = 1.0 + shift_var * s11
+    return -0.5 * np.log(denom) + 0.5 * shift_var * q_y1 ** 2 / denom
+
+
+def parametric_log_target(panel, prior, x) -> float:
+    """Log posterior of the homogeneous screen at x = (atanh phi, log v, logit p),
+    Jacobian included, summed unit by unit; ``PENALTY`` where it is not finite.
+
+    ``prior`` supplies phi_mean, phi_var, var_shape, var_scale and shift_var;
+    its density is scipy's truncated normal times inverse gamma.
+    """
+    from scipy.stats import invgamma, truncnorm
+
+    with np.errstate(over="ignore"):
+        phi, v, p = np.tanh(x[0]), np.exp(x[1]), 1.0 / (1.0 + np.exp(-x[2]))
+    if not (-1.0 < phi < 1.0) or not (0.0 < v < np.inf) or not (0.0 < p < 1.0):
+        return PENALTY
+    sd = np.sqrt(prior.phi_var)
+    phi_prior = truncnorm((-1.0 - prior.phi_mean) / sd, (1.0 - prior.phi_mean) / sd,
+                          loc=prior.phi_mean, scale=sd)
+    total = (phi_prior.logpdf(phi) + invgamma(prior.var_shape, scale=prior.var_scale).logpdf(v)
+             + np.log1p(-phi * phi) + np.log(v) + np.log(p) + np.log1p(-p))
+    if not np.isfinite(total):
+        return PENALTY
+    for s in panel:
+        q_yy, _, _, logdet = dense_gaussian_parts(s.values, phi, v, s.times)
+        null = -0.5 * (len(s.values) * np.log(2.0 * np.pi) + logdet + q_yy)
+        logbf = dense_log_bayes_factor(s.values, phi, v, s.times, prior.shift_var)
+        total += null + np.logaddexp(np.log1p(-p), np.log(p) + logbf)
+    return float(total) if np.isfinite(total) else PENALTY
+
+
+def parametric_inclusion(panel, draws, weights, shift_var: float):
+    """Inclusion probability and Monte Carlo standard error per unit, averaging
+    p BF / (p BF + 1 - p) over draws (phi, v, p) with normalized ``weights``.
+
+    A non-finite Bayes factor raises ``FloatingPointError`` naming the unit
+    and the draw, the first unit of the first draw where one occurs.
+    """
+    n = len(panel)
+    s1, s2_ww, s2_w = np.zeros(n), np.zeros(n), np.zeros(n)
+    for k, (phi, v, p) in enumerate(draws):
+        for i, s in enumerate(panel):
+            with np.errstate(over="ignore"):
+                logbf = dense_log_bayes_factor(s.values, phi, v, s.times, shift_var)
+                pi = 1.0 / (1.0 + (1.0 - p) / p * np.exp(-logbf))
+            if not np.isfinite(logbf):
+                raise FloatingPointError(f"non-finite Bayes factor for unit {s.unit_id!r} at draw {k}")
+            w = weights[k]
+            s1[i] += w * pi
+            s2_ww[i] += w * w * pi * pi
+            s2_w[i] += w * w * pi
+    var = s2_ww - 2.0 * s1 * s2_w + s1 * s1 * float(np.dot(weights, weights))
+    return s1, np.sqrt(np.maximum(var, 0.0))

@@ -4,6 +4,7 @@ import importlib
 import os
 
 import arscreen.cli
+import arscreen.parametric
 import arscreen.trajectory
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -20,3 +21,6 @@ def test_every_probe_stays_bound(monkeypatch):
         tracer.uninstall()
     assert arscreen.cli.run_chain is arscreen.trajectory.run_chain
     assert arscreen.cli.save_chain is arscreen.trajectory.save_chain
+    for name in ("build_importance_sampler", "inclusion_probabilities_parametric",
+                 "posterior_mixing_mode"):
+        assert getattr(arscreen.cli, name) is getattr(arscreen.parametric, name)

@@ -195,6 +195,27 @@ class TestChainPersistence:
         err = capsys.readouterr().err
         assert "nogrid.npz" in err and "'grid'" in err
 
+    @pytest.mark.parametrize("entry, rewrite", [
+        ("inclusion", lambda a: a[:-5]),
+        ("band_samples", lambda a: a[:, :, :-1]),
+        ("schema", lambda a: np.array([1, 1])),
+    ])
+    def test_inconsistent_chain_exits_3(self, fitted_chain, tmp_path, capsys, entry, rewrite):
+        """An entry whose shape disagrees with the rest of the chain exits 3
+        before any output is written, naming the file and the entry."""
+        _, chain = fitted_chain
+        save_chain(chain, str(tmp_path / "full.npz"))
+        with np.load(str(tmp_path / "full.npz")) as z:
+            entries = {k: z[k] for k in z.files}
+        entries[entry] = rewrite(entries[entry])
+        path = str(tmp_path / "bad.npz")
+        np.savez(path, **entries)
+        out = tmp_path / "out"
+        assert main(["report", "--chain", path, "--output-dir", str(out)]) == 3
+        assert not (out / "inclusion.csv").exists()
+        err = capsys.readouterr().err
+        assert "bad.npz" in err and repr(entry) in err
+
     def test_missing_chain_named(self):
         with pytest.raises(InvalidInputError, match="nowhere.npz"):
             load_chain("nowhere.npz")

@@ -9,19 +9,25 @@ import pytest
 from scipy.special import expit, logit
 from scipy.stats import invgamma, truncnorm
 
+import oracles
+from arscreen import parametric
 from arscreen.ar_core import (
     ArParams,
     ObservedSeries,
     SeriesPanel,
     cdf_standardize,
     conditional_bayes_factor,
+    lag_stats,
+    step_table,
 )
 from arscreen.errors import DomainError, InvalidInputError, NumericalError
 from arscreen.mcmc import normalized_weights_and_ess
 from arscreen.parametric import (
+    _PENALTY,
     InclusionSummary,
     ParametricPrior,
     WeightedDraws,
+    _log_target,
     build_importance_sampler,
     classify_flags,
     inclusion_probabilities_parametric,
@@ -237,3 +243,85 @@ class TestMixingMode:
         draws = WeightedDraws(np.column_stack([np.full(100, 0.5), np.ones(100), p]), lw, 1.0, 0)
         with pytest.raises(NumericalError):
             posterior_mixing_mode(draws)
+
+
+class TestLogTarget:
+    """``_log_target`` scores rows in blocks; the reference scores them one
+    draw and one unit at a time from dense covariances."""
+
+    def test_matches_per_draw_reference_on_gapped_panel(self):
+        panel = gapped_readme_panel(seed=2)
+        prior = ParametricPrior()
+        xs = np.array([
+            [np.arctanh(0.999), np.log(0.5), logit(0.2)],
+            [np.arctanh(-0.999), np.log(2.0), logit(0.6)],
+            [np.arctanh(0.999), np.log(0.05), logit(0.01)],
+            [np.arctanh(0.5), 0.0, 0.0],
+            [0.3, -1.0, -2.0],
+            [25.0, 0.0, 0.0],        # tanh rounds to 1
+            [-25.0, 0.0, 0.0],       # tanh rounds to -1
+            [0.5, 800.0, 0.0],       # exp overflows
+            [0.5, -800.0, 0.0],      # exp underflows to 0
+            [0.5, 0.0, 40.0],        # expit rounds to 1
+            [0.5, 0.0, -800.0],      # expit underflows to 0
+            [np.nan, 0.0, 0.0],
+        ])
+        got = _log_target(lag_stats(step_table(panel)), prior, xs)
+        want = np.array([oracles.parametric_log_target(panel, prior, x) for x in xs])
+        saturated = want == oracles.PENALTY
+        assert np.array_equal(saturated, np.arange(len(xs)) >= 5)
+        assert np.all(got[saturated] == _PENALTY)
+        assert np.allclose(got[~saturated], want[~saturated], rtol=1e-9, atol=0.0)
+
+    def test_ragged_blocks_equal_one_block(self, monkeypatch):
+        scenario = MixtureScenario(README_MIXTURE, n_units=30, length=25, shift_prob=0.2)
+        panel, _ = generate_mixture_panel(scenario, seed=4)
+        prior = ParametricPrior()
+        stats = lag_stats(step_table(panel))
+        rng = np.random.default_rng(5)
+        xs = np.array([np.arctanh(0.5), np.log(0.3), logit(0.2)]) + rng.normal(scale=0.7, size=(103, 3))
+        xs[[2, 50, 101], 0] = 30.0          # penalized rows inside blocks
+        draws = WeightedDraws(np.column_stack([np.tanh(xs[:, 0]), np.exp(xs[:, 1]), expit(xs[:, 2])]),
+                              rng.normal(size=103), 50.0, 0)
+        draws.draws[[2, 50, 101], 0] = 0.9
+        one_target = _log_target(stats, prior, xs)
+        one_incl = inclusion_probabilities_parametric(draws, panel, prior)
+        monkeypatch.setattr(parametric, "_BLOCK_ENTRIES", 8 * len(panel))   # blocks of 8, last of 7
+        many_target = _log_target(stats, prior, xs)
+        many_incl = inclusion_probabilities_parametric(draws, panel, prior)
+        assert np.all((one_target == _PENALTY) == (many_target == _PENALTY))
+        assert np.allclose(many_target, one_target, rtol=1e-13, atol=0.0)
+        assert np.allclose(many_incl.probability, one_incl.probability, rtol=0.0, atol=1e-14)
+        assert np.allclose(many_incl.mc_stderr, one_incl.mc_stderr, rtol=1e-9, atol=1e-14)
+        ref_prob, ref_se = oracles.parametric_inclusion(panel, draws.draws, draws.normalized_weights,
+                                                        prior.shift_var)
+        assert np.allclose(many_incl.probability, ref_prob, rtol=0.0, atol=1e-9)
+        assert np.allclose(many_incl.mc_stderr, ref_se, rtol=1e-6, atol=1e-9)
+
+    def test_nonfinite_bayes_factor_names_unit_and_draw(self, monkeypatch):
+        """At v = 1e-150, q_y1^2 overflows only for the unit at 1e10 scale,
+        so the error names that unit and the draw's index over all blocks."""
+        panel = null_panel(n=6, T=10)
+        big = panel[3]
+        panel = SeriesPanel(tuple(ObservedSeries(s.unit_id, s.times, s.values * 1e10) if s is big else s
+                                  for s in panel))
+        draws = np.tile([0.3, 1.0, 0.2], (23, 1))
+        draws[17, 1] = 1e-150
+        weighted = WeightedDraws(draws, np.zeros(23), 23.0, 0)
+        monkeypatch.setattr(parametric, "_BLOCK_ENTRIES", 4 * len(panel))   # draw 17 in the fifth block
+        with pytest.raises(FloatingPointError) as ref:
+            oracles.parametric_inclusion(panel, draws, weighted.normalized_weights, 1.0)
+        with pytest.raises(NumericalError) as got, np.errstate(over="ignore"):
+            inclusion_probabilities_parametric(weighted, panel, ParametricPrior())
+        assert str(got.value) == str(ref.value) == f"non-finite Bayes factor for unit {big.unit_id!r} at draw 17"
+
+    def test_prior_density_on_arrays_matches_scalar_calls(self):
+        prior = ParametricPrior(phi_mean=0.3, phi_var=0.2, var_shape=3.0, var_scale=0.5)
+        phi, v = np.meshgrid(np.linspace(-1.2, 1.2, 25), np.linspace(-0.5, 3.0, 15))
+        phi, v = phi.ravel(), v.ravel()
+        got = prior.log_density_phi_v(phi, v)
+        want = np.array([prior.log_density_phi_v(float(a), float(b)) for a, b in zip(phi, v)])
+        outside = (np.abs(phi) >= 1.0) | (v <= 0.0)
+        assert np.any(outside) and np.any(~outside)
+        assert np.all(want[outside] == -np.inf) and np.all(got[outside] == -np.inf)
+        assert np.allclose(got[~outside], want[~outside], rtol=1e-14, atol=0.0)
