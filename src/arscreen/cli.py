@@ -602,6 +602,10 @@ def cli_dispatch(argv) -> int:
     args = build_parser().parse_args(argv)
     if args.seed < 0:
         raise InvalidInputError(f"seed must be nonnegative, got {args.seed}")
+    if not (0.0 < getattr(args, "threshold", 0.5) <= 1.0):
+        raise DomainError(f"threshold must lie in (0, 1], got {args.threshold}")
+    if getattr(args, "chains", 1) < 1:
+        raise InvalidInputError(f"need at least one chain, got {args.chains}")
     return args.func(args)
 
 

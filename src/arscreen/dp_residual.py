@@ -4,11 +4,15 @@ The mixing distribution over (phi, v) gets a stick-breaking prior truncated
 to a fixed number of atoms: weights w_l = s_l * prod_{j<l}(1 - s_j) with
 s_l ~ Beta(1, concentration) and the last weight taking the remainder.
 One Gibbs sweep resamples unit assignments from their exact conditionals,
-stick fractions from their Beta conditionals, and atom parameters by
-random-walk Metropolis on (atanh phi, log v) targeting the base prior times
-the likelihood of the currently assigned units. Proposal scales adapt
-toward 25% acceptance only while ``adapt`` is set (burn-in), so the
-post-burn-in chain has a fixed kernel.
+stick fractions from their Beta conditionals, and then the atoms, which are
+conditionally independent given the assignments (Ishwaran & James 2001).
+Every empty atom is redrawn from the base measure in one
+``ParametricPrior.sample_phi_v`` call. Every occupied atom takes one
+random-walk Metropolis step on (atanh phi, log v) targeting the base prior
+times the likelihood of its assigned units, all atoms in one vector step
+that scores row k of the pooled lag statistics under pair k. Proposal
+scales adapt toward 25% acceptance only while ``adapt`` is set (burn-in),
+so the post-burn-in chain has a fixed kernel.
 """
 
 from __future__ import annotations
@@ -21,16 +25,10 @@ from .ar_core import ArParams, LagStats, SeriesPanel, StepTable, lag_stats, step
 # Bound only for the probes in bench/layers.py; not called here (counts read 0).
 from .ar_core import group_whiten, panel_groups  # noqa: F401
 from .errors import DomainError, NumericalError
-from .mcmc import (
-    adapt_scale,
-    gumbel_argmax,
-    rw_metropolis_step,
-    sample_inverse_gamma,
-    sample_sticks,
-    stick_weights,
-    stream,
-    truncated_normal,
-)
+from .mcmc import ADAPT_DECAY, TARGET_ACCEPT, gumbel_argmax, sample_sticks, stick_weights, stream
+# Bound only for the mcmc.rw_metropolis_step probe, as tests/test_bench_probes.py
+# pins; not called here (counts read 0).
+from .mcmc import rw_metropolis_step  # noqa: F401
 from .parametric import ParametricPrior
 
 DEFAULT_TRUNCATION = 60
@@ -117,13 +115,6 @@ class DpResidualState:
         return np.bincount(self.assignments, minlength=self.truncation)
 
 
-def _draw_base_atoms(base: ParametricPrior, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    phi = np.array([truncated_normal(base.phi_mean, np.sqrt(base.phi_var), -1.0, 1.0, rng)
-                    for _ in range(size)])
-    v = np.array([sample_inverse_gamma(base.var_shape, base.var_scale, rng) for _ in range(size)])
-    return phi, v
-
-
 def init_residual_state(n_units: int, concentration: float, base: ParametricPrior,
                         truncation: int = DEFAULT_TRUNCATION, seed: int = 0,
                         rng: np.random.Generator | None = None) -> DpResidualState:
@@ -141,7 +132,7 @@ def init_residual_state(n_units: int, concentration: float, base: ParametricPrio
         rng = stream(seed, "residual-init")
     sticks = rng.beta(1.0, concentration, size=truncation - 1)
     weights = stick_weights(sticks)
-    phi, v = _draw_base_atoms(base, truncation, rng)
+    phi, v = base.sample_phi_v(rng, truncation)
     assignments = rng.choice(truncation, size=n_units, p=weights)
     return DpResidualState(
         stick=StickState(sticks, weights, phi, v),
@@ -153,29 +144,47 @@ def init_residual_state(n_units: int, concentration: float, base: ParametricPrio
     )
 
 
-def _atom_logpost_factory(state: DpResidualState, member_stats: LagStats | None,
-                          likelihood_off: bool):
-    """Log conditional for one atom in x = (atanh phi, log v) coordinates.
+def _atom_log_target(base: ParametricPrior, pooled: LagStats | None, xs: np.ndarray) -> np.ndarray:
+    """Log conditional of atom k at row k of ``xs`` = (atanh phi, log v),
+    Jacobian included; -inf where the prior is not finite.
 
-    ``member_stats`` is the pooled lag-statistics row of the atom's members,
-    so each evaluation costs O(number of distinct gaps).
+    ``pooled`` holds one pooled lag-statistics row per atom (None holds the
+    likelihood constant); row k is scored under pair k only.
     """
-    base = state.base
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phi, v = np.tanh(xs[:, 0]), np.exp(xs[:, 1])
+        lp = base.log_density_phi_v(phi, v) + np.log1p(-phi * phi) + np.log(v)
+        total = lp if pooled is None else lp + np.diagonal(pooled.loglik(phi, v))
+    # lp is not finite exactly where tanh rounds to +-1 or v to 0 or inf.
+    return np.where(np.isfinite(lp), total, -np.inf)
 
-    def logpost(x: np.ndarray) -> float:
-        phi = float(np.tanh(x[0]))
-        v = float(np.exp(x[1]))
-        if not (-1.0 < phi < 1.0) or not (0.0 < v < np.inf):
-            return -np.inf
-        log_jac = float(np.log1p(-phi * phi) + np.log(v))
-        lp = base.log_density_phi_v(phi, v) + log_jac
-        if not np.isfinite(lp):
-            return -np.inf
-        if likelihood_off:
-            return lp
-        return lp + float(member_stats.loglik(phi, v))
 
-    return logpost
+def _step_atoms(state: DpResidualState, pooled: LagStats | None, atoms: np.ndarray,
+                rng: np.random.Generator, adapt: bool) -> None:
+    """One random-walk Metropolis step on (atanh phi, log v) for every atom
+    in ``atoms`` at once, each under its own proposal scale; ``pooled`` has
+    one row per atom of the state. Adapts the scales while ``adapt`` is set."""
+    stick = state.stick
+    x = np.column_stack([np.arctanh(stick.phi[atoms]), np.log(stick.v[atoms])])
+    prop = x + state.prop_scale[atoms] * rng.standard_normal(x.shape)
+    # Proposals and current points scored in one call: rows k and K + k are atom k's.
+    rows = np.concatenate([atoms, atoms])
+    log_target = _atom_log_target(state.base, None if pooled is None else pooled[rows],
+                                  np.concatenate([prop, x]))
+    log_target_prop, log_target_x = log_target[:len(atoms)], log_target[len(atoms):]
+    if np.any(np.isnan(log_target_prop)):
+        k = np.flatnonzero(np.isnan(log_target_prop))[0]
+        raise NumericalError(f"random-walk proposal produced NaN log target for atom "
+                             f"{int(atoms[k])} at {prop[k]!r}")
+    log_ratio = log_target_prop - log_target_x
+    accept = np.log(rng.uniform(size=len(atoms))) < log_ratio
+    moved = atoms[accept]
+    stick.phi[moved] = np.tanh(prop[accept, 0])
+    stick.v[moved] = np.exp(prop[accept, 1])
+    if adapt:
+        gain = (state.adapt_steps[atoms] + 1.0) ** -ADAPT_DECAY
+        state.prop_scale[atoms] *= np.exp(gain * (accept - TARGET_ACCEPT))[:, None]
+        state.adapt_steps[atoms] += 1
 
 
 def _sweep_residual(state: DpResidualState, table: StepTable, stats: LagStats | None,
@@ -208,22 +217,10 @@ def _sweep_residual(state: DpResidualState, table: StepTable, stats: LagStats | 
     state.stick.sticks = sticks
     state.stick.weights = weights
 
+    empty = counts == 0
+    state.stick.phi[empty], state.stick.v[empty] = state.base.sample_phi_v(rng, int(empty.sum()))
     pooled = None if stats is None else stats.pool(state.assignments, L)
-    for l in range(L):
-        if counts[l] == 0:
-            phi, v = _draw_base_atoms(state.base, 1, rng)
-            state.stick.phi[l] = phi[0]
-            state.stick.v[l] = v[0]
-            continue
-        logpost = _atom_logpost_factory(state, None if pooled is None else pooled[l], pooled is None)
-        x = np.array([np.arctanh(state.stick.phi[l]), np.log(state.stick.v[l])])
-        x_new, _, accepted = rw_metropolis_step(x, logpost, state.prop_scale[l], rng)
-        state.stick.phi[l] = np.tanh(x_new[0])
-        state.stick.v[l] = np.exp(x_new[1])
-        if adapt:
-            factor = adapt_scale(1.0, accepted, int(state.adapt_steps[l]))
-            state.prop_scale[l] *= factor
-            state.adapt_steps[l] += 1
+    _step_atoms(state, pooled, np.flatnonzero(~empty), rng, adapt)
 
 
 def gibbs_sweep_residual(state: DpResidualState, panel, rng: np.random.Generator,

@@ -78,22 +78,6 @@ def gumbel_argmax(log_scores: np.ndarray, rng: np.random.Generator) -> np.ndarra
     return np.argmax(log_scores + g, axis=-1)
 
 
-def truncated_normal(mean: float, sd: float, low: float, high: float, rng: np.random.Generator) -> float:
-    """Draw from N(mean, sd^2) restricted to (low, high) by rejection."""
-    for _ in range(10000):
-        x = rng.normal(mean, sd)
-        if low < x < high:
-            return x
-    raise NumericalError(
-        f"truncated normal rejection sampler failed: mean={mean}, sd={sd}, window=({low}, {high})"
-    )
-
-
-def sample_inverse_gamma(shape: float, scale: float, rng: np.random.Generator) -> float:
-    """Draw from InverseGamma(shape, scale) with density ~ x^-(shape+1) exp(-scale/x)."""
-    return scale / rng.gamma(shape)
-
-
 def rw_metropolis_step(x: np.ndarray, log_target, scale: np.ndarray, rng: np.random.Generator,
                        log_target_x: float | None = None) -> tuple[np.ndarray, float, bool]:
     """One random-walk Metropolis step with per-coordinate proposal scales.
@@ -110,17 +94,6 @@ def rw_metropolis_step(x: np.ndarray, log_target, scale: np.ndarray, rng: np.ran
     if np.log(rng.uniform()) < log_target_prop - log_target_x:
         return prop, float(log_target_prop), True
     return x, float(log_target_x), False
-
-
-def adapt_scale(scale: float, accepted: bool, step: int) -> float:
-    """Robbins-Monro update of a proposal scale toward TARGET_ACCEPT.
-
-    ``step`` counts adaptation updates already made; the gain decays as
-    step^-ADAPT_DECAY so the chain is asymptotically valid when adaptation
-    is confined to burn-in.
-    """
-    gain = (step + 1.0) ** -ADAPT_DECAY
-    return scale * np.exp(gain * ((1.0 if accepted else 0.0) - TARGET_ACCEPT))
 
 
 def normalized_weights_and_ess(log_weights: np.ndarray) -> tuple[np.ndarray, float]:

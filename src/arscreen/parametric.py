@@ -290,6 +290,8 @@ def posterior_mixing_mode(draws: WeightedDraws, grid_size: int = 512) -> float:
     A weighted Gaussian kernel density estimate is built on the logit scale
     (weighted Silverman bandwidth with the effective sample size in place
     of n) and transformed back with its Jacobian before locating the mode.
+    The density is accumulated over blocks of draws, so memory stays flat
+    in the number of draws.
     Raises NumericalError when the weights are degenerate (ESS < 10).
     """
     wbar, ess = normalized_weights_and_ess(draws.log_weights)
@@ -305,8 +307,10 @@ def posterior_mixing_mode(draws: WeightedDraws, grid_size: int = 512) -> float:
         return float(expit(mu))
     h = 0.9 * spread * ess ** (-0.2)
     xs = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, grid_size)
-    kern = np.exp(-0.5 * ((xs[:, None] - x[None, :]) / h) ** 2)
-    dens_x = kern @ wbar / (h * np.sqrt(2.0 * np.pi))
+    dens_x = np.zeros(grid_size)
+    for rows in _blocks(grid_size, x.size):
+        dens_x += np.exp(-0.5 * ((xs[:, None] - x[None, rows]) / h) ** 2) @ wbar[rows]
+    dens_x /= h * np.sqrt(2.0 * np.pi)
     ps = expit(xs)
     dens_p = dens_x / (ps * (1.0 - ps))
     return float(ps[int(np.argmax(dens_p))])

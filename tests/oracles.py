@@ -146,6 +146,34 @@ def conjugate_level_posterior(prior_var: float, q_y1_sum: float, s11_sum: float)
     return var * q_y1_sum, var
 
 
+# --- the residual mixture's atom update, one atom at a time ---
+
+
+def dp_atom_log_target(members, prior, x) -> float:
+    """Log conditional of one residual-mixture atom at x = (atanh phi, log v),
+    Jacobian included: the base prior plus the dense AR(1) log-likelihood
+    summed over ``members``, the series assigned to the atom; -inf where
+    the prior is not finite.
+
+    ``prior`` supplies phi_mean, phi_var, var_shape and var_scale; its
+    density is scipy's truncated normal times inverse gamma.
+    """
+    from scipy.stats import invgamma, truncnorm
+
+    with np.errstate(over="ignore"):
+        phi, v = np.tanh(x[0]), np.exp(x[1])
+    if not (-1.0 < phi < 1.0) or not (0.0 < v < np.inf):
+        return -np.inf
+    sd = np.sqrt(prior.phi_var)
+    phi_prior = truncnorm((-1.0 - prior.phi_mean) / sd, (1.0 - prior.phi_mean) / sd,
+                          loc=prior.phi_mean, scale=sd)
+    total = (phi_prior.logpdf(phi) + invgamma(prior.var_shape, scale=prior.var_scale).logpdf(v)
+             + np.log1p(-phi * phi) + np.log(v))
+    if not np.isfinite(total):
+        return -np.inf
+    return float(total + sum(dense_ar1_loglik(s.values, phi, v, s.times) for s in members))
+
+
 # --- the parametric screen, one draw and one unit at a time ---
 
 PENALTY = -1.0e300
@@ -217,3 +245,34 @@ def parametric_inclusion(panel, draws, weights, shift_var: float):
             s2_w[i] += w * w * pi
     var = s2_ww - 2.0 * s1 * s2_w + s1 * s1 * float(np.dot(weights, weights))
     return s1, np.sqrt(np.maximum(var, 0.0))
+
+
+def dense_mixing_mode(p, log_weights, grid_size: int = 512) -> float:
+    """Mode of the prevalence p from draws with unnormalized ``log_weights``:
+    a weighted Gaussian kernel density on the logit scale (weighted Silverman
+    bandwidth with the effective sample size for n), evaluated on one dense
+    (grid x draws) matrix and mapped back to p with its Jacobian."""
+    from scipy.special import expit, logit
+
+    w = np.exp(np.asarray(log_weights, dtype=float) - np.max(log_weights))
+    ess = w.sum() ** 2 / (w @ w)
+    w = w / w.sum()
+    x = logit(np.clip(p, 1e-300, 1.0 - 1e-16))
+
+    def quantile(q):
+        order = np.argsort(x)
+        cw = np.cumsum(w[order])
+        return np.interp(q, cw / cw[-1], x[order])
+
+    mu = w @ x
+    sd = np.sqrt(max(w @ (x - mu) ** 2, 0.0))
+    iqr = quantile(0.75) - quantile(0.25)
+    spread = min(sd, iqr / 1.34) if iqr > 0 else sd
+    if spread <= 0.0 or not np.isfinite(spread):
+        return float(expit(mu))
+    h = 0.9 * spread * ess ** (-0.2)
+    grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, grid_size)
+    kern = np.exp(-0.5 * ((grid[:, None] - x[None, :]) / h) ** 2)
+    dens = kern @ w / (h * np.sqrt(2.0 * np.pi))
+    ps = expit(grid)
+    return float(ps[np.argmax(dens / (ps * (1.0 - ps)))])

@@ -27,7 +27,7 @@ from arscreen.dp_residual import (
     gibbs_sweep_residual,
     init_residual_state,
 )
-from arscreen.mcmc import rw_metropolis_step, stream
+from arscreen.mcmc import stream
 from arscreen.panel_io import write_panel
 from arscreen.parametric import (
     ParametricPrior,
@@ -274,18 +274,15 @@ def test_criterion_6_sampler_correctness():
     state_q = init_residual_state(4, 1.0, base, truncation=3, rng=rng_q)
     state_q.assignments[:] = 0
     state_q.stick.phi[0] = 0.0
+    state_q.prop_scale[0] = [0.0, 0.45]
     from arscreen.ar_core import lag_stats
-    from arscreen.dp_residual import _atom_logpost_factory
+    from arscreen.dp_residual import _step_atoms
     draws_v = []
-    x = np.array([0.0, np.log(state_q.stick.v[0])])
-    scale = np.array([0.0, 0.45])
-    member_stats = lag_stats(step_table(panel_q)).pool(np.zeros(4, dtype=np.int64), 1)[0]
-    logpost = _atom_logpost_factory(state_q, member_stats, likelihood_off=False)
-    logp = logpost(x)
+    pooled = lag_stats(step_table(panel_q)).pool(state_q.assignments, 3)
     for step in range(30000):
-        x, logp, _ = rw_metropolis_step(x, logpost, scale, rng_q, log_target_x=logp)
+        _step_atoms(state_q, pooled, np.array([0]), rng_q, adapt=False)
         if step >= 2000 and step % 5 == 0:
-            draws_v.append(np.exp(x[1]))
+            draws_v.append(state_q.stick.v[0])
     a_post = 2.0 + 0.5 * z.size
     b_post = 1.0 + 0.5 * float(np.sum(z * z))
     qs = np.linspace(0.05, 0.95, 19)

@@ -4,6 +4,8 @@ import importlib
 import os
 
 import arscreen.cli
+import arscreen.dp_residual
+import arscreen.mcmc
 import arscreen.parametric
 import arscreen.trajectory
 
@@ -20,6 +22,7 @@ def test_every_probe_stays_bound(monkeypatch):
     finally:
         tracer.uninstall()
     assert arscreen.cli.run_chain is arscreen.trajectory.run_chain
+    assert arscreen.dp_residual.rw_metropolis_step is arscreen.mcmc.rw_metropolis_step
     assert arscreen.cli.save_chain is arscreen.trajectory.save_chain
     for name in ("build_importance_sampler", "inclusion_probabilities_parametric",
                  "posterior_mixing_mode"):

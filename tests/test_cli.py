@@ -475,6 +475,22 @@ class TestCliCommands:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("fit-parametric", "--threshold", "-1"),
+        ("fit-parametric", "--threshold", "0"),
+        ("fit-np", "--threshold", "1.5"),
+        ("fit-np", "--threshold", "nan"),
+        ("fit-np", "--chains", "0"),
+    ])
+    def test_bad_threshold_or_chains_rejected_before_fitting(self, tmp_path, capsys,
+                                                             command, flag, value):
+        panel_path = _write_small_panel(tmp_path, n=10)
+        outdir = tmp_path / "out"
+        rc = main([command, "--input", panel_path, "--output-dir", str(outdir), flag, value])
+        assert rc == 3
+        assert f"got {value}" in capsys.readouterr().err
+        assert not outdir.exists()     # so no chain or table was written
+
     def test_console_entry_point(self, tmp_path):
         panel_path = _write_small_panel(tmp_path)
         proc = subprocess.run(

@@ -6,21 +6,24 @@ import numpy as np
 import pytest
 from scipy.stats import beta, chisquare, invgamma, kstest, truncnorm
 
-from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel, lag_stats, step_table
+from arscreen.ar_core import ArParams, LagStats, ObservedSeries, SeriesPanel, lag_stats, step_table
 from arscreen.dp_residual import (
     elicit_concentration,
     expected_clusters,
     gibbs_sweep_residual,
     init_residual_state,
     run_residual_chain,
-    _atom_logpost_factory,
+    _atom_log_target,
+    _step_atoms,
 )
 from arscreen.errors import DomainError, NumericalError
-from arscreen.mcmc import rw_metropolis_step, stream
+from arscreen.mcmc import stream
 from arscreen.parametric import ParametricPrior
 from arscreen.simulation import MixtureScenario, generate_mixture_panel
 
+import oracles
 from oracles import conjugate_variance_posterior, crp_expected_tables
+from test_parametric import gapped_readme_panel
 
 
 class TestClusterCounts:
@@ -105,26 +108,25 @@ class TestPriorInvariance:
 
 class TestConjugateOracle:
     def test_variance_update_matches_inverse_gamma_posterior(self):
-        # Pin phi at 0 by zeroing its proposal scale; the atom's conditional
-        # for v is then exactly inverse-gamma and the Metropolis chain on
-        # log v must reproduce it.
+        # One occupied atom with phi pinned at 0 by a zero proposal scale: its
+        # conditional for v is then exactly inverse-gamma, and the sampler's
+        # own atom step, run on log v, must reproduce it.
         base = ParametricPrior(var_shape=2.0, var_scale=1.0)
         rng_data = np.random.default_rng(5)
         z = rng_data.normal(0.0, 0.7, size=(5, 20))
         scenario_panel = tiny_panel(n=5, T=20, seed=3)
         table = step_table(scenario_panel)
         state = init_residual_state(5, 1.0, base, truncation=3, rng=stream(1, "conj-init"))
-        member_stats = lag_stats(table, z.ravel()).pool(np.zeros(5, dtype=np.int64), 1)[0]
-        logpost = _atom_logpost_factory(state, member_stats, likelihood_off=False)
-        scale = np.array([0.0, 0.45])
-        x = np.array([0.0, 0.0])
+        state.assignments[:] = 0
+        state.stick.phi[0], state.stick.v[0] = 0.0, 1.0
+        state.prop_scale[0] = [0.0, 0.45]
+        pooled = lag_stats(table, z.ravel()).pool(state.assignments, 3)
         rng = stream(1, "conj-chain")
         n_steps, burn, thin = 60_000, 2000, 10
         vs = np.empty(n_steps)
-        lp = None
         for t in range(n_steps):
-            x, lp, _ = rw_metropolis_step(x, logpost, scale, rng, log_target_x=lp)
-            vs[t] = np.exp(x[1])
+            _step_atoms(state, pooled, np.array([0]), rng, adapt=False)
+            vs[t] = state.stick.v[0]
         a_post, b_post = conjugate_variance_posterior(2.0, 1.0, z)
         ks = kstest(vs[burn::thin], invgamma(a_post, scale=b_post).cdf)
         assert ks.pvalue > 0.01
@@ -132,6 +134,51 @@ class TestConjugateOracle:
         got = np.quantile(vs[burn::thin], [0.25, 0.5, 0.75])
         want = invgamma(a_post, scale=b_post).ppf([0.25, 0.5, 0.75])
         assert np.allclose(got, want, rtol=0.05)
+
+
+class TestAtomTarget:
+    """``_atom_log_target`` scores every atom in one call; the reference
+    scores one atom at a time from its members' dense covariances."""
+
+    def test_matches_per_atom_reference_on_gapped_panel(self):
+        panel = gapped_readme_panel(seed=2)
+        base = ParametricPrior()
+        xs = np.array([
+            [np.arctanh(0.999), np.log(0.5)],
+            [np.arctanh(-0.999), np.log(2.0)],
+            [np.arctanh(0.999), np.log(0.05)],
+            [np.arctanh(0.5), 0.0],
+            [0.3, -1.0],             # no members
+            [25.0, 0.0],             # tanh rounds to 1
+            [-25.0, 0.0],            # tanh rounds to -1
+            [0.5, 800.0],            # exp overflows
+            [0.5, -800.0],           # exp underflows to 0
+            [np.nan, 0.0],
+        ])
+        labels = np.arange(len(panel)) % len(xs)
+        labels[labels == 4] = 0
+        pooled = lag_stats(step_table(panel)).pool(labels, len(xs))
+        members = [[s for s, l in zip(panel, labels) if l == k] for k in range(len(xs))]
+        want = np.array([oracles.dp_atom_log_target(members[k], base, x) for k, x in enumerate(xs)])
+        saturated = np.isneginf(want)
+        assert np.array_equal(saturated, np.arange(len(xs)) >= 5)
+        got = _atom_log_target(base, pooled, xs)
+        assert np.array_equal(np.isneginf(got), saturated)
+        assert np.allclose(got[~saturated], want[~saturated], rtol=1e-9, atol=0.0)
+        prior_only = np.array([oracles.dp_atom_log_target([], base, x) for x in xs])
+        got = _atom_log_target(base, None, xs)
+        assert np.array_equal(np.isneginf(got), saturated)
+        assert np.allclose(got[~saturated], prior_only[~saturated], rtol=1e-12, atol=0.0)
+
+    def test_nan_proposal_target_names_the_atom(self):
+        state = init_residual_state(4, 1.0, ParametricPrior(), truncation=3,
+                                    rng=stream(6, "nan-init"))
+        pooled = lag_stats(step_table(tiny_panel(n=4))).pool(np.array([0, 1, 2, 2]), 3)
+        terms = pooled.terms.copy()
+        terms[2, -1] = np.nan
+        with pytest.raises(NumericalError, match="atom 2"):
+            _step_atoms(state, LagStats(pooled.sizes, terms, pooled.linear), np.arange(3),
+                        stream(6, "nan-step"), adapt=False)
 
 
 class TestSweeps:

@@ -245,6 +245,18 @@ class TestMixingMode:
             posterior_mixing_mode(draws)
 
 
+    def test_blocked_density_matches_dense_reference(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        p = expit(np.concatenate([rng.normal(logit(0.2), 0.4, size=1500),
+                                  rng.normal(logit(0.6), 0.3, size=501)]))
+        lw = rng.normal(scale=0.8, size=p.size)
+        draws = WeightedDraws(np.column_stack([np.full(p.size, 0.5), np.ones(p.size), p]), lw, 0.0, 0)
+        want = oracles.dense_mixing_mode(p, lw)
+        assert posterior_mixing_mode(draws) == pytest.approx(want, rel=1e-12)
+        monkeypatch.setattr(parametric, "_BLOCK_ENTRIES", 512 * 7)   # ragged blocks of 7
+        assert posterior_mixing_mode(draws) == pytest.approx(want, rel=1e-12)
+
+
 class TestLogTarget:
     """``_log_target`` scores rows in blocks; the reference scores them one
     draw and one unit at a time from dense covariances."""
