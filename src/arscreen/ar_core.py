@@ -33,10 +33,10 @@ parametric and nonparametric screens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from .errors import DomainError, InvalidInputError
 
@@ -235,6 +235,21 @@ def conditional_bayes_factor(series: ObservedSeries, params: ArParams, shift_var
     return float(np.exp(log_conditional_bayes_factor(series, params, shift_var)))
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, tied values sharing the mean of their ranks.
+
+    A stable sort puts each run of equal values together; a run starting
+    at sorted position i (0-based) with c members gets rank i + 1 + (c - 1) / 2.
+    """
+    order = np.argsort(x, kind="stable")
+    y = x[order]
+    start = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    counts = np.diff(np.append(start, y.size))
+    ranks = np.empty(y.size)
+    ranks[order] = np.repeat(start + 1.0 + (counts - 1) / 2, counts)
+    return ranks
+
+
 def cdf_standardize(panel: SeriesPanel) -> SeriesPanel:
     """Pooled rank-based transform of all panel values to standard normal scores.
 
@@ -247,7 +262,7 @@ def cdf_standardize(panel: SeriesPanel) -> SeriesPanel:
     if len(panel) == 0:
         return panel
     pooled = np.concatenate([s.values for s in panel])
-    ranks = rankdata(pooled, method="average")
+    ranks = _average_ranks(pooled)
     scores = ndtri((ranks - 0.5) / pooled.size)
     out = []
     pos = 0
@@ -324,6 +339,12 @@ class StepTable:
     @property
     def n_units(self) -> int:
         return int(self.first.size)
+
+    @cached_property
+    def stats(self) -> "LagStats":
+        """Lag statistics of the observed values, built on first use: the
+        values never change, so every sweep of a chain reads the same ones."""
+        return lag_stats(self)
 
 
 def step_table(panel: SeriesPanel, grid: np.ndarray | None = None) -> StepTable:

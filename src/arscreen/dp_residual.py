@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_core import ArParams, LagStats, SeriesPanel, StepTable, lag_stats, step_table
+from .ar_core import ArParams, LagStats, SeriesPanel, StepTable, step_table
 # Bound only for the probes in bench/layers.py; not called here (counts read 0).
 from .ar_core import group_whiten, panel_groups  # noqa: F401
 from .errors import DomainError, NumericalError
@@ -106,6 +106,9 @@ class DpResidualState:
     base: ParametricPrior
     prop_scale: np.ndarray       # shape (L, 2), RW proposal scales per atom
     adapt_steps: np.ndarray      # shape (L,), adaptation step counters
+    # Row l pools the lag statistics of the units on atom l, as the last
+    # sweep scored them; None before any sweep or with the likelihood off.
+    pooled: LagStats | None = None
 
     @property
     def truncation(self) -> int:
@@ -194,7 +197,8 @@ def _sweep_residual(state: DpResidualState, table: StepTable, stats: LagStats | 
     ``stats`` are the lag statistics of the values the mixture models (the
     joint trajectory sampler passes those of the current residuals); None
     holds the likelihood constant. ``table`` only names units in errors.
-    Mutates ``state`` in place.
+    Mutates ``state`` in place and leaves the statistics pooled by the new
+    assignments in ``state.pooled``.
     """
     L = state.truncation
     n_units = state.assignments.size
@@ -210,7 +214,8 @@ def _sweep_residual(state: DpResidualState, table: StepTable, stats: LagStats | 
             unit, atom = np.argwhere(~np.isfinite(ll))[0]
             raise NumericalError(f"non-finite residual log-likelihood for unit "
                                  f"{table.unit_ids[unit]!r} under atom {int(atom)}")
-    state.assignments = gumbel_argmax(ll + log_w[None, :], rng).astype(np.int64)
+    ll += log_w
+    state.assignments = gumbel_argmax(ll, rng).astype(np.int64)
 
     counts = state.counts()
     sticks, weights = sample_sticks(counts, state.concentration, rng)
@@ -219,8 +224,8 @@ def _sweep_residual(state: DpResidualState, table: StepTable, stats: LagStats | 
 
     empty = counts == 0
     state.stick.phi[empty], state.stick.v[empty] = state.base.sample_phi_v(rng, int(empty.sum()))
-    pooled = None if stats is None else stats.pool(state.assignments, L)
-    _step_atoms(state, pooled, np.flatnonzero(~empty), rng, adapt)
+    state.pooled = None if stats is None else stats.pool(state.assignments, L)
+    _step_atoms(state, state.pooled, np.flatnonzero(~empty), rng, adapt)
 
 
 def gibbs_sweep_residual(state: DpResidualState, panel, rng: np.random.Generator,
@@ -234,8 +239,7 @@ def gibbs_sweep_residual(state: DpResidualState, panel, rng: np.random.Generator
     returned.
     """
     table = panel if isinstance(panel, StepTable) else step_table(panel)
-    stats = None if likelihood_off else lag_stats(table)
-    _sweep_residual(state, table, stats, rng, adapt)
+    _sweep_residual(state, table, None if likelihood_off else table.stats, rng, adapt)
     return state
 
 
@@ -248,15 +252,14 @@ def run_residual_chain(panel: SeriesPanel, concentration: float, base: Parametri
     stick weights, atoms, and assignment histogram.
     """
     table = step_table(panel)
-    stats = lag_stats(table)
     state = init_residual_state(len(panel), concentration, base, truncation,
                                 rng=stream(seed, "residual-chain", "init"))
     rng = stream(seed, "residual-chain", "sweeps")
     for _ in range(n_burn):
-        _sweep_residual(state, table, stats, rng, adapt=True)
+        _sweep_residual(state, table, table.stats, rng, adapt=True)
     records = []
     for _ in range(n_keep):
-        _sweep_residual(state, table, stats, rng, adapt=False)
+        _sweep_residual(state, table, table.stats, rng, adapt=False)
         records.append({
             "weights": state.stick.weights.copy(),
             "phi": state.stick.phi.copy(),

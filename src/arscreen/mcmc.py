@@ -75,7 +75,8 @@ def gumbel_argmax(log_scores: np.ndarray, rng: np.random.Generator) -> np.ndarra
     Rows are unnormalized log probabilities; -inf entries are never chosen.
     """
     g = rng.gumbel(size=log_scores.shape)
-    return np.argmax(log_scores + g, axis=-1)
+    g += log_scores
+    return np.argmax(g, axis=-1)
 
 
 def rw_metropolis_step(x: np.ndarray, log_target, scale: np.ndarray, rng: np.random.Generator,

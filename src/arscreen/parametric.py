@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.optimize import minimize
 from scipy.special import expit, gammaln, logit, ndtr
-from scipy.stats import multivariate_t
 
-from .ar_core import (LOG_2PI, LagStats, SeriesPanel, lag_stats, log_shift_bayes_factor,
-                      step_table)
+from .ar_core import LOG_2PI, LagStats, SeriesPanel, log_shift_bayes_factor, step_table
 # Bound only for the probes in bench/layers.py; not called here (counts read 0).
 from .ar_core import group_gaussian_parts, panel_groups  # noqa: F401
 from .errors import DomainError, InvalidInputError, ModeSearchError, NumericalError
@@ -66,17 +66,24 @@ class ParametricPrior:
         v = self.var_scale / rng.gamma(self.var_shape, size=size)
         return phi, v
 
-    def log_density_phi_v(self, phi, v):
-        """Log prior density of (phi, v), elementwise over scalars or arrays;
-        -inf outside the domain, a Python-float v = 0.0 included."""
+    @cached_property
+    def _log_density_constants(self) -> tuple[float, float, float]:
+        """The parts of ``log_density_phi_v`` that depend on the prior alone:
+        the normal's log normalizer, the log mass of (-1, 1) under it, and
+        the inverse gamma's log normalizer."""
         sd = np.sqrt(self.phi_var)
         trunc = ndtr((1.0 - self.phi_mean) / sd) - ndtr((-1.0 - self.phi_mean) / sd)
         a, b = self.var_shape, self.var_scale
+        return -0.5 * np.log(2.0 * np.pi * self.phi_var), np.log(trunc), a * np.log(b) - gammaln(a)
+
+    def log_density_phi_v(self, phi, v):
+        """Log prior density of (phi, v), elementwise over scalars or arrays;
+        -inf outside the domain, a Python-float v = 0.0 included."""
+        log_norm_phi, log_trunc, log_norm_v = self._log_density_constants
+        a, b = self.var_shape, self.var_scale
         with np.errstate(divide="ignore", invalid="ignore"):
-            lp_phi = (-0.5 * np.log(2.0 * np.pi * self.phi_var)
-                      - 0.5 * (phi - self.phi_mean) ** 2 / self.phi_var
-                      - np.log(trunc))
-            lp_v = a * np.log(b) - gammaln(a) - (a + 1.0) * np.log(v) - b / np.asarray(v)
+            lp_phi = log_norm_phi - 0.5 * (phi - self.phi_mean) ** 2 / self.phi_var - log_trunc
+            lp_v = log_norm_v - (a + 1.0) * np.log(v) - b / np.asarray(v)
         return np.where((-1.0 < phi) & (phi < 1.0) & (v > 0.0), lp_phi + lp_v, -np.inf)
 
 
@@ -176,6 +183,28 @@ def _proposal_shape(H: np.ndarray) -> np.ndarray:
     return (V / w) @ V.T
 
 
+def _t_proposal(loc: np.ndarray, shape: np.ndarray, df: float, n: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` draws from the multivariate Student-t with location ``loc``,
+    positive definite ``shape`` and ``df`` degrees of freedom, and the log
+    density at each.
+
+    A draw is loc + z / sqrt(w) with w ~ chi2(df) / df and z ~ N(0, shape)
+    (Hofert 2013, *The R Journal*), the two taken from ``rng`` in that
+    order. The density whitens x - loc with the eigenvectors of ``shape``.
+    """
+    dim = loc.size
+    s, u = eigh(shape, lower=True)
+    w = rng.chisquare(df, size=n) / df
+    z = rng.multivariate_normal(np.zeros(dim), shape, size=n)
+    xs = loc + z / np.sqrt(w)[:, None]
+    maha = np.square(np.dot(xs - loc, u * np.sqrt(1.0 / s))).sum(axis=-1)
+    t = 0.5 * (df + dim)
+    log_q = (gammaln(t) - gammaln(0.5 * df) - dim / 2.0 * np.log(df * np.pi)
+             - 0.5 * np.sum(np.log(s)) - t * np.log(1 + (1.0 / df) * maha))
+    return xs, log_q
+
+
 def _require_fittable(panel: SeriesPanel) -> None:
     if len(panel) == 0:
         raise InvalidInputError("cannot fit an empty panel")
@@ -200,7 +229,7 @@ def build_importance_sampler(panel: SeriesPanel, prior: ParametricPrior,
     if n_draws < 2:
         raise DomainError(f"need at least 2 importance draws, got {n_draws}")
     _require_fittable(panel)
-    stats = lag_stats(step_table(panel))
+    stats = step_table(panel).stats
 
     def objective(x):
         return -_log_target(stats, prior, x)[0]
@@ -225,10 +254,7 @@ def build_importance_sampler(panel: SeriesPanel, prior: ParametricPrior,
     H = _fd_hessian(objective, mode)
     shape = _proposal_shape(H)
 
-    rng = stream(seed, "parametric-proposal")
-    proposal = multivariate_t(loc=mode, shape=shape, df=PROPOSAL_DF)
-    xs = np.atleast_2d(proposal.rvs(size=n_draws, random_state=rng))
-    log_q = proposal.logpdf(xs)
+    xs, log_q = _t_proposal(mode, shape, PROPOSAL_DF, n_draws, stream(seed, "parametric-proposal"))
     log_w = _log_target(stats, prior, xs) - log_q
 
     _, ess = normalized_weights_and_ess(log_w)
@@ -255,7 +281,7 @@ def inclusion_probabilities_parametric(draws: WeightedDraws, panel: SeriesPanel,
     error.
     """
     _require_fittable(panel)
-    stats = lag_stats(step_table(panel))
+    stats = step_table(panel).stats
     wbar = draws.normalized_weights
     phi, v, p = draws.draws.T
     prob, s2_ww, s2_w = np.zeros((3, len(panel)))

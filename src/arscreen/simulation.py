@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .ar_core import ArParams, ObservedSeries, SeriesPanel, stationary_variance
 from .errors import DomainError, InvalidInputError
@@ -30,11 +29,12 @@ def simulate_ar1(params: ArParams, length: int, rng: np.random.Generator) -> np.
         raise DomainError(f"path length must be positive, got {length}")
     z = rng.standard_normal(length)
     y0 = np.sqrt(stationary_variance(params)) * z[0]
-    if length == 1:
-        return np.array([y0])
-    innov = np.sqrt(params.v) * z[1:]
-    rest = lfilter([1.0], [1.0, -params.phi], innov, zi=np.array([params.phi * y0]))[0]
-    return np.concatenate(([y0], rest))
+    # The recursion runs over Python floats, which on short paths is faster
+    # than any numpy filter call.
+    phi, path = params.phi, [float(y0)]
+    for e in (np.sqrt(params.v) * z[1:]).tolist():
+        path.append(e + phi * path[-1])
+    return np.array(path)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .ar_core import (
 from .ar_core import ar1_precision, group_whiten, panel_groups  # noqa: F401
 from .dp_residual import DpResidualState, init_residual_state, _sweep_residual
 from .errors import DomainError, InvalidInputError, NumericalError
-from .mcmc import sample_sticks, stick_weights, stream
+from .mcmc import gumbel_argmax, sample_sticks, stick_weights, stream
 from .parametric import ParametricPrior
 
 NULL, FLAT, GP = 0, 1, 2
@@ -333,7 +333,7 @@ class _UnitNoise:
 def _unit_noise(state: FdpState, table: StepTable) -> _UnitNoise:
     """``_UnitNoise`` of every unit in ``table`` (grid positions required)."""
     stick, atom = state.residual.stick, state.residual.assignments
-    stats = lag_stats(table)
+    stats = table.stats
     rows = np.arange(atom.size)
     q_yy, q_y1, s11, logdet = (x[rows, atom] for x in stats.gaussian_parts(stick.phi, stick.v))
     null = -0.5 * (stats.length * LOG_2PI + logdet + q_yy)
@@ -441,7 +441,7 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     if np.any(bad):
         raise NumericalError("assignment stage (a): no finite component score for unit "
                              f"{table.unit_ids[int(np.argmax(bad))]!r}")
-    pick = np.argmax(scores + rng.gumbel(size=scores.shape), axis=1)
+    pick = gumbel_argmax(scores, rng)
     state.unit_component = np.where(pick == 0, NULL,
                                     np.where(pick <= Lf, FLAT, GP)).astype(np.int8)
     state.unit_atom = np.where(pick == 0, -1,
@@ -495,10 +495,17 @@ def _detrended_values(state: FdpState, table: StepTable) -> np.ndarray:
 
 
 def complete_data_loglik(state: FdpState, table: StepTable) -> float:
-    """Sum over units of the component log-likelihood at the current state."""
-    stick = state.residual.stick
-    pooled = lag_stats(table, _detrended_values(state, table)).pool(
-        state.residual.assignments, stick.truncation)
+    """Sum over units of the component log-likelihood at the current state.
+
+    Stage (f) is the last stage of a sweep, so the de-trended statistics it
+    pooled by residual atom are those of the state a sweep leaves; they are
+    read from the state. A state that no sweep has scored has them built
+    from ``table``.
+    """
+    stick, pooled = state.residual.stick, state.residual.pooled
+    if pooled is None:
+        pooled = lag_stats(table, _detrended_values(state, table)).pool(
+            state.residual.assignments, stick.truncation)
     # Row l pools the units on residual atom l and is scored under atom l.
     return float(np.trace(pooled.loglik(stick.phi, stick.v)))
 

@@ -276,3 +276,51 @@ def dense_mixing_mode(p, log_weights, grid_size: int = 512) -> float:
     dens = kern @ w / (h * np.sqrt(2.0 * np.pi))
     ps = expit(grid)
     return float(ps[np.argmax(dens / (ps * (1.0 - ps)))])
+
+
+# --- the scipy forms that the package's numpy code replaced ---
+
+
+def average_ranks(x) -> np.ndarray:
+    """Average ranks of ``x`` by ``scipy.stats.rankdata``."""
+    from scipy.stats import rankdata
+
+    return rankdata(x, method="average")
+
+
+def simulate_ar1_lfilter(phi: float, v: float, length: int, rng: np.random.Generator) -> np.ndarray:
+    """Stationary AR(1) path drawn as the package draws it, with the
+    recursion run by ``scipy.signal.lfilter`` from the state phi * y_0."""
+    from scipy.signal import lfilter
+
+    z = rng.standard_normal(length)
+    y0 = np.sqrt(v / (1.0 - phi * phi)) * z[0]
+    if length == 1:
+        return np.array([y0])
+    rest = lfilter([1.0], [1.0, -phi], np.sqrt(v) * z[1:], zi=np.array([phi * y0]))[0]
+    return np.concatenate(([y0], rest))
+
+
+def t_proposal(loc, shape, df: float, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` draws of ``scipy.stats.multivariate_t`` from ``rng`` and its log density at them."""
+    from scipy.stats import multivariate_t
+
+    dist = multivariate_t(loc=loc, shape=shape, df=df)
+    xs = np.atleast_2d(dist.rvs(size=n, random_state=rng))
+    return xs, dist.logpdf(xs)
+
+
+def prior_log_density_phi_v(prior, phi, v):
+    """The prior log density with every constant recomputed per call, term
+    for term in the order the package sums them."""
+    from scipy.special import gammaln, ndtr
+
+    sd = np.sqrt(prior.phi_var)
+    trunc = ndtr((1.0 - prior.phi_mean) / sd) - ndtr((-1.0 - prior.phi_mean) / sd)
+    a, b = prior.var_shape, prior.var_scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp_phi = (-0.5 * np.log(2.0 * np.pi * prior.phi_var)
+                  - 0.5 * (phi - prior.phi_mean) ** 2 / prior.phi_var
+                  - np.log(trunc))
+        lp_v = a * np.log(b) - gammaln(a) - (a + 1.0) * np.log(v) - b / np.asarray(v)
+    return np.where((-1.0 < phi) & (phi < 1.0) & (v > 0.0), lp_phi + lp_v, -np.inf)

@@ -8,6 +8,7 @@ from scipy.stats import kstest
 
 from arscreen.ar_core import (
     ArParams,
+    _average_ranks,
     ObservedSeries,
     SeriesPanel,
     ar1_loglik,
@@ -26,7 +27,7 @@ from arscreen.ar_core import (
 )
 from arscreen.errors import DomainError, InvalidInputError
 
-from oracles import dense_ar1_cov, dense_ar1_loglik, dense_shift_loglik
+from oracles import average_ranks, dense_ar1_cov, dense_ar1_loglik, dense_shift_loglik
 
 RNG = np.random.default_rng(20260815)
 
@@ -286,6 +287,15 @@ class TestLagStats:
             assert pooled[k].loglik(phi, v) == pytest.approx(want, rel=1e-12, abs=1e-12)
         assert np.array_equal(pooled.length, np.bincount(labels, [len(s) for s in panel], 4))
 
+    def test_step_table_caches_the_raw_value_statistics(self):
+        table = step_table(gapped_panel(np.random.default_rng(9400)))
+        stats = table.stats
+        assert table.stats is stats
+        want = lag_stats(table)
+        assert stats.sizes == want.sizes
+        assert stats.terms.tobytes() == want.terms.tobytes()
+        assert stats.linear.tobytes() == want.linear.tobytes()
+
 
 class TestPrecision:
     @pytest.mark.parametrize("trial", range(30))
@@ -334,6 +344,21 @@ class TestStandardize:
         panel = SeriesPanel((ObservedSeries("a", np.arange(3), np.array([-1e300, 0.0, 1e300])),))
         out = cdf_standardize(panel)
         assert np.all(np.isfinite(out[0].values))
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("x", [
+        np.round(np.random.default_rng(5).normal(size=300), 1),          # many ties
+        np.array([0.0, -0.0, 1.0, 0.0, -2.5, 1.0]),                       # signed zeros tie
+        np.full(7, 2.5),                                                  # all equal
+        np.array([3.0]),                                                  # n = 1
+        np.random.default_rng(6).normal(size=10_000),                     # n = 10,000
+        np.random.default_rng(7).integers(0, 40, size=10_000).astype(float),
+    ], ids=["ties", "signed-zeros", "all-equal", "n1", "n10000", "n10000-ties"])
+    def test_equal_to_scipy_rankdata(self, x):
+        got = _average_ranks(x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == average_ranks(x).tobytes()
 
 
 class TestPanelTypes:

@@ -1,0 +1,58 @@
+"""What ``import arscreen.cli`` loads, and that the commands load nothing more.
+
+Every CLI call pays the import before it starts, so the package keeps
+scipy's heavy subpackages out of its import graph. A module imported
+inside a command would only move that cost into the command's time, so
+the six commands of the README pipeline must run without importing one.
+"""
+
+import os
+import subprocess
+import sys
+
+import arscreen
+
+SCRIPT = r"""
+import json, os, sys
+import arscreen.cli as cli
+
+heavy = [m for m in ("scipy.stats", "scipy.signal") if m in sys.modules]
+before = set(sys.modules)
+w = sys.argv[1]
+with open(os.path.join(w, "scenario.cfg"), "w") as fh:
+    fh.write("kind = mixture\nn_units = 12\nlength = 10\n"
+             "components = 0.3:0.4:0.5; 0.9:0.1:0.5\nshift_prob = 0.5\n")
+with open(os.path.join(w, "run.cfg"), "w") as fh:
+    fh.write("n_draws = 50\n")
+p = lambda *parts: os.path.join(w, *parts)
+panel, cfg, chain = p("std", "standardized.csv"), p("run.cfg"), p("fit", "chain_0.npz")
+commands = [
+    ["simulate", "--scenario", p("scenario.cfg"), "--output-dir", p("sim"), "--seed", "1"],
+    ["standardize", "--input", p("sim", "panel.csv"), "--output-dir", p("std")],
+    ["fit-parametric", "--input", panel, "--config", cfg, "--output-dir", p("par"), "--seed", "7"],
+    ["fit-np", "--input", panel, "--config", cfg, "--burn", "1", "--keep", "2", "--chains", "2",
+     "--output-dir", p("fit"), "--seed", "11"],
+    ["report", "--chain", chain, "--output-dir", p("rep")],
+    ["cluster-mle", "--input", panel, "--config", cfg, "--chain", chain, "--top", "2",
+     "--burn", "1", "--keep", "2", "--output-dir", p("clus"), "--seed", "13"],
+]
+codes = {c[0]: cli.main(c) for c in commands}
+print(json.dumps({"heavy": heavy, "codes": codes, "new": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_cli_imports_no_heavy_scipy_and_commands_import_nothing(tmp_path):
+    import json
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arscreen.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["heavy"] == []
+    assert all(rc == 0 for rc in got["codes"].values()), got["codes"]
+    assert list(got["codes"]) == ["simulate", "standardize", "fit-parametric", "fit-np",
+                                  "report", "cluster-mle"]
+    assert got["new"] == []

@@ -84,6 +84,18 @@ class TestPrior:
         # InvGamma(2,1) has mean 1 but infinite variance; compare medians
         assert np.median(v) == pytest.approx(invgamma(2.0, scale=1.0).median(), rel=0.02)
 
+    @pytest.mark.parametrize("prior", [
+        ParametricPrior(),
+        ParametricPrior(phi_mean=-0.3, phi_var=0.4, var_shape=3.5, var_scale=0.2),
+    ])
+    def test_hoisted_constants_give_identical_bytes(self, prior):
+        phi, v = np.meshgrid(np.linspace(-1.1, 1.1, 23), np.linspace(-0.5, 4.0, 19))
+        got = prior.log_density_phi_v(phi.ravel(), v.ravel())
+        assert got.tobytes() == oracles.prior_log_density_phi_v(prior, phi.ravel(), v.ravel()).tobytes()
+        for a, b in [(0.3, 0.5), (-0.99, 2.0), (1.0, 1.0), (0.5, 0.0)]:
+            assert (np.asarray(prior.log_density_phi_v(a, b)).tobytes()
+                    == np.asarray(oracles.prior_log_density_phi_v(prior, a, b)).tobytes())
+
     def test_validation(self):
         with pytest.raises(DomainError):
             ParametricPrior(phi_mean=1.2)
@@ -221,6 +233,39 @@ class TestSampler:
         noise = summary.probability[~truth.nonnull]
         assert np.median(signal) > 0.8
         assert np.median(noise) < 0.1
+
+
+class TestTProposal:
+    """The Student-t proposal against scipy's ``multivariate_t``."""
+
+    @staticmethod
+    def shapes():
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=(3, 3))
+        # A well-conditioned shape, and one from a curvature at the eigenvalue floor.
+        H = a @ np.diag([1e6, 1.0, -1e-3]) @ a.T
+        return [a @ a.T + 0.1 * np.eye(3), parametric._proposal_shape(H)]
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("n", [2, 500])
+    def test_draws_and_density_match_scipy(self, which, n):
+        shape = self.shapes()[which]
+        loc = np.array([0.5, -1.0, 2.0])
+        xs, log_q = parametric._t_proposal(loc, shape, parametric.PROPOSAL_DF, n,
+                                           np.random.default_rng(11))
+        want_xs, want_log_q = oracles.t_proposal(loc, shape, parametric.PROPOSAL_DF, n,
+                                                 np.random.default_rng(11))
+        assert xs.shape == (n, 3)
+        assert xs.tobytes() == want_xs.tobytes()
+        np.testing.assert_allclose(log_q, want_log_q, rtol=1e-12, atol=0.0)
+
+    def test_sampler_unchanged_with_scipy_proposal(self, monkeypatch):
+        panel = null_panel(n=12, T=15, seed=43)
+        got = build_importance_sampler(panel, ParametricPrior(), n_draws=300, seed=5)
+        monkeypatch.setattr(parametric, "_t_proposal", oracles.t_proposal)
+        want = build_importance_sampler(panel, ParametricPrior(), n_draws=300, seed=5)
+        assert got.draws.tobytes() == want.draws.tobytes()
+        np.testing.assert_allclose(got.log_weights, want.log_weights, rtol=1e-12, atol=0.0)
 
 
 class TestMixingMode:

@@ -17,6 +17,7 @@ from arscreen.simulation import (
     generate_prior_study,
     simulate_ar1,
 )
+from oracles import simulate_ar1_lfilter
 
 
 def test_first_value_is_marginal_no_burn_in():
@@ -25,6 +26,15 @@ def test_first_value_is_marginal_no_burn_in():
     first = np.array([simulate_ar1(p, 1, rng)[0] for _ in range(4000)])
     sd = np.sqrt(0.5 / (1 - 0.81))
     assert kstest(first / sd, "norm").pvalue > 0.01
+
+
+@pytest.mark.parametrize("phi", [-0.999, 0.0, 0.5, 0.999])
+@pytest.mark.parametrize("length", [1, 2, 50])
+def test_path_equals_lfilter_recursion(phi, length):
+    got = simulate_ar1(ArParams(phi, 0.7), length, np.random.default_rng(31))
+    want = simulate_ar1_lfilter(phi, 0.7, length, np.random.default_rng(31))
+    assert got.dtype == np.float64 and got.shape == (length,)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_lag_one_autocorrelation():

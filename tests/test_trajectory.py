@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel, ar1_loglik, step_table
+from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel, ar1_loglik, lag_stats, step_table
 from arscreen.errors import DomainError, InvalidInputError, NumericalError
 from arscreen.mcmc import stream
 from arscreen.parametric import ParametricPrior
@@ -17,6 +17,7 @@ from arscreen.trajectory import (
     ModelConfig,
     TrajectoryAtom,
     _assignment_scores,
+    _detrended_values,
     _gp_atom_terms,
     _gp_draw,
     _unit_noise,
@@ -426,6 +427,26 @@ class TestSweepMechanics:
         is_gp = state.unit_component == GP
         state.unit_atom[is_gp] = lookup[state.unit_atom[is_gp]]
         assert complete_data_loglik(state, table) == pytest.approx(base, rel=1e-12)
+
+    def test_loglik_from_the_pool_equals_the_rebuilt_one(self):
+        panel = _panel(10, 12, seed=23, shift=2.0, n_shift=4)
+        series = list(panel)
+        series[1] = ObservedSeries("u001", series[1].times[[0, 2, 3, 7, 11]],
+                                   series[1].values[[0, 2, 3, 7, 11]])
+        grid = np.arange(12, dtype=np.int64)
+        table = step_table(SeriesPanel(tuple(series)), grid=grid)
+        state = init_fdp_state(10, SMALL_CONFIG, grid, rng=stream(24, "st"))
+        rng = stream(25, "sweeps")
+        for t in range(6):
+            gibbs_sweep_joint(state, table, rng, adapt=t < 3)
+            assert state.residual.pooled is not None
+            stick = state.residual.stick
+            rebuilt = lag_stats(table, _detrended_values(state, table)).pool(
+                state.residual.assignments, stick.truncation)
+            want = float(np.trace(rebuilt.loglik(stick.phi, stick.v)))
+            assert complete_data_loglik(state, table) == want
+        gibbs_sweep_joint(state, table, rng, likelihood_off=True)
+        assert state.residual.pooled is None
 
     def test_frozen_atoms_do_not_move(self):
         panel = _panel(10, 12, seed=31, shift=2.5, n_shift=4)
