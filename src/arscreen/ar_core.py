@@ -406,12 +406,11 @@ class LagStats:
         return self.terms[..., :1 + len(self.sizes)].sum(axis=-1)
 
     def pool(self, labels: np.ndarray, size: int) -> "LagStats":
-        """Rows summed within each label: row k pools the rows labelled k."""
-        terms = np.zeros((size, self.terms.shape[1]))
-        linear = np.zeros((size, self.linear.shape[1]))
-        np.add.at(terms, labels, self.terms)
-        np.add.at(linear, labels, self.linear)
-        return LagStats(self.sizes, terms, linear)
+        """Rows summed within each label: row k pools the rows labelled k,
+        adding them in row order, one ``np.bincount`` per column."""
+        def sums(cols):
+            return np.column_stack([np.bincount(labels, col, minlength=size) for col in cols.T])
+        return LagStats(self.sizes, sums(self.terms), sums(self.linear))
 
     def loglik(self, phi, v) -> np.ndarray:
         """Null AR(1) log-likelihood of every row under every (phi, v) pair.
@@ -453,6 +452,37 @@ def _lag_coefficients(phi, v, sizes):
     q_yy = np.concatenate([inv_s, w, 2.0 * bw, bbw], axis=-1)
     s11 = np.concatenate([inv_s, bbw], axis=-1)
     q_y1 = np.concatenate([inv_s, bw, bbw], axis=-1)
+    return logdet, q_yy, s11, q_y1
+
+
+def _lag_coefficient_slopes(phi: float, v: float, sizes):
+    """Derivatives of the ``_lag_coefficients`` weights in atanh phi, at one
+    pair (phi, v). (Every weight but logdet's is linear in 1 / v, so its
+    derivative in log v is minus itself; logdet's weights gain 1.)
+
+    With c = 1 - phi^2 = dphi / d atanh phi, per gap d: a' = d phi^(d-1) c,
+    inv_s' = -2 phi inv_s, and since r_d = (1 - phi^(2d)) / c is the sum of
+    phi^(2j) over j < d, (log r_d)' = 2 phi - 2 d phi^(2d-1) / r_d and
+    w' = -w (log r_d)'. No term divides by c, so the slopes stay finite as
+    |phi| approaches 1.
+    """
+    d = np.asarray(sizes, dtype=float)
+    a, ratio = _gap_coefficients(phi, sizes)
+    c = 1.0 - phi * phi
+    inv_s = c / v
+    w = 1.0 / (v * ratio)
+    b = 1.0 - a
+    lead = phi ** (d - 1.0)
+    da = d * lead * c
+    dlog_r = 2.0 * phi - 2.0 * d * a * lead / ratio
+    dw = -w * dlog_r
+    dinv_s = np.array([-2.0 * phi * inv_s])
+    dbw = -da * w + b * dw
+    dbbw = -2.0 * b * da * w + b * b * dw
+    logdet = np.concatenate([[2.0 * phi], dlog_r])
+    q_yy = np.concatenate([dinv_s, dw, 2.0 * dbw, dbbw])
+    s11 = np.concatenate([dinv_s, dbbw])
+    q_y1 = np.concatenate([dinv_s, dbw, dbbw])
     return logdet, q_yy, s11, q_y1
 
 

@@ -300,7 +300,7 @@ class ReportBundle:
     inclusion_header: tuple[str, ...]
     inclusion_rows: list[list]
     band_header: tuple[str, ...]
-    band_rows: list[list]
+    band_rows: list[tuple]
     summary_lines: list[str]
 
 
@@ -315,14 +315,15 @@ def report_summaries(chain: ChainOutput,
     inclusion = np.asarray(chain.inclusion)
     inc_header = ("unit_id", "inclusion") + tuple(f"flagged_at_{_fmt(t)}" for t in thresholds)
     inc_rows = [[u, p] + [int(p >= t) for t in thresholds]
-                for u, p in zip(unit_ids, inclusion)]
+                for u, p in zip(unit_ids, inclusion.tolist())]
     band_header = ("unit_id", "time", "band_lo", "band_mid", "band_hi")
-    band_rows: list[list] = []
+    band_rows: list[tuple] = []
     if len(chain.band_samples):
-        qs = np.quantile(np.asarray(chain.band_samples, dtype=float), BAND_QUANTILES, axis=0)
-        for i, u in enumerate(unit_ids):
-            for j, t in enumerate(chain.grid):
-                band_rows.append([u, int(t), qs[0, i, j], qs[1, i, j], qs[2, i, j]])
+        lo, mid, hi = np.quantile(np.asarray(chain.band_samples, dtype=float), BAND_QUANTILES,
+                                  axis=0).tolist()
+        times = [int(t) for t in chain.grid]
+        for u, a, b, c in zip(unit_ids, lo, mid, hi):
+            band_rows.extend(zip([u] * len(times), times, a, b, c))
     lines = [f"flagged {int(np.sum(inclusion >= t))} of {len(unit_ids)} units "
              f"at threshold {_fmt(t)}" for t in thresholds]
     return ReportBundle(inc_header, inc_rows, band_header, band_rows, lines)
@@ -467,6 +468,9 @@ def _cmd_fit_parametric(args) -> int:
         fh.write(f"importance draws = {draws.draws.shape[0]}\n")
         fh.write(f"effective sample size = {_fmt(draws.ess)}\n")
         fh.write(f"posterior mode of mixing fraction = {_fmt(mix_mode)}\n")
+        fh.write(f"posterior mode (phi, v, p) = ({', '.join(map(_fmt, draws.mode.phi_v_p))})\n")
+        fh.write(f"Newton iterations to the mode = {draws.mode.iterations}\n")
+        fh.write(f"max |gradient| at the mode = {_fmt(draws.mode.max_grad)}\n")
         fh.write(f"flagged {n_flag} of {len(panel)} units "
                  f"at threshold {_fmt(args.threshold)}\n")
         for msg in draws.messages:

@@ -22,6 +22,8 @@ PANEL_HEADER = ("unit_id", "time", "value")
 
 
 def _fmt(x) -> str:
+    if type(x) is float:
+        return repr(x)
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)

@@ -24,7 +24,8 @@ import zipfile
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky
+from scipy.linalg.lapack import dtrtrs
 
 from .ar_core import (
     LOG_2PI,
@@ -302,10 +303,17 @@ def gp_atom_conditional(workspace: GpWorkspace, noise_prec: np.ndarray,
 
 def _solve_lower(R: np.ndarray, x: np.ndarray, trans: int = 0) -> np.ndarray:
     """Row k solves R[k] u = x[k] (``trans`` 0) or R[k]' u = x[k] (1), R[k] lower
-    triangular: one O(G^2) solve per atom, as numpy has no triangular gufunc."""
+    triangular: one O(G^2) solve per atom, as numpy has no triangular gufunc.
+
+    Each solve calls LAPACK's dtrtrs on R[k]' directly, the upper triangle
+    that ``solve_triangular`` itself hands it for C-ordered input, without
+    that wrapper's per-call checks.
+    """
     out = np.empty_like(x)
     for k in range(len(x)):
-        out[k] = solve_triangular(R[k], x[k], lower=True, trans=trans, check_finite=False)
+        out[k], info = dtrtrs(R[k].T, x[k], lower=0, trans=1 - trans)
+        if info != 0:
+            raise NumericalError(f"triangular solve for atom {k} failed: LAPACK dtrtrs info {info}")
     return out
 
 

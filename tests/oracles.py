@@ -324,3 +324,48 @@ def prior_log_density_phi_v(prior, phi, v):
                   - np.log(trunc))
         lp_v = a * np.log(b) - gammaln(a) - (a + 1.0) * np.log(v) - b / np.asarray(v)
     return np.where((-1.0 < phi) & (phi < 1.0) & (v > 0.0), lp_phi + lp_v, -np.inf)
+
+
+def fd_hessian(f, x: np.ndarray) -> np.ndarray:
+    """Central finite-difference Hessian of scalar f at x, from 19 calls of f."""
+    n = x.size
+    h = 1e-4 * np.maximum(1.0, np.abs(x))
+    H = np.empty((n, n))
+    f0 = f(x)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h[i]
+        H[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h[i] ** 2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = h[j]
+            H[i, j] = H[j, i] = (
+                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+    return H
+
+
+def maximize(f, grad, x0) -> np.ndarray:
+    """Maximizer of f by ``scipy.optimize.minimize`` (BFGS) on -f with the gradient ``grad``."""
+    from scipy.optimize import minimize
+
+    with np.errstate(all="ignore"):   # the line search may probe |phi| = 1
+        res = minimize(lambda x: (-f(x), -grad(x)), x0, jac=True, method="BFGS",
+                       options={"gtol": 1e-9, "maxiter": 1000})
+    return res.x
+
+
+def pool_add_at(terms: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
+    """Rows of ``terms`` summed within each label by ``np.add.at``."""
+    out = np.zeros((size, terms.shape[1]))
+    np.add.at(out, labels, terms)
+    return out
+
+
+def solve_lower(R: np.ndarray, x: np.ndarray, trans: int) -> np.ndarray:
+    """Row k solves R[k] u = x[k] (``trans`` 0) or R[k]' u = x[k] (1) by
+    ``scipy.linalg.solve_triangular``."""
+    from scipy.linalg import solve_triangular
+
+    return np.array([solve_triangular(r, b, lower=True, trans=trans, check_finite=False)
+                     for r, b in zip(R, x)])

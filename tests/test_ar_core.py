@@ -8,6 +8,7 @@ from scipy.stats import kstest
 
 from arscreen.ar_core import (
     ArParams,
+    LagStats,
     _average_ranks,
     ObservedSeries,
     SeriesPanel,
@@ -27,7 +28,7 @@ from arscreen.ar_core import (
 )
 from arscreen.errors import DomainError, InvalidInputError
 
-from oracles import average_ranks, dense_ar1_cov, dense_ar1_loglik, dense_shift_loglik
+from oracles import average_ranks, dense_ar1_cov, dense_ar1_loglik, dense_shift_loglik, pool_add_at
 
 RNG = np.random.default_rng(20260815)
 
@@ -286,6 +287,17 @@ class TestLagStats:
             want = ll[labels == k].sum(axis=0)
             assert pooled[k].loglik(phi, v) == pytest.approx(want, rel=1e-12, abs=1e-12)
         assert np.array_equal(pooled.length, np.bincount(labels, [len(s) for s in panel], 4))
+
+    @pytest.mark.parametrize("n_units, n_gaps", [(24000, 1), (24000, 3), (7, 2)])
+    def test_pool_equals_add_at_bytes(self, n_units, n_gaps):
+        """bincount adds each label's rows in row order, as np.add.at does."""
+        rng = np.random.default_rng(9350)
+        stats = LagStats(tuple(range(1, n_gaps + 1)), rng.normal(size=(n_units, 2 + 4 * n_gaps)),
+                         rng.normal(size=(n_units, 1 + 2 * n_gaps)) * 1e3)
+        labels = rng.integers(0, 20, size=n_units)
+        pooled = stats.pool(labels, 23)
+        assert pooled.terms.tobytes() == pool_add_at(stats.terms, labels, 23).tobytes()
+        assert pooled.linear.tobytes() == pool_add_at(stats.linear, labels, 23).tobytes()
 
     def test_step_table_caches_the_raw_value_statistics(self):
         table = step_table(gapped_panel(np.random.default_rng(9400)))

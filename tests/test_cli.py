@@ -411,6 +411,11 @@ class TestCliCommands:
         text = (tmp_path / "par" / "parametric_summary.txt").read_text()
         assert "effective sample size" in text
         assert "of 14 units" in text
+        lines = dict(line.split(" = ", 1) for line in text.splitlines() if " = " in line)
+        phi, v, p = (float(x) for x in lines["posterior mode (phi, v, p)"].strip("()").split(", "))
+        assert -1.0 < phi < 1.0 and v > 0.0 and 0.0 < p < 1.0
+        assert int(lines["Newton iterations to the mode"]) >= 1
+        assert float(lines["max |gradient| at the mode"]) < 1e-6
 
     def test_fit_np_report_cluster_pipeline(self, tmp_path):
         panel_path = _write_small_panel(tmp_path)

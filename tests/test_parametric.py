@@ -20,7 +20,7 @@ from arscreen.ar_core import (
     lag_stats,
     step_table,
 )
-from arscreen.errors import DomainError, InvalidInputError, NumericalError
+from arscreen.errors import DomainError, InvalidInputError, ModeSearchError, NumericalError
 from arscreen.mcmc import normalized_weights_and_ess
 from arscreen.parametric import (
     _PENALTY,
@@ -382,3 +382,69 @@ class TestLogTarget:
         assert np.any(outside) and np.any(~outside)
         assert np.all(want[outside] == -np.inf) and np.all(got[outside] == -np.inf)
         assert np.allclose(got[~outside], want[~outside], rtol=1e-14, atol=0.0)
+
+
+def readme_panel(n_units, length, seed):
+    """README mixture with ``shift_prob = 0.2``, rank-standardized: ``simulate``, ``standardize``."""
+    scenario = MixtureScenario(README_MIXTURE, n_units=n_units, length=length, shift_prob=0.2)
+    panel, _ = generate_mixture_panel(scenario, seed=seed)
+    return cdf_standardize(panel)
+
+
+class TestModeSearch:
+    """The Newton mode search and the analytic gradient it climbs."""
+
+    @pytest.mark.parametrize("prior", [
+        ParametricPrior(),
+        ParametricPrior(phi_mean=-0.3, phi_var=0.4, var_shape=3.5, var_scale=0.2, shift_var=4.0),
+    ])
+    @pytest.mark.parametrize("phi", [0.999, -0.999, 0.5, -0.5, 0.0])
+    def test_gradient_matches_central_differences(self, phi, prior):
+        stats = lag_stats(step_table(gapped_readme_panel(seed=2)))
+        h = 1e-5
+        for v, p in [(0.3, 0.2), (2.0, 0.7)]:
+            x = np.array([np.arctanh(phi), np.log(v), logit(p)])
+            got = parametric._grad_log_target(stats, prior, x)
+            want = [(_log_target(stats, prior, x + e)[0] - _log_target(stats, prior, x - e)[0]) / (2 * h)
+                    for e in h * np.eye(3)]
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=0.0)
+
+    @pytest.mark.parametrize("make_panel", [
+        lambda: null_panel(),
+        lambda: gapped_readme_panel(seed=2),
+        lambda: readme_panel(200, 40, seed=1),
+    ])
+    def test_newton_mode_and_hessian_match_references(self, make_panel):
+        stats = lag_stats(step_table(make_panel()))
+        prior = ParametricPrior()
+        f = lambda y: _log_target(stats, prior, y)[0]   # noqa: E731
+        x0 = np.array([np.arctanh(prior.phi_mean), 0.0, logit(0.1)])
+        mode = parametric._newton_ascent(stats, prior, x0)
+        assert mode.max_grad < 1e-6
+        assert mode.max_grad == np.max(np.abs(parametric._grad_log_target(stats, prior, mode.x)))
+        assert mode.log_target == f(mode.x)
+        want = oracles.maximize(f, lambda y: parametric._grad_log_target(stats, prior, y), x0)
+        np.testing.assert_allclose(mode.x, want, rtol=0.0, atol=1e-5)
+        ref = oracles.fd_hessian(f, mode.x)
+        assert np.max(np.abs(mode.hessian - ref)) <= 1e-3 * np.max(np.abs(ref))
+        assert np.all(np.linalg.eigvalsh(mode.hessian) < 0.0)
+
+    def test_standardized_5000_unit_panel_builds(self):
+        """BFGS on forward-difference gradients stopped at max |gradient| 0.0039
+        from both starts on this panel and raised ModeSearchError."""
+        panel = readme_panel(5000, 40, seed=3)
+        draws = build_importance_sampler(panel, ParametricPrior(), n_draws=500, seed=7)
+        assert draws.mode.max_grad < 1e-6
+        assert draws.ess > 0.5 * draws.n_draws
+
+    def test_failed_search_reports_last_iterate_and_gradient(self, monkeypatch):
+        monkeypatch.setattr(parametric, "_MAX_NEWTON", 1)
+        panel = readme_panel(200, 40, seed=1)
+        with pytest.raises(ModeSearchError) as err:
+            build_importance_sampler(panel, ParametricPrior(), n_draws=50, seed=7)
+        stats = lag_stats(step_table(panel))
+        x0 = np.array([np.arctanh(0.5), 0.0, 0.0])
+        last = parametric._newton_ascent(stats, ParametricPrior(), x0)
+        assert np.array_equal(err.value.last_iterate, last.x)
+        assert f"max |gradient| {last.max_grad:.3g}" in str(err.value)
+        assert last.max_grad >= 1e-6

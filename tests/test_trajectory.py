@@ -20,6 +20,7 @@ from arscreen.trajectory import (
     _detrended_values,
     _gp_atom_terms,
     _gp_draw,
+    _solve_lower,
     _unit_noise,
     _flat_level_posterior,
     component_loglik,
@@ -40,6 +41,7 @@ from oracles import (
     dense_ar1_loglik,
     dense_gp_conditional,
     dense_gp_precision_terms,
+    solve_lower,
     whitened_gp_cov,
 )
 
@@ -240,6 +242,22 @@ class TestKrigingUpdate:
         draws = _gp_draw(ws, mean, np.repeat(R[None], 50, axis=0), rng.standard_normal((50, 20)))
         assert np.all(np.isfinite(draws))
         assert np.allclose(mean, target, atol=1e-4)
+
+    @pytest.mark.parametrize("trans", [0, 1])
+    @pytest.mark.parametrize("G", [1, 7, 40, 200])
+    def test_triangular_solves_equal_solve_triangular_bytes(self, G, trans):
+        rng = stream(79 + G, "trsv")
+        a = rng.normal(size=(3, G, G))
+        R = np.linalg.cholesky(np.eye(G) + a @ a.transpose(0, 2, 1))
+        x = rng.normal(size=(3, G))
+        got = _solve_lower(R, x, trans=trans)
+        assert got.tobytes() == solve_lower(R, x, trans).tobytes()
+
+    def test_singular_triangular_solve_names_the_atom(self):
+        R = np.repeat(np.eye(4)[None], 3, axis=0)
+        R[2, 1, 1] = 0.0
+        with pytest.raises(NumericalError, match="atom 2"):
+            _solve_lower(R, np.ones((3, 4)))
 
 
 class TestGpAtomTerms:
