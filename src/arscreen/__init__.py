@@ -17,12 +17,7 @@ from .ar_core import (
     mean_shift_loglik,
     stationary_variance,
 )
-from .cli import (
-    RunConfig,
-    frozen_cluster_rerun,
-    mle_trajectory_set,
-    report_summaries,
-)
+from .cli import RunConfig, frozen_cluster_rerun
 from .dp_residual import (
     elicit_concentration,
     expected_clusters,
@@ -62,6 +57,8 @@ from .trajectory import (
     init_fdp_state,
     load_chain,
     merge_inclusion,
+    mle_trajectory_set,
+    report_summaries,
     run_chain,
     sample_trajectory_atom,
     save_chain,

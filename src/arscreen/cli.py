@@ -19,7 +19,6 @@ import argparse
 import hashlib
 import os
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -33,27 +32,25 @@ from .parametric import (
     inclusion_probabilities_parametric,
     posterior_mixing_mode,
 )
-from .simulation import MixtureScenario, generate_mixture_panel, generate_prior_study
+from .simulation import simulate_from_scenario
 from .trajectory import (
+    DEFAULT_THRESHOLDS,
     ChainOutput,
-    FLAT,
-    GP,
-    ModelConfig,
     GpKernelParams,
-    TrajectoryAtom,
+    MleTrajectorySet,
+    ModelConfig,
+    ReportBundle,
     default_hyperparameters,
-    init_fdp_state,
+    frozen_initial_state,
     load_chain,
     merge_inclusion,
-    prepare_gp_workspace,
+    mle_trajectory_set,
+    report_summaries,
     run_chain,
     save_chain,
 )
-from .ar_core import ArParams
-from .mcmc import stream, stick_weights
-
-DEFAULT_THRESHOLDS = (0.5, 0.9)
-BAND_QUANTILES = (0.05, 0.5, 0.95)
+# Bound only for the probes in bench/layers.py; not called here (counts read 0).
+from .trajectory import prepare_gp_workspace  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -144,78 +141,14 @@ def _output_comments(seed: int, fingerprint: str) -> tuple[str, str]:
     return (f"seed = {seed}", f"config = {fingerprint}")
 
 
+def _write_lines(path: str, comments, lines) -> None:
+    """A text file of one '# ' line per comment, then ``lines``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines([f"# {c}\n" for c in comments] + [f"{line}\n" for line in lines])
+
+
 # ---------------------------------------------------------------------------
-# maximum-likelihood trajectory set and frozen reruns
-
-
-@dataclass
-class MleTrajectorySet:
-    """Top trajectory atoms of the best retained sweep, ranked by weight.
-
-    ``atoms[k].weight`` is the atom's share of the combined alternative
-    (flat + gp) mixture at that sweep; ``set_weights[k]`` is its weight
-    within its own stick-breaking set, which is what a frozen re-run holds
-    fixed. Weights are nonincreasing in rank.
-    """
-
-    sweep: int
-    loglik: float
-    component_probs: np.ndarray
-    names: tuple[str, ...]
-    atoms: tuple[TrajectoryAtom, ...]
-    set_weights: np.ndarray
-    grid: np.ndarray
-    requested: int
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-
-def mle_trajectory_set(chain: ChainOutput, top_k: int) -> MleTrajectorySet:
-    """Extract the top-``top_k`` trajectory atoms from the best retained sweep.
-
-    The best sweep maximizes the complete-data log-likelihood over all
-    retained sweeps. Atoms from the flat and gp sets are ranked together by
-    their share of the combined alternative mixture; ``top_k`` is clamped
-    (with a warning) when it exceeds the number of positive-weight atoms.
-    """
-    if top_k < 1:
-        raise DomainError(f"top_k must be at least 1, got {top_k}")
-    cp, f_weights, g_weights = (chain.best_component_probs, chain.best_flat_weights,
-                                chain.best_gp_weights)
-    alt_mass = cp[FLAT] + cp[GP]
-    ranked = [("flat", l, float(cp[FLAT] * f_weights[l]), float(f_weights[l]))
-              for l in range(f_weights.size)]
-    ranked += [("gp", l, float(cp[GP] * g_weights[l]), float(g_weights[l]))
-               for l in range(g_weights.size)]
-    if alt_mass > 0.0:
-        ranked = [(k, l, w / alt_mass, sw) for k, l, w, sw in ranked]
-    ranked.sort(key=lambda r: (-r[2], r[0], r[1]))
-    available = sum(1 for r in ranked if r[2] > 0.0)
-    k_eff = min(top_k, available)
-    if k_eff < top_k:
-        warnings.warn(f"requested {top_k} clusters but only {available} atoms carry "
-                      f"positive weight; returning {k_eff}")
-    chosen = ranked[:k_eff]
-    atoms, names, set_w = [], [], []
-    for rank, (kind, l, w, sw) in enumerate(chosen, start=1):
-        names.append(f"c{rank:02d}_{kind}")
-        set_w.append(sw)
-        if kind == "flat":
-            atoms.append(TrajectoryAtom("flat", weight=w, level=float(chain.best_flat_levels[l])))
-        else:
-            atoms.append(TrajectoryAtom("gp", weight=w, path=chain.best_gp_paths[l].copy(),
-                                        grid=chain.grid.copy()))
-    return MleTrajectorySet(chain.best_sweep, float(chain.logliks[chain.best_sweep]),
-                            np.asarray(cp, dtype=float).copy(), tuple(names), tuple(atoms),
-                            np.asarray(set_w), chain.grid.copy(), top_k)
-
-
-def _atom_digest(levels, f_weights, paths, g_weights) -> str:
-    h = hashlib.sha256()
-    for arr in (levels, f_weights, paths, g_weights):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
+# frozen reruns and reports
 
 
 @dataclass
@@ -240,178 +173,24 @@ def frozen_cluster_rerun(panel: SeriesPanel, frozen: MleTrajectorySet,
     The frozen atoms are fingerprinted before and after to guarantee the
     run never mutated them.
     """
-    grid = np.unique(np.concatenate([s.times for s in panel]))
-    if not np.array_equal(grid, frozen.grid):
-        raise InvalidInputError("panel time grid differs from the frozen atoms' grid")
-    flat_sel = [i for i, a in enumerate(frozen.atoms) if a.kind == "flat"]
-    gp_sel = [i for i, a in enumerate(frozen.atoms) if a.kind == "gp"]
-    if len(flat_sel) >= config.trunc_flat or len(gp_sel) >= config.trunc_gp:
-        raise InvalidInputError("frozen atom count must stay below the truncation level")
-    workspace = prepare_gp_workspace(config.kernel, grid)
-    init_rng = stream(seed, "frozen-rerun", "init")
-    state = init_fdp_state(len(panel), config, grid, rng=init_rng, workspace=workspace)
-
-    def install(tset, sel):
-        k = len(sel)
-        if k == 0:
-            return
-        head_w = np.array([frozen.set_weights[i] for i in sel])
-        if head_w.sum() >= 1.0:
-            raise InvalidInputError("frozen atom weights must leave free stick mass")
-        if tset.kind == "flat":
-            tset.levels[:k] = [frozen.atoms[i].level for i in sel]
-        else:
-            tset.paths[:k] = np.stack([frozen.atoms[i].path for i in sel])
-        free = 1.0 - head_w.sum()
-        sticks = init_rng.beta(1.0, config.traj_concentration, size=tset.truncation - k - 1)
-        tset.sticks = sticks
-        tset.weights = np.concatenate([head_w, free * stick_weights(sticks)])
-        tset.n_frozen = k
-
-    install(state.flat_set, flat_sel)
-    install(state.gp_set, gp_sel)
-    state.unit_component[:] = 0
-    state.unit_atom[:] = -1
-    digest_before = _atom_digest(state.flat_set.levels[:len(flat_sel)],
-                                 state.flat_set.weights[:len(flat_sel)],
-                                 state.gp_set.paths[:len(gp_sel)],
-                                 state.gp_set.weights[:len(gp_sel)])
+    state, names = frozen_initial_state(panel, frozen, config, seed)
+    digest = state.frozen_digest()
     chain = run_chain(panel, config, n_burn=n_burn, n_keep=n_keep, seed=seed,
-                      collect_bands=False, initial_state=state,
-                      membership_tracking=True)
-    digest_after = _atom_digest(state.flat_set.levels[:len(flat_sel)],
-                                state.flat_set.weights[:len(flat_sel)],
-                                state.gp_set.paths[:len(gp_sel)],
-                                state.gp_set.weights[:len(gp_sel)])
-    if digest_after != digest_before:
+                      initial_state=state)
+    if state.frozen_digest() != digest:
         raise NumericalError("frozen atoms were mutated during the re-run")
-    counts = chain.membership_counts
-    percent = counts * (100.0 / n_keep)
-    order = [frozen.names[i] for i in flat_sel] + [frozen.names[i] for i in gp_sel]
-    return FrozenRerunResult(chain.unit_ids, tuple(order), percent, chain, digest_before)
+    percent = chain.membership_counts * (100.0 / n_keep)
+    return FrozenRerunResult(chain.unit_ids, names, percent, chain, digest)
 
 
-# ---------------------------------------------------------------------------
-# reports
-
-
-@dataclass
-class ReportBundle:
-    inclusion_header: tuple[str, ...]
-    inclusion_rows: list[list]
-    band_header: tuple[str, ...]
-    band_rows: list[tuple]
-    summary_lines: list[str]
-
-
-def report_summaries(chain: ChainOutput,
-                     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS) -> ReportBundle:
-    """Inclusion table with flag columns, plot-ready trajectory bands, and
-    one discovery-count line per threshold."""
-    for t in thresholds:
-        if not (0.0 < t <= 1.0):
-            raise DomainError(f"thresholds must lie in (0, 1], got {t}")
-    unit_ids = chain.unit_ids
-    inclusion = np.asarray(chain.inclusion)
-    inc_header = ("unit_id", "inclusion") + tuple(f"flagged_at_{_fmt(t)}" for t in thresholds)
-    inc_rows = [[u, p] + [int(p >= t) for t in thresholds]
-                for u, p in zip(unit_ids, inclusion.tolist())]
-    band_header = ("unit_id", "time", "band_lo", "band_mid", "band_hi")
-    band_rows: list[tuple] = []
-    if len(chain.band_samples):
-        lo, mid, hi = np.quantile(np.asarray(chain.band_samples, dtype=float), BAND_QUANTILES,
-                                  axis=0).tolist()
-        times = [int(t) for t in chain.grid]
-        for u, a, b, c in zip(unit_ids, lo, mid, hi):
-            band_rows.extend(zip([u] * len(times), times, a, b, c))
-    lines = [f"flagged {int(np.sum(inclusion >= t))} of {len(unit_ids)} units "
-             f"at threshold {_fmt(t)}" for t in thresholds]
-    return ReportBundle(inc_header, inc_rows, band_header, band_rows, lines)
-
-
-def write_report(bundle: ReportBundle, outdir: str, seed: int, fingerprint: str) -> list[str]:
+def write_report(bundle: ReportBundle, outdir: str, seed: int, fingerprint: str) -> None:
     comments = _output_comments(seed, fingerprint)
-    paths = []
-    inc_path = os.path.join(outdir, "inclusion.csv")
-    write_table(inc_path, bundle.inclusion_header, bundle.inclusion_rows, comments)
-    paths.append(inc_path)
+    write_table(os.path.join(outdir, "inclusion.csv"), bundle.inclusion_header,
+                bundle.inclusion_rows, comments)
     if bundle.band_rows:
-        band_path = os.path.join(outdir, "bands.csv")
-        write_table(band_path, bundle.band_header, bundle.band_rows, comments)
-        paths.append(band_path)
-    summary_path = os.path.join(outdir, "summary.txt")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        for line in bundle.summary_lines:
-            fh.write(line + "\n")
-    paths.append(summary_path)
-    return paths
-
-
-# ---------------------------------------------------------------------------
-# scenarios
-
-
-def _parse_triples(text: str, what: str) -> list[tuple[float, float, float]]:
-    out = []
-    for piece in text.split(";"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        parts = piece.split(":")
-        if len(parts) != 3:
-            raise InvalidInputError(f"{what}: expected 'a:b:c' triples, got {piece!r}")
-        try:
-            out.append(tuple(float(p) for p in parts))
-        except ValueError as exc:
-            raise InvalidInputError(f"{what}: cannot parse {piece!r}") from exc
-    if not out:
-        raise InvalidInputError(f"{what}: no components given")
-    return out
-
-
-@dataclass(frozen=True)
-class _ResidMix:
-    weights: np.ndarray
-    phi: np.ndarray
-    v: np.ndarray
-
-
-def simulate_from_scenario(raw: dict[str, str], seed: int):
-    """Build a panel plus truth labels from a parsed scenario file."""
-    kind = raw.get("kind")
-    if kind == "mixture":
-        comps = _parse_triples(raw.get("components", ""), "components")
-        scenario = MixtureScenario(
-            components=tuple((ArParams(phi, v), w) for phi, v, w in comps),
-            n_units=int(raw.get("n_units", "0")),
-            length=int(raw.get("length", "0")),
-            shift_prob=float(raw.get("shift_prob", "0.0")),
-            shift_var=float(raw.get("shift_var", "1.0")),
-        )
-        return generate_mixture_panel(scenario, seed)
-    if kind == "prior-study":
-        comps = _parse_triples(raw.get("mixture", ""), "mixture")
-        weights = np.array([w for _, _, w in comps])
-        mix = _ResidMix(weights, np.array([p for p, _, _ in comps]),
-                        np.array([v for _, v, _ in comps]))
-        length = int(raw.get("length", "0"))
-        grid = np.arange(length, dtype=np.int64)
-        kernel = GpKernelParams(float(raw.get("kernel_variance", "1.25")),
-                                float(raw.get("kernel_length_scale", "13.0")))
-        ws = prepare_gp_workspace(kernel, grid)
-
-        def sampler(rng, times):
-            if not np.array_equal(times, grid):
-                raise InvalidInputError("trajectory sampler called off the scenario grid")
-            return ws.chol @ rng.standard_normal(grid.size)
-
-        noise_seed = int(raw["noise_seed"]) if "noise_seed" in raw else None
-        return generate_prior_study(int(raw.get("n_units", "0")), grid,
-                                    float(raw.get("signal_prob", "0.0")), mix,
-                                    sampler, seed, noise_seed=noise_seed)
-    raise InvalidInputError(f"scenario kind must be 'mixture' or 'prior-study', got {kind!r}")
+        write_table(os.path.join(outdir, "bands.csv"), bundle.band_header, bundle.band_rows,
+                    comments)
+    _write_lines(os.path.join(outdir, "summary.txt"), comments, bundle.summary_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +241,15 @@ def _cmd_fit_parametric(args) -> int:
                 ("unit_id", "inclusion", "mc_stderr", f"flagged_at_{_fmt(args.threshold)}"),
                 rows, comments)
     n_flag = int(np.sum(summary.probability >= args.threshold))
-    with open(os.path.join(outdir, "parametric_summary.txt"), "w", encoding="utf-8") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        fh.write(f"importance draws = {draws.draws.shape[0]}\n")
-        fh.write(f"effective sample size = {_fmt(draws.ess)}\n")
-        fh.write(f"posterior mode of mixing fraction = {_fmt(mix_mode)}\n")
-        fh.write(f"posterior mode (phi, v, p) = ({', '.join(map(_fmt, draws.mode.phi_v_p))})\n")
-        fh.write(f"Newton iterations to the mode = {draws.mode.iterations}\n")
-        fh.write(f"max |gradient| at the mode = {_fmt(draws.mode.max_grad)}\n")
-        fh.write(f"flagged {n_flag} of {len(panel)} units "
-                 f"at threshold {_fmt(args.threshold)}\n")
-        for msg in draws.messages:
-            fh.write(f"note: {msg}\n")
+    _write_lines(os.path.join(outdir, "parametric_summary.txt"), comments, [
+        f"importance draws = {draws.draws.shape[0]}",
+        f"effective sample size = {_fmt(draws.ess)}",
+        f"posterior mode of mixing fraction = {_fmt(mix_mode)}",
+        f"posterior mode (phi, v, p) = ({', '.join(map(_fmt, draws.mode.phi_v_p))})",
+        f"Newton iterations to the mode = {draws.mode.iterations}",
+        f"max |gradient| at the mode = {_fmt(draws.mode.max_grad)}",
+        f"flagged {n_flag} of {len(panel)} units at threshold {_fmt(args.threshold)}",
+        *(f"note: {msg}" for msg in draws.messages)])
     return 0
 
 
@@ -518,31 +293,24 @@ def _cmd_cluster_mle(args) -> int:
     outdir = _ensure_outdir(args.output_dir)
     comments = _output_comments(args.seed, config.fingerprint())
 
-    atom_rows = []
-    for name, atom in zip(frozen.names, frozen.atoms):
-        desc = _fmt(atom.level) if atom.kind == "flat" else \
-            " ".join(_fmt(x) for x in atom.path)
-        atom_rows.append([name, atom.kind, atom.weight, desc])
+    atom_rows = [[name, atom.kind, atom.weight,
+                  _fmt(atom.level) if atom.kind == "flat" else " ".join(map(_fmt, atom.path))]
+                 for name, atom in zip(frozen.names, frozen.atoms)]
     write_table(os.path.join(outdir, "mle_atoms.csv"),
                 ("name", "kind", "weight", "values"), atom_rows,
                 comments + (f"mle sweep = {frozen.sweep}",
                             f"complete-data loglik = {_fmt(frozen.loglik)}"))
 
     header = ("identifier", "name") + result.cluster_names + ("other", "null")
-    rows = [[u, u] + [x for x in row]
-            for u, row in zip(result.unit_ids, result.membership_percent)]
+    rows = [[u, u, *row] for u, row in zip(result.unit_ids, result.membership_percent)]
     write_table(os.path.join(outdir, "membership.csv"), header, rows, comments)
 
-    with open(os.path.join(outdir, "membership_summary.txt"), "w", encoding="utf-8") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        fh.write(f"# frozen atom digest = {result.atom_digest}\n")
-        width = max(len(h) for h in header)
-        fh.write("  ".join(h.ljust(width) for h in header).rstrip() + "\n")
-        for u, row in zip(result.unit_ids, result.membership_percent):
-            cells = [u.ljust(width), u.ljust(width)]
-            cells += [f"{x:.0f}".ljust(width) for x in row]
-            fh.write("  ".join(cells).rstrip() + "\n")
+    width = max(len(h) for h in header)
+    table = [header] + [[u, u] + [f"{x:.0f}" for x in row]
+                        for u, row in zip(result.unit_ids, result.membership_percent)]
+    _write_lines(os.path.join(outdir, "membership_summary.txt"),
+                 comments + (f"frozen atom digest = {result.atom_digest}",),
+                 ["  ".join(c.ljust(width) for c in cells).rstrip() for cells in table])
     return 0
 
 
@@ -619,9 +387,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (InvalidInputError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ArscreenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -127,8 +127,8 @@ def init_residual_state(n_units: int, concentration: float, base: ParametricPrio
     and assignments from the prior weights, so the state is an exact prior
     draw and prior-invariance tests can start a chain here.
     """
-    if concentration <= 0.0:
-        raise DomainError(f"concentration must be positive, got {concentration}")
+    if not (concentration > 0.0 and np.isfinite(concentration)):
+        raise DomainError(f"concentration must be finite and positive, got {concentration}")
     if truncation < 2:
         raise DomainError(f"truncation must be at least 2, got {truncation}")
     if rng is None:

@@ -17,6 +17,7 @@ import numpy as np
 from .ar_core import ArParams, ObservedSeries, SeriesPanel, stationary_variance
 from .errors import DomainError, InvalidInputError
 from .mcmc import stream
+from .trajectory import GpKernelParams, prepare_gp_workspace
 
 
 def simulate_ar1(params: ArParams, length: int, rng: np.random.Generator) -> np.ndarray:
@@ -60,6 +61,8 @@ class MixtureScenario:
             raise InvalidInputError("scenario needs at least one unit and one time point")
         if not (0.0 <= self.shift_prob <= 1.0):
             raise DomainError(f"shift probability must lie in [0, 1], got {self.shift_prob}")
+        if not (0.0 <= self.shift_var < np.inf):
+            raise DomainError(f"shift variance must be finite and nonnegative, got {self.shift_var}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,8 @@ def generate_prior_study(n_units: int, grid: np.ndarray, signal_prob: float,
     ``trajectory_sampler(rng, grid)`` returns the mean trajectory for a
     signal unit.
     """
+    if n_units < 1:
+        raise InvalidInputError(f"study needs at least one unit, got {n_units}")
     if not (0.0 <= signal_prob <= 1.0):
         raise DomainError(f"signal probability must lie in [0, 1], got {signal_prob}")
     grid = np.asarray(grid, dtype=np.int64)
@@ -141,6 +146,69 @@ def generate_prior_study(n_units: int, grid: np.ndarray, signal_prob: float,
         series.append(ObservedSeries(_unit_id(i, n_units), grid, y))
     panel = SeriesPanel(tuple(series))
     return panel, TruthLabels(panel.unit_ids, nonnull, comp)
+
+
+def _parse_triples(text: str, what: str) -> list[tuple[float, float, float]]:
+    out = []
+    for piece in text.split(";"):
+        piece = piece.strip()
+        if not piece:
+            continue
+        parts = piece.split(":")
+        if len(parts) != 3:
+            raise InvalidInputError(f"{what}: expected 'a:b:c' triples, got {piece!r}")
+        try:
+            out.append(tuple(float(p) for p in parts))
+        except ValueError as exc:
+            raise InvalidInputError(f"{what}: cannot parse {piece!r}") from exc
+    if not out:
+        raise InvalidInputError(f"{what}: no components given")
+    return out
+
+
+def _scalar(raw: dict[str, str], key: str, kind, default: str):
+    text = raw.get(key, default)
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise InvalidInputError(f"scenario key {key!r}: cannot parse {text!r}") from exc
+
+
+@dataclass(frozen=True)
+class _ResidMix:
+    weights: np.ndarray
+    phi: np.ndarray
+    v: np.ndarray
+
+
+def simulate_from_scenario(raw: dict[str, str], seed: int) -> tuple[SeriesPanel, TruthLabels]:
+    """Build a panel plus truth labels from a parsed scenario file; a value
+    that does not parse raises ``InvalidInputError`` naming its key."""
+    kind = raw.get("kind")
+    if kind == "mixture":
+        comps = _parse_triples(raw.get("components", ""), "components")
+        scenario = MixtureScenario(
+            components=tuple((ArParams(phi, v), w) for phi, v, w in comps),
+            n_units=_scalar(raw, "n_units", int, "0"),
+            length=_scalar(raw, "length", int, "0"),
+            shift_prob=_scalar(raw, "shift_prob", float, "0.0"),
+            shift_var=_scalar(raw, "shift_var", float, "1.0"),
+        )
+        return generate_mixture_panel(scenario, seed)
+    if kind == "prior-study":
+        comps = _parse_triples(raw.get("mixture", ""), "mixture")
+        phi, v, w = (np.array(col) for col in zip(*comps))
+        mix = _ResidMix(w, phi, v)
+        grid = np.arange(_scalar(raw, "length", int, "0"), dtype=np.int64)
+        kernel = GpKernelParams(_scalar(raw, "kernel_variance", float, "1.25"),
+                                _scalar(raw, "kernel_length_scale", float, "13.0"))
+        chol = prepare_gp_workspace(kernel, grid).chol
+        noise_seed = _scalar(raw, "noise_seed", int, "") if "noise_seed" in raw else None
+        return generate_prior_study(_scalar(raw, "n_units", int, "0"), grid,
+                                    _scalar(raw, "signal_prob", float, "0.0"), mix,
+                                    lambda rng, times: chol @ rng.standard_normal(times.size),
+                                    seed, noise_seed=noise_seed)
+    raise InvalidInputError(f"scenario kind must be 'mixture' or 'prior-study', got {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ retained-sweep frequencies of a unit being non-null.
 from __future__ import annotations
 
 import copy
+import hashlib
 import os
+import warnings
 import zipfile
 from dataclasses import dataclass, fields
 
@@ -43,10 +45,14 @@ from .ar_core import ar1_precision, group_whiten, panel_groups  # noqa: F401
 from .dp_residual import DpResidualState, init_residual_state, _sweep_residual
 from .errors import DomainError, InvalidInputError, NumericalError
 from .mcmc import gumbel_argmax, sample_sticks, stick_weights, stream
+from .panel_io import _fmt
 from .parametric import ParametricPrior
 
 NULL, FLAT, GP = 0, 1, 2
 COMPONENT_NAMES = ("null", "flat", "gp")
+
+DEFAULT_THRESHOLDS = (0.5, 0.9)
+BAND_QUANTILES = (0.05, 0.5, 0.95)
 
 # Diagonal jitter ladder for GP factorizations, relative to the kernel variance.
 JITTER_LADDER = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
@@ -191,8 +197,10 @@ class ModelConfig:
     trunc_flat: int = 30
 
     def __post_init__(self):
-        if self.resid_concentration <= 0.0 or self.traj_concentration <= 0.0:
-            raise DomainError("concentration parameters must be positive")
+        for name in ("resid_concentration", "traj_concentration"):
+            value = getattr(self, name)
+            if not (value > 0.0 and np.isfinite(value)):
+                raise DomainError(f"{name} must be finite and positive, got {value}")
         for name in ("trunc_resid", "trunc_gp", "trunc_flat"):
             if getattr(self, name) < 2:
                 raise DomainError(f"{name} must be at least 2")
@@ -240,6 +248,15 @@ class FdpState:
             raise InvalidInputError("null units must carry atom index -1")
         if np.any(self.unit_atom[nonnull] < 0):
             raise InvalidInputError("non-null units must carry a valid atom index")
+
+    def frozen_digest(self) -> str:
+        """sha256 over the frozen head atoms' values and weights, flat then gp."""
+        f, g = self.flat_set, self.gp_set
+        h = hashlib.sha256()
+        for arr in (f.levels[:f.n_frozen], f.weights[:f.n_frozen],
+                    g.paths[:g.n_frozen], g.weights[:g.n_frozen]):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        return h.hexdigest()
 
     # Bound only for the probes in bench/layers.py; not called here (counts read 0).
     def clone(self) -> "FdpState":
@@ -524,8 +541,8 @@ class ChainOutput:
 
     Per retained sweep: ``logliks``, ``comp_probs`` and ``comp_counts``
     (units per null/flat/gp). Every ``checkpoint_stride`` retained sweeps
-    (``gamma_sweeps``): each unit's component in ``gamma`` and, when bands
-    are collected (``band_sweeps``), its float32 trajectory on the grid.
+    (``gamma_sweeps``): each unit's component in ``gamma`` and, except in
+    frozen-atom reruns (``band_sweeps``), its float32 trajectory on the grid.
     ``membership_counts`` bins units over ``membership_labels`` ({each
     frozen atom, other, null}) in frozen-atom reruns, shape (0, 0)
     otherwise. The ``best_*`` arrays snapshot the state at ``best_sweep``,
@@ -646,17 +663,18 @@ def _trajectory_matrix(state: FdpState) -> np.ndarray:
 
 
 def run_chain(panel: SeriesPanel, config: ModelConfig, n_burn: int, n_keep: int,
-              seed: int, checkpoint_stride: int = 10, collect_bands: bool = True,
-              fingerprint: str = "", initial_state: FdpState | None = None,
-              membership_tracking: bool = False) -> ChainOutput:
-    """Burn-in plus retained sweeps of the joint sampler, from a prior draw.
+              seed: int, checkpoint_stride: int = 10, fingerprint: str = "",
+              initial_state: FdpState | None = None) -> ChainOutput:
+    """Burn-in plus retained sweeps of the joint sampler, from a prior draw
+    or from ``initial_state``.
 
-    Per-unit components (and, with ``collect_bands``, trajectories) are
-    kept every ``checkpoint_stride`` retained sweeps; the complete-data
-    log-likelihood is tracked for every retained sweep so maximum-likelihood
-    sweep selection does not depend on the stride. ``membership_tracking``
-    accumulates per-unit frequencies over {each frozen atom, other, null}
-    for frozen-atom reruns.
+    Per-unit components are kept every ``checkpoint_stride`` retained
+    sweeps; the complete-data log-likelihood is tracked for every retained
+    sweep so maximum-likelihood sweep selection does not depend on the
+    stride. A chain without frozen atoms also keeps each unit's trajectory
+    at those sweeps (the bands). A chain whose state has frozen atoms (a
+    frozen-atom rerun) keeps no bands and instead counts, per unit, the
+    retained sweeps spent on {each frozen atom, other, null}.
     """
     if n_burn < 0 or n_keep < 1:
         raise DomainError("need n_burn >= 0 and n_keep >= 1")
@@ -679,11 +697,12 @@ def run_chain(panel: SeriesPanel, config: ModelConfig, n_burn: int, n_keep: int,
 
     n_frozen_flat = state.flat_set.n_frozen
     n_frozen_gp = state.gp_set.n_frozen
+    frozen = n_frozen_flat + n_frozen_gp > 0
     labels = tuple(f"flat_{l + 1}" for l in range(n_frozen_flat)) + \
         tuple(f"gp_{l + 1}" for l in range(n_frozen_gp)) + ("other", "null")
-    membership = np.zeros((n, len(labels)) if membership_tracking else (0, 0), dtype=np.int64)
+    membership = np.zeros((n, len(labels)) if frozen else (0, 0), dtype=np.int64)
     strided = np.arange(0, n_keep, checkpoint_stride)
-    band_sweeps = strided if collect_bands else strided[:0]
+    band_sweeps = strided[:0] if frozen else strided
 
     inclusion_counts = np.zeros(n, dtype=np.int64)
     logliks = np.empty(n_keep)
@@ -706,9 +725,9 @@ def run_chain(panel: SeriesPanel, config: ModelConfig, n_burn: int, n_keep: int,
         if t % checkpoint_stride == 0:
             k = t // checkpoint_stride
             gamma[k] = state.unit_component
-            if collect_bands:
+            if not frozen:
                 band_samples[k] = _trajectory_matrix(state)
-        if membership_tracking:
+        if frozen:
             bucket = np.full(n, len(labels) - 2, dtype=np.int64)   # "other"
             bucket[~nonnull] = len(labels) - 1                      # "null"
             fz_flat = (state.unit_component == FLAT) & (state.unit_atom < n_frozen_flat)
@@ -736,3 +755,140 @@ def merge_inclusion(chains: list[ChainOutput]) -> np.ndarray:
         if c.unit_ids != ids:
             raise InvalidInputError("chains were fit on different panels")
     return np.mean([c.inclusion for c in chains], axis=0)
+
+
+# ---------------------------------------------------------------------------
+# chain summaries: reports, the maximum-likelihood trajectory set, frozen reruns
+
+
+@dataclass
+class ReportBundle:
+    inclusion_header: tuple[str, ...]
+    inclusion_rows: list[list]
+    band_header: tuple[str, ...]
+    band_rows: list[tuple]
+    summary_lines: list[str]
+
+
+def report_summaries(chain: ChainOutput,
+                     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS) -> ReportBundle:
+    """Inclusion table with flag columns, plot-ready trajectory bands, and
+    one discovery-count line per threshold."""
+    for t in thresholds:
+        if not (0.0 < t <= 1.0):
+            raise DomainError(f"thresholds must lie in (0, 1], got {t}")
+    unit_ids = chain.unit_ids
+    inclusion = np.asarray(chain.inclusion)
+    inc_header = ("unit_id", "inclusion") + tuple(f"flagged_at_{_fmt(t)}" for t in thresholds)
+    inc_rows = [[u, p] + [int(p >= t) for t in thresholds]
+                for u, p in zip(unit_ids, inclusion.tolist())]
+    band_header = ("unit_id", "time", "band_lo", "band_mid", "band_hi")
+    band_rows: list[tuple] = []
+    if len(chain.band_samples):
+        lo, mid, hi = np.quantile(np.asarray(chain.band_samples, dtype=float), BAND_QUANTILES,
+                                  axis=0).tolist()
+        times = [int(t) for t in chain.grid]
+        for u, a, b, c in zip(unit_ids, lo, mid, hi):
+            band_rows.extend(zip([u] * len(times), times, a, b, c))
+    lines = [f"flagged {int(np.sum(inclusion >= t))} of {len(unit_ids)} units "
+             f"at threshold {_fmt(t)}" for t in thresholds]
+    return ReportBundle(inc_header, inc_rows, band_header, band_rows, lines)
+
+
+@dataclass
+class MleTrajectorySet:
+    """Top trajectory atoms of the best retained sweep, ranked by weight.
+
+    ``atoms[k].weight`` is the atom's share of the combined alternative
+    (flat + gp) mixture at that sweep; ``set_weights[k]`` is its weight
+    within its own stick-breaking set, which is what a frozen re-run holds
+    fixed. Weights are nonincreasing in rank.
+    """
+
+    sweep: int
+    loglik: float
+    names: tuple[str, ...]
+    atoms: tuple[TrajectoryAtom, ...]
+    set_weights: np.ndarray
+    grid: np.ndarray
+    requested: int
+
+    def __len__(self) -> int:
+        return len(self.atoms)
+
+
+def mle_trajectory_set(chain: ChainOutput, top_k: int) -> MleTrajectorySet:
+    """Extract the top-``top_k`` trajectory atoms from the best retained sweep.
+
+    The best sweep maximizes the complete-data log-likelihood over all
+    retained sweeps. Atoms from the flat and gp sets are ranked together by
+    their share of the combined alternative mixture; ``top_k`` is clamped
+    (with a warning) when it exceeds the number of positive-weight atoms.
+    """
+    if top_k < 1:
+        raise DomainError(f"top_k must be at least 1, got {top_k}")
+    cp, f_weights, g_weights = (chain.best_component_probs, chain.best_flat_weights,
+                                chain.best_gp_weights)
+    alt_mass = cp[FLAT] + cp[GP]
+    ranked = [("flat", l, float(cp[FLAT] * f_weights[l]), float(f_weights[l]))
+              for l in range(f_weights.size)]
+    ranked += [("gp", l, float(cp[GP] * g_weights[l]), float(g_weights[l]))
+               for l in range(g_weights.size)]
+    if alt_mass > 0.0:
+        ranked = [(k, l, w / alt_mass, sw) for k, l, w, sw in ranked]
+    ranked.sort(key=lambda r: (-r[2], r[0], r[1]))
+    available = sum(1 for r in ranked if r[2] > 0.0)
+    k_eff = min(top_k, available)
+    if k_eff < top_k:
+        warnings.warn(f"requested {top_k} clusters but only {available} atoms carry "
+                      f"positive weight; returning {k_eff}")
+    chosen = ranked[:k_eff]
+    atoms, names, set_w = [], [], []
+    for rank, (kind, l, w, sw) in enumerate(chosen, start=1):
+        names.append(f"c{rank:02d}_{kind}")
+        set_w.append(sw)
+        if kind == "flat":
+            atoms.append(TrajectoryAtom("flat", weight=w, level=float(chain.best_flat_levels[l])))
+        else:
+            atoms.append(TrajectoryAtom("gp", weight=w, path=chain.best_gp_paths[l].copy(),
+                                        grid=chain.grid.copy()))
+    return MleTrajectorySet(chain.best_sweep, float(chain.logliks[chain.best_sweep]),
+                            tuple(names), tuple(atoms), np.asarray(set_w), chain.grid.copy(),
+                            top_k)
+
+
+def frozen_initial_state(panel: SeriesPanel, frozen: MleTrajectorySet, config: ModelConfig,
+                         seed: int) -> tuple[FdpState, tuple[str, ...]]:
+    """Prior draw with ``frozen``'s atoms (values and within-set weights) at
+    the head of their stick sets, free sticks on the leftover mass and every
+    unit null; also the frozen names in membership column order (flat, gp)."""
+    grid = np.unique(np.concatenate([s.times for s in panel]))
+    if not np.array_equal(grid, frozen.grid):
+        raise InvalidInputError("panel time grid differs from the frozen atoms' grid")
+    if not frozen.atoms:
+        raise InvalidInputError("a frozen rerun needs at least one frozen atom")
+    flat_sel = [i for i, a in enumerate(frozen.atoms) if a.kind == "flat"]
+    gp_sel = [i for i, a in enumerate(frozen.atoms) if a.kind == "gp"]
+    if len(flat_sel) >= config.trunc_flat or len(gp_sel) >= config.trunc_gp:
+        raise InvalidInputError("frozen atom count must stay below the truncation level")
+    workspace = prepare_gp_workspace(config.kernel, grid)
+    init_rng = stream(seed, "frozen-rerun", "init")
+    state = init_fdp_state(len(panel), config, grid, rng=init_rng, workspace=workspace)
+
+    for tset, sel in ((state.flat_set, flat_sel), (state.gp_set, gp_sel)):
+        k = len(sel)
+        if k == 0:
+            continue
+        head_w = frozen.set_weights[sel]
+        if head_w.sum() >= 1.0:
+            raise InvalidInputError("frozen atom weights must leave free stick mass")
+        if tset.kind == "flat":
+            tset.levels[:k] = [frozen.atoms[i].level for i in sel]
+        else:
+            tset.paths[:k] = np.stack([frozen.atoms[i].path for i in sel])
+        tset.sticks = init_rng.beta(1.0, config.traj_concentration, size=tset.truncation - k - 1)
+        tset.weights = np.concatenate([head_w, (1.0 - head_w.sum()) * stick_weights(tset.sticks)])
+        tset.n_frozen = k
+    state.unit_component[:] = NULL
+    state.unit_atom[:] = -1
+    return state, tuple(frozen.names[i] for i in flat_sel + gp_sel)

@@ -172,7 +172,7 @@ def test_criterion_4_nonparametric_robustness():
     panel = _null_panel(CHECKERBOARD, 1000, 40, seed=100)
     t0 = time.time()
     out = run_chain(panel, default_hyperparameters(1000), n_burn=300, n_keep=600,
-                    seed=1, collect_bands=False)
+                    seed=1)
     elapsed = time.time() - t0
     rate = float(np.mean(out.inclusion >= 0.5))
     _criterion(4, rate < 0.02 and elapsed < 1800.0,
@@ -199,12 +199,12 @@ def test_criterion_5_fdr_study():
     discoveries. Sparse 1/55: zero-to-few false flags, each below 0.75."""
     panel5, truth5 = _study_panel(1.0 / 5.0, seed=200)
     cfg = default_hyperparameters(1000)
-    out5 = run_chain(panel5, cfg, n_burn=300, n_keep=600, seed=2, collect_bands=False)
+    out5 = run_chain(panel5, cfg, n_burn=300, n_keep=600, seed=2)
     flagged5 = [u for u, p in zip(out5.unit_ids, out5.inclusion) if p >= 0.5]
     rep5 = error_report(flagged5, truth5)
 
     panel55, truth55 = _study_panel(1.0 / 55.0, seed=300)
-    out55 = run_chain(panel55, cfg, n_burn=300, n_keep=600, seed=3, collect_bands=False)
+    out55 = run_chain(panel55, cfg, n_burn=300, n_keep=600, seed=3)
     idx = {u: i for i, u in enumerate(out55.unit_ids)}
     flagged55 = [u for u, p in zip(out55.unit_ids, out55.inclusion) if p >= 0.5]
     fp55 = [u for u in flagged55 if not truth55.nonnull[idx[u]]]

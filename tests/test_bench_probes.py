@@ -23,7 +23,8 @@ def test_every_probe_stays_bound(monkeypatch):
         tracer.uninstall()
     assert arscreen.cli.run_chain is arscreen.trajectory.run_chain
     assert arscreen.dp_residual.rw_metropolis_step is arscreen.mcmc.rw_metropolis_step
-    assert arscreen.cli.save_chain is arscreen.trajectory.save_chain
+    for name in ("save_chain", "mle_trajectory_set", "report_summaries"):
+        assert getattr(arscreen.cli, name) is getattr(arscreen.trajectory, name)
     for name in ("build_importance_sampler", "inclusion_probabilities_parametric",
                  "posterior_mixing_mode"):
         assert getattr(arscreen.cli, name) is getattr(arscreen.parametric, name)

@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -144,6 +144,23 @@ class TestScenarios:
         with pytest.raises(InvalidInputError, match="components"):
             simulate_from_scenario({"kind": "mixture", "components": "1:2",
                                     "n_units": "3", "length": "4"}, seed=0)
+        mixture = {"kind": "mixture", "components": "0.3:0.4:1.0", "n_units": "3",
+                   "length": "4", "shift_prob": "0.5"}
+        prior = {"kind": "prior-study", "mixture": "0.3:0.4:1.0", "n_units": "3",
+                 "length": "4"}
+        for base, key, value in [(mixture, "n_units", "abc"), (mixture, "length", "2.5"),
+                                 (mixture, "shift_prob", "x"), (mixture, "shift_var", "y"),
+                                 (prior, "signal_prob", "x"), (prior, "noise_seed", "1.5"),
+                                 (prior, "kernel_variance", "q"),
+                                 (prior, "kernel_length_scale", "z")]:
+            with pytest.raises(InvalidInputError, match=f"'{key}'.*{value}"):
+                simulate_from_scenario(dict(base, **{key: value}), seed=0)
+        for n_units in ("0", "-3"):
+            with pytest.raises(InvalidInputError, match="at least one unit"):
+                simulate_from_scenario(dict(prior, n_units=n_units), seed=0)
+        for shift_var in ("-1.0", "nan", "inf"):
+            with pytest.raises(DomainError, match="shift variance"):
+                simulate_from_scenario(dict(mixture, shift_var=shift_var), seed=0)
 
 
 class TestChainPersistence:
@@ -329,6 +346,14 @@ class TestFrozenRerun:
                                  n_burn=2, n_keep=2)
 
 
+    def test_empty_frozen_set_rejected(self, fitted_chain):
+        panel, chain = fitted_chain
+        empty = replace(mle_trajectory_set(chain, 2), names=(), atoms=(),
+                        set_weights=np.empty(0))
+        with pytest.raises(InvalidInputError, match="at least one frozen atom"):
+            frozen_cluster_rerun(panel, empty, TEST_CONFIG, seed=0, n_burn=2, n_keep=2)
+
+
 class TestReportSummaries:
     def test_tables_and_lines(self, fitted_chain):
         _, chain = fitted_chain
@@ -495,6 +520,19 @@ class TestCliCommands:
         assert rc == 3
         assert f"got {value}" in capsys.readouterr().err
         assert not outdir.exists()     # so no chain or table was written
+
+    @pytest.mark.parametrize("key", ["resid_concentration", "traj_concentration"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_concentration_rejected_before_fitting(self, tmp_path, capsys, key, value):
+        panel_path = _write_small_panel(tmp_path, n=10)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        outdir = tmp_path / "out"
+        rc = main(["fit-np", "--input", panel_path, "--output-dir", str(outdir),
+                   "--config", str(cfg), "--burn", "2", "--keep", "2"])
+        assert rc == 3
+        assert key in capsys.readouterr().err
+        assert not outdir.exists()     # so no chain_0.npz was written
 
     def test_console_entry_point(self, tmp_path):
         panel_path = _write_small_panel(tmp_path)

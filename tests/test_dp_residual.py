@@ -53,6 +53,11 @@ class TestClusterCounts:
         with pytest.raises(DomainError):
             expected_clusters(-1.0, 5)
 
+    @pytest.mark.parametrize("alpha", [0.0, np.nan, np.inf])
+    def test_init_rejects_nonfinite_or_nonpositive_concentration(self, alpha):
+        with pytest.raises(DomainError, match="finite and positive"):
+            init_residual_state(3, alpha, ParametricPrior(), truncation=5)
+
 
 def tiny_panel(n=3, T=6, seed=0):
     scenario = MixtureScenario(((ArParams(0.3, 0.5), 1.0),), n_units=n, length=T)

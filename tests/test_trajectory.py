@@ -538,8 +538,8 @@ class TestRunChain:
                           resid_concentration=cfg.resid_concentration,
                           traj_concentration=cfg.traj_concentration,
                           trunc_resid=20, trunc_gp=25, trunc_flat=15)
-        out1 = run_chain(panel, cfg, n_burn=400, n_keep=2000, seed=1, collect_bands=False)
-        out2 = run_chain(panel, cfg, n_burn=400, n_keep=2000, seed=2, collect_bands=False)
+        out1 = run_chain(panel, cfg, n_burn=400, n_keep=2000, seed=1)
+        out2 = run_chain(panel, cfg, n_burn=400, n_keep=2000, seed=2)
         assert np.all(out1.inclusion[:8] > 0.8)
         assert np.median(out1.inclusion[8:]) < 0.5
         agree = np.abs(out1.inclusion - out2.inclusion) < 0.1
