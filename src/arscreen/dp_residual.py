@@ -107,7 +107,7 @@ class DpResidualState:
     prop_scale: np.ndarray       # shape (L, 2), RW proposal scales per atom
     adapt_steps: np.ndarray      # shape (L,), adaptation step counters
     # Row l pools the lag statistics of the units on atom l, as the last
-    # sweep scored them; None before any sweep or with the likelihood off.
+    # sweep scored them; None before the first sweep.
     pooled: LagStats | None = None
 
     @property
@@ -119,8 +119,8 @@ class DpResidualState:
 
 
 def init_residual_state(n_units: int, concentration: float, base: ParametricPrior,
-                        truncation: int = DEFAULT_TRUNCATION, seed: int = 0,
-                        rng: np.random.Generator | None = None) -> DpResidualState:
+                        truncation: int = DEFAULT_TRUNCATION, *,
+                        rng: np.random.Generator) -> DpResidualState:
     """Draw an initial state from the prior.
 
     Sticks come from Beta(1, concentration), atoms from the base measure,
@@ -131,8 +131,6 @@ def init_residual_state(n_units: int, concentration: float, base: ParametricPrio
         raise DomainError(f"concentration must be finite and positive, got {concentration}")
     if truncation < 2:
         raise DomainError(f"truncation must be at least 2, got {truncation}")
-    if rng is None:
-        rng = stream(seed, "residual-init")
     sticks = rng.beta(1.0, concentration, size=truncation - 1)
     weights = stick_weights(sticks)
     phi, v = base.sample_phi_v(rng, truncation)
@@ -147,22 +145,22 @@ def init_residual_state(n_units: int, concentration: float, base: ParametricPrio
     )
 
 
-def _atom_log_target(base: ParametricPrior, pooled: LagStats | None, xs: np.ndarray) -> np.ndarray:
+def _atom_log_target(base: ParametricPrior, pooled: LagStats, xs: np.ndarray) -> np.ndarray:
     """Log conditional of atom k at row k of ``xs`` = (atanh phi, log v),
     Jacobian included; -inf where the prior is not finite.
 
-    ``pooled`` holds one pooled lag-statistics row per atom (None holds the
-    likelihood constant); row k is scored under pair k only.
+    ``pooled`` holds one pooled lag-statistics row per atom; row k is scored
+    under pair k only.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         phi, v = np.tanh(xs[:, 0]), np.exp(xs[:, 1])
         lp = base.log_density_phi_v(phi, v) + np.log1p(-phi * phi) + np.log(v)
-        total = lp if pooled is None else lp + np.diagonal(pooled.loglik(phi, v))
+        total = lp + np.diagonal(pooled.loglik(phi, v))
     # lp is not finite exactly where tanh rounds to +-1 or v to 0 or inf.
     return np.where(np.isfinite(lp), total, -np.inf)
 
 
-def _step_atoms(state: DpResidualState, pooled: LagStats | None, atoms: np.ndarray,
+def _step_atoms(state: DpResidualState, pooled: LagStats, atoms: np.ndarray,
                 rng: np.random.Generator, adapt: bool) -> None:
     """One random-walk Metropolis step on (atanh phi, log v) for every atom
     in ``atoms`` at once, each under its own proposal scale; ``pooled`` has
@@ -172,8 +170,7 @@ def _step_atoms(state: DpResidualState, pooled: LagStats | None, atoms: np.ndarr
     prop = x + state.prop_scale[atoms] * rng.standard_normal(x.shape)
     # Proposals and current points scored in one call: rows k and K + k are atom k's.
     rows = np.concatenate([atoms, atoms])
-    log_target = _atom_log_target(state.base, None if pooled is None else pooled[rows],
-                                  np.concatenate([prop, x]))
+    log_target = _atom_log_target(state.base, pooled[rows], np.concatenate([prop, x]))
     log_target_prop, log_target_x = log_target[:len(atoms)], log_target[len(atoms):]
     if np.any(np.isnan(log_target_prop)):
         k = np.flatnonzero(np.isnan(log_target_prop))[0]
@@ -190,30 +187,26 @@ def _step_atoms(state: DpResidualState, pooled: LagStats | None, atoms: np.ndarr
         state.adapt_steps[atoms] += 1
 
 
-def _sweep_residual(state: DpResidualState, table: StepTable, stats: LagStats | None,
+def _sweep_residual(state: DpResidualState, table: StepTable, stats: LagStats,
                     rng: np.random.Generator, adapt: bool) -> None:
     """One blocked Gibbs sweep over assignments, sticks, and atoms.
 
     ``stats`` are the lag statistics of the values the mixture models (the
-    joint trajectory sampler passes those of the current residuals); None
-    holds the likelihood constant. ``table`` only names units in errors.
+    joint trajectory sampler passes those of the current residuals).
+    ``table`` only names units in errors.
     Mutates ``state`` in place and leaves the statistics pooled by the new
     assignments in ``state.pooled``.
     """
     L = state.truncation
-    n_units = state.assignments.size
     log_w = np.full(L, -np.inf)
     pos = state.stick.weights > 0
     log_w[pos] = np.log(state.stick.weights[pos])
 
-    if stats is None:
-        ll = np.zeros((n_units, L))
-    else:
-        ll = stats.loglik(state.stick.phi, state.stick.v)
-        if not np.all(np.isfinite(ll)):
-            unit, atom = np.argwhere(~np.isfinite(ll))[0]
-            raise NumericalError(f"non-finite residual log-likelihood for unit "
-                                 f"{table.unit_ids[unit]!r} under atom {int(atom)}")
+    ll = stats.loglik(state.stick.phi, state.stick.v)
+    if not np.all(np.isfinite(ll)):
+        unit, atom = np.argwhere(~np.isfinite(ll))[0]
+        raise NumericalError(f"non-finite residual log-likelihood for unit "
+                             f"{table.unit_ids[unit]!r} under atom {int(atom)}")
     ll += log_w
     state.assignments = gumbel_argmax(ll, rng).astype(np.int64)
 
@@ -224,22 +217,19 @@ def _sweep_residual(state: DpResidualState, table: StepTable, stats: LagStats | 
 
     empty = counts == 0
     state.stick.phi[empty], state.stick.v[empty] = state.base.sample_phi_v(rng, int(empty.sum()))
-    state.pooled = None if stats is None else stats.pool(state.assignments, L)
+    state.pooled = stats.pool(state.assignments, L)
     _step_atoms(state, state.pooled, np.flatnonzero(~empty), rng, adapt)
 
 
 def gibbs_sweep_residual(state: DpResidualState, panel, rng: np.random.Generator,
-                         adapt: bool = False, likelihood_off: bool = False) -> DpResidualState:
+                         adapt: bool = False) -> DpResidualState:
     """One full Gibbs sweep for a standalone residual mixture fit.
 
-    ``panel`` may be a SeriesPanel or a prebuilt step table. With
-    ``likelihood_off`` the likelihood is held constant (every unit scores
-    zero under every atom), which turns the sweep into a prior-preserving
-    kernel for invariance testing. The state is updated in place and
-    returned.
+    ``panel`` may be a SeriesPanel or a prebuilt step table. The state is
+    updated in place and returned.
     """
     table = panel if isinstance(panel, StepTable) else step_table(panel)
-    _sweep_residual(state, table, None if likelihood_off else table.stats, rng, adapt)
+    _sweep_residual(state, table, table.stats, rng, adapt)
     return state
 
 

@@ -174,6 +174,14 @@ def _scalar(raw: dict[str, str], key: str, kind, default: str):
         raise InvalidInputError(f"scenario key {key!r}: cannot parse {text!r}") from exc
 
 
+# The keys each scenario kind reads; any other key is rejected.
+_SCENARIO_KEYS = {
+    "mixture": {"kind", "components", "n_units", "length", "shift_prob", "shift_var"},
+    "prior-study": {"kind", "mixture", "n_units", "length", "signal_prob", "noise_seed",
+                    "kernel_variance", "kernel_length_scale"},
+}
+
+
 @dataclass(frozen=True)
 class _ResidMix:
     weights: np.ndarray
@@ -182,9 +190,16 @@ class _ResidMix:
 
 
 def simulate_from_scenario(raw: dict[str, str], seed: int) -> tuple[SeriesPanel, TruthLabels]:
-    """Build a panel plus truth labels from a parsed scenario file; a value
-    that does not parse raises ``InvalidInputError`` naming its key."""
+    """Build a panel plus truth labels from a parsed scenario file. An
+    unknown key, a value that does not parse, or prior-study mixture weights
+    off the simplex raise ``InvalidInputError`` naming the key; a negative
+    ``noise_seed`` raises ``DomainError``."""
     kind = raw.get("kind")
+    if kind not in _SCENARIO_KEYS:
+        raise InvalidInputError(f"scenario kind must be 'mixture' or 'prior-study', got {kind!r}")
+    unknown = sorted(set(raw) - _SCENARIO_KEYS[kind])
+    if unknown:
+        raise InvalidInputError(f"unknown scenario key {unknown[0]!r} for kind {kind!r}")
     if kind == "mixture":
         comps = _parse_triples(raw.get("components", ""), "components")
         scenario = MixtureScenario(
@@ -195,20 +210,23 @@ def simulate_from_scenario(raw: dict[str, str], seed: int) -> tuple[SeriesPanel,
             shift_var=_scalar(raw, "shift_var", float, "1.0"),
         )
         return generate_mixture_panel(scenario, seed)
-    if kind == "prior-study":
-        comps = _parse_triples(raw.get("mixture", ""), "mixture")
-        phi, v, w = (np.array(col) for col in zip(*comps))
-        mix = _ResidMix(w, phi, v)
-        grid = np.arange(_scalar(raw, "length", int, "0"), dtype=np.int64)
-        kernel = GpKernelParams(_scalar(raw, "kernel_variance", float, "1.25"),
-                                _scalar(raw, "kernel_length_scale", float, "13.0"))
-        chol = prepare_gp_workspace(kernel, grid).chol
-        noise_seed = _scalar(raw, "noise_seed", int, "") if "noise_seed" in raw else None
-        return generate_prior_study(_scalar(raw, "n_units", int, "0"), grid,
-                                    _scalar(raw, "signal_prob", float, "0.0"), mix,
-                                    lambda rng, times: chol @ rng.standard_normal(times.size),
-                                    seed, noise_seed=noise_seed)
-    raise InvalidInputError(f"scenario kind must be 'mixture' or 'prior-study', got {kind!r}")
+    comps = _parse_triples(raw.get("mixture", ""), "mixture")
+    phi, v, w = (np.array(col) for col in zip(*comps))
+    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        raise InvalidInputError(f"scenario key 'mixture': weights must be nonnegative "
+                                f"and sum to 1, got {w}")
+    mix = _ResidMix(w, phi, v)
+    grid = np.arange(_scalar(raw, "length", int, "0"), dtype=np.int64)
+    kernel = GpKernelParams(_scalar(raw, "kernel_variance", float, "1.25"),
+                            _scalar(raw, "kernel_length_scale", float, "13.0"))
+    chol = prepare_gp_workspace(kernel, grid).chol
+    noise_seed = _scalar(raw, "noise_seed", int, "") if "noise_seed" in raw else None
+    if noise_seed is not None and noise_seed < 0:
+        raise DomainError(f"scenario key 'noise_seed' must be nonnegative, got {noise_seed}")
+    return generate_prior_study(_scalar(raw, "n_units", int, "0"), grid,
+                                _scalar(raw, "signal_prob", float, "0.0"), mix,
+                                lambda rng, times: chol @ rng.standard_normal(times.size),
+                                seed, noise_seed=noise_seed)
 
 
 @dataclass(frozen=True)

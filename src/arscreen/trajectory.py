@@ -263,12 +263,9 @@ class FdpState:
         return copy.deepcopy(self)
 
 
-def init_fdp_state(n_units: int, config: ModelConfig, grid, seed: int = 0,
-                   rng: np.random.Generator | None = None,
+def init_fdp_state(n_units: int, config: ModelConfig, grid, *, rng: np.random.Generator,
                    workspace: GpWorkspace | None = None) -> FdpState:
     """Exact prior draw of the full state."""
-    if rng is None:
-        rng = stream(seed, "joint-init")
     grid = np.asarray(grid, dtype=np.int64)
     if workspace is None:
         workspace = prepare_gp_workspace(config.kernel, grid)
@@ -396,14 +393,12 @@ def _gp_atom_terms(noise: _UnitNoise, table: StepTable, unit_atom: np.ndarray,
     return S, sums[:, -G:]
 
 
-def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise | None):
-    """Unit-by-component score matrix and the flat-level terms.
+def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise) -> np.ndarray:
+    """Unit-by-component score matrix.
 
     Columns are [null | flat atoms | gp atoms]; entry = log component prob
     + log atom weight + component log-likelihood under the unit's current
-    residual parameters, read from ``noise`` (None holds the likelihood
-    constant). Also returns per-unit q_y1 and s11 (for the flat conjugate
-    update) under the current residual assignment.
+    residual parameters, read from ``noise``.
     """
     n = state.n_units
     Lf, Lg = state.flat_set.truncation, state.gp_set.truncation
@@ -415,8 +410,6 @@ def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise | No
     scores[:, 0] = log_cp[NULL]
     scores[:, 1:1 + Lf] = log_cp[FLAT] + log_wf[None, :]
     scores[:, 1 + Lf:] = log_cp[GP] + log_wg[None, :]
-    if noise is None:
-        return scores, np.zeros(n), np.zeros(n)
 
     levels, paths = state.flat_set.levels, state.gp_set.paths
     prev, cur = table.pairs.T
@@ -425,7 +418,7 @@ def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise | No
     scores[:, :1] += null
     scores[:, 1:1 + Lf] += null + levels * q_y1 - 0.5 * noise.s11[:, None] * levels ** 2
     scores[:, 1 + Lf:] += null + noise.qy @ paths.T - 0.5 * q_pp
-    return scores, noise.q_y1, noise.s11
+    return scores
 
 
 def _flat_level_posterior(prior_var: float, s11_sum, q_y1_sum):
@@ -444,14 +437,11 @@ def _update_traj_sticks(tset: TrajectorySticks, counts: np.ndarray, nu: float,
 
 
 def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
-                      adapt: bool = False, likelihood_off: bool = False,
-                      workspace: GpWorkspace | None = None) -> FdpState:
+                      adapt: bool = False, workspace: GpWorkspace | None = None) -> FdpState:
     """One full sweep of the joint sampler; mutates and returns ``state``.
 
     ``panel`` may be a SeriesPanel or a prebuilt step table (grid positions
-    required). ``likelihood_off`` holds the likelihood constant in every
-    block, turning the sweep into a prior-preserving kernel for invariance
-    tests. Proposal adaptation in the residual block runs only with
+    required). Proposal adaptation in the residual block runs only with
     ``adapt`` set.
     """
     table = panel if isinstance(panel, StepTable) else step_table(panel, grid=state.grid)
@@ -460,8 +450,8 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     Lf = state.flat_set.truncation
 
     # (a) joint draw of (component, atom) per unit
-    noise = None if likelihood_off else _unit_noise(state, table)
-    scores, q_y1_u, s11_u = _assignment_scores(state, table, noise)
+    noise = _unit_noise(state, table)
+    scores = _assignment_scores(state, table, noise)
     bad = ~np.isfinite(np.max(scores, axis=1))
     if np.any(bad):
         raise NumericalError("assignment stage (a): no finite component score for unit "
@@ -480,8 +470,8 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     is_flat = state.unit_component == FLAT
     flat_atoms = state.unit_atom[is_flat]
     flat_counts = np.bincount(flat_atoms, minlength=Lf)
-    a_sum = np.bincount(flat_atoms, s11_u[is_flat], minlength=Lf)
-    b_sum = np.bincount(flat_atoms, q_y1_u[is_flat], minlength=Lf)
+    a_sum = np.bincount(flat_atoms, noise.s11[is_flat], minlength=Lf)
+    b_sum = np.bincount(flat_atoms, noise.q_y1[is_flat], minlength=Lf)
     post_mean, post_var = _flat_level_posterior(state.kernel.variance, a_sum, b_sum)
     start = state.flat_set.n_frozen
     new_levels = post_mean[start:] + np.sqrt(post_var[start:]) * rng.standard_normal(Lf - start)
@@ -496,18 +486,17 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     free = np.arange(state.gp_set.n_frozen, Lg)
     z = rng.standard_normal((free.size, state.grid.size))
     state.gp_set.paths[free] = z @ workspace.chol.T
-    if noise is not None:
-        busy = free[gp_counts[free] > 0]
-        S, b = _gp_atom_terms(noise, table, np.where(is_gp, state.unit_atom, -1), busy)
-        mean, R = gp_atom_conditional(workspace, S, b)
-        state.gp_set.paths[busy] = _gp_draw(workspace, mean, R, z[busy - state.gp_set.n_frozen])
+    busy = free[gp_counts[free] > 0]
+    S, b = _gp_atom_terms(noise, table, np.where(is_gp, state.unit_atom, -1), busy)
+    mean, R = gp_atom_conditional(workspace, S, b)
+    state.gp_set.paths[busy] = _gp_draw(workspace, mean, R, z[busy - state.gp_set.n_frozen])
 
     # (e) trajectory stick sets
     _update_traj_sticks(state.flat_set, flat_counts, state.traj_concentration, rng)
     _update_traj_sticks(state.gp_set, gp_counts, state.traj_concentration, rng)
 
     # (f) residual mixture on de-trended values
-    stats = None if likelihood_off else lag_stats(table, _detrended_values(state, table))
+    stats = lag_stats(table, _detrended_values(state, table))
     try:
         _sweep_residual(state.residual, table, stats, rng, adapt)
     except NumericalError as exc:

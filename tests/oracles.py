@@ -2,11 +2,15 @@
 
 Everything here is deliberately naive: dense matrices, direct formulas,
 exhaustive enumeration. No code is shared with the package beyond numpy
-and scipy, so agreement is meaningful.
+and scipy, so agreement is meaningful. The one exception is the
+successive-conditional data draw, which reads the sampler state it redraws
+data for (``trajectory._trajectory_matrix``), since the test checks the
+sweeps, not that read.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +26,37 @@ def dense_ar1_cov(phi: float, v: float, times) -> np.ndarray:
         for j in range(n):
             out[i, j] = v / (1.0 - phi ** 2) * phi ** abs(int(times[i]) - int(times[j]))
     return out
+
+
+def successive_conditional_data(state, table, rng: np.random.Generator):
+    """The data half of Geweke's (2004, *JASA*, "Getting it right")
+    successive-conditional simulator: a copy of the step table ``table``
+    whose values are drawn afresh from p(y | theta) at ``state``.
+
+    ``state`` is a residual-mixture state, or a joint state whose trajectory
+    is then added. Each unit is stationary AR(1) under the atom it sits on,
+    at its own (gapped) times: its first value has variance v / (1 - phi^2),
+    and a step across gap d has coefficient phi^d and innovation variance
+    v (1 - phi^(2d)) / (1 - phi^2). Alternating this draw with sweeps that
+    keep p(theta | y) invariant gives a chain whose theta-marginal is the
+    prior. The copy is a new instance, so its cached statistics are fresh.
+    """
+    from arscreen.trajectory import FdpState, _trajectory_matrix
+
+    residual = state.residual if isinstance(state, FdpState) else state
+    atom = residual.assignments[table.unit]
+    phi, v = residual.stick.phi[atom], residual.stick.v[atom]
+    gap = np.zeros(table.values.size, dtype=np.int64)     # 0 marks a first value
+    gap[table.later] = np.asarray(table.sizes)[table.gap]
+    coef = np.where(gap > 0, phi ** gap, 0.0)
+    innov_var = np.where(gap > 0, v * (1.0 - phi ** (2 * gap)), v) / (1.0 - phi * phi)
+    y = (np.sqrt(innov_var) * rng.standard_normal(gap.size)).tolist()
+    for k, a in zip(table.later.tolist(), coef[table.later].tolist()):
+        y[k] += a * y[k - 1]      # steps run in order, so y[k - 1] is final
+    y = np.array(y)
+    if residual is not state:
+        y += _trajectory_matrix(state)[table.unit, table.pos]
+    return dataclasses.replace(table, values=y)
 
 
 def dense_ar1_loglik(y, phi: float, v: float, times) -> float:

@@ -161,6 +161,16 @@ class TestScenarios:
         for shift_var in ("-1.0", "nan", "inf"):
             with pytest.raises(DomainError, match="shift variance"):
                 simulate_from_scenario(dict(mixture, shift_var=shift_var), seed=0)
+        # each kind reads only its own keys: a typo or the other kind's key is named
+        for base, key in [(mixture, "shift_prb"), (mixture, "signal_prob"),
+                          (prior, "shift_prob"), (prior, "kernel_scale")]:
+            with pytest.raises(InvalidInputError, match=f"unknown scenario key '{key}'"):
+                simulate_from_scenario(dict(base, **{key: "0.5"}), seed=0)
+        for weights in ("0.3:0.4:-0.5; 0.9:0.1:1.5", "0.3:0.4:0.5", "0.3:0.4:0.6; 0.9:0.1:0.6"):
+            with pytest.raises(InvalidInputError, match="'mixture'.*sum to 1"):
+                simulate_from_scenario(dict(prior, mixture=weights), seed=0)
+        with pytest.raises(DomainError, match="'noise_seed'.*-1"):
+            simulate_from_scenario(dict(prior, noise_seed="-1"), seed=0)
 
 
 class TestChainPersistence:
@@ -423,6 +433,19 @@ class TestCliCommands:
         header, rows = read_table(str(tmp_path / "sim" / "truth.csv"))
         assert header == ("unit_id", "nonnull", "component")
         assert len(rows) == len(panel) == 6
+
+    @pytest.mark.parametrize("line,key", [("shift_prb = 0.5", "shift_prb"),
+                                          ("noise_seed = -1", "noise_seed")])
+    def test_simulate_rejects_bad_scenario(self, tmp_path, capsys, line, key):
+        scen = tmp_path / "scen.cfg"
+        kind = "mixture\ncomponents = 0.5:0.25:1.0" if key == "shift_prb" else \
+            "prior-study\nmixture = 0.5:0.25:1.0"
+        scen.write_text(f"kind = {kind}\nn_units = 6\nlength = 8\n{line}\n")
+        rc = main(["simulate", "--scenario", str(scen),
+                   "--output-dir", str(tmp_path / "sim"), "--seed", "2"])
+        assert rc == 3
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "sim" / "truth.csv").exists()
 
     def test_fit_parametric_outputs(self, tmp_path):
         panel_path = _write_small_panel(tmp_path)

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel, ar1_loglik, lag_stats, step_table
+from arscreen.dp_residual import init_residual_state
 from arscreen.errors import DomainError, InvalidInputError, NumericalError
 from arscreen.mcmc import stream
 from arscreen.parametric import ParametricPrior
@@ -21,6 +22,7 @@ from arscreen.trajectory import (
     _gp_atom_terms,
     _gp_draw,
     _solve_lower,
+    _trajectory_matrix,
     _unit_noise,
     _flat_level_posterior,
     component_loglik,
@@ -42,6 +44,7 @@ from oracles import (
     dense_gp_conditional,
     dense_gp_precision_terms,
     solve_lower,
+    successive_conditional_data,
     whitened_gp_cov,
 )
 
@@ -338,7 +341,7 @@ class TestAssignmentScores:
     @staticmethod
     def _check_scores_match_scalar_logliks(panel, state, grid):
         table = step_table(panel, grid=grid)
-        scores, q_y1_u, s11_u = _assignment_scores(state, table, _unit_noise(state, table))
+        scores = _assignment_scores(state, table, _unit_noise(state, table))
         log_cp = np.log(state.component_probs)
         for i, s in enumerate(panel):
             th = state.residual.stick.atom(state.residual.assignments[i])
@@ -378,7 +381,7 @@ class TestAssignmentScores:
         state.flat_set.weights = np.ones(lf) / lf
         state.gp_set.weights = np.ones(lg) / lg
         table = step_table(panel, grid=times)
-        scores, _, _ = _assignment_scores(state, table, _unit_noise(state, table))
+        scores = _assignment_scores(state, table, _unit_noise(state, table))
         flat_best = scores[0, 1:1 + lf] - np.log(1.0 / lf)
         gp_best = scores[0, 1 + lf:] - np.log(1.0 / lg)
         assert scores[0, 0] >= flat_best.max()
@@ -395,9 +398,64 @@ class TestAssignmentScores:
             gibbs_sweep_joint(state, panel, stream(10, "sw"))
 
 
+class TestSuccessiveConditionalData:
+    """The data draw the prior-invariance checks rely on, against the dense
+    stationary AR(1) covariance."""
+
+    TIMES = np.array([0, 1, 3, 4, 7, 8, 12, 13], dtype=np.int64)
+    N_UNITS = 20000
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return step_table(SeriesPanel(tuple(
+            ObservedSeries(f"u{i}", self.TIMES, np.zeros(self.TIMES.size))
+            for i in range(self.N_UNITS))))
+
+    @pytest.mark.parametrize("phi", [-0.99, 0.5, 0.99])
+    def test_covariance_matches_dense_oracle(self, table, phi):
+        n_units, v = self.N_UNITS, 0.7
+        state = init_residual_state(n_units, 1.0, ParametricPrior(), truncation=2,
+                                    rng=stream(5, "scd-init"))
+        state.assignments[:] = 0
+        state.stick.phi[0], state.stick.v[0] = phi, v
+        y = successive_conditional_data(state, table, stream(5, "scd", phi))
+        y = y.values.reshape(n_units, self.TIMES.size)
+        want = dense_ar1_cov(phi, v, self.TIMES)
+        # Monte Carlo standard errors of the sample mean and covariance entries
+        se_mean = np.sqrt(np.diag(want) / n_units)
+        se_cov = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want ** 2) / n_units)
+        assert np.all(np.abs(y.mean(axis=0)) < 5.0 * se_mean)
+        assert np.all(np.abs(np.cov(y, rowvar=False) - want) < 5.0 * se_cov)
+
+    def test_joint_state_adds_the_trajectory(self):
+        panel = _gapped_panel(6, 12, seed=3)
+        grid = np.arange(12, dtype=np.int64)
+        table = step_table(panel, grid=grid)
+        state = init_fdp_state(6, SMALL_CONFIG, grid, rng=stream(4, "st"))
+        state.unit_component[:] = (NULL, FLAT, GP, FLAT, GP, GP)
+        state.unit_atom[:] = (-1, 0, 1, 2, 1, 0)
+        joint = successive_conditional_data(state, table, stream(4, "scd"))
+        noise = successive_conditional_data(state.residual, table, stream(4, "scd"))
+        trend = _trajectory_matrix(state)[table.unit, table.pos]
+        assert np.allclose(joint.values - noise.values, trend, rtol=0.0, atol=1e-12)
+        assert joint is not table and joint.stats is not table.stats
+
+
+# Each coordinate is thinned by twice its integrated autocorrelation time
+# (IACT; Sokal's estimate, window 5 IACTs), the larger of the values measured
+# on this seeded chain over 4,000 and 40,000 sweeps: component probs 4.1 at
+# most, sticks 2.1, level0 2.3, path00 2.5, unit 0's residual phi 17.7/8.9.
+# Unit 0's v (IACT 165 over 40,000 sweeps) is left to criterion 6, where it
+# mixes faster.
+PRIOR_INV_THIN = {"cp": 9, "stick": 5, "level0": 5, "path00": 5, "unit0_phi": 36}
+
+
 class TestPriorInvariance:
     def test_sweeps_preserve_prior(self):
-        n_units, g_len, n_sweeps, thin = 3, 6, 4000, 4
+        """Geweke's successive-conditional simulator: the data are redrawn
+        from p(y | theta) before each real sweep, so the chain keeps the
+        prior; unit 0's residual phi moves only through the likelihood."""
+        n_units, g_len, n_sweeps = 3, 6, 4000
         grid = np.arange(g_len, dtype=np.int64)
         times = grid
         panel = SeriesPanel(tuple(
@@ -406,29 +464,35 @@ class TestPriorInvariance:
         ws = prepare_gp_workspace(SMALL_CONFIG.kernel, grid)
         rng = stream(123, "prior-inv")
         state = init_fdp_state(n_units, SMALL_CONFIG, grid, rng=rng, workspace=ws)
-        cp0, cp1, cp2, stick_f, stick_g, level0, path00 = [], [], [], [], [], [], []
+        cps = np.empty((n_sweeps, 3))
+        stick_f, stick_g, level0, path00, unit0_phi = np.empty((5, n_sweeps))
         for t in range(n_sweeps):
-            gibbs_sweep_joint(state, table, rng, likelihood_off=True, workspace=ws)
+            table = successive_conditional_data(state, table, rng)
+            gibbs_sweep_joint(state, table, rng, workspace=ws)
             assert abs(state.flat_set.weights.sum() - 1.0) < 1e-12
             assert abs(state.gp_set.weights.sum() - 1.0) < 1e-12
-            if t % thin == 0:
-                cp0.append(state.component_probs[0])
-                cp1.append(state.component_probs[1])
-                cp2.append(state.component_probs[2])
-                stick_f.append(state.flat_set.sticks[0])
-                stick_g.append(state.gp_set.sticks[0])
-                level0.append(state.flat_set.levels[0])
-                path00.append(state.gp_set.paths[0, 0])
+            cps[t] = state.component_probs
+            stick_f[t], stick_g[t] = state.flat_set.sticks[0], state.gp_set.sticks[0]
+            level0[t], path00[t] = state.flat_set.levels[0], state.gp_set.paths[0, 0]
+            unit0_phi[t] = state.residual.stick.phi[state.residual.assignments[0]]
         beta12 = stats.beta(1, 2)
-        for coord in (cp0, cp1, cp2):
-            assert stats.kstest(coord, beta12.cdf).pvalue > 0.01
+        for c in range(3):
+            assert stats.kstest(cps[::PRIOR_INV_THIN["cp"], c], beta12.cdf).pvalue > 0.01
         beta_nu = stats.beta(1, SMALL_CONFIG.traj_concentration)
-        assert stats.kstest(stick_f, beta_nu.cdf).pvalue > 0.01
-        assert stats.kstest(stick_g, beta_nu.cdf).pvalue > 0.01
+        for sticks in (stick_f, stick_g):
+            assert stats.kstest(sticks[::PRIOR_INV_THIN["stick"]], beta_nu.cdf).pvalue > 0.01
         k1 = SMALL_CONFIG.kernel.variance
-        assert stats.kstest(level0, stats.norm(0, np.sqrt(k1)).cdf).pvalue > 0.01
+        assert stats.kstest(level0[::PRIOR_INV_THIN["level0"]],
+                            stats.norm(0, np.sqrt(k1)).cdf).pvalue > 0.01
         sd_path = np.sqrt(ws.cov[0, 0])
-        assert stats.kstest(path00, stats.norm(0, sd_path).cdf).pvalue > 0.01
+        assert stats.kstest(path00[::PRIOR_INV_THIN["path00"]],
+                            stats.norm(0, sd_path).cdf).pvalue > 0.01
+        base = SMALL_CONFIG.base
+        sd = np.sqrt(base.phi_var)
+        phi_prior = stats.truncnorm((-1 - base.phi_mean) / sd, (1 - base.phi_mean) / sd,
+                                    loc=base.phi_mean, scale=sd)
+        assert stats.kstest(unit0_phi[::PRIOR_INV_THIN["unit0_phi"]],
+                            phi_prior.cdf).pvalue > 0.01
 
 
 class TestSweepMechanics:
@@ -463,8 +527,6 @@ class TestSweepMechanics:
                 state.residual.assignments, stick.truncation)
             want = float(np.trace(rebuilt.loglik(stick.phi, stick.v)))
             assert complete_data_loglik(state, table) == want
-        gibbs_sweep_joint(state, table, rng, likelihood_off=True)
-        assert state.residual.pooled is None
 
     def test_frozen_atoms_do_not_move(self):
         panel = _panel(10, 12, seed=31, shift=2.5, n_shift=4)
