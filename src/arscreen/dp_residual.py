@@ -7,12 +7,10 @@ One Gibbs sweep resamples unit assignments from their exact conditionals,
 stick fractions from their Beta conditionals, and then the atoms, which are
 conditionally independent given the assignments (Ishwaran & James 2001).
 Every empty atom is redrawn from the base measure in one
-``ParametricPrior.sample_phi_v`` call. Every occupied atom takes one
-random-walk Metropolis step on (atanh phi, log v) targeting the base prior
-times the likelihood of its assigned units, all atoms in one vector step
-that scores row k of the pooled lag statistics under pair k. Proposal
-scales adapt toward 25% acceptance only while ``adapt`` is set (burn-in),
-so the post-burn-in chain has a fixed kernel.
+``ParametricPrior.sample_phi_v`` call. Every occupied atom then takes one
+collapsed step, all at once from the pooled lag statistics: phi moves by
+Metropolis in arcsin phi with v integrated out, at a scale read off the
+atom's size, and v is drawn exactly given phi. Nothing is tuned.
 """
 
 from __future__ import annotations
@@ -21,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_core import ArParams, LagStats, SeriesPanel, StepTable, step_table
+from .ar_core import ArParams, LagStats, SeriesPanel, StepTable, _lag_coefficients, step_table
 # Bound only for the probes in bench/layers.py; not called here (counts read 0).
 from .ar_core import group_whiten, panel_groups  # noqa: F401
 from .errors import DomainError, NumericalError
-from .mcmc import ADAPT_DECAY, TARGET_ACCEPT, gumbel_argmax, sample_sticks, stick_weights, stream
+from .mcmc import gumbel_argmax, sample_sticks, stick_weights, stream
 # Bound only for the mcmc.rw_metropolis_step probe, as tests/test_bench_probes.py
 # pins; not called here (counts read 0).
 from .mcmc import rw_metropolis_step  # noqa: F401
@@ -104,8 +102,6 @@ class DpResidualState:
     assignments: np.ndarray      # shape (N,), atom index per unit
     concentration: float
     base: ParametricPrior
-    prop_scale: np.ndarray       # shape (L, 2), RW proposal scales per atom
-    adapt_steps: np.ndarray      # shape (L,), adaptation step counters
     # Row l pools the lag statistics of the units on atom l, as the last
     # sweep scored them; None before the first sweep.
     pooled: LagStats | None = None
@@ -140,55 +136,69 @@ def init_residual_state(n_units: int, concentration: float, base: ParametricPrio
         assignments=assignments.astype(np.int64),
         concentration=float(concentration),
         base=base,
-        prop_scale=np.full((truncation, 2), 0.25),
-        adapt_steps=np.zeros(truncation, dtype=np.int64),
     )
 
 
-def _atom_log_target(base: ParametricPrior, pooled: LagStats, xs: np.ndarray) -> np.ndarray:
-    """Log conditional of atom k at row k of ``xs`` = (atanh phi, log v),
-    Jacobian included; -inf where the prior is not finite.
+def _v_conditional(base: ParametricPrior, pooled: LagStats,
+                   phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row k of ``pooled`` at phi[k], with n its observation count and
+    D, Q the log-determinant and quadratic form of its AR(1) likelihood at
+    v = 1: the shape a + n/2 and scale b + Q/2 of v's inverse-gamma
+    conditional, and D."""
+    logdet, q_yy, _, _ = _lag_coefficients(phi, 1.0, pooled.sizes)
+    counts, quad = np.split(pooled.terms, [1 + len(pooled.sizes)], axis=1)
+    return (base.var_shape + 0.5 * counts.sum(axis=1),
+            base.var_scale + 0.5 * (quad * q_yy).sum(axis=1), (counts * logdet).sum(axis=1))
 
-    ``pooled`` holds one pooled lag-statistics row per atom; row k is scored
-    under pair k only.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        phi, v = np.tanh(xs[:, 0]), np.exp(xs[:, 1])
-        lp = base.log_density_phi_v(phi, v) + np.log1p(-phi * phi) + np.log(v)
-        total = lp + np.diagonal(pooled.loglik(phi, v))
-    # lp is not finite exactly where tanh rounds to +-1 or v to 0 or inf.
-    return np.where(np.isfinite(lp), total, -np.inf)
+
+def _phi_log_target(base: ParametricPrior, pooled: LagStats, theta: np.ndarray) -> np.ndarray:
+    """log p(phi) + log cos theta - D/2 - (a + n/2) log(b + Q/2) at
+    phi = sin theta[k] for row k of ``pooled``: atom k's log conditional
+    with v integrated out, in theta = arcsin phi, up to a constant per row.
+    -inf where |theta| >= pi/2 or sin theta rounds to +-1."""
+    phi = np.sin(theta)
+    ok = (np.abs(theta) < 0.5 * np.pi) & (np.abs(phi) < 1.0)
+    shape, scale, logdet = _v_conditional(base, pooled[ok], phi[ok])
+    out = np.full(theta.shape, -np.inf)
+    out[ok] = (-0.5 * (phi[ok] - base.phi_mean) ** 2 / base.phi_var + np.log(np.cos(theta[ok]))
+               - 0.5 * logdet - shape * np.log(scale))
+    return out
+
+
+def _draw_atom_v(base: ParametricPrior, pooled: LagStats, phi: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+    """One exact draw of v per row k of ``pooled`` from its conditional at phi[k]."""
+    shape, scale, _ = _v_conditional(base, pooled, phi)
+    return scale / rng.gamma(shape)
 
 
 def _step_atoms(state: DpResidualState, pooled: LagStats, atoms: np.ndarray,
-                rng: np.random.Generator, adapt: bool) -> None:
-    """One random-walk Metropolis step on (atanh phi, log v) for every atom
-    in ``atoms`` at once, each under its own proposal scale; ``pooled`` has
-    one row per atom of the state. Adapts the scales while ``adapt`` is set."""
-    stick = state.stick
-    x = np.column_stack([np.arctanh(stick.phi[atoms]), np.log(stick.v[atoms])])
-    prop = x + state.prop_scale[atoms] * rng.standard_normal(x.shape)
+                rng: np.random.Generator) -> np.ndarray:
+    """The collapsed step for every atom in ``atoms`` at once (``pooled``
+    has one row per atom); returns which phi proposals were accepted. In
+    theta = arcsin phi the AR(1) Fisher information is 1 per observation, so
+    an atom of n observations steps theta at the 1-d optimal standard
+    deviation 2.4 / sqrt(n + 1 / phi_var) (Gelman, Roberts & Gilks 1996)."""
+    stick, base = state.stick, state.base
+    theta = np.arcsin(stick.phi[atoms])
+    scale = 2.4 / np.sqrt(pooled.length[atoms] + 1.0 / base.phi_var)
+    prop = theta + scale * rng.standard_normal(len(atoms))
     # Proposals and current points scored in one call: rows k and K + k are atom k's.
-    rows = np.concatenate([atoms, atoms])
-    log_target = _atom_log_target(state.base, pooled[rows], np.concatenate([prop, x]))
+    log_target = _phi_log_target(base, pooled[np.concatenate([atoms, atoms])],
+                                 np.concatenate([prop, theta]))
     log_target_prop, log_target_x = log_target[:len(atoms)], log_target[len(atoms):]
     if np.any(np.isnan(log_target_prop)):
         k = np.flatnonzero(np.isnan(log_target_prop))[0]
-        raise NumericalError(f"random-walk proposal produced NaN log target for atom "
+        raise NumericalError(f"arcsin phi proposal produced NaN log target for atom "
                              f"{int(atoms[k])} at {prop[k]!r}")
-    log_ratio = log_target_prop - log_target_x
-    accept = np.log(rng.uniform(size=len(atoms))) < log_ratio
-    moved = atoms[accept]
-    stick.phi[moved] = np.tanh(prop[accept, 0])
-    stick.v[moved] = np.exp(prop[accept, 1])
-    if adapt:
-        gain = (state.adapt_steps[atoms] + 1.0) ** -ADAPT_DECAY
-        state.prop_scale[atoms] *= np.exp(gain * (accept - TARGET_ACCEPT))[:, None]
-        state.adapt_steps[atoms] += 1
+    accept = np.log(rng.uniform(size=len(atoms))) < log_target_prop - log_target_x
+    stick.phi[atoms] = np.where(accept, np.sin(prop), stick.phi[atoms])
+    stick.v[atoms] = _draw_atom_v(base, pooled[atoms], stick.phi[atoms], rng)
+    return accept
 
 
 def _sweep_residual(state: DpResidualState, table: StepTable, stats: LagStats,
-                    rng: np.random.Generator, adapt: bool) -> None:
+                    rng: np.random.Generator) -> None:
     """One blocked Gibbs sweep over assignments, sticks, and atoms.
 
     ``stats`` are the lag statistics of the values the mixture models (the
@@ -197,17 +207,13 @@ def _sweep_residual(state: DpResidualState, table: StepTable, stats: LagStats,
     Mutates ``state`` in place and leaves the statistics pooled by the new
     assignments in ``state.pooled``.
     """
-    L = state.truncation
-    log_w = np.full(L, -np.inf)
-    pos = state.stick.weights > 0
-    log_w[pos] = np.log(state.stick.weights[pos])
-
     ll = stats.loglik(state.stick.phi, state.stick.v)
     if not np.all(np.isfinite(ll)):
         unit, atom = np.argwhere(~np.isfinite(ll))[0]
         raise NumericalError(f"non-finite residual log-likelihood for unit "
                              f"{table.unit_ids[unit]!r} under atom {int(atom)}")
-    ll += log_w
+    with np.errstate(divide="ignore"):     # an atom of zero weight scores -inf
+        ll += np.log(state.stick.weights)
     state.assignments = gumbel_argmax(ll, rng).astype(np.int64)
 
     counts = state.counts()
@@ -217,19 +223,18 @@ def _sweep_residual(state: DpResidualState, table: StepTable, stats: LagStats,
 
     empty = counts == 0
     state.stick.phi[empty], state.stick.v[empty] = state.base.sample_phi_v(rng, int(empty.sum()))
-    state.pooled = stats.pool(state.assignments, L)
-    _step_atoms(state, state.pooled, np.flatnonzero(~empty), rng, adapt)
+    state.pooled = stats.pool(state.assignments, state.truncation)
+    _step_atoms(state, state.pooled, np.flatnonzero(~empty), rng)
 
 
-def gibbs_sweep_residual(state: DpResidualState, panel, rng: np.random.Generator,
-                         adapt: bool = False) -> DpResidualState:
+def gibbs_sweep_residual(state: DpResidualState, panel, rng: np.random.Generator) -> DpResidualState:
     """One full Gibbs sweep for a standalone residual mixture fit.
 
     ``panel`` may be a SeriesPanel or a prebuilt step table. The state is
     updated in place and returned.
     """
     table = panel if isinstance(panel, StepTable) else step_table(panel)
-    _sweep_residual(state, table, table.stats, rng, adapt)
+    _sweep_residual(state, table, table.stats, rng)
     return state
 
 
@@ -246,10 +251,10 @@ def run_residual_chain(panel: SeriesPanel, concentration: float, base: Parametri
                                 rng=stream(seed, "residual-chain", "init"))
     rng = stream(seed, "residual-chain", "sweeps")
     for _ in range(n_burn):
-        _sweep_residual(state, table, table.stats, rng, adapt=True)
+        _sweep_residual(state, table, table.stats, rng)
     records = []
     for _ in range(n_keep):
-        _sweep_residual(state, table, table.stats, rng, adapt=False)
+        _sweep_residual(state, table, table.stats, rng)
         records.append({
             "weights": state.stick.weights.copy(),
             "phi": state.stick.phi.copy(),

@@ -13,11 +13,6 @@ import numpy as np
 
 from .errors import NumericalError
 
-# Robbins-Monro target acceptance rate for random-walk proposals.
-TARGET_ACCEPT = 0.25
-# Adaptation gain decay exponent; in (0.5, 1] so adaptation vanishes.
-ADAPT_DECAY = 0.6
-
 
 def _key_int(key) -> int:
     """Stable integer for a seed-stream key (string keys hashed via crc32)."""

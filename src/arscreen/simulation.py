@@ -11,6 +11,7 @@ isolates the effect of the signal from Monte Carlo noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -148,30 +149,33 @@ def generate_prior_study(n_units: int, grid: np.ndarray, signal_prob: float,
     return panel, TruthLabels(panel.unit_ids, nonnull, comp)
 
 
-def _parse_triples(text: str, what: str) -> list[tuple[float, float, float]]:
+def _parse_components(text: str, key: str) -> list[tuple[ArParams, float]]:
+    """(AR(1) parameters, weight) pairs from the 'phi:v:weight' triples of
+    scenario key ``key``; every error names the key."""
     out = []
-    for piece in text.split(";"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        parts = piece.split(":")
-        if len(parts) != 3:
-            raise InvalidInputError(f"{what}: expected 'a:b:c' triples, got {piece!r}")
+    for piece in filter(None, (p.strip() for p in text.split(";"))):
         try:
-            out.append(tuple(float(p) for p in parts))
+            phi, v, w = (float(x) for x in piece.split(":"))
+            out.append((ArParams(phi, v), w))
         except ValueError as exc:
-            raise InvalidInputError(f"{what}: cannot parse {piece!r}") from exc
+            raise InvalidInputError(f"scenario key {key!r}: expected 'phi:v:weight' "
+                                    f"triples of numbers, got {piece!r}") from exc
+        except DomainError as exc:
+            raise DomainError(f"scenario key {key!r}: {exc}") from exc
     if not out:
-        raise InvalidInputError(f"{what}: no components given")
+        raise InvalidInputError(f"scenario key {key!r}: no components given")
     return out
 
 
-def _scalar(raw: dict[str, str], key: str, kind, default: str):
+def _scalar(raw: dict[str, str], key: str, kind, default: str, positive: bool = False):
     text = raw.get(key, default)
     try:
-        return kind(text)
+        x = kind(text)
     except ValueError as exc:
         raise InvalidInputError(f"scenario key {key!r}: cannot parse {text!r}") from exc
+    if positive and not 0 < x < np.inf:
+        raise DomainError(f"scenario key {key!r} must be positive and finite, got {x}")
+    return x
 
 
 # The keys each scenario kind reads; any other key is rejected.
@@ -182,43 +186,38 @@ _SCENARIO_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class _ResidMix:
-    weights: np.ndarray
-    phi: np.ndarray
-    v: np.ndarray
-
-
 def simulate_from_scenario(raw: dict[str, str], seed: int) -> tuple[SeriesPanel, TruthLabels]:
     """Build a panel plus truth labels from a parsed scenario file. An
     unknown key, a value that does not parse, or prior-study mixture weights
-    off the simplex raise ``InvalidInputError`` naming the key; a negative
-    ``noise_seed`` raises ``DomainError``."""
+    off the simplex raise ``InvalidInputError`` naming the key; a component
+    (phi, v) outside the AR(1) domain, a ``length`` or kernel parameter that
+    is not positive, or a negative ``noise_seed`` raise ``DomainError``
+    naming it."""
     kind = raw.get("kind")
     if kind not in _SCENARIO_KEYS:
         raise InvalidInputError(f"scenario kind must be 'mixture' or 'prior-study', got {kind!r}")
     unknown = sorted(set(raw) - _SCENARIO_KEYS[kind])
     if unknown:
         raise InvalidInputError(f"unknown scenario key {unknown[0]!r} for kind {kind!r}")
+    length = _scalar(raw, "length", int, "0", positive=True)
     if kind == "mixture":
-        comps = _parse_triples(raw.get("components", ""), "components")
         scenario = MixtureScenario(
-            components=tuple((ArParams(phi, v), w) for phi, v, w in comps),
+            components=tuple(_parse_components(raw.get("components", ""), "components")),
             n_units=_scalar(raw, "n_units", int, "0"),
-            length=_scalar(raw, "length", int, "0"),
+            length=length,
             shift_prob=_scalar(raw, "shift_prob", float, "0.0"),
             shift_var=_scalar(raw, "shift_var", float, "1.0"),
         )
         return generate_mixture_panel(scenario, seed)
-    comps = _parse_triples(raw.get("mixture", ""), "mixture")
-    phi, v, w = (np.array(col) for col in zip(*comps))
+    params, weights = zip(*_parse_components(raw.get("mixture", ""), "mixture"))
+    w = np.array(weights)
     if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
         raise InvalidInputError(f"scenario key 'mixture': weights must be nonnegative "
                                 f"and sum to 1, got {w}")
-    mix = _ResidMix(w, phi, v)
-    grid = np.arange(_scalar(raw, "length", int, "0"), dtype=np.int64)
-    kernel = GpKernelParams(_scalar(raw, "kernel_variance", float, "1.25"),
-                            _scalar(raw, "kernel_length_scale", float, "13.0"))
+    mix = SimpleNamespace(weights=w, phi=[p.phi for p in params], v=[p.v for p in params])
+    grid = np.arange(length, dtype=np.int64)
+    kernel = GpKernelParams(_scalar(raw, "kernel_variance", float, "1.25", positive=True),
+                            _scalar(raw, "kernel_length_scale", float, "13.0", positive=True))
     chol = prepare_gp_workspace(kernel, grid).chol
     noise_seed = _scalar(raw, "noise_seed", int, "") if "noise_seed" in raw else None
     if noise_seed is not None and noise_seed < 0:

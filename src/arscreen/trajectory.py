@@ -437,12 +437,12 @@ def _update_traj_sticks(tset: TrajectorySticks, counts: np.ndarray, nu: float,
 
 
 def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
-                      adapt: bool = False, workspace: GpWorkspace | None = None) -> FdpState:
+                      workspace: GpWorkspace | None = None) -> FdpState:
     """One full sweep of the joint sampler; mutates and returns ``state``.
 
     ``panel`` may be a SeriesPanel or a prebuilt step table (grid positions
-    required). Proposal adaptation in the residual block runs only with
-    ``adapt`` set.
+    required). Burn-in and retained sweeps run this same kernel; stage (f)
+    moves the residual atoms by ``dp_residual``'s collapsed step.
     """
     table = panel if isinstance(panel, StepTable) else step_table(panel, grid=state.grid)
     if workspace is None:
@@ -498,7 +498,7 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     # (f) residual mixture on de-trended values
     stats = lag_stats(table, _detrended_values(state, table))
     try:
-        _sweep_residual(state.residual, table, stats, rng, adapt)
+        _sweep_residual(state.residual, table, stats, rng)
     except NumericalError as exc:
         raise NumericalError(f"residual stage (f): {exc}") from exc
     return state
@@ -682,7 +682,7 @@ def run_chain(panel: SeriesPanel, config: ModelConfig, n_burn: int, n_keep: int,
     rng = stream(seed, "joint-chain", "sweeps")
 
     for _ in range(n_burn):
-        gibbs_sweep_joint(state, table, rng, adapt=True, workspace=workspace)
+        gibbs_sweep_joint(state, table, rng, workspace=workspace)
 
     n_frozen_flat = state.flat_set.n_frozen
     n_frozen_gp = state.gp_set.n_frozen
@@ -703,7 +703,7 @@ def run_chain(panel: SeriesPanel, config: ModelConfig, n_burn: int, n_keep: int,
     best_sweep = -1
 
     for t in range(n_keep):
-        gibbs_sweep_joint(state, table, rng, adapt=False, workspace=workspace)
+        gibbs_sweep_joint(state, table, rng, workspace=workspace)
         nonnull = state.unit_component != NULL
         inclusion_counts += nonnull
         logliks[t] = complete_data_loglik(state, table)

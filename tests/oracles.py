@@ -184,29 +184,46 @@ def conjugate_level_posterior(prior_var: float, q_y1_sum: float, s11_sum: float)
 # --- the residual mixture's atom update, one atom at a time ---
 
 
-def dp_atom_log_target(members, prior, x) -> float:
-    """Log conditional of one residual-mixture atom at x = (atanh phi, log v),
-    Jacobian included: the base prior plus the dense AR(1) log-likelihood
-    summed over ``members``, the series assigned to the atom; -inf where
-    the prior is not finite.
+def dp_atom_log_marginal(members, prior, theta: float) -> float:
+    """Log conditional of one residual-mixture atom's phi = sin(theta) with v
+    integrated out, in theta = arcsin phi, Jacobian cos theta included:
+    log cos theta + log of the integral over v of the base prior density
+    p(phi, v) times the dense AR(1) likelihood of ``members``, the series
+    assigned to the atom, by scipy quadrature over log v; -inf where
+    |theta| >= pi/2 or sin theta rounds to +-1.
 
     ``prior`` supplies phi_mean, phi_var, var_shape and var_scale; its
-    density is scipy's truncated normal times inverse gamma.
+    density is scipy's truncated normal times inverse gamma. A member's
+    dense covariance at v is v times its covariance at v = 1, so its
+    log-likelihood at v is -(n log(2 pi v) + log|S| + y' S^-1 y / v) / 2
+    with S, log|S| and y' S^-1 y taken densely once at v = 1.
     """
+    from scipy.integrate import quad
     from scipy.stats import invgamma, truncnorm
 
-    with np.errstate(over="ignore"):
-        phi, v = np.tanh(x[0]), np.exp(x[1])
-    if not (-1.0 < phi < 1.0) or not (0.0 < v < np.inf):
+    phi = float(np.sin(theta))
+    if not (abs(theta) < 0.5 * np.pi and abs(phi) < 1.0):
         return -np.inf
+    n = q_sum = logdet_sum = 0.0
+    for s in members:
+        q_yy, _, _, logdet = dense_gaussian_parts(s.values, phi, 1.0, s.times)
+        n, q_sum, logdet_sum = n + len(s.values), q_sum + q_yy, logdet_sum + logdet
+    v_prior = invgamma(prior.var_shape, scale=prior.var_scale)
+
+    def log_integrand(u):     # u = log v, Jacobian v included
+        v = np.exp(u)
+        return v_prior.logpdf(v) + u - 0.5 * (n * np.log(2.0 * np.pi * v) + logdet_sum + q_sum / v)
+
+    # Centre the integrand on its peak over a log-v grid so quad sees O(1) values.
+    grid = np.linspace(-30.0, 30.0, 6001)
+    peak_u = float(grid[np.argmax(log_integrand(grid))])
+    peak = log_integrand(peak_u)
+    mass, _ = quad(lambda u: np.exp(log_integrand(u) - peak), peak_u - 40.0, peak_u + 40.0,
+                   points=[peak_u], epsabs=0.0, epsrel=1e-12, limit=200)
     sd = np.sqrt(prior.phi_var)
     phi_prior = truncnorm((-1.0 - prior.phi_mean) / sd, (1.0 - prior.phi_mean) / sd,
                           loc=prior.phi_mean, scale=sd)
-    total = (phi_prior.logpdf(phi) + invgamma(prior.var_shape, scale=prior.var_scale).logpdf(v)
-             + np.log1p(-phi * phi) + np.log(v))
-    if not np.isfinite(total):
-        return -np.inf
-    return float(total + sum(dense_ar1_loglik(s.values, phi, v, s.times) for s in members))
+    return float(np.log(np.cos(theta)) + phi_prior.logpdf(phi) + peak + np.log(mass))
 
 
 # --- the parametric screen, one draw and one unit at a time ---

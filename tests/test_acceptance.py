@@ -17,6 +17,7 @@ from arscreen.ar_core import (
     ObservedSeries,
     SeriesPanel,
     ar1_loglik,
+    lag_stats,
     mean_shift_loglik,
     step_table,
 )
@@ -26,6 +27,7 @@ from arscreen.dp_residual import (
     expected_clusters,
     gibbs_sweep_residual,
     init_residual_state,
+    _draw_atom_v,
 )
 from arscreen.mcmc import stream
 from arscreen.panel_io import write_panel
@@ -53,6 +55,7 @@ from arscreen.trajectory import (
     run_chain,
 )
 from oracles import (
+    conjugate_variance_posterior,
     crp_expected_tables,
     dense_ar1_cov,
     dense_ar1_loglik,
@@ -221,12 +224,12 @@ def test_criterion_5_fdr_study():
 # Criterion 6 thins each coordinate by twice its integrated autocorrelation
 # time (IACT; Sokal's estimate, window 5 IACTs), the larger of the values
 # measured on these seeded chains over 1e4 and 4e4 sweeps: residual half
-# stick 7.0/6.7, phi 9.2/10.4, v 65.5/63.5; joint half component probs
-# 3.5/3.7, unit 0's phi 8.8/7.7 and v 24.0/45.7, level0 2.8/2.5, path00
-# 2.2/2.5. KS assumes independent draws; thinned at one IACT the draws stay
-# correlated enough to push p-values low (unit 0's phi read p = 0.001 at 9).
-C6_THIN = {"stick": 14, "phi": 21, "v": 131,
-           "cp": 8, "unit0_phi": 18, "unit0_v": 92, "level0": 6, "path00": 5}
+# stick 6.0/6.0, phi 5.3/6.2, v 5.2/6.0; joint half component probs
+# 4.4/4.1, unit 0's phi 4.0/4.6 and v 7.0/7.4, level0 2.6/2.4, path00
+# 1.7/2.3. KS assumes independent draws; thinned at one IACT the draws stay
+# correlated enough to push p-values low.
+C6_THIN = {"stick": 13, "phi": 13, "v": 12,
+           "cp": 9, "unit0_phi": 10, "unit0_v": 15, "level0": 6, "path00": 5}
 
 
 def test_criterion_6_sampler_correctness():
@@ -291,25 +294,16 @@ def test_criterion_6_sampler_correctness():
                stats.kstest(path00[::C6_THIN["path00"]],
                             stats.norm(0, np.sqrt(ws.cov[0, 0])).cdf).pvalue]
 
-    # conjugate inverse-gamma QQ for the atom variance update (phi pinned at 0)
+    # conjugate inverse-gamma QQ for the atom variance draw at phi = 0
     rng_q = stream(63, "qq")
     z = rng_q.normal(0.0, np.sqrt(0.7), size=(4, 12))
     times_q = np.arange(12, dtype=np.int64)
     panel_q = SeriesPanel(tuple(ObservedSeries(f"q{i}", times_q, z[i]) for i in range(4)))
-    state_q = init_residual_state(4, 1.0, base, truncation=3, rng=rng_q)
-    state_q.assignments[:] = 0
-    state_q.stick.phi[0] = 0.0
-    state_q.prop_scale[0] = [0.0, 0.45]
-    from arscreen.ar_core import lag_stats
-    from arscreen.dp_residual import _step_atoms
-    draws_v = []
-    pooled = lag_stats(step_table(panel_q)).pool(state_q.assignments, 3)
-    for step in range(30000):
-        _step_atoms(state_q, pooled, np.array([0]), rng_q, adapt=False)
-        if step >= 2000 and step % 5 == 0:
-            draws_v.append(state_q.stick.v[0])
-    a_post = 2.0 + 0.5 * z.size
-    b_post = 1.0 + 0.5 * float(np.sum(z * z))
+    pooled = lag_stats(step_table(panel_q)).pool(np.zeros(4, dtype=np.int64), 1)
+    n_draws = 5600
+    draws_v = _draw_atom_v(base, pooled[np.zeros(n_draws, dtype=np.int64)], np.zeros(n_draws),
+                           rng_q)
+    a_post, b_post = conjugate_variance_posterior(base.var_shape, base.var_scale, z)
     qs = np.linspace(0.05, 0.95, 19)
     sample_q = np.quantile(draws_v, qs)
     exact_q = stats.invgamma(a=a_post, scale=b_post).ppf(qs)

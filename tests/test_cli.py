@@ -171,6 +171,17 @@ class TestScenarios:
                 simulate_from_scenario(dict(prior, mixture=weights), seed=0)
         with pytest.raises(DomainError, match="'noise_seed'.*-1"):
             simulate_from_scenario(dict(prior, noise_seed="-1"), seed=0)
+        for base in (mixture, prior):
+            with pytest.raises(DomainError, match="'length'.*got 0"):
+                simulate_from_scenario(dict(base, length="0"), seed=0)
+        for base, key in [(mixture, "components"), (prior, "mixture")]:
+            for triple, bad in [("1.5:0.4:1.0", "AR coefficient.*1.5"),
+                                ("0.3:-1:1.0", "innovation variance.*-1")]:
+                with pytest.raises(DomainError, match=f"'{key}'.*{bad}"):
+                    simulate_from_scenario(dict(base, **{key: triple}), seed=0)
+        for key in ("kernel_length_scale", "kernel_variance"):
+            with pytest.raises(DomainError, match=f"'{key}'.*got 0.0"):
+                simulate_from_scenario(dict(prior, **{key: "0"}), seed=0)
 
 
 class TestChainPersistence:

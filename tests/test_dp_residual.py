@@ -13,7 +13,8 @@ from arscreen.dp_residual import (
     gibbs_sweep_residual,
     init_residual_state,
     run_residual_chain,
-    _atom_log_target,
+    _draw_atom_v,
+    _phi_log_target,
     _step_atoms,
 )
 from arscreen.errors import DomainError, NumericalError
@@ -69,9 +70,9 @@ def tiny_panel(n=3, T=6, seed=0):
 # Each coordinate is thinned by twice its integrated autocorrelation time
 # (IACT; Sokal's estimate, window 5 IACTs), the larger of the values measured
 # on these seeded chains at their own length and over 30,000 sweeps. Seed 42:
-# stick 5.1/5.5, phi 8.1/9.2, v 4.1/19.0. Seed 7: the indicators of unit 0's
-# atom 5.0/5.5 at most.
-STICK_ATOM_THIN = {"stick": 11, "phi": 19, "v": 38}
+# stick 4.8/5.1, phi 4.5/5.6, v 4.4/5.2. Seed 7: the indicators of unit 0's
+# atom 5.5/5.0 at most.
+STICK_ATOM_THIN = {"stick": 11, "phi": 12, "v": 11}
 ASSIGNMENT_THIN = 11
 
 
@@ -128,69 +129,67 @@ class TestPriorInvariance:
 
 class TestConjugateOracle:
     def test_variance_update_matches_inverse_gamma_posterior(self):
-        # One occupied atom with phi pinned at 0 by a zero proposal scale: its
-        # conditional for v is then exactly inverse-gamma, and the sampler's
-        # own atom step, run on log v, must reproduce it.
+        # One atom holding every unit, at phi = 0: its conditional for v is
+        # exactly inverse-gamma, and the sampler's own v draw must reproduce it.
         base = ParametricPrior(var_shape=2.0, var_scale=1.0)
         rng_data = np.random.default_rng(5)
         z = rng_data.normal(0.0, 0.7, size=(5, 20))
-        scenario_panel = tiny_panel(n=5, T=20, seed=3)
-        table = step_table(scenario_panel)
-        state = init_residual_state(5, 1.0, base, truncation=3, rng=stream(1, "conj-init"))
-        state.assignments[:] = 0
-        state.stick.phi[0], state.stick.v[0] = 0.0, 1.0
-        state.prop_scale[0] = [0.0, 0.45]
-        pooled = lag_stats(table, z.ravel()).pool(state.assignments, 3)
-        rng = stream(1, "conj-chain")
-        n_steps, burn, thin = 60_000, 2000, 10
-        vs = np.empty(n_steps)
-        for t in range(n_steps):
-            _step_atoms(state, pooled, np.array([0]), rng, adapt=False)
-            vs[t] = state.stick.v[0]
+        table = step_table(tiny_panel(n=5, T=20, seed=3))
+        pooled = lag_stats(table, z.ravel()).pool(np.zeros(5, dtype=np.int64), 1)
+        n_draws = 5800
+        vs = _draw_atom_v(base, pooled[np.zeros(n_draws, dtype=np.int64)], np.zeros(n_draws),
+                          stream(1, "conj-chain"))
         a_post, b_post = conjugate_variance_posterior(2.0, 1.0, z)
-        ks = kstest(vs[burn::thin], invgamma(a_post, scale=b_post).cdf)
+        ks = kstest(vs, invgamma(a_post, scale=b_post).cdf)
         assert ks.pvalue > 0.01
         # QQ agreement at the quartiles
-        got = np.quantile(vs[burn::thin], [0.25, 0.5, 0.75])
+        got = np.quantile(vs, [0.25, 0.5, 0.75])
         want = invgamma(a_post, scale=b_post).ppf([0.25, 0.5, 0.75])
         assert np.allclose(got, want, rtol=0.05)
 
 
 class TestAtomTarget:
-    """``_atom_log_target`` scores every atom in one call; the reference
-    scores one atom at a time from its members' dense covariances."""
+    """``_phi_log_target`` scores every atom in one call with v integrated
+    out in closed form; the reference integrates v out by quadrature, one
+    atom and one phi at a time, from its members' dense covariances. Both
+    drop a normalizer that depends on the atom, so they are compared in
+    differences across phi within each atom."""
+
+    FINITE = np.arcsin([0.5, 0.999, -0.999, 0.95, -0.2, 0.0])
+    SATURATED = np.array([0.5 * np.pi, -0.5 * np.pi,
+                          np.nextafter(0.5 * np.pi, 0.0),   # sin rounds to 1
+                          2.0, -7.0, np.nan])
+
+    def _scores(self, base, pooled, n_atoms):
+        thetas = np.concatenate([self.FINITE, self.SATURATED])
+        rows = np.repeat(np.arange(n_atoms), thetas.size)
+        return _phi_log_target(base, pooled[rows], np.tile(thetas, n_atoms)).reshape(n_atoms, -1)
 
     def test_matches_per_atom_reference_on_gapped_panel(self):
         panel = gapped_readme_panel(seed=2)
         base = ParametricPrior()
-        xs = np.array([
-            [np.arctanh(0.999), np.log(0.5)],
-            [np.arctanh(-0.999), np.log(2.0)],
-            [np.arctanh(0.999), np.log(0.05)],
-            [np.arctanh(0.5), 0.0],
-            [0.3, -1.0],             # no members
-            [25.0, 0.0],             # tanh rounds to 1
-            [-25.0, 0.0],            # tanh rounds to -1
-            [0.5, 800.0],            # exp overflows
-            [0.5, -800.0],           # exp underflows to 0
-            [np.nan, 0.0],
-        ])
-        labels = np.arange(len(panel)) % len(xs)
-        labels[labels == 4] = 0
-        pooled = lag_stats(step_table(panel)).pool(labels, len(xs))
-        members = [[s for s, l in zip(panel, labels) if l == k] for k in range(len(xs))]
-        want = np.array([oracles.dp_atom_log_target(members[k], base, x) for k, x in enumerate(xs)])
-        saturated = np.isneginf(want)
-        assert np.array_equal(saturated, np.arange(len(xs)) >= 5)
-        got = _atom_log_target(base, pooled, xs)
-        assert np.array_equal(np.isneginf(got), saturated)
-        assert np.allclose(got[~saturated], want[~saturated], rtol=1e-9, atol=0.0)
-        # An all-zero pooled row is the statistics of an empty atom.
-        empty = LagStats(pooled.sizes, np.zeros_like(pooled.terms), np.zeros_like(pooled.linear))
-        prior_only = np.array([oracles.dp_atom_log_target([], base, x) for x in xs])
-        got = _atom_log_target(base, empty, xs)
-        assert np.array_equal(np.isneginf(got), saturated)
-        assert np.allclose(got[~saturated], prior_only[~saturated], rtol=1e-12, atol=0.0)
+        n_atoms = 4
+        labels = np.arange(len(panel)) % n_atoms
+        labels[:3] = 0
+        pooled = lag_stats(step_table(panel)).pool(labels, n_atoms)
+        members = [[s for s, l in zip(panel, labels) if l == k] for k in range(n_atoms)]
+        got = self._scores(base, pooled, n_atoms)
+        m = self.FINITE.size
+        assert np.all(np.isneginf(got[:, m:]))
+        assert np.all(np.isfinite(got[:, :m]))
+        want = np.array([[oracles.dp_atom_log_marginal(members[k], base, t) for t in self.FINITE]
+                         for k in range(n_atoms)])
+        assert np.allclose(got[:, 1:m] - got[:, :1], want[:, 1:] - want[:, :1],
+                           rtol=1e-9, atol=1e-8)
+        # An all-zero pooled row is the statistics of an empty atom: the
+        # prior alone.
+        empty = LagStats(pooled.sizes, np.zeros_like(pooled.terms[:1]),
+                         np.zeros_like(pooled.linear[:1]))
+        got = self._scores(base, empty, 1)
+        assert np.all(np.isneginf(got[:, m:]))
+        prior_only = np.array([oracles.dp_atom_log_marginal([], base, t) for t in self.FINITE])
+        assert np.allclose(got[0, 1:m] - got[0, 0], prior_only[1:] - prior_only[0],
+                           rtol=1e-9, atol=1e-10)
 
     def test_nan_proposal_target_names_the_atom(self):
         state = init_residual_state(4, 1.0, ParametricPrior(), truncation=3,
@@ -200,7 +199,7 @@ class TestAtomTarget:
         terms[2, -1] = np.nan
         with pytest.raises(NumericalError, match="atom 2"):
             _step_atoms(state, LagStats(pooled.sizes, terms, pooled.linear), np.arange(3),
-                        stream(6, "nan-step"), adapt=False)
+                        stream(6, "nan-step"))
 
 
 class TestSweeps:
@@ -213,8 +212,8 @@ class TestSweeps:
         state = init_residual_state(len(panel), 1.0, ParametricPrior(), truncation=20,
                                     rng=stream(9, "purity-init"))
         rng = stream(9, "purity-sweeps")
-        for t in range(500):
-            gibbs_sweep_residual(state, table, rng, adapt=t < 250)
+        for _ in range(500):
+            gibbs_sweep_residual(state, table, rng)
         purity_hits = 0
         for l in np.unique(state.assignments):
             members = truth.component[state.assignments == l]
@@ -269,17 +268,27 @@ class TestSweeps:
         with pytest.raises(NumericalError, match="unit 'huge'"):
             gibbs_sweep_residual(state, SeriesPanel(tuple(series)), stream(5, "overflow-sweeps"))
 
-    def test_adaptation_moves_scales_only_during_burn(self):
-        panel = tiny_panel(n=10, T=12, seed=6)
-        table = step_table(panel)
-        state = init_residual_state(10, 1.0, ParametricPrior(), truncation=4,
-                                    rng=stream(4, "adapt-init"))
-        rng = stream(4, "adapt-sweeps")
-        start = state.prop_scale.copy()
-        for _ in range(50):
-            gibbs_sweep_residual(state, table, rng, adapt=True)
-        assert not np.allclose(state.prop_scale, start)
-        frozen = state.prop_scale.copy()
-        for _ in range(50):
-            gibbs_sweep_residual(state, table, rng, adapt=False)
-        assert np.array_equal(state.prop_scale, frozen)
+    def test_phi_step_holds_its_acceptance_untuned(self):
+        """The arcsin-phi step's scale, read off each atom's observation
+        count, keeps acceptance near the 1-d random-walk optimum on atoms of
+        one unit to about a hundred, near a unit root or not."""
+        comps = ((ArParams(0.2, 0.05), 0.5), (ArParams(0.97, 0.5), 0.5))
+        panel, truth = generate_mixture_panel(MixtureScenario(comps, n_units=200, length=40),
+                                              seed=12)
+        labels = np.empty(len(panel), dtype=np.int64)
+        for c in (0, 1):
+            units = np.flatnonzero(truth.component == c)
+            for k, chunk in enumerate(np.split(units, [1, 11])):
+                labels[chunk] = 3 * c + k
+        state = init_residual_state(len(panel), 1.0, ParametricPrior(), truncation=6,
+                                    rng=stream(13, "accept-init"))
+        state.assignments = labels
+        pooled = lag_stats(step_table(panel)).pool(labels, 6)
+        rng = stream(13, "accept-steps")
+        for _ in range(200):
+            _step_atoms(state, pooled, np.arange(6), rng)
+        accepted = np.zeros(6)
+        n_steps = 2000
+        for _ in range(n_steps):
+            accepted += _step_atoms(state, pooled, np.arange(6), rng)
+        assert np.all((0.3 < accepted / n_steps) & (accepted / n_steps < 0.6)), accepted / n_steps

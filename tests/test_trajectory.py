@@ -443,18 +443,18 @@ class TestSuccessiveConditionalData:
 
 # Each coordinate is thinned by twice its integrated autocorrelation time
 # (IACT; Sokal's estimate, window 5 IACTs), the larger of the values measured
-# on this seeded chain over 4,000 and 40,000 sweeps: component probs 4.1 at
-# most, sticks 2.1, level0 2.3, path00 2.5, unit 0's residual phi 17.7/8.9.
-# Unit 0's v (IACT 165 over 40,000 sweeps) is left to criterion 6, where it
-# mixes faster.
-PRIOR_INV_THIN = {"cp": 9, "stick": 5, "level0": 5, "path00": 5, "unit0_phi": 36}
+# on this seeded chain over 4,000 and 40,000 sweeps: component probs 4.2 at
+# most, sticks 2.1, level0 2.5/2.6, path00 2.1/2.6, unit 0's residual phi
+# 5.3/5.4 and v 6.6/8.6.
+PRIOR_INV_THIN = {"cp": 9, "stick": 5, "level0": 6, "path00": 6, "unit0_phi": 11,
+                  "unit0_v": 18}
 
 
 class TestPriorInvariance:
     def test_sweeps_preserve_prior(self):
         """Geweke's successive-conditional simulator: the data are redrawn
         from p(y | theta) before each real sweep, so the chain keeps the
-        prior; unit 0's residual phi moves only through the likelihood."""
+        prior; unit 0's residual phi and v move only through the likelihood."""
         n_units, g_len, n_sweeps = 3, 6, 4000
         grid = np.arange(g_len, dtype=np.int64)
         times = grid
@@ -465,7 +465,7 @@ class TestPriorInvariance:
         rng = stream(123, "prior-inv")
         state = init_fdp_state(n_units, SMALL_CONFIG, grid, rng=rng, workspace=ws)
         cps = np.empty((n_sweeps, 3))
-        stick_f, stick_g, level0, path00, unit0_phi = np.empty((5, n_sweeps))
+        stick_f, stick_g, level0, path00, unit0_phi, unit0_v = np.empty((6, n_sweeps))
         for t in range(n_sweeps):
             table = successive_conditional_data(state, table, rng)
             gibbs_sweep_joint(state, table, rng, workspace=ws)
@@ -474,7 +474,8 @@ class TestPriorInvariance:
             cps[t] = state.component_probs
             stick_f[t], stick_g[t] = state.flat_set.sticks[0], state.gp_set.sticks[0]
             level0[t], path00[t] = state.flat_set.levels[0], state.gp_set.paths[0, 0]
-            unit0_phi[t] = state.residual.stick.phi[state.residual.assignments[0]]
+            stick, atom0 = state.residual.stick, state.residual.assignments[0]
+            unit0_phi[t], unit0_v[t] = stick.phi[atom0], stick.v[atom0]
         beta12 = stats.beta(1, 2)
         for c in range(3):
             assert stats.kstest(cps[::PRIOR_INV_THIN["cp"], c], beta12.cdf).pvalue > 0.01
@@ -493,6 +494,8 @@ class TestPriorInvariance:
                                     loc=base.phi_mean, scale=sd)
         assert stats.kstest(unit0_phi[::PRIOR_INV_THIN["unit0_phi"]],
                             phi_prior.cdf).pvalue > 0.01
+        v_prior = stats.invgamma(base.var_shape, scale=base.var_scale)
+        assert stats.kstest(unit0_v[::PRIOR_INV_THIN["unit0_v"]], v_prior.cdf).pvalue > 0.01
 
 
 class TestSweepMechanics:
@@ -519,8 +522,8 @@ class TestSweepMechanics:
         table = step_table(SeriesPanel(tuple(series)), grid=grid)
         state = init_fdp_state(10, SMALL_CONFIG, grid, rng=stream(24, "st"))
         rng = stream(25, "sweeps")
-        for t in range(6):
-            gibbs_sweep_joint(state, table, rng, adapt=t < 3)
+        for _ in range(6):
+            gibbs_sweep_joint(state, table, rng)
             assert state.residual.pooled is not None
             stick = state.residual.stick
             rebuilt = lag_stats(table, _detrended_values(state, table)).pool(
