@@ -407,10 +407,14 @@ class LagStats:
 
     def pool(self, labels: np.ndarray, size: int) -> "LagStats":
         """Rows summed within each label: row k pools the rows labelled k,
-        adding them in row order, one ``np.bincount`` per column."""
-        def sums(cols):
-            return np.column_stack([np.bincount(labels, col, minlength=size) for col in cols.T])
-        return LagStats(self.sizes, sums(self.terms), sums(self.linear))
+        adding them in row order, in one ``np.bincount`` over (label, column)
+        bins."""
+        cols = np.hstack([self.terms, self.linear])
+        width = cols.shape[1]
+        bins = (labels[:, None] * width + np.arange(width)).ravel()
+        sums = np.bincount(bins, cols.ravel(), minlength=size * width).reshape(size, width)
+        k = self.terms.shape[1]
+        return LagStats(self.sizes, sums[:, :k], sums[:, k:])
 
     def loglik(self, phi, v) -> np.ndarray:
         """Null AR(1) log-likelihood of every row under every (phi, v) pair.
@@ -419,8 +423,7 @@ class LagStats:
         (rows, L) matrix from one matrix product.
         """
         logdet, q_yy, _, _ = _lag_coefficients(phi, v, self.sizes)
-        coef = -0.5 * np.concatenate([LOG_2PI + logdet, q_yy], axis=-1)
-        return self.terms @ coef.T
+        return self.terms @ _loglik_weights(logdet, q_yy).T
 
     def gaussian_parts(self, phi, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-row (q_yy, q_y1, s11, logdet), as ``gaussian_parts`` returns
@@ -453,6 +456,12 @@ def _lag_coefficients(phi, v, sizes):
     s11 = np.concatenate([inv_s, bbw], axis=-1)
     q_y1 = np.concatenate([inv_s, bw, bbw], axis=-1)
     return logdet, q_yy, s11, q_y1
+
+
+def _loglik_weights(logdet: np.ndarray, q_yy: np.ndarray) -> np.ndarray:
+    """Weights of the null log-likelihood on the ``terms`` columns, from the
+    ``_lag_coefficients`` weights of logdet and q_yy."""
+    return -0.5 * np.concatenate([LOG_2PI + logdet, q_yy], axis=-1)
 
 
 def _lag_coefficient_slopes(phi: float, v: float, sizes):
@@ -500,13 +509,21 @@ def lag_stats(table: StepTable, values: np.ndarray | None = None) -> LagStats:
     def per_gap(weights=None):
         return np.bincount(step_key, weights, minlength=N * D).reshape(N, D)
 
+    terms, linear = np.empty((N, 2 + 4 * D)), np.empty((N, 1 + 2 * D))
+    if values is None:
+        terms[:, 0] = 1.0
+        terms[:, 1:1 + D] = per_gap()
+    else:       # units and steps per gap depend on the table only
+        terms[:, :1 + D] = table.stats.terms[:, :1 + D]
     with np.errstate(over="ignore", invalid="ignore"):
         prev = y[table.later - 1]
         diff = y[table.later] - prev
         y0 = y[table.first]
-        terms = np.column_stack([np.ones(N), per_gap(), y0 * y0, per_gap(diff * diff),
-                                 per_gap(diff * prev), per_gap(prev * prev)])
-        linear = np.column_stack([y0, per_gap(diff), per_gap(prev)])
+        terms[:, 1 + D] = y0 * y0
+        for k, w in enumerate((diff * diff, diff * prev, prev * prev)):
+            terms[:, 2 + (k + 1) * D:2 + (k + 2) * D] = per_gap(w)
+        linear[:, 0] = y0
+        linear[:, 1:1 + D], linear[:, 1 + D:] = per_gap(diff), per_gap(prev)
     return LagStats(table.sizes, terms, linear)
 
 

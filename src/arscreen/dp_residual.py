@@ -23,10 +23,10 @@ from .ar_core import ArParams, LagStats, SeriesPanel, StepTable, _lag_coefficien
 # Bound only for the probes in bench/layers.py; not called here (counts read 0).
 from .ar_core import group_whiten, panel_groups  # noqa: F401
 from .errors import DomainError, NumericalError
-from .mcmc import gumbel_argmax, sample_sticks, stick_weights, stream
-# Bound only for the mcmc.rw_metropolis_step probe, as tests/test_bench_probes.py
-# pins; not called here (counts read 0).
-from .mcmc import rw_metropolis_step  # noqa: F401
+from .mcmc import categorical_draw, sample_sticks, stick_weights, stream
+# Bound only for the mcmc.gumbel_argmax and mcmc.rw_metropolis_step probes, as
+# tests/test_bench_probes.py pins; not called here (counts read 0).
+from .mcmc import gumbel_argmax, rw_metropolis_step  # noqa: F401
 from .parametric import ParametricPrior
 
 DEFAULT_TRUNCATION = 60
@@ -146,30 +146,33 @@ def _v_conditional(base: ParametricPrior, pooled: LagStats,
     v = 1: the shape a + n/2 and scale b + Q/2 of v's inverse-gamma
     conditional, and D."""
     logdet, q_yy, _, _ = _lag_coefficients(phi, 1.0, pooled.sizes)
-    counts, quad = np.split(pooled.terms, [1 + len(pooled.sizes)], axis=1)
+    k = 1 + len(pooled.sizes)
+    counts, quad = pooled.terms[:, :k], pooled.terms[:, k:]
     return (base.var_shape + 0.5 * counts.sum(axis=1),
             base.var_scale + 0.5 * (quad * q_yy).sum(axis=1), (counts * logdet).sum(axis=1))
 
 
-def _phi_log_target(base: ParametricPrior, pooled: LagStats, theta: np.ndarray) -> np.ndarray:
+def _phi_log_target(base: ParametricPrior, pooled: LagStats,
+                    theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log p(phi) + log cos theta - D/2 - (a + n/2) log(b + Q/2) at
     phi = sin theta[k] for row k of ``pooled``: atom k's log conditional
-    with v integrated out, in theta = arcsin phi, up to a constant per row.
-    -inf where |theta| >= pi/2 or sin theta rounds to +-1."""
+    with v integrated out, in theta = arcsin phi, up to a constant per row;
+    and the shape a + n/2 and scale b + Q/2 of v's inverse-gamma conditional
+    there. The target is -inf, and shape and scale NaN, where
+    |theta| >= pi/2 or sin theta rounds to +-1."""
     phi = np.sin(theta)
     ok = (np.abs(theta) < 0.5 * np.pi) & (np.abs(phi) < 1.0)
     shape, scale, logdet = _v_conditional(base, pooled[ok], phi[ok])
-    out = np.full(theta.shape, -np.inf)
-    out[ok] = (-0.5 * (phi[ok] - base.phi_mean) ** 2 / base.phi_var + np.log(np.cos(theta[ok]))
-               - 0.5 * logdet - shape * np.log(scale))
-    return out
+    out = np.full((3,) + theta.shape, np.nan)
+    out[0] = -np.inf
+    out[:, ok] = (-0.5 * (phi[ok] - base.phi_mean) ** 2 / base.phi_var + np.log(np.cos(theta[ok]))
+                  - 0.5 * logdet - shape * np.log(scale), shape, scale)
+    return out[0], out[1], out[2]
 
 
-def _draw_atom_v(base: ParametricPrior, pooled: LagStats, phi: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """One exact draw of v per row k of ``pooled`` from its conditional at phi[k]."""
-    shape, scale, _ = _v_conditional(base, pooled, phi)
-    return scale / rng.gamma(shape)
+def _draw_atom_v(shape: np.ndarray, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One exact draw of v from each inverse-gamma conditional (shape, scale)."""
+    return scale / rng.standard_gamma(shape)
 
 
 def _step_atoms(state: DpResidualState, pooled: LagStats, atoms: np.ndarray,
@@ -178,53 +181,65 @@ def _step_atoms(state: DpResidualState, pooled: LagStats, atoms: np.ndarray,
     has one row per atom); returns which phi proposals were accepted. In
     theta = arcsin phi the AR(1) Fisher information is 1 per observation, so
     an atom of n observations steps theta at the 1-d optimal standard
-    deviation 2.4 / sqrt(n + 1 / phi_var) (Gelman, Roberts & Gilks 1996)."""
+    deviation 2.4 / sqrt(n + 1 / phi_var) (Gelman, Roberts & Gilks 1996).
+    The atom moves to phi = sin theta of the kept point, and v is drawn from
+    its conditional there, which the target already computed."""
     stick, base = state.stick, state.base
+    K = len(atoms)
     theta = np.arcsin(stick.phi[atoms])
     scale = 2.4 / np.sqrt(pooled.length[atoms] + 1.0 / base.phi_var)
-    prop = theta + scale * rng.standard_normal(len(atoms))
+    points = np.concatenate([theta + scale * rng.standard_normal(K), theta])
     # Proposals and current points scored in one call: rows k and K + k are atom k's.
-    log_target = _phi_log_target(base, pooled[np.concatenate([atoms, atoms])],
-                                 np.concatenate([prop, theta]))
-    log_target_prop, log_target_x = log_target[:len(atoms)], log_target[len(atoms):]
-    if np.any(np.isnan(log_target_prop)):
-        k = np.flatnonzero(np.isnan(log_target_prop))[0]
+    log_target, v_shape, v_scale = _phi_log_target(base, pooled[np.concatenate([atoms, atoms])],
+                                                   points)
+    if np.isnan(log_target[:K]).any():
+        k = np.flatnonzero(np.isnan(log_target[:K]))[0]
         raise NumericalError(f"arcsin phi proposal produced NaN log target for atom "
-                             f"{int(atoms[k])} at {prop[k]!r}")
-    accept = np.log(rng.uniform(size=len(atoms))) < log_target_prop - log_target_x
-    stick.phi[atoms] = np.where(accept, np.sin(prop), stick.phi[atoms])
-    stick.v[atoms] = _draw_atom_v(base, pooled[atoms], stick.phi[atoms], rng)
+                             f"{int(atoms[k])} at {points[k]!r}")
+    accept = np.log(rng.uniform(size=K)) < log_target[:K] - log_target[K:]
+    kept = np.arange(K) + np.where(accept, 0, K)
+    stick.phi[atoms] = np.sin(points[kept])
+    stick.v[atoms] = _draw_atom_v(v_shape[kept], v_scale[kept], rng)
     return accept
+
+
+def _assign_residual(state: DpResidualState, table: StepTable, ll: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Draw every unit's atom from its exact conditional and return the atom
+    counts. ``ll`` holds each unit's log-likelihood under each atom (it is
+    overwritten); ``table`` only names units in errors."""
+    if not np.isfinite(ll).all():
+        unit, atom = np.argwhere(~np.isfinite(ll))[0]
+        raise NumericalError(f"non-finite residual log-likelihood for unit "
+                             f"{table.unit_ids[unit]!r} under atom {int(atom)}")
+    with np.errstate(divide="ignore"):     # an atom of zero weight scores -inf
+        ll += np.log(state.stick.weights)
+    state.assignments = categorical_draw(ll, rng)[0]
+    return np.bincount(state.assignments, minlength=state.truncation)
+
+
+def _update_residual_atoms(state: DpResidualState, stats: LagStats, counts: np.ndarray,
+                           rng: np.random.Generator) -> None:
+    """Redraw the empty atoms from the base measure and step the occupied
+    ones, leaving the statistics pooled by the assignments in ``state.pooled``."""
+    empty = counts == 0
+    state.stick.phi[empty], state.stick.v[empty] = state.base.sample_phi_v(rng, int(empty.sum()))
+    state.pooled = stats.pool(state.assignments, state.truncation)
+    _step_atoms(state, state.pooled, np.flatnonzero(~empty), rng)
 
 
 def _sweep_residual(state: DpResidualState, table: StepTable, stats: LagStats,
                     rng: np.random.Generator) -> None:
     """One blocked Gibbs sweep over assignments, sticks, and atoms.
 
-    ``stats`` are the lag statistics of the values the mixture models (the
-    joint trajectory sampler passes those of the current residuals).
+    ``stats`` are the lag statistics of the values the mixture models.
     ``table`` only names units in errors.
     Mutates ``state`` in place and leaves the statistics pooled by the new
     assignments in ``state.pooled``.
     """
-    ll = stats.loglik(state.stick.phi, state.stick.v)
-    if not np.all(np.isfinite(ll)):
-        unit, atom = np.argwhere(~np.isfinite(ll))[0]
-        raise NumericalError(f"non-finite residual log-likelihood for unit "
-                             f"{table.unit_ids[unit]!r} under atom {int(atom)}")
-    with np.errstate(divide="ignore"):     # an atom of zero weight scores -inf
-        ll += np.log(state.stick.weights)
-    state.assignments = gumbel_argmax(ll, rng).astype(np.int64)
-
-    counts = state.counts()
-    sticks, weights = sample_sticks(counts, state.concentration, rng)
-    state.stick.sticks = sticks
-    state.stick.weights = weights
-
-    empty = counts == 0
-    state.stick.phi[empty], state.stick.v[empty] = state.base.sample_phi_v(rng, int(empty.sum()))
-    state.pooled = stats.pool(state.assignments, state.truncation)
-    _step_atoms(state, state.pooled, np.flatnonzero(~empty), rng)
+    counts = _assign_residual(state, table, stats.loglik(state.stick.phi, state.stick.v), rng)
+    [(state.stick.sticks, state.stick.weights)] = sample_sticks([counts], [state.concentration], rng)
+    _update_residual_atoms(state, stats, counts, rng)
 
 
 def gibbs_sweep_residual(state: DpResidualState, panel, rng: np.random.Generator) -> DpResidualState:

@@ -1,4 +1,5 @@
-"""Shared sampling utilities: seed streams, stick-breaking, random-walk Metropolis.
+"""Shared sampling utilities: seed streams, stick-breaking, categorical draws,
+random-walk Metropolis.
 
 All randomness in the package flows through ``numpy.random.Generator`` objects
 derived from a single integer seed via ``SeedSequence`` children, so results are
@@ -44,30 +45,65 @@ def stick_weights(sticks: np.ndarray) -> np.ndarray:
     so they sum to one exactly up to rounding.
     """
     sticks = np.asarray(sticks, dtype=float)
-    remain = np.concatenate(([1.0], np.cumprod(1.0 - sticks)))
     w = np.empty(sticks.size + 1)
-    w[:-1] = sticks * remain[:-1]
-    w[-1] = remain[-1]
+    w[0] = 1.0
+    np.cumprod(1.0 - sticks, out=w[1:])     # w[l] = prod_{j<l}(1 - s_j)
+    w[:-1] *= sticks
     return w
 
 
-def sample_sticks(counts: np.ndarray, concentration: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior stick update for a truncated stick-breaking prior.
+def sample_sticks(counts, concentrations, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Posterior stick updates for independent truncated stick-breaking sets.
 
-    Given occupancy ``counts`` over L atoms, draws the L-1 stick fractions
-    from Beta(1 + n_l, concentration + sum_{j>l} n_j) and returns
-    (sticks, weights).
+    Set k has occupancy ``counts[k]`` over its L_k atoms; its L_k - 1 stick
+    fractions are drawn from Beta(1 + n_l, concentrations[k] + sum_{j>l} n_j).
+    Every set's fractions come from one ``rng.beta`` call. Returns one
+    (sticks, weights) pair per set.
     """
-    counts = np.asarray(counts, dtype=float)
-    tail = np.concatenate((np.cumsum(counts[::-1])[::-1][1:], [0.0]))
-    sticks = rng.beta(1.0 + counts[:-1], concentration + tail[:-1])
-    return sticks, stick_weights(sticks)
+    sizes = [len(n) for n in counts]
+    last = np.cumsum(sizes) - 1                 # each set's last atom, which has no stick
+    n = np.concatenate(counts)
+    cum = n.cumsum()
+    tail = np.repeat(cum[last], sizes) - cum    # sum_{j>l} n_j within the set
+    head = np.ones(n.size, dtype=bool)
+    head[last] = False
+    draws = rng.beta(1.0 + n[head], (np.repeat(concentrations, sizes) + tail)[head])
+    out, start = [], 0
+    for size in sizes:
+        sticks = draws[start:start + size - 1]
+        start += size - 1
+        out.append((sticks, stick_weights(sticks)))
+    return out
+
+
+def categorical_draw(log_scores: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One index per row of ``log_scores`` drawn proportionally to exp(score),
+    by inverse CDF, and each row's maximum.
+
+    Rows are unnormalized log probabilities; they are overwritten with their
+    cumulative masses, relative to the row's maximum. Each row takes one
+    uniform u in [0, 1) and picks the first column whose cumulative mass
+    exceeds u times the row's total. A -inf (zero-mass) column leaves the
+    cumulative mass where it was, so it is never the first to exceed it.
+    Nor can u times the total round up to the total, so that no column
+    would: the maximum's own mass is 1, so the total is at least 1, and in
+    round-to-nearest u * t < t for every u < 1 and normal t. A row whose
+    maximum is not finite (a NaN, +inf or only -inf) gets an arbitrary
+    index: the caller rejects such rows by the returned maxima.
+    """
+    top = log_scores.max(axis=1)
+    with np.errstate(invalid="ignore"):         # -inf - -inf in a row of -inf
+        log_scores -= top[:, None]
+    cum = np.exp(log_scores, out=log_scores).cumsum(axis=1, out=log_scores)
+    target = rng.random(len(cum)) * cum[:, -1]
+    return (cum > target[:, None]).argmax(axis=1), top
 
 
 def gumbel_argmax(log_scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Sample one index per row of ``log_scores`` proportionally to exp(score).
 
     Rows are unnormalized log probabilities; -inf entries are never chosen.
+    No sampler calls it: both draw by ``categorical_draw``.
     """
     g = rng.gumbel(size=log_scores.shape)
     g += log_scores

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import os
 from collections import OrderedDict
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -81,15 +82,45 @@ def write_panel(panel: SeriesPanel, path: str, comments: tuple[str, ...] = ()) -
                 writer.writerow([s.unit_id, int(t), _fmt(v)])
 
 
+class ColumnRows(Sequence):
+    """Table rows held as equal-length columns of Python strings, ints and
+    floats (as ``ndarray.tolist()`` gives them): row i is the tuple of every
+    column's entry i. ``write_table`` hands the rows to one
+    ``csv.writer.writerows`` call. The csv module writes a float by repr and
+    any other cell by str, as ``_fmt`` does for Python scalars, so no Python
+    code runs per cell and no tuple is kept per row."""
+
+    def __init__(self, *columns: list):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i: int) -> tuple:
+        return tuple(c[i] for c in self.columns)
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ColumnRows):
+            return self.columns == other.columns
+        return NotImplemented
+
+
 def write_table(path: str, header: tuple[str, ...], rows, comments: tuple[str, ...] = ()) -> None:
-    """Write a generic CSV result table with leading comment lines."""
+    """Write a generic CSV result table with leading comment lines. Each
+    cell is formatted by ``_fmt``, except that ``ColumnRows`` go to the csv
+    module as they are."""
     with open(path, "w", newline="") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        if isinstance(rows, ColumnRows):
+            writer.writerows(rows)
+        else:
+            writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
 def read_table(path: str) -> tuple[tuple[str, ...], list[list[str]]]:

@@ -66,7 +66,7 @@ class ParametricPrior:
         sd = np.sqrt(self.phi_var)
         phi = rng.normal(self.phi_mean, sd, size=size)
         bad = (phi <= -1.0) | (phi >= 1.0)
-        while np.any(bad):
+        while bad.any():
             phi[bad] = rng.normal(self.phi_mean, sd, size=int(bad.sum()))
             bad = (phi <= -1.0) | (phi >= 1.0)
         v = self.var_scale / rng.gamma(self.var_shape, size=size)

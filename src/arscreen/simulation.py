@@ -178,6 +178,20 @@ def _scalar(raw: dict[str, str], key: str, kind, default: str, positive: bool = 
     return x
 
 
+def _n_units(raw: dict[str, str]) -> int:
+    n = _scalar(raw, "n_units", int, "0")
+    if n < 1:
+        raise InvalidInputError(f"scenario key 'n_units': need at least one unit, got {n}")
+    return n
+
+
+def _probability(raw: dict[str, str], key: str) -> float:
+    p = _scalar(raw, key, float, "0.0")
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"scenario key {key!r} must lie in [0, 1], got {p}")
+    return p
+
+
 # The keys each scenario kind reads; any other key is rejected.
 _SCENARIO_KEYS = {
     "mixture": {"kind", "components", "n_units", "length", "shift_prob", "shift_var"},
@@ -188,11 +202,12 @@ _SCENARIO_KEYS = {
 
 def simulate_from_scenario(raw: dict[str, str], seed: int) -> tuple[SeriesPanel, TruthLabels]:
     """Build a panel plus truth labels from a parsed scenario file. An
-    unknown key, a value that does not parse, or prior-study mixture weights
-    off the simplex raise ``InvalidInputError`` naming the key; a component
-    (phi, v) outside the AR(1) domain, a ``length`` or kernel parameter that
-    is not positive, or a negative ``noise_seed`` raise ``DomainError``
-    naming it."""
+    unknown key, a value that does not parse, ``n_units`` below 1, or
+    prior-study mixture weights off the simplex raise ``InvalidInputError``
+    naming the key; a component (phi, v) outside the AR(1) domain, a
+    ``length`` or kernel parameter that is not positive, a ``shift_prob`` or
+    ``signal_prob`` outside [0, 1], or a negative ``noise_seed`` raise
+    ``DomainError`` naming it."""
     kind = raw.get("kind")
     if kind not in _SCENARIO_KEYS:
         raise InvalidInputError(f"scenario kind must be 'mixture' or 'prior-study', got {kind!r}")
@@ -203,9 +218,9 @@ def simulate_from_scenario(raw: dict[str, str], seed: int) -> tuple[SeriesPanel,
     if kind == "mixture":
         scenario = MixtureScenario(
             components=tuple(_parse_components(raw.get("components", ""), "components")),
-            n_units=_scalar(raw, "n_units", int, "0"),
+            n_units=_n_units(raw),
             length=length,
-            shift_prob=_scalar(raw, "shift_prob", float, "0.0"),
+            shift_prob=_probability(raw, "shift_prob"),
             shift_var=_scalar(raw, "shift_var", float, "1.0"),
         )
         return generate_mixture_panel(scenario, seed)
@@ -222,8 +237,7 @@ def simulate_from_scenario(raw: dict[str, str], seed: int) -> tuple[SeriesPanel,
     noise_seed = _scalar(raw, "noise_seed", int, "") if "noise_seed" in raw else None
     if noise_seed is not None and noise_seed < 0:
         raise DomainError(f"scenario key 'noise_seed' must be nonnegative, got {noise_seed}")
-    return generate_prior_study(_scalar(raw, "n_units", int, "0"), grid,
-                                _scalar(raw, "signal_prob", float, "0.0"), mix,
+    return generate_prior_study(_n_units(raw), grid, _probability(raw, "signal_prob"), mix,
                                 lambda rng, times: chol @ rng.standard_normal(times.size),
                                 seed, noise_seed=noise_seed)
 

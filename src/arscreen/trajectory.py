@@ -7,12 +7,15 @@ Gaussian-process draws on the global time grid). Unit observations are
 the trajectory restricted to the unit's times plus AR(1) noise whose
 (phi, v) law is itself a DP mixture shared across all units.
 
-One sweep updates, in order: (a) each unit's (component, atom) pair from
-its exact discrete conditional; (b) component probabilities from a
-Dirichlet posterior; (c) flat levels by conjugate normal draws; (d) gp
-paths by their exact Gaussian conditionals (a kriging update in precision
-form, whitened and stacked over atoms); (e) both trajectory stick sets; (f)
-the residual mixture on the de-trended series. Inclusion probabilities are
+One sweep updates: (a) each unit's (component, atom) pair from its exact
+discrete conditional; (b) component probabilities from a Dirichlet
+posterior; (c) flat levels by conjugate normal draws; (d) gp paths by their
+exact Gaussian conditionals (a kriging update in precision form, whitened
+and stacked over atoms); (e) both trajectory stick sets; (f) the residual
+mixture on the de-trended series. Stage (e) is drawn after (f)'s
+assignments, with (f)'s sticks in one Beta call; neither update reads the
+other. Both categorical draws, (a) and (f)'s assignments, are inverse-CDF
+draws (``mcmc.categorical_draw``). Inclusion probabilities are
 retained-sweep frequencies of a unit being non-null.
 """
 
@@ -30,11 +33,12 @@ from scipy.linalg import cholesky
 from scipy.linalg.lapack import dtrtrs
 
 from .ar_core import (
-    LOG_2PI,
     ArParams,
     ObservedSeries,
     SeriesPanel,
     StepTable,
+    _lag_coefficients,
+    _loglik_weights,
     ar1_loglik,
     lag_stats,
     step_precision,
@@ -42,10 +46,15 @@ from .ar_core import (
 )
 # Bound only for the probes in bench/layers.py; not called here (counts read 0).
 from .ar_core import ar1_precision, group_whiten, panel_groups  # noqa: F401
-from .dp_residual import DpResidualState, init_residual_state, _sweep_residual
+from .dp_residual import (
+    DpResidualState,
+    _assign_residual,
+    _update_residual_atoms,
+    init_residual_state,
+)
 from .errors import DomainError, InvalidInputError, NumericalError
-from .mcmc import gumbel_argmax, sample_sticks, stick_weights, stream
-from .panel_io import _fmt
+from .mcmc import categorical_draw, sample_sticks, stick_weights, stream
+from .panel_io import ColumnRows, _fmt
 from .parametric import ParametricPrior
 
 NULL, FLAT, GP = 0, 1, 2
@@ -309,7 +318,9 @@ def gp_atom_conditional(workspace: GpWorkspace, noise_prec: np.ndarray,
     F = L R^-T, and ``_gp_draw`` draws mean + F z.
     """
     L, G = workspace.chol, workspace.grid.size
-    R = np.linalg.cholesky(np.eye(G) + L.T @ noise_prec @ L)
+    M = L.T @ noise_prec @ L
+    M.reshape(-1, G * G)[:, ::G + 1] += 1.0     # M = I + L'SL, one diagonal per atom
+    R = np.linalg.cholesky(M)
     stacked = R.reshape(-1, G, G)
     w = _solve_lower(stacked, _solve_lower(stacked, (b @ L).reshape(-1, G)), trans=1)
     return (w @ L.T).reshape(np.shape(b)), R
@@ -342,50 +353,60 @@ class _UnitNoise:
     """Each unit's AR(1) noise under its current residual atom, computed once
     per sweep: the null log-likelihood and the flat-level terms q_y1 and
     s11 of its data, and its precision Q as the gp terms read it, on the
-    grid: Q y, the diagonal of Q, and Q's entry at each distinct step pair."""
+    grid of G times: the diagonal of Q, Q's entry at each distinct step
+    pair, and Q y, side by side in one row per unit. Also every residual
+    atom's null log-likelihood weights on the lag statistic columns: stage
+    (f) scores the de-trended values with them, as only its own atom step
+    moves the atoms."""
 
     null: np.ndarray    # (N,)
     q_y1: np.ndarray    # (N,)
     s11: np.ndarray     # (N,)
-    qy: np.ndarray      # (N, G)
-    diag: np.ndarray    # (N, G)
-    pair: np.ndarray    # (N, P)
+    grid: np.ndarray    # (N, 2G + P): diag | pair | qy
+    n_times: int        # G
+    atom_loglik: np.ndarray     # (L, 2 + 4D)
 
 
 def _unit_noise(state: FdpState, table: StepTable) -> _UnitNoise:
-    """``_UnitNoise`` of every unit in ``table`` (grid positions required)."""
+    """``_UnitNoise`` of every unit in ``table`` (grid positions required).
+    Each unit is scored under its own atom only, in O(columns)."""
     stick, atom = state.residual.stick, state.residual.assignments
     stats = table.stats
-    rows = np.arange(atom.size)
-    q_yy, q_y1, s11, logdet = (x[rows, atom] for x in stats.gaussian_parts(stick.phi, stick.v))
-    null = -0.5 * (stats.length * LOG_2PI + logdet + q_yy)
+    logdet, q_yy, s11, q_y1 = _lag_coefficients(stick.phi, stick.v, table.sizes)
+    atom_loglik = _loglik_weights(logdet, q_yy)
+    null = np.einsum("ij,ij->i", stats.terms, atom_loglik[atom])
+    s11 = np.einsum("ij,ij->i", stats.terms[:, :s11.shape[1]], s11[atom])
+    q_y1 = np.einsum("ij,ij->i", stats.linear, q_y1[atom])
     diag, off = step_precision(table, stick.phi[atom], stick.v[atom])
-    y, later = table.values, table.later
+    y, later, earlier = table.values, table.later, table.later - 1
     qy = diag * y
-    qy[later] += off * y[later - 1]
-    qy[later - 1] += off * y[later]
-    qy_grid, diag_grid = np.zeros((2, table.n_units, state.grid.size))
-    qy_grid[table.unit, table.pos] = qy
-    diag_grid[table.unit, table.pos] = diag
-    pair = np.zeros((table.n_units, len(table.pairs)))
-    pair[table.unit[later], table.pair] = off
-    return _UnitNoise(null, q_y1, s11, qy_grid, diag_grid, pair)
+    qy[later] += off * y[earlier]
+    qy[earlier] += off * y[later]
+    G, P = state.grid.size, len(table.pairs)
+    grid = np.zeros((table.n_units, 2 * G + P))
+    cells = grid.ravel()                        # scattered into through flat indices
+    row = table.unit * grid.shape[1]
+    cells[row + table.pos] = diag
+    cells[row[later] + G + table.pair] = off
+    cells[row + G + P + table.pos] = qy
+    return _UnitNoise(null, q_y1, s11, grid, G, atom_loglik)
 
 
 def _gp_atom_terms(noise: _UnitNoise, table: StepTable, unit_atom: np.ndarray,
                    atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S = sum P'QP (K, G, G) and b = sum P'Qy (K, G) over the units on each
-    gp atom in ``atoms`` (``unit_atom`` is -1 off the gp component), by one
+    gp atom in ``atoms`` (``unit_atom`` is negative off the gp component), by one
     membership product. Members are checked first: in the product 0 * NaN
     would reach every atom, and the Cholesky returns NaN without error."""
-    rows = np.flatnonzero(np.isin(unit_atom, atoms))
-    terms = np.hstack([noise.diag[rows], noise.pair[rows], noise.qy[rows]])
+    member = atoms[:, None] == unit_atom
+    rows = np.flatnonzero(member.any(axis=0))
+    terms = noise.grid[rows]
     bad = rows[~np.isfinite(terms).all(axis=1)]
     if bad.size:
         raise NumericalError(f"gp-path stage (d), atom {unit_atom[bad].min()}: "
                              "non-finite noise precision or data term")
-    G = noise.diag.shape[1]
-    sums = (atoms[:, None] == unit_atom[rows]) @ terms
+    G = noise.n_times
+    sums = member[:, rows] @ terms
     S = np.zeros((atoms.size, G, G))
     S[:, range(G), range(G)] = sums[:, :G]
     prev, cur = table.pairs.T
@@ -413,11 +434,12 @@ def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise) -> 
 
     levels, paths = state.flat_set.levels, state.gp_set.paths
     prev, cur = table.pairs.T
-    q_pp = noise.diag @ (paths * paths).T + 2.0 * noise.pair @ (paths[:, prev] * paths[:, cur]).T
+    # y'Qf - f'Qf/2 for every gp path f, in one product with the noise rows.
+    gp_weights = np.hstack([-0.5 * paths * paths, -paths[:, prev] * paths[:, cur], paths])
     null, q_y1 = noise.null[:, None], noise.q_y1[:, None]
     scores[:, :1] += null
     scores[:, 1:1 + Lf] += null + levels * q_y1 - 0.5 * noise.s11[:, None] * levels ** 2
-    scores[:, 1 + Lf:] += null + noise.qy @ paths.T - 0.5 * q_pp
+    scores[:, 1 + Lf:] += null + noise.grid @ gp_weights.T
     return scores
 
 
@@ -428,11 +450,10 @@ def _flat_level_posterior(prior_var: float, s11_sum, q_y1_sum):
     return post_var * np.asarray(q_y1_sum, dtype=float), post_var
 
 
-def _update_traj_sticks(tset: TrajectorySticks, counts: np.ndarray, nu: float,
-                        rng: np.random.Generator) -> None:
-    """Redraw the free tail's sticks; frozen atoms keep their weights."""
+def _set_traj_sticks(tset: TrajectorySticks, sticks: np.ndarray, wfree: np.ndarray) -> None:
+    """New sticks of the free tail; frozen atoms keep their weights."""
     frozen = tset.weights[:tset.n_frozen]
-    tset.sticks, wfree = sample_sticks(counts[tset.n_frozen:], nu, rng)
+    tset.sticks = sticks
     tset.weights = np.concatenate([frozen, (1.0 - float(frozen.sum())) * wfree])
 
 
@@ -449,56 +470,56 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
         workspace = prepare_gp_workspace(state.kernel, state.grid)
     Lf = state.flat_set.truncation
 
-    # (a) joint draw of (component, atom) per unit
+    # (a) joint draw of (component, atom) per unit: a score column per pair
     noise = _unit_noise(state, table)
-    scores = _assignment_scores(state, table, noise)
-    bad = ~np.isfinite(np.max(scores, axis=1))
-    if np.any(bad):
+    pick, top = categorical_draw(_assignment_scores(state, table, noise), rng)
+    finite = np.isfinite(top)
+    if not finite.all():
         raise NumericalError("assignment stage (a): no finite component score for unit "
-                             f"{table.unit_ids[int(np.argmax(bad))]!r}")
-    pick = gumbel_argmax(scores, rng)
-    state.unit_component = np.where(pick == 0, NULL,
-                                    np.where(pick <= Lf, FLAT, GP)).astype(np.int8)
-    state.unit_atom = np.where(pick == 0, -1,
-                               np.where(pick <= Lf, pick - 1, pick - 1 - Lf)).astype(np.int64)
+                             f"{table.unit_ids[int(np.argmin(finite))]!r}")
+    Lg = state.gp_set.truncation
+    column_kind = np.repeat(np.array([NULL, FLAT, GP], dtype=np.int8), [1, Lf, Lg])
+    column_atom = np.concatenate([[-1], np.arange(Lf), np.arange(Lg)])
+    state.unit_component, state.unit_atom = column_kind[pick], column_atom[pick]
+    column_counts = np.bincount(pick, minlength=1 + Lf + Lg)
+    flat_counts, gp_counts = column_counts[1:1 + Lf], column_counts[1 + Lf:]
 
     # (b) component probabilities
-    comp_counts = np.array([np.sum(state.unit_component == c) for c in (NULL, FLAT, GP)])
-    state.component_probs = rng.dirichlet(1.0 + comp_counts)
+    state.component_probs = rng.dirichlet(1.0 + np.add.reduceat(column_counts, [0, 1, 1 + Lf]))
 
     # (c) flat levels: conjugate normal given members; prior draw when empty
-    is_flat = state.unit_component == FLAT
-    flat_atoms = state.unit_atom[is_flat]
-    flat_counts = np.bincount(flat_atoms, minlength=Lf)
-    a_sum = np.bincount(flat_atoms, noise.s11[is_flat], minlength=Lf)
-    b_sum = np.bincount(flat_atoms, noise.q_y1[is_flat], minlength=Lf)
+    a_sum = np.bincount(pick, noise.s11, minlength=1 + Lf)[1:1 + Lf]
+    b_sum = np.bincount(pick, noise.q_y1, minlength=1 + Lf)[1:1 + Lf]
     post_mean, post_var = _flat_level_posterior(state.kernel.variance, a_sum, b_sum)
     start = state.flat_set.n_frozen
     new_levels = post_mean[start:] + np.sqrt(post_var[start:]) * rng.standard_normal(Lf - start)
-    if not np.all(np.isfinite(new_levels)):
+    if not np.isfinite(new_levels).all():
         raise NumericalError("flat-level stage (c): non-finite conjugate draw")
     state.flat_set.levels[start:] = new_levels
 
     # (d) gp paths: one stacked conditional over the busy atoms; prior draw when empty
-    Lg = state.gp_set.truncation
-    is_gp = state.unit_component == GP
-    gp_counts = np.bincount(state.unit_atom[is_gp], minlength=Lg)
     free = np.arange(state.gp_set.n_frozen, Lg)
     z = rng.standard_normal((free.size, state.grid.size))
     state.gp_set.paths[free] = z @ workspace.chol.T
     busy = free[gp_counts[free] > 0]
-    S, b = _gp_atom_terms(noise, table, np.where(is_gp, state.unit_atom, -1), busy)
+    S, b = _gp_atom_terms(noise, table, pick - (1 + Lf), busy)     # negative off gp
     mean, R = gp_atom_conditional(workspace, S, b)
     state.gp_set.paths[busy] = _gp_draw(workspace, mean, R, z[busy - state.gp_set.n_frozen])
 
-    # (e) trajectory stick sets
-    _update_traj_sticks(state.flat_set, flat_counts, state.traj_concentration, rng)
-    _update_traj_sticks(state.gp_set, gp_counts, state.traj_concentration, rng)
-
-    # (f) residual mixture on de-trended values
+    # (f) residual mixture on de-trended values. Its assignments are drawn
+    # under the atoms stage (a) scored, and (e), the trajectory sticks, is
+    # drawn with (f)'s sticks in one Beta call: given the counts, each stick
+    # set is independent of the residual assignments.
     stats = lag_stats(table, _detrended_values(state, table))
+    residual, nu = state.residual, state.traj_concentration
     try:
-        _sweep_residual(state.residual, table, stats, rng)
+        resid_counts = _assign_residual(residual, table, stats.terms @ noise.atom_loglik.T, rng)
+        flat, gp, (residual.stick.sticks, residual.stick.weights) = sample_sticks(
+            [flat_counts[start:], gp_counts[free], resid_counts],
+            [nu, nu, residual.concentration], rng)
+        _set_traj_sticks(state.flat_set, *flat)
+        _set_traj_sticks(state.gp_set, *gp)
+        _update_residual_atoms(residual, stats, resid_counts, rng)
     except NumericalError as exc:
         raise NumericalError(f"residual stage (f): {exc}") from exc
     return state
@@ -755,14 +776,15 @@ class ReportBundle:
     inclusion_header: tuple[str, ...]
     inclusion_rows: list[list]
     band_header: tuple[str, ...]
-    band_rows: list[tuple]
+    band_rows: ColumnRows       # (unit_id, time, band_lo, band_mid, band_hi) per unit and time
     summary_lines: list[str]
 
 
 def report_summaries(chain: ChainOutput,
                      thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS) -> ReportBundle:
     """Inclusion table with flag columns, plot-ready trajectory bands, and
-    one discovery-count line per threshold."""
+    one discovery-count line per threshold. The bands are built column by
+    column, each from one ``tolist``: no Python code runs per (unit, time)."""
     for t in thresholds:
         if not (0.0 < t <= 1.0):
             raise DomainError(f"thresholds must lie in (0, 1], got {t}")
@@ -772,13 +794,12 @@ def report_summaries(chain: ChainOutput,
     inc_rows = [[u, p] + [int(p >= t) for t in thresholds]
                 for u, p in zip(unit_ids, inclusion.tolist())]
     band_header = ("unit_id", "time", "band_lo", "band_mid", "band_hi")
-    band_rows: list[tuple] = []
+    band_rows = ColumnRows([], [], [], [], [])
     if len(chain.band_samples):
         lo, mid, hi = np.quantile(np.asarray(chain.band_samples, dtype=float), BAND_QUANTILES,
-                                  axis=0).tolist()
-        times = [int(t) for t in chain.grid]
-        for u, a, b, c in zip(unit_ids, lo, mid, hi):
-            band_rows.extend(zip([u] * len(times), times, a, b, c))
+                                  axis=0).reshape(len(BAND_QUANTILES), -1).tolist()
+        ids = np.repeat(np.array(unit_ids, dtype=object), chain.grid.size).tolist()
+        band_rows = ColumnRows(ids, chain.grid.tolist() * len(unit_ids), lo, mid, hi)
     lines = [f"flagged {int(np.sum(inclusion >= t))} of {len(unit_ids)} units "
              f"at threshold {_fmt(t)}" for t in thresholds]
     return ReportBundle(inc_header, inc_rows, band_header, band_rows, lines)

@@ -421,3 +421,55 @@ def solve_lower(R: np.ndarray, x: np.ndarray, trans: int) -> np.ndarray:
 
     return np.array([solve_triangular(r, b, lower=True, trans=trans, check_finite=False)
                      for r, b in zip(R, x)])
+
+
+def _fmt_cell(x) -> str:
+    """One table cell as the package wrote cells one at a time: floats
+    (Python or numpy) by repr, everything else by str."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def write_table_per_cell(path: str, header, rows, comments=()) -> None:
+    """A CSV table with leading '# ' comment lines, every cell formatted by
+    its own ``_fmt_cell`` call and every row written by its own
+    ``writerow``."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        for c in comments:
+            fh.write(f"# {c}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt_cell(x) for x in row])
+
+
+def write_report_per_cell(chain, thresholds, outdir: str, seed: int, fingerprint: str) -> None:
+    """``inclusion.csv``, ``bands.csv`` (when the chain kept bands) and
+    ``summary.txt`` of a chain, built one row tuple per (unit, time) and
+    written one cell at a time: the reference for the package's column
+    writer."""
+    import os
+
+    comments = (f"seed = {seed}", f"config = {fingerprint}")
+    inclusion = np.asarray(chain.inclusion)
+    write_table_per_cell(
+        os.path.join(outdir, "inclusion.csv"),
+        ("unit_id", "inclusion") + tuple(f"flagged_at_{_fmt_cell(t)}" for t in thresholds),
+        [[u, p] + [int(p >= t) for t in thresholds]
+         for u, p in zip(chain.unit_ids, inclusion.tolist())], comments)
+    if len(chain.band_samples):
+        lo, mid, hi = np.quantile(np.asarray(chain.band_samples, dtype=float),
+                                  (0.05, 0.5, 0.95), axis=0).tolist()
+        times = [int(t) for t in chain.grid]
+        rows = []
+        for u, a, b, c in zip(chain.unit_ids, lo, mid, hi):
+            rows.extend(zip([u] * len(times), times, a, b, c))
+        write_table_per_cell(os.path.join(outdir, "bands.csv"),
+                             ("unit_id", "time", "band_lo", "band_mid", "band_hi"), rows, comments)
+    with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines([f"# {c}\n" for c in comments] + [
+            f"flagged {int(np.sum(inclusion >= t))} of {len(chain.unit_ids)} units "
+            f"at threshold {_fmt_cell(t)}\n" for t in thresholds])

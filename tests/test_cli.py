@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel
+import oracles
 from arscreen.cli import (
     RunConfig,
     frozen_cluster_rerun,
@@ -20,13 +21,20 @@ from arscreen.cli import (
     report_summaries,
     save_chain,
     simulate_from_scenario,
+    write_report,
 )
 from arscreen.errors import DomainError, InvalidInputError
 from arscreen.mcmc import stream
-from arscreen.panel_io import read_panel, read_table, write_panel
+from arscreen.panel_io import ColumnRows, read_panel, read_table, write_panel, write_table
 from arscreen.parametric import ParametricPrior
 from arscreen.simulation import simulate_ar1
-from arscreen.trajectory import ChainOutput, GpKernelParams, ModelConfig, run_chain
+from arscreen.trajectory import (
+    DEFAULT_THRESHOLDS,
+    ChainOutput,
+    GpKernelParams,
+    ModelConfig,
+    run_chain,
+)
 
 TEST_CONFIG = ModelConfig(
     kernel=GpKernelParams(1.25, 13.0),
@@ -158,6 +166,13 @@ class TestScenarios:
         for n_units in ("0", "-3"):
             with pytest.raises(InvalidInputError, match="at least one unit"):
                 simulate_from_scenario(dict(prior, n_units=n_units), seed=0)
+        # out-of-range values name their key, as unparsable ones do
+        for base in (mixture, prior):
+            with pytest.raises(InvalidInputError, match="'n_units'.*at least one unit.*got 0"):
+                simulate_from_scenario(dict(base, n_units="0"), seed=0)
+        for base, key in [(mixture, "shift_prob"), (prior, "signal_prob")]:
+            with pytest.raises(DomainError, match=fr"'{key}' must lie in \[0, 1\], got 2.0"):
+                simulate_from_scenario(dict(base, **{key: "2"}), seed=0)
         for shift_var in ("-1.0", "nan", "inf"):
             with pytest.raises(DomainError, match="shift variance"):
                 simulate_from_scenario(dict(mixture, shift_var=shift_var), seed=0)
@@ -407,6 +422,55 @@ class TestReportSummaries:
         _, chain = fitted_chain
         with pytest.raises(DomainError):
             report_summaries(chain, thresholds=(0.0,))
+
+
+class TestReportWriter:
+    """The report files written from columns are byte for byte those of the
+    per-cell reference writer in ``oracles``."""
+
+    @staticmethod
+    def _compare(chain, tmp_path, thresholds=DEFAULT_THRESHOLDS):
+        new, ref = tmp_path / "new", tmp_path / "ref"
+        new.mkdir()
+        ref.mkdir()
+        write_report(report_summaries(chain, thresholds=thresholds), str(new),
+                     chain.seed, chain.fingerprint)
+        oracles.write_report_per_cell(chain, thresholds, str(ref), chain.seed, chain.fingerprint)
+        names = sorted(os.listdir(ref))
+        assert sorted(os.listdir(new)) == names
+        for name in names:
+            assert (new / name).read_bytes() == (ref / name).read_bytes(), name
+        return names
+
+    def test_fitted_chain(self, fitted_chain, tmp_path):
+        _, chain = fitted_chain
+        names = self._compare(chain, tmp_path, thresholds=(0.5, 0.75, 0.9))
+        assert names == ["bands.csv", "inclusion.csv", "summary.txt"]
+
+    def test_quoted_id_and_exponent_bands(self, fitted_chain, tmp_path):
+        _, chain = fitted_chain
+        bands = chain.band_samples.copy()
+        bands[:, 0, :3] = (1e-05, 1e16, -0.0)
+        chain = replace(chain, unit_ids=('id,"quoted"',) + chain.unit_ids[1:],
+                        band_samples=bands)
+        self._compare(chain, tmp_path)
+        first = (tmp_path / "new" / "bands.csv").read_text().splitlines()[3:6]
+        assert first[0].startswith('"id,""quoted""",') and "e-06" in first[0]
+        assert "e+16" in first[1]
+
+    def test_frozen_rerun_chain_has_no_bands(self, rerun, tmp_path):
+        assert self._compare(rerun[2].chain, tmp_path) == ["inclusion.csv", "summary.txt"]
+
+    def test_column_rows_write_as_cells(self, tmp_path):
+        """Floats whose repr takes exponent form, -0.0, non-finite values and a
+        quoted string, written from columns and by the per-cell reference."""
+        rows = ColumnRows(['a,"b', "c", "d"], [1, 2, 30], [1e-05, -0.0, 1e16],
+                          [1.5e-300, float("inf"), -2.5], [float("nan"), 0.1, -1e22])
+        header, comments = ("id", "t", "x", "y", "z"), ("seed = 1",)
+        write_table(str(tmp_path / "new.csv"), header, rows, comments)
+        oracles.write_table_per_cell(str(tmp_path / "ref.csv"), header, list(rows), comments)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert len(rows) == 3 and rows[1] == ("c", 2, -0.0, float("inf"), 0.1)
 
 
 def _write_small_panel(tmp_path, n=14, length=15, n_shift=3, seed=29, name="panel.csv"):

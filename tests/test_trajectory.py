@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import arscreen.trajectory
 from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel, ar1_loglik, lag_stats, step_table
-from arscreen.dp_residual import init_residual_state
+from arscreen.dp_residual import _assign_residual, init_residual_state
 from arscreen.errors import DomainError, InvalidInputError, NumericalError
 from arscreen.mcmc import stream
 from arscreen.parametric import ParametricPrior
@@ -296,14 +297,15 @@ class TestGpAtomTerms:
         table = step_table(panel, grid=grid)
         noise = _unit_noise(state, table)
         labels = np.array([0, 4, 4, 7, 7, -1, 0, 4, -1, 7])
-        noise.diag[5, 0] = np.inf
+        G = grid.size       # a noise row is diag (G) | pair | qy (G)
+        noise.grid[5, 0] = np.inf
         S, b = _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]))
         assert np.all(np.isfinite(S)) and np.all(np.isfinite(b))
-        noise.qy[2, 3] = np.nan
+        noise.grid[2, -G + 3] = np.nan
         with pytest.raises(NumericalError, match=r"gp-path stage \(d\), atom 4:"):
             _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]))
-        noise.qy[2, 3] = 0.0
-        noise.diag[9, 5] = np.inf
+        noise.grid[2, -G + 3] = 0.0
+        noise.grid[9, 5] = np.inf
         with pytest.raises(NumericalError, match=r"gp-path stage \(d\), atom 7:"):
             _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]))
 
@@ -441,11 +443,61 @@ class TestSuccessiveConditionalData:
         assert joint is not table and joint.stats is not table.stats
 
 
-# Each coordinate is thinned by twice its integrated autocorrelation time
-# (IACT; Sokal's estimate, window 5 IACTs), the larger of the values measured
-# on this seeded chain over 4,000 and 40,000 sweeps: component probs 4.2 at
-# most, sticks 2.1, level0 2.5/2.6, path00 2.1/2.6, unit 0's residual phi
-# 5.3/5.4 and v 6.6/8.6.
+class TestNonFiniteRowsNamed:
+    """A unit whose scores hold a NaN or +inf, or only -inf, stops the sweep
+    with its name (and, in stage (f), the atom), whatever the draw makes of
+    the row."""
+
+    BAD = [np.nan, np.inf, -np.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_stage_a_names_the_unit(self, monkeypatch, bad):
+        panel = _panel(4, 8, seed=3)
+        state = init_fdp_state(4, SMALL_CONFIG, np.arange(8, dtype=np.int64), rng=stream(4, "st"))
+        real = arscreen.trajectory._assignment_scores
+
+        def scores(*args):
+            out = real(*args)
+            out[2, 1:] = -np.inf
+            out[2, 0] = bad
+            return out
+
+        monkeypatch.setattr(arscreen.trajectory, "_assignment_scores", scores)
+        with pytest.raises(NumericalError, match=r"stage \(a\): .* unit 'u002'"):
+            gibbs_sweep_joint(state, panel, stream(4, "sw"))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_stage_f_names_the_unit_and_atom(self, bad):
+        panel = _panel(4, 8, seed=3)
+        state = init_residual_state(4, 1.0, ParametricPrior(), truncation=5, rng=stream(5, "st"))
+        ll = np.zeros((4, 5))
+        ll[2, 3] = bad
+        if bad == -np.inf:
+            ll[2] = bad
+        atom = 0 if bad == -np.inf else 3
+        with pytest.raises(NumericalError, match=f"unit 'u002' under atom {atom}"):
+            _assign_residual(state, step_table(panel), ll, stream(5, "sw"))
+
+    def test_joint_sweep_prefixes_stage_f(self, monkeypatch):
+        panel = _panel(4, 8, seed=3)
+        state = init_fdp_state(4, SMALL_CONFIG, np.arange(8, dtype=np.int64), rng=stream(4, "st"))
+        real = arscreen.trajectory.lag_stats
+
+        def nan_stats(table, values):
+            values = values.copy()
+            values[table.first[1]] = np.nan
+            return real(table, values)
+
+        monkeypatch.setattr(arscreen.trajectory, "lag_stats", nan_stats)
+        with pytest.raises(NumericalError, match=r"residual stage \(f\): .* unit 'u001' under atom 0"):
+            gibbs_sweep_joint(state, panel, stream(4, "sw"))
+
+
+# Each coordinate is thinned by at least twice its integrated autocorrelation
+# time (IACT; Sokal's estimate, window 5 IACTs), the larger of the values
+# measured on this seeded chain over 4,000 and 40,000 sweeps: component probs
+# 4.0 at most, sticks 2.0, level0 3.0/2.5, path00 2.9/2.5, unit 0's residual
+# phi 5.0/5.5 and v 6.6/7.3.
 PRIOR_INV_THIN = {"cp": 9, "stick": 5, "level0": 6, "path00": 6, "unit0_phi": 11,
                   "unit0_v": 18}
 
