@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, InvalidInputError
 
@@ -250,6 +249,59 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+# Wichura's (1988, *Applied Statistics*, AS241) PPND16 coefficients, highest
+# power first, as CPython's statistics.NormalDist.inv_cdf writes them: the
+# central region |p - 0.5| <= 0.425, then the tail with r = sqrt(-log(min(p,
+# 1 - p))) at most 5, then the far tail.
+_AS241 = (
+    ((2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+      4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+      1.3314166789178437745e+2, 3.3871328727963666080e+0),
+     (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+      2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+      4.2313330701600911252e+1, 1.0)),
+    ((7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+      1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
+      4.6303378461565452959e+0, 1.4234371107496835773e+0),
+     (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+      1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+      2.0531916266377588219e+0, 1.0)),
+    ((2.0103343992922881326e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+      2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+      5.4637849111641143699e+0, 6.6579046435011037772e+0),
+     (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+      7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+      5.9983220655588793769e-1, 1.0)),
+)
+
+
+def _horner(coefs, r: np.ndarray) -> np.ndarray:
+    out = np.full_like(r, coefs[0])
+    for c in coefs[1:]:
+        out = out * r + c
+    return out
+
+
+def ndtri(p) -> np.ndarray:
+    """Standard normal quantile of each p in (0, 1), by AS241 with the
+    operations of CPython's ``statistics.NormalDist.inv_cdf`` in its order."""
+    shape = np.shape(p)
+    p = np.asarray(p, dtype=float).reshape(-1)
+    q = p - 0.5
+    x = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    t = 0.180625 - qc * qc
+    (num, den), near, far = _AS241
+    x[central] = _horner(num, t) * qc / _horner(den, t)
+    tail = np.flatnonzero(~central)
+    r = np.sqrt(-np.log(np.where(q[tail] <= 0.0, p[tail], 1.0 - p[tail])))
+    for (num, den), rows, t in ((near, r <= 5.0, r - 1.6), (far, r > 5.0, r - 5.0)):
+        x[tail[rows]] = _horner(num, t[rows]) / _horner(den, t[rows])
+    x[tail] = np.copysign(x[tail], q[tail])
+    return x.reshape(shape)
+
+
 def cdf_standardize(panel: SeriesPanel) -> SeriesPanel:
     """Pooled rank-based transform of all panel values to standard normal scores.
 
@@ -321,8 +373,9 @@ def group_whiten(group: TimesGroup, params: ArParams) -> tuple[np.ndarray, float
 class StepTable:
     """Every observation of a panel in one flat array, unit by unit in panel
     order, with the steps between them. A step joins an observation to the
-    one before it in the same unit: its later observation is ``later`` and
-    its earlier one ``later - 1``.
+    one before it in the same unit: its later observation is ``later``, its
+    earlier one ``earlier`` (``later - 1``) and its unit ``step_unit``, each
+    kept once so that no sweep recomputes them.
     """
 
     unit_ids: tuple[str, ...]
@@ -331,6 +384,8 @@ class StepTable:
     first: np.ndarray         # (N,) index of each unit's first observation
     sizes: tuple[int, ...]    # panel-wide distinct gaps, ascending
     later: np.ndarray         # (n_steps,) later observation of each step
+    earlier: np.ndarray       # (n_steps,) earlier observation of each step, later - 1
+    step_unit: np.ndarray     # (n_steps,) unit index of each step
     gap: np.ndarray           # (n_steps,) index of each step's gap into ``sizes``
     pos: np.ndarray | None = None     # (n_obs,) grid position of each observation
     pairs: np.ndarray | None = None   # (P, 2) distinct grid-position pairs of steps
@@ -357,7 +412,8 @@ def step_table(panel: SeriesPanel, grid: np.ndarray | None = None) -> StepTable:
     is_later = np.ones(times.size, dtype=bool)
     is_later[first] = False
     later = np.flatnonzero(is_later)
-    sizes, gap = np.unique(times[later] - times[later - 1], return_inverse=True)
+    earlier = later - 1
+    sizes, gap = np.unique(times[later] - times[earlier], return_inverse=True)
     pos = pairs = pair = None
     if grid is not None:
         pos = np.searchsorted(grid, times)
@@ -365,10 +421,10 @@ def step_table(panel: SeriesPanel, grid: np.ndarray | None = None) -> StepTable:
         if np.any(off):
             bad = panel[int(unit[np.argmax(off)])].unit_id
             raise InvalidInputError(f"unit {bad!r} has times outside the trajectory grid")
-        keys, pair = np.unique(pos[later - 1] * grid.size + pos[later], return_inverse=True)
+        keys, pair = np.unique(pos[earlier] * grid.size + pos[later], return_inverse=True)
         pairs = np.column_stack(np.divmod(keys, grid.size))
-    return StepTable(panel.unit_ids, values, unit, first, tuple(sizes.tolist()), later, gap,
-                     pos, pairs, pair)
+    return StepTable(panel.unit_ids, values, unit, first, tuple(sizes.tolist()), later, earlier,
+                     unit[later], gap, pos, pairs, pair)
 
 
 # --- lag statistics: every unit reduced to a few sums per distinct gap ---
@@ -504,7 +560,7 @@ def lag_stats(table: StepTable, values: np.ndarray | None = None) -> LagStats:
     """
     y = table.values if values is None else values
     N, D = table.n_units, len(table.sizes)
-    step_key = table.unit[table.later] * D + table.gap
+    step_key = table.step_unit * D + table.gap
 
     def per_gap(weights=None):
         return np.bincount(step_key, weights, minlength=N * D).reshape(N, D)
@@ -516,7 +572,7 @@ def lag_stats(table: StepTable, values: np.ndarray | None = None) -> LagStats:
     else:       # units and steps per gap depend on the table only
         terms[:, :1 + D] = table.stats.terms[:, :1 + D]
     with np.errstate(over="ignore", invalid="ignore"):
-        prev = y[table.later - 1]
+        prev = y[table.earlier]
         diff = y[table.later] - prev
         y0 = y[table.first]
         terms[:, 1 + D] = y0 * y0
@@ -539,13 +595,13 @@ def step_precision(table: StepTable, phi: np.ndarray, v: np.ndarray) -> tuple[np
     a^2 / w of the step out of it.
     """
     coef, ratio = _gap_coefficients(phi, table.sizes)
-    u = table.unit[table.later]
+    u = table.step_unit
     a = coef[u, table.gap]
     inv_w = 1.0 / (v[u] * ratio[u, table.gap])
     diag = np.zeros(table.values.size)
     diag[table.first] = (1.0 - phi * phi) / v
     diag[table.later] += inv_w
-    diag[table.later - 1] += a * a * inv_w
+    diag[table.earlier] += a * a * inv_w
     return diag, -a * inv_w
 
 
@@ -553,7 +609,8 @@ def ar1_precision(params: ArParams, gaps: GapTable) -> np.ndarray:
     """Inverse of the stationary AR(1) covariance over times with gap table
     ``gaps``: the tridiagonal of ``step_precision`` for one unit."""
     T = gaps.step.size + 1
-    one_unit = StepTable(("",), np.zeros(T), np.zeros(T, dtype=np.int64), np.zeros(1, dtype=np.int64),
-                         gaps.sizes, np.arange(1, T), gaps.step)
+    zeros = np.zeros(T, dtype=np.int64)
+    one_unit = StepTable(("",), np.zeros(T), zeros, zeros[:1], gaps.sizes, np.arange(1, T),
+                         np.arange(T - 1), zeros[1:], gaps.step)
     diag, off = step_precision(one_unit, np.array([params.phi]), np.array([params.v]))
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

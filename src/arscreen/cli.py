@@ -15,13 +15,22 @@ Exit codes: 0 success, 2 usage errors, 3 invalid input or domain errors,
 
 from __future__ import annotations
 
+# Besides what it uses, this module imports what numpy, argparse and zipfile
+# would otherwise load inside a command: encodings.cp437 (zipfile reading a
+# chain), locale (argparse's gettext), numpy.ma (np.unique) and numpy.random
+# (the first random stream). Every CLI call pays this import, and no command
+# imports a module.
 import argparse
+import encodings.cp437  # noqa: F401
 import hashlib
+import locale  # noqa: F401
 import os
 import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .ar_core import SeriesPanel, cdf_standardize
 from .errors import ArscreenError, DomainError, InvalidInputError, NumericalError

@@ -11,13 +11,12 @@ posterior odds over the weighted draws.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.special import expit, gammaln, logit, ndtr
 
 from .ar_core import (
     LOG_2PI,
@@ -36,6 +35,23 @@ from .mcmc import normalized_weights_and_ess, stream
 ESS_WARN_FRACTION = 0.01
 ESS_DEGENERATE = 10.0
 PROPOSAL_DF = 5.0
+
+
+def ndtr(x: float) -> float:
+    """Standard normal CDF of a scalar."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def expit(x):
+    """1 / (1 + exp(-x)) elementwise, from exp(-|x|) so that nothing overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(np.asarray(x) >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def logit(p):
+    """log(p / (1 - p)) elementwise; -inf at p = 0 and +inf at p = 1."""
+    with np.errstate(divide="ignore"):
+        return np.log(p / (1.0 - np.asarray(p)))
 
 
 @dataclass(frozen=True)
@@ -80,7 +96,8 @@ class ParametricPrior:
         sd = np.sqrt(self.phi_var)
         trunc = ndtr((1.0 - self.phi_mean) / sd) - ndtr((-1.0 - self.phi_mean) / sd)
         a, b = self.var_shape, self.var_scale
-        return -0.5 * np.log(2.0 * np.pi * self.phi_var), np.log(trunc), a * np.log(b) - gammaln(a)
+        return (-0.5 * np.log(2.0 * np.pi * self.phi_var), np.log(trunc),
+                a * np.log(b) - math.lgamma(a))
 
     def log_density_phi_v(self, phi, v):
         """Log prior density of (phi, v), elementwise over scalars or arrays;
@@ -278,13 +295,13 @@ def _t_proposal(loc: np.ndarray, shape: np.ndarray, df: float, n: int,
     order. The density whitens x - loc with the eigenvectors of ``shape``.
     """
     dim = loc.size
-    s, u = eigh(shape, lower=True)
+    s, u = np.linalg.eigh(shape)
     w = rng.chisquare(df, size=n) / df
     z = rng.multivariate_normal(np.zeros(dim), shape, size=n)
     xs = loc + z / np.sqrt(w)[:, None]
     maha = np.square(np.dot(xs - loc, u * np.sqrt(1.0 / s))).sum(axis=-1)
     t = 0.5 * (df + dim)
-    log_q = (gammaln(t) - gammaln(0.5 * df) - dim / 2.0 * np.log(df * np.pi)
+    log_q = (math.lgamma(t) - math.lgamma(0.5 * df) - dim / 2.0 * np.log(df * np.pi)
              - 0.5 * np.sum(np.log(s)) - t * np.log(1 + (1.0 / df) * maha))
     return xs, log_q
 

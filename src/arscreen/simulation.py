@@ -233,12 +233,12 @@ def simulate_from_scenario(raw: dict[str, str], seed: int) -> tuple[SeriesPanel,
     grid = np.arange(length, dtype=np.int64)
     kernel = GpKernelParams(_scalar(raw, "kernel_variance", float, "1.25", positive=True),
                             _scalar(raw, "kernel_length_scale", float, "13.0", positive=True))
-    chol = prepare_gp_workspace(kernel, grid).chol
+    factor = prepare_gp_workspace(kernel, grid).factor
     noise_seed = _scalar(raw, "noise_seed", int, "") if "noise_seed" in raw else None
     if noise_seed is not None and noise_seed < 0:
         raise DomainError(f"scenario key 'noise_seed' must be nonnegative, got {noise_seed}")
     return generate_prior_study(_n_units(raw), grid, _probability(raw, "signal_prob"), mix,
-                                lambda rng, times: chol @ rng.standard_normal(times.size),
+                                lambda rng, _: factor @ rng.standard_normal(factor.shape[1]),
                                 seed, noise_seed=noise_seed)
 
 

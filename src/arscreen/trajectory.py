@@ -29,8 +29,6 @@ import zipfile
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import cholesky
-from scipy.linalg.lapack import dtrtrs
 
 from .ar_core import (
     ArParams,
@@ -63,8 +61,8 @@ COMPONENT_NAMES = ("null", "flat", "gp")
 DEFAULT_THRESHOLDS = (0.5, 0.9)
 BAND_QUANTILES = (0.05, 0.5, 0.95)
 
-# Diagonal jitter ladder for GP factorizations, relative to the kernel variance.
-JITTER_LADDER = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+# Kernel eigenvalues kept in the GP prior factor, relative to the kernel variance.
+EIGEN_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -92,29 +90,32 @@ def gp_covariance(kernel: GpKernelParams, times) -> np.ndarray:
 
 @dataclass
 class GpWorkspace:
-    """Per-chain cache of the grid kernel: jittered covariance and its factor."""
+    """Per-chain cache of the grid kernel as a rank-r eigen root: the prior
+    covariance is cov = factor @ factor.T."""
 
     grid: np.ndarray
     kernel: GpKernelParams
-    cov: np.ndarray        # jittered covariance actually factorized
-    chol: np.ndarray       # lower Cholesky of cov
-    jitter: float
+    cov: np.ndarray        # (G, G) prior covariance the sampler uses, L L'
+    factor: np.ndarray     # (G, r) L = U_r Lambda_r^(1/2) over the kept eigenpairs
+    dropped_variance: float     # sum of the dropped eigenvalues (negative ones as 0)
+
+    @property
+    def rank(self) -> int:
+        return int(self.factor.shape[1])
 
 
 def prepare_gp_workspace(kernel: GpKernelParams, grid) -> GpWorkspace:
-    """Grid kernel with the first ``JITTER_LADDER`` step (times the kernel
-    variance) on its diagonal that factorizes. Only this prior factor may
-    need jitter: every posterior factors M >= I (``gp_atom_conditional``)."""
+    """The grid kernel's eigenpairs above ``EIGEN_FLOOR`` times the kernel
+    variance, as the G x r factor L. The squared-exponential kernel is
+    numerically low-rank (r = 11 of G = 40 at the default length scale), and
+    ``eigh`` of a finite symmetric matrix does not fail, so no jitter is
+    needed; every posterior factors M = I_r + L'SL >= I (``gp_atom_conditional``)."""
     grid = np.asarray(grid, dtype=np.int64)
-    kernel_cov = gp_covariance(kernel, grid)
-    for jitter in JITTER_LADDER:
-        cov = kernel_cov + jitter * kernel.variance * np.eye(grid.size)
-        try:
-            return GpWorkspace(grid, kernel, cov, cholesky(cov, lower=True), jitter)
-        except np.linalg.LinAlgError:
-            pass
-    raise NumericalError(f"covariance factorization failed after jitter escalation to "
-                         f"{JITTER_LADDER[-1]:g} x scale")
+    values, vectors = np.linalg.eigh(gp_covariance(kernel, grid))
+    keep = values > EIGEN_FLOOR * kernel.variance
+    factor = vectors[:, keep] * np.sqrt(values[keep])
+    return GpWorkspace(grid, kernel, factor @ factor.T, factor,
+                       float(np.maximum(values[~keep], 0.0).sum()))
 
 
 @dataclass
@@ -147,8 +148,8 @@ def sample_trajectory_atom(kernel: GpKernelParams, grid, rng: np.random.Generato
     """Fresh zero-mean GP path atom on the grid (weight left at 0)."""
     if workspace is None:
         workspace = prepare_gp_workspace(kernel, grid)
-    z = rng.standard_normal(workspace.grid.size)
-    return TrajectoryAtom(kind="gp", path=workspace.chol @ z, grid=workspace.grid.copy())
+    z = rng.standard_normal(workspace.rank)
+    return TrajectoryAtom(kind="gp", path=workspace.factor @ z, grid=workspace.grid.copy())
 
 
 def component_loglik(series: ObservedSeries, atom: TrajectoryAtom | None,
@@ -288,7 +289,7 @@ def init_fdp_state(n_units: int, config: ModelConfig, grid, *, rng: np.random.Ge
 
     g_sticks = rng.beta(1.0, nu, size=config.trunc_gp - 1)
     g_weights = stick_weights(g_sticks)
-    paths = (workspace.chol @ rng.standard_normal((grid.size, config.trunc_gp))).T
+    paths = (workspace.factor @ rng.standard_normal((workspace.rank, config.trunc_gp))).T
     gp_set = TrajectorySticks("gp", g_sticks, g_weights, paths=paths)
 
     unit_component = rng.choice(3, size=n_units, p=cp).astype(np.int8)
@@ -310,42 +311,35 @@ def gp_atom_conditional(workspace: GpWorkspace, noise_prec: np.ndarray,
 
     ``noise_prec`` is S = sum P' Q P and ``b`` = sum P' Q y over an atom's
     units (P picks the unit's times from the grid, Q is its AR(1) noise
-    precision), for one atom or stacked over K. With the prior factor
-    C = L L' the posterior covariance is L M^-1 L', M = I + L' S L = R R'
-    (Rasmussen & Williams 2006, GPML 3.4). S is a sum of P'QP terms, so it
-    is positive semidefinite and M >= I: its Cholesky cannot fail on finite
-    input. Returns the mean L M^-1 L' b and R; the covariance is F F' with
+    precision), for one atom or stacked over K. Returns the mean and R
+    that ``_whitened_conditional`` gives for L'SL and L'b.
+    """
+    L = workspace.factor
+    return _whitened_conditional(workspace, L.T @ noise_prec @ L, b @ L)
+
+
+def _whitened_conditional(workspace: GpWorkspace, LSL: np.ndarray,
+                          Lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The conditional of ``gp_atom_conditional`` from L'SL (K, r, r) and
+    L'b (K, r), or one atom's (r, r) and (r,). With the prior factor C = L L'
+    (G x r) the path is L u with u ~ N(0, I_r) a priori, so the posterior
+    covariance is L M^-1 L', M = I_r + L'SL = R R' (Rasmussen & Williams
+    2006, GPML 3.4). S is a sum of P'QP terms, so it is positive
+    semidefinite and M >= I: its Cholesky cannot fail on finite input.
+    Returns the mean L M^-1 L'b and R; the covariance is F F' with
     F = L R^-T, and ``_gp_draw`` draws mean + F z.
     """
-    L, G = workspace.chol, workspace.grid.size
-    M = L.T @ noise_prec @ L
-    M.reshape(-1, G * G)[:, ::G + 1] += 1.0     # M = I + L'SL, one diagonal per atom
-    R = np.linalg.cholesky(M)
-    stacked = R.reshape(-1, G, G)
-    w = _solve_lower(stacked, _solve_lower(stacked, (b @ L).reshape(-1, G)), trans=1)
-    return (w @ L.T).reshape(np.shape(b)), R
-
-
-def _solve_lower(R: np.ndarray, x: np.ndarray, trans: int = 0) -> np.ndarray:
-    """Row k solves R[k] u = x[k] (``trans`` 0) or R[k]' u = x[k] (1), R[k] lower
-    triangular: one O(G^2) solve per atom, as numpy has no triangular gufunc.
-
-    Each solve calls LAPACK's dtrtrs on R[k]' directly, the upper triangle
-    that ``solve_triangular`` itself hands it for C-ordered input, without
-    that wrapper's per-call checks.
-    """
-    out = np.empty_like(x)
-    for k in range(len(x)):
-        out[k], info = dtrtrs(R[k].T, x[k], lower=0, trans=1 - trans)
-        if info != 0:
-            raise NumericalError(f"triangular solve for atom {k} failed: LAPACK dtrtrs info {info}")
-    return out
+    R = np.linalg.cholesky(LSL + np.eye(workspace.rank))
+    u = np.linalg.solve(R, Lb[..., None])
+    w = np.linalg.solve(np.swapaxes(R, -1, -2), u)[..., 0]
+    return w @ workspace.factor.T, R
 
 
 def _gp_draw(workspace: GpWorkspace, mean: np.ndarray, R: np.ndarray,
              z: np.ndarray) -> np.ndarray:
-    """Stage (d)'s draw map: mean + L R^-T z per row of (K, G) standard normals."""
-    return mean + _solve_lower(R, z, trans=1) @ workspace.chol.T
+    """Stage (d)'s draw map: mean + L R^-T z per row of (K, r) standard normals."""
+    v = np.linalg.solve(np.swapaxes(R, -1, -2), z[..., None])[..., 0]
+    return mean + v @ workspace.factor.T
 
 
 @dataclass(frozen=True)
@@ -378,7 +372,7 @@ def _unit_noise(state: FdpState, table: StepTable) -> _UnitNoise:
     s11 = np.einsum("ij,ij->i", stats.terms[:, :s11.shape[1]], s11[atom])
     q_y1 = np.einsum("ij,ij->i", stats.linear, q_y1[atom])
     diag, off = step_precision(table, stick.phi[atom], stick.v[atom])
-    y, later, earlier = table.values, table.later, table.later - 1
+    y, later, earlier = table.values, table.later, table.earlier
     qy = diag * y
     qy[later] += off * y[earlier]
     qy[earlier] += off * y[later]
@@ -387,17 +381,21 @@ def _unit_noise(state: FdpState, table: StepTable) -> _UnitNoise:
     cells = grid.ravel()                        # scattered into through flat indices
     row = table.unit * grid.shape[1]
     cells[row + table.pos] = diag
-    cells[row[later] + G + table.pair] = off
+    cells[table.step_unit * grid.shape[1] + G + table.pair] = off
     cells[row + G + P + table.pos] = qy
     return _UnitNoise(null, q_y1, s11, grid, G, atom_loglik)
 
 
 def _gp_atom_terms(noise: _UnitNoise, table: StepTable, unit_atom: np.ndarray,
-                   atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S = sum P'QP (K, G, G) and b = sum P'Qy (K, G) over the units on each
-    gp atom in ``atoms`` (``unit_atom`` is negative off the gp component), by one
-    membership product. Members are checked first: in the product 0 * NaN
-    would reach every atom, and the Cholesky returns NaN without error."""
+                   atoms: np.ndarray, workspace: GpWorkspace) -> tuple[np.ndarray, np.ndarray]:
+    """L'SL (K, r, r) and L'b (K, r) of S = sum P'QP and b = sum P'Qy over the
+    units on each gp atom in ``atoms`` (``unit_atom`` is negative off the gp
+    component), by one membership product. S is never formed: with its
+    diagonal d and its entry o_p at each step pair (prev_p, cur_p),
+    L'SL = Y + Y' for Y = sum_g (d_g / 2) L_g' L_g + sum_p o_p L_prev' L_cur
+    over the rows of L, in O((G + P) r^2) per atom. Members are checked
+    first: in the product 0 * NaN would reach every atom, and the Cholesky
+    returns NaN without error."""
     member = atoms[:, None] == unit_atom
     rows = np.flatnonzero(member.any(axis=0))
     terms = noise.grid[rows]
@@ -405,13 +403,13 @@ def _gp_atom_terms(noise: _UnitNoise, table: StepTable, unit_atom: np.ndarray,
     if bad.size:
         raise NumericalError(f"gp-path stage (d), atom {unit_atom[bad].min()}: "
                              "non-finite noise precision or data term")
-    G = noise.n_times
-    sums = member[:, rows] @ terms
-    S = np.zeros((atoms.size, G, G))
-    S[:, range(G), range(G)] = sums[:, :G]
+    G, L = noise.n_times, workspace.factor
+    sums = member[:, rows] @ terms          # diag | pair | qy
+    sums[:, :G] *= 0.5
     prev, cur = table.pairs.T
-    S[:, prev, cur] = S[:, cur, prev] = sums[:, G:-G]
-    return S, sums[:, -G:]
+    left, right = np.vstack([L, L[prev]]), np.vstack([L, L[cur]])
+    Y = np.swapaxes(sums[:, :-G, None] * left, 1, 2) @ right
+    return Y + np.swapaxes(Y, 1, 2), sums[:, -G:] @ L
 
 
 def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise) -> np.ndarray:
@@ -499,11 +497,11 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
 
     # (d) gp paths: one stacked conditional over the busy atoms; prior draw when empty
     free = np.arange(state.gp_set.n_frozen, Lg)
-    z = rng.standard_normal((free.size, state.grid.size))
-    state.gp_set.paths[free] = z @ workspace.chol.T
+    z = rng.standard_normal((free.size, workspace.rank))
+    state.gp_set.paths[free] = z @ workspace.factor.T
     busy = free[gp_counts[free] > 0]
-    S, b = _gp_atom_terms(noise, table, pick - (1 + Lf), busy)     # negative off gp
-    mean, R = gp_atom_conditional(workspace, S, b)
+    mean, R = _whitened_conditional(      # pick - (1 + Lf) is negative off gp
+        workspace, *_gp_atom_terms(noise, table, pick - (1 + Lf), busy, workspace))
     state.gp_set.paths[busy] = _gp_draw(workspace, mean, R, z[busy - state.gp_set.n_frozen])
 
     # (f) residual mixture on de-trended values. Its assignments are drawn

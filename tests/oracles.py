@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: dense matrices, direct formulas,
 exhaustive enumeration. No code is shared with the package beyond numpy
-and scipy, so agreement is meaningful. The one exception is the
+and scipy, so agreement is meaningful. The exceptions are the
 successive-conditional data draw, which reads the sampler state it redraws
 data for (``trajectory._trajectory_matrix``), since the test checks the
-sweeps, not that read.
+sweeps, not that read, and the per-row panel reader, which returns the
+package's panel types so that panels compare field by field.
 """
 
 from __future__ import annotations
@@ -362,11 +363,14 @@ def t_proposal(loc, shape, df: float, n: int, rng: np.random.Generator) -> tuple
     return xs, dist.logpdf(xs)
 
 
-def prior_log_density_phi_v(prior, phi, v):
+def prior_log_density_phi_v(prior, phi, v, ndtr=None, gammaln=None):
     """The prior log density with every constant recomputed per call, term
-    for term in the order the package sums them."""
-    from scipy.special import gammaln, ndtr
+    for term in the order the package sums them. The normal CDF ``ndtr``
+    and ``gammaln`` are scipy's unless given."""
+    import scipy.special
 
+    ndtr = ndtr or scipy.special.ndtr
+    gammaln = gammaln or scipy.special.gammaln
     sd = np.sqrt(prior.phi_var)
     trunc = ndtr((1.0 - prior.phi_mean) / sd) - ndtr((-1.0 - prior.phi_mean) / sd)
     a, b = prior.var_shape, prior.var_scale
@@ -414,13 +418,89 @@ def pool_add_at(terms: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def solve_lower(R: np.ndarray, x: np.ndarray, trans: int) -> np.ndarray:
-    """Row k solves R[k] u = x[k] (``trans`` 0) or R[k]' u = x[k] (1) by
-    ``scipy.linalg.solve_triangular``."""
-    from scipy.linalg import solve_triangular
+def jittered_gp_chol(variance: float, length_scale: float, grid) -> np.ndarray:
+    """Lower Cholesky factor, by ``scipy.linalg.cholesky``, of the
+    squared-exponential kernel on ``grid`` plus the first diagonal jitter of
+    1e-8 ... 1e-4 times the variance that factorizes: the GP prior factor
+    the package used before its rank-r eigen root. Test panels drawn as
+    this factor times standard normals stay as they were."""
+    from scipy.linalg import cholesky
 
-    return np.array([solve_triangular(r, b, lower=True, trans=trans, check_finite=False)
-                     for r, b in zip(R, x)])
+    t = np.asarray(grid, dtype=float)
+    dt = (t[:, None] - t[None, :]) / length_scale
+    cov = variance * np.exp(-0.5 * dt * dt)
+    for jitter in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4):
+        try:
+            return cholesky(cov + jitter * variance * np.eye(t.size), lower=True)
+        except np.linalg.LinAlgError:
+            pass
+    raise np.linalg.LinAlgError("kernel did not factorize at any jitter")
+
+
+def ndtri(p) -> np.ndarray:
+    """Standard normal quantile by ``scipy.special.ndtri`` (Cephes)."""
+    from scipy.special import ndtri
+
+    return ndtri(p)
+
+
+def expit(x) -> np.ndarray:
+    """Logistic function by ``scipy.special.expit``."""
+    from scipy.special import expit
+
+    return expit(x)
+
+
+def logit(p) -> np.ndarray:
+    """Log-odds by ``scipy.special.logit``."""
+    from scipy.special import logit
+
+    return logit(p)
+
+
+def read_panel_per_row(path: str, min_length: int = 1):
+    """A panel file read row by row: each row's fields stripped and
+    converted on their own, rows kept per unit in first-appearance order and
+    each unit's rows sorted by time. The reference for the package's
+    column reader, with the same error messages and line numbers."""
+    import csv
+    import os
+
+    from arscreen.ar_core import ObservedSeries, SeriesPanel
+    from arscreen.errors import InvalidInputError
+
+    if not os.path.exists(path):
+        raise InvalidInputError(f"panel file not found: {path}")
+    rows: dict[str, list[tuple[int, float]]] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InvalidInputError(f"{path}: empty panel file") from None
+        if tuple(h.strip() for h in header) != ("unit_id", "time", "value"):
+            raise InvalidInputError(f"{path}: expected header 'unit_id,time,value', got {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise InvalidInputError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            unit, t_str, v_str = (f.strip() for f in row)
+            try:
+                t = int(t_str)
+                v = float(v_str)
+            except ValueError as exc:
+                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+            rows.setdefault(unit, []).append((t, v))
+    series = []
+    for unit, obs in rows.items():
+        obs.sort(key=lambda tv: tv[0])
+        times = np.array([t for t, _ in obs], dtype=np.int64)
+        values = np.array([v for _, v in obs], dtype=float)
+        series.append(ObservedSeries(unit, times, values))
+    if not series:
+        raise InvalidInputError(f"{path}: no data rows")
+    return SeriesPanel(tuple(series), min_length=min_length)
 
 
 def _fmt_cell(x) -> str:

@@ -1,24 +1,24 @@
 """What ``import arscreen.cli`` loads, and that the commands load nothing more.
 
-Every CLI call pays the import before it starts, so of scipy the package
-loads only ``scipy.linalg`` and ``scipy.special``. A module imported
-inside a command would only move that cost into the command's time, so
-the six commands of the README pipeline must run without importing one.
+Every CLI call pays the import before it starts, and the package runs on
+numpy alone: no scipy module is loaded, by the import or by a command (the
+tests use scipy only as a reference). A module imported inside a command
+would only move its cost into the command's time, so the six commands of
+the README pipeline must run without importing one.
 """
 
+import json
 import os
 import subprocess
 import sys
 
 import arscreen
 
-SCRIPT = r"""
+PIPELINE = r"""
 import json, os, sys
 import arscreen.cli as cli
 
-subpackages = sorted(m[6:] for m, mod in sys.modules.items()
-                     if m.startswith("scipy.") and m.count(".") == 1 and not m[6:].startswith("_")
-                     and hasattr(mod, "__path__"))
+scipy_at_import = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 before = set(sys.modules)
 w = sys.argv[1]
 with open(os.path.join(w, "scenario.cfg"), "w") as fh:
@@ -39,22 +39,47 @@ commands = [
      "--burn", "1", "--keep", "2", "--output-dir", p("clus"), "--seed", "13"],
 ]
 codes = {c[0]: cli.main(c) for c in commands}
-print(json.dumps({"subpackages": subpackages, "codes": codes, "new": sorted(set(sys.modules) - before)}))
+print(json.dumps({"scipy_at_import": scipy_at_import, "codes": codes,
+                  "scipy_after": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "new": sorted(set(sys.modules) - before)}))
+"""
+
+# Refuses every scipy import before the package is imported.
+BLOCK_SCIPY = r"""
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
 """
 
 
-def test_cli_imports_no_heavy_scipy_and_commands_import_nothing(tmp_path):
-    import json
-
+def _run(script: str, workdir) -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(arscreen.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", script, str(workdir)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got["subpackages"] == ["linalg", "special"]
-    assert all(rc == 0 for rc in got["codes"].values()), got["codes"]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_imports_no_heavy_scipy_and_commands_import_nothing(tmp_path):
+    got = _run(PIPELINE, tmp_path)
+    assert got["scipy_at_import"] == []
+    assert got["scipy_after"] == []
     assert list(got["codes"]) == ["simulate", "standardize", "fit-parametric", "fit-np",
                                   "report", "cluster-mle"]
+    assert all(rc == 0 for rc in got["codes"].values()), got["codes"]
     assert got["new"] == []
+
+
+def test_pipeline_runs_with_scipy_blocked(tmp_path):
+    got = _run(BLOCK_SCIPY + PIPELINE, tmp_path)
+    assert got["codes"] == {c: 0 for c in ("simulate", "standardize", "fit-parametric", "fit-np",
+                                           "report", "cluster-mle")}
+    assert got["scipy_after"] == []

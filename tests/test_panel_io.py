@@ -9,6 +9,8 @@ from arscreen.ar_core import ObservedSeries, SeriesPanel
 from arscreen.errors import InvalidInputError
 from arscreen.panel_io import read_panel, read_table, write_panel, write_table
 
+import oracles
+
 
 def small_panel() -> SeriesPanel:
     rng = np.random.default_rng(3)
@@ -81,3 +83,49 @@ def test_table_round_trip(tmp_path):
     header, back = read_table(str(path))
     assert header == ("unit_id", "p", "flag")
     assert back == [["a", "0.5", "1"], ["b", "0.25", "0"]]
+
+
+def _messy_panel(path, rng):
+    """Rows of 30 units on gapped times, shuffled, with comment and blank
+    lines and fields padded by spaces and tabs."""
+    rows = []
+    for i in range(30):
+        times = np.sort(rng.choice(60, size=int(rng.integers(1, 40)), replace=False))
+        rows += [(f"u{i:02d}", int(t), float(v))
+                 for t, v in zip(times - 20, rng.normal(size=times.size) * 10.0 ** rng.integers(-3, 4))]
+    lines = ["# seed = 1\n", " unit_id , time,value\t\n"]
+    for k in rng.permutation(len(rows)):
+        u, t, v = rows[k]
+        pad = " \t"[: int(rng.integers(0, 3))]
+        lines.append(f"{pad}{u}{pad},{pad}{t},{v!r}{pad}\n")
+        if rng.uniform() < 0.02:
+            lines.append(rng.choice(["# a comment line\n", "\n"]))
+    path.write_text("".join(lines))
+
+
+def test_column_reader_equals_per_row_reader(tmp_path):
+    path = tmp_path / "messy.csv"
+    _messy_panel(path, np.random.default_rng(8))
+    got, want = read_panel(str(path)), oracles.read_panel_per_row(str(path))
+    assert got.unit_ids == want.unit_ids and len(got) == 30
+    for a, b in zip(got, want):
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "unit_id,time,value\na,1,2.0\n\n# c\na,2\n",
+    "unit_id,time,value\na,1,2.0\na,2,3.0,4\n",
+    "unit_id,time,value\na,1,2.0\nb, 2.5 ,1\n",
+    "unit_id,time,value\na,1,2.0\nb,3, x1 \n",
+    "unit_id,time,value\n# only a comment\n",
+    "# nothing else\n",
+])
+def test_errors_equal_per_row_reader(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError) as want:
+        oracles.read_panel_per_row(str(path))
+    with pytest.raises(InvalidInputError) as got:
+        read_panel(str(path))
+    assert str(got.value) == str(want.value)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -35,6 +36,9 @@ from arscreen.parametric import (
 )
 from arscreen.simulation import MixtureScenario, generate_mixture_panel
 
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
 
 # The README example mixture: four (phi, v) components with equal weight.
 README_MIXTURE = tuple((ArParams(phi, v), 0.25) for phi in (0.2, 0.95) for v in (0.05, 0.5))
@@ -89,12 +93,33 @@ class TestPrior:
         ParametricPrior(phi_mean=-0.3, phi_var=0.4, var_shape=3.5, var_scale=0.2),
     ])
     def test_hoisted_constants_give_identical_bytes(self, prior):
+        """Against the per-call oracle given the same special functions."""
+        forms = {"ndtr": parametric.ndtr, "gammaln": math.lgamma}
         phi, v = np.meshgrid(np.linspace(-1.1, 1.1, 23), np.linspace(-0.5, 4.0, 19))
         got = prior.log_density_phi_v(phi.ravel(), v.ravel())
-        assert got.tobytes() == oracles.prior_log_density_phi_v(prior, phi.ravel(), v.ravel()).tobytes()
+        want = oracles.prior_log_density_phi_v(prior, phi.ravel(), v.ravel(), **forms)
+        assert got.tobytes() == want.tobytes()
         for a, b in [(0.3, 0.5), (-0.99, 2.0), (1.0, 1.0), (0.5, 0.0)]:
             assert (np.asarray(prior.log_density_phi_v(a, b)).tobytes()
-                    == np.asarray(oracles.prior_log_density_phi_v(prior, a, b)).tobytes())
+                    == np.asarray(oracles.prior_log_density_phi_v(prior, a, b, **forms)).tobytes())
+
+    @pytest.mark.parametrize("prior", [
+        ParametricPrior(),
+        ParametricPrior(phi_mean=-0.3, phi_var=0.4, var_shape=3.5, var_scale=0.2),
+        ParametricPrior(phi_mean=0.9, phi_var=0.01, var_shape=0.7, var_scale=3.0),
+    ])
+    def test_constants_match_scipy_special(self, prior):
+        """``math.erfc`` and ``math.lgamma`` in place of scipy's ``ndtr`` and
+        ``gammaln``: measured at most 1.9 eps (1 + |density|) on this grid
+        (0, 0.9 and 1.9 for the three priors), so the bound is 4 eps
+        (1 + |density|); -inf where scipy's form has it."""
+        phi, v = np.meshgrid(np.linspace(-1.1, 1.1, 23), np.linspace(-0.5, 4.0, 19))
+        got = prior.log_density_phi_v(phi.ravel(), v.ravel())
+        want = oracles.prior_log_density_phi_v(prior, phi.ravel(), v.ravel())
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        assert np.all(np.abs(got[finite] - want[finite])
+                      <= 4 * EPS * (1.0 + np.abs(want[finite])))
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -257,7 +282,13 @@ class TestTProposal:
                                                  np.random.default_rng(11))
         assert xs.shape == (n, 3)
         assert xs.tobytes() == want_xs.tobytes()
-        np.testing.assert_allclose(log_q, want_log_q, rtol=1e-12, atol=0.0)
+        # Any eigensolver knows the density of a shape of condition number k
+        # only to about k eps: numpy's (LAPACK syevd) and scipy's (syevr)
+        # differ by up to 2.1 k eps at shape 1 (k = 1e8; scipy's is itself
+        # 7.5e-9 from the density in exact rational arithmetic), and by
+        # 4.4e-16 relative at shape 0 (k = 3.3).
+        np.testing.assert_allclose(log_q, want_log_q, rtol=1e-12,
+                                   atol=4.0 * EPS * np.linalg.cond(shape))
 
     def test_sampler_unchanged_with_scipy_proposal(self, monkeypatch):
         panel = null_panel(n=12, T=15, seed=43)
@@ -266,6 +297,30 @@ class TestTProposal:
         want = build_importance_sampler(panel, ParametricPrior(), n_draws=300, seed=5)
         assert got.draws.tobytes() == want.draws.tobytes()
         np.testing.assert_allclose(got.log_weights, want.log_weights, rtol=1e-12, atol=0.0)
+
+
+class TestLogistic:
+    """The numpy ``expit`` and ``logit`` against scipy's. Measured: expit at
+    most 3 ulps from scipy's on [-800, 800] where scipy's is a normal
+    number; below that numpy keeps subnormals (2.5e-323 at x = -742.9)
+    where scipy's gives 0, so the bound is 4 ulps or the smallest normal
+    number. logit is within 1 ulp away from p = 1/2, where scipy switches
+    to a log1p form, and everywhere within 0.94 eps (1 + |logit p|) (bound
+    2 eps)."""
+
+    def test_expit_matches_scipy(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 160001), [-745.0, 745.0, -0.0, 1e-300]])
+        got, want = parametric.expit(x), oracles.expit(x)
+        assert np.all(np.abs(got - want) <= np.maximum(4 * np.spacing(want), TINY))
+        assert parametric.expit(-800.0) == 0.0 and parametric.expit(800.0) == 1.0
+
+    def test_logit_matches_scipy(self):
+        p = np.concatenate([np.linspace(0.0, 1.0, 100001), [1e-300, 1.0 - EPS / 2]])
+        got, want = parametric.logit(p), oracles.logit(p)
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        assert np.all(np.abs(got[finite] - want[finite]) <= 2 * EPS * (1.0 + np.abs(want[finite])))
+        assert parametric.logit(0.0) == -np.inf and parametric.logit(1.0) == np.inf
 
 
 class TestMixingMode:

@@ -16,13 +16,13 @@ from arscreen.trajectory import (
     GP,
     NULL,
     GpKernelParams,
+    GpWorkspace,
     ModelConfig,
     TrajectoryAtom,
     _assignment_scores,
     _detrended_values,
     _gp_atom_terms,
     _gp_draw,
-    _solve_lower,
     _trajectory_matrix,
     _unit_noise,
     _flat_level_posterior,
@@ -44,7 +44,7 @@ from oracles import (
     dense_ar1_loglik,
     dense_gp_conditional,
     dense_gp_precision_terms,
-    solve_lower,
+    jittered_gp_chol,
     successive_conditional_data,
     whitened_gp_cov,
 )
@@ -82,11 +82,24 @@ class TestKernel:
         assert np.allclose(np.diag(cov), 2.5)
 
     @pytest.mark.parametrize("variance,scale", [(0.5, 2.0), (1.25, 13.0), (4.0, 30.0)])
-    def test_positive_definite_after_jitter(self, variance, scale):
+    def test_factor_matches_the_kept_eigenpairs(self, variance, scale):
+        """L L' is the kernel's spectral sum over the eigenpairs above 1e-8
+        times the variance, and the kernel less L L' holds only the dropped
+        variance."""
+        kernel = gp_covariance(GpKernelParams(variance, scale), np.arange(40))
         ws = prepare_gp_workspace(GpKernelParams(variance, scale), np.arange(40))
-        assert np.all(np.diag(ws.chol) > 0)
-        assert np.allclose(ws.chol @ ws.chol.T, ws.cov, atol=1e-12 * variance)
-        assert np.allclose(np.diag(ws.cov), variance * (1.0 + ws.jitter))
+        w, U = np.linalg.eigh(kernel)
+        keep = w > 1e-8 * variance
+        assert ws.rank == keep.sum() == ws.factor.shape[1]
+        assert np.allclose(ws.factor @ ws.factor.T, (U[:, keep] * w[keep]) @ U[:, keep].T,
+                           rtol=0.0, atol=1e-12 * variance)
+        assert np.array_equal(ws.cov, ws.factor @ ws.factor.T)
+        assert 0.0 <= ws.dropped_variance <= 40 * 1e-8 * variance
+        assert abs(np.trace(kernel - ws.cov) - ws.dropped_variance) < 1e-12 * variance
+
+    def test_default_kernel_ranks(self):
+        for G, r in ((40, 11), (50, 12), (200, 37)):
+            assert prepare_gp_workspace(GpKernelParams(), np.arange(G)).rank == r
 
     def test_entry_formula(self):
         k = GpKernelParams(0.7, 5.0)
@@ -187,18 +200,19 @@ class TestKrigingUpdate:
     def test_matches_dense_conditioning(self, case):
         ws, oracle_obs = self._dense_case(case)
         mean, R = gp_atom_conditional(ws, *dense_gp_precision_terms(16, oracle_obs))
-        cov = whitened_gp_cov(ws.chol, R)
+        cov = whitened_gp_cov(ws.factor, R)
         mean_o, cov_o = dense_gp_conditional(ws.cov, oracle_obs)
         assert np.allclose(mean, mean_o, atol=1e-8)
         assert np.allclose(cov, cov_o, atol=1e-8)
 
     @pytest.mark.parametrize("case", range(3))
     def test_draw_map_covariance_matches_dense(self, case):
-        """Stage (d)'s draw map applied to the G unit vectors gives rows A with
+        """Stage (d)'s draw map applied to the r unit vectors gives rows A with
         A'A equal to the dense posterior covariance."""
         ws, oracle_obs = self._dense_case(case)
         mean, R = gp_atom_conditional(ws, *dense_gp_precision_terms(16, oracle_obs))
-        A = _gp_draw(ws, np.zeros((16, 16)), np.repeat(R[None], 16, axis=0), np.eye(16))
+        r = ws.rank
+        A = _gp_draw(ws, np.zeros((r, 16)), np.repeat(R[None], r, axis=0), np.eye(r))
         _, cov_o = dense_gp_conditional(ws.cov, oracle_obs)
         assert np.allclose(A.T @ A, cov_o, atol=1e-8)
 
@@ -207,7 +221,7 @@ class TestKrigingUpdate:
         terms = [dense_gp_precision_terms(16, self._dense_case(case)[1]) for case in range(5)]
         means, Rs = gp_atom_conditional(ws, np.stack([S for S, _ in terms]),
                                         np.stack([b for _, b in terms]))
-        assert means.shape == (5, 16) and Rs.shape == (5, 16, 16)
+        assert means.shape == (5, 16) and Rs.shape == (5, ws.rank, ws.rank)
         for k, (S, b) in enumerate(terms):
             mean, R = gp_atom_conditional(ws, S, b)
             assert np.allclose(means[k], mean, rtol=1e-12, atol=1e-12)
@@ -217,57 +231,51 @@ class TestKrigingUpdate:
         ws = prepare_gp_workspace(GpKernelParams(1.25, 13.0), np.arange(8))
         mean, R = gp_atom_conditional(ws, np.zeros((8, 8)), np.zeros(8))
         assert np.allclose(mean, 0.0)
-        assert np.allclose(whitened_gp_cov(ws.chol, R), ws.cov, atol=1e-10)
+        assert np.allclose(whitened_gp_cov(ws.factor, R), ws.cov, atol=1e-10)
 
     def test_tight_noise_pins_prior_draw(self):
         grid = np.arange(10, dtype=np.int64)
         ws = prepare_gp_workspace(GpKernelParams(1.25, 13.0), grid)
-        target = ws.chol @ stream(77, "pin").standard_normal(10)
+        target = jittered_gp_chol(1.25, 13.0, grid) @ stream(77, "pin").standard_normal(10)
         noise = dense_ar1_cov(0.0, 1e-4, grid)
         obs = [(np.arange(10), row, noise) for row in np.tile(target, (40, 1))]
         mean, R = gp_atom_conditional(ws, *dense_gp_precision_terms(10, obs))
         assert np.allclose(mean, target, atol=1e-2)
-        assert np.all(np.diag(whitened_gp_cov(ws.chol, R)) < 1e-4)
+        assert np.all(np.diag(whitened_gp_cov(ws.factor, R)) < 1e-4)
 
     def test_near_unit_root_gapped_members_pin_target(self):
         """40 members on their own gapped subsets of the grid under AR(1) noise
         at phi = 0.999, v = 1e-8: M = I + L'SL still factorizes, the draws are
-        finite and the mean pins the target path."""
+        finite and the mean pins the target path where the prior can carry
+        it. The target is drawn through the full-rank jittered factor, so it
+        has a part off the range of the rank-r factor L (1.9e-4 at most at
+        this seed) that no path of the prior has; the mean pins the target's
+        best fit L u on that range, in the S-weighted norm."""
         rng = stream(78, "pin-unit-root")
         grid = np.arange(20, dtype=np.int64)
         ws = prepare_gp_workspace(GpKernelParams(1.25, 13.0), grid)
-        target = ws.chol @ rng.standard_normal(20)
+        target = jittered_gp_chol(1.25, 13.0, grid) @ rng.standard_normal(20)
         obs = []
         for _ in range(40):
             pos = np.sort(rng.choice(20, size=int(rng.integers(4, 16)), replace=False))
             obs.append((pos, target[pos], dense_ar1_cov(0.999, 1e-8, grid[pos])))
-        mean, R = gp_atom_conditional(ws, *dense_gp_precision_terms(20, obs))
+        S, b = dense_gp_precision_terms(20, obs)
+        mean, R = gp_atom_conditional(ws, S, b)
         assert np.all(np.isfinite(R)) and np.all(np.diag(R) >= 1.0)
-        draws = _gp_draw(ws, mean, np.repeat(R[None], 50, axis=0), rng.standard_normal((50, 20)))
+        draws = _gp_draw(ws, mean, np.repeat(R[None], 50, axis=0),
+                         rng.standard_normal((50, ws.rank)))
         assert np.all(np.isfinite(draws))
-        assert np.allclose(mean, target, atol=1e-4)
-
-    @pytest.mark.parametrize("trans", [0, 1])
-    @pytest.mark.parametrize("G", [1, 7, 40, 200])
-    def test_triangular_solves_equal_solve_triangular_bytes(self, G, trans):
-        rng = stream(79 + G, "trsv")
-        a = rng.normal(size=(3, G, G))
-        R = np.linalg.cholesky(np.eye(G) + a @ a.transpose(0, 2, 1))
-        x = rng.normal(size=(3, G))
-        got = _solve_lower(R, x, trans=trans)
-        assert got.tobytes() == solve_lower(R, x, trans).tobytes()
-
-    def test_singular_triangular_solve_names_the_atom(self):
-        R = np.repeat(np.eye(4)[None], 3, axis=0)
-        R[2, 1, 1] = 0.0
-        with pytest.raises(NumericalError, match="atom 2"):
-            _solve_lower(R, np.ones((3, 4)))
+        W = np.linalg.cholesky(S).T
+        fit = ws.factor @ np.linalg.lstsq(W @ ws.factor, W @ target, rcond=None)[0]
+        assert np.abs(fit - target).max() < 1e-3
+        assert np.allclose(mean, fit, atol=1e-4)
 
 
 class TestGpAtomTerms:
     def test_pooled_terms_match_dense_oracle(self):
-        """Stage (d)'s S = sum P'QP and b = sum P'Qy per gp atom, with members
-        on different residual atoms and their own gapped times."""
+        """Stage (d)'s L'SL and L'b of S = sum P'QP and b = sum P'Qy per gp
+        atom, with members on different residual atoms and their own gapped
+        times."""
         panel = _gapped_panel(10, 20, seed=7)
         grid = np.arange(20, dtype=np.int64)
         state = init_fdp_state(10, SMALL_CONFIG, grid, rng=stream(9, "st"))
@@ -276,17 +284,22 @@ class TestGpAtomTerms:
         labels = np.array([0, 0, 1, 1, 1, -1, 2, 0, -1, 2])
         table = step_table(panel, grid=grid)
         noise = _unit_noise(state, table)
-        S_all, b_all = _gp_atom_terms(noise, table, labels, np.arange(3))
-        for k in range(3):
-            S, b = S_all[k], b_all[k]
-            obs = []
-            for i in np.flatnonzero(labels == k):
-                th = state.residual.stick.atom(state.residual.assignments[i])
-                s = panel[i]
-                obs.append((s.times, s.values, dense_ar1_cov(th.phi, th.v, s.times)))
-            S_o, b_o = dense_gp_precision_terms(grid.size, obs)
-            assert np.abs(S - S_o).max() <= 1e-10 * np.abs(S_o).max()
-            assert np.abs(b - b_o).max() <= 1e-10 * np.abs(b_o).max()
+        ws = prepare_gp_workspace(SMALL_CONFIG.kernel, grid)
+        # With the identity as the factor the whitened terms are S and b.
+        identity = GpWorkspace(grid, ws.kernel, np.eye(20), np.eye(20), 0.0)
+        for L, w in ((np.eye(20), identity), (ws.factor, ws)):
+            S_all, b_all = _gp_atom_terms(noise, table, labels, np.arange(3), w)
+            for k in range(3):
+                S, b = S_all[k], b_all[k]
+                obs = []
+                for i in np.flatnonzero(labels == k):
+                    th = state.residual.stick.atom(state.residual.assignments[i])
+                    s = panel[i]
+                    obs.append((s.times, s.values, dense_ar1_cov(th.phi, th.v, s.times)))
+                S_o, b_o = dense_gp_precision_terms(grid.size, obs)
+                S_o, b_o = L.T @ S_o @ L, b_o @ L
+                assert np.abs(S - S_o).max() <= 1e-10 * np.abs(S_o).max()
+                assert np.abs(b - b_o).max() <= 1e-10 * np.abs(b_o).max()
 
     def test_non_finite_atom_named(self):
         """A stack with one atom whose member has a non-finite term names that
@@ -299,15 +312,16 @@ class TestGpAtomTerms:
         labels = np.array([0, 4, 4, 7, 7, -1, 0, 4, -1, 7])
         G = grid.size       # a noise row is diag (G) | pair | qy (G)
         noise.grid[5, 0] = np.inf
-        S, b = _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]))
+        ws = prepare_gp_workspace(SMALL_CONFIG.kernel, grid)
+        S, b = _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]), ws)
         assert np.all(np.isfinite(S)) and np.all(np.isfinite(b))
         noise.grid[2, -G + 3] = np.nan
         with pytest.raises(NumericalError, match=r"gp-path stage \(d\), atom 4:"):
-            _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]))
+            _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]), ws)
         noise.grid[2, -G + 3] = 0.0
         noise.grid[9, 5] = np.inf
         with pytest.raises(NumericalError, match=r"gp-path stage \(d\), atom 7:"):
-            _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]))
+            _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]), ws)
 
 
 class TestFlatLevelPosterior:
@@ -496,10 +510,10 @@ class TestNonFiniteRowsNamed:
 # Each coordinate is thinned by at least twice its integrated autocorrelation
 # time (IACT; Sokal's estimate, window 5 IACTs), the larger of the values
 # measured on this seeded chain over 4,000 and 40,000 sweeps: component probs
-# 4.0 at most, sticks 2.0, level0 3.0/2.5, path00 2.9/2.5, unit 0's residual
-# phi 5.0/5.5 and v 6.6/7.3.
+# 4.1 at most, sticks 2.1, level0 2.1/2.6, path00 2.5/2.6, unit 0's residual
+# phi 5.3/5.2 and v 6.2/12.3.
 PRIOR_INV_THIN = {"cp": 9, "stick": 5, "level0": 6, "path00": 6, "unit0_phi": 11,
-                  "unit0_v": 18}
+                  "unit0_v": 25}
 
 
 class TestPriorInvariance:
