@@ -50,7 +50,6 @@ from .trajectory import (
     GpKernelParams,
     ModelConfig,
     TrajectoryAtom,
-    component_loglik,
     default_hyperparameters,
     gibbs_sweep_joint,
     gp_covariance,
@@ -60,7 +59,6 @@ from .trajectory import (
     mle_trajectory_set,
     report_summaries,
     run_chain,
-    sample_trajectory_atom,
     save_chain,
 )
 
@@ -101,7 +99,6 @@ __all__ = [
     "GpKernelParams",
     "ModelConfig",
     "TrajectoryAtom",
-    "component_loglik",
     "default_hyperparameters",
     "gibbs_sweep_joint",
     "gp_covariance",
@@ -109,6 +106,5 @@ __all__ = [
     "load_chain",
     "merge_inclusion",
     "run_chain",
-    "sample_trajectory_atom",
     "save_chain",
 ]

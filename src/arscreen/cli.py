@@ -387,6 +387,12 @@ def cli_dispatch(argv) -> int:
         raise DomainError(f"threshold must lie in (0, 1], got {args.threshold}")
     if getattr(args, "chains", 1) < 1:
         raise InvalidInputError(f"need at least one chain, got {args.chains}")
+    if getattr(args, "burn", 0) < 0:
+        raise InvalidInputError(f"--burn must be nonnegative, got {args.burn}")
+    if getattr(args, "keep", 1) < 1:
+        raise InvalidInputError(f"--keep must be at least 1, got {args.keep}")
+    if getattr(args, "top", 1) < 1:
+        raise InvalidInputError(f"--top must be at least 1, got {args.top}")
     return args.func(args)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_core import ArParams, LagStats, SeriesPanel, StepTable, _lag_coefficients, step_table
+from .ar_core import LagStats, SeriesPanel, StepTable, _lag_coefficients, step_table
 # Bound only for the probes in bench/layers.py; not called here (counts read 0).
 from .ar_core import group_whiten, panel_groups  # noqa: F401
 from .errors import DomainError, NumericalError
@@ -89,9 +89,6 @@ class StickState:
     @property
     def truncation(self) -> int:
         return int(self.weights.size)
-
-    def atom(self, l: int) -> ArParams:
-        return ArParams(float(self.phi[l]), float(self.v[l]))
 
 
 @dataclass

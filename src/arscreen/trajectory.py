@@ -31,13 +31,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ar_core import (
-    ArParams,
-    ObservedSeries,
     SeriesPanel,
     StepTable,
     _lag_coefficients,
     _loglik_weights,
-    ar1_loglik,
     lag_stats,
     step_precision,
     step_table,
@@ -143,37 +140,6 @@ class TrajectoryAtom:
             raise InvalidInputError(f"atom weight must be nonnegative, got {self.weight}")
 
 
-def sample_trajectory_atom(kernel: GpKernelParams, grid, rng: np.random.Generator,
-                           workspace: GpWorkspace | None = None) -> TrajectoryAtom:
-    """Fresh zero-mean GP path atom on the grid (weight left at 0)."""
-    if workspace is None:
-        workspace = prepare_gp_workspace(kernel, grid)
-    z = rng.standard_normal(workspace.rank)
-    return TrajectoryAtom(kind="gp", path=workspace.factor @ z, grid=workspace.grid.copy())
-
-
-def component_loglik(series: ObservedSeries, atom: TrajectoryAtom | None,
-                     params: ArParams) -> float:
-    """Log-likelihood of a unit under one trajectory atom (None for the null).
-
-    Null: log N(y | 0, Sigma). Flat: the level is subtracted. GP: the path is
-    restricted to the unit's times, which must all lie on the atom's grid.
-    """
-    if atom is None:
-        return ar1_loglik(series, params)
-    if atom.kind == "flat":
-        shifted = ObservedSeries(series.unit_id, series.times, series.values - atom.level)
-        return ar1_loglik(shifted, params)
-    pos = np.searchsorted(atom.grid, series.times)
-    clipped = np.minimum(pos, atom.grid.size - 1)
-    if np.any(pos >= atom.grid.size) or not np.array_equal(atom.grid[clipped], series.times):
-        raise InvalidInputError(
-            f"unit {series.unit_id!r} has observation times outside the atom grid"
-        )
-    resid = ObservedSeries(series.unit_id, series.times, series.values - atom.path[pos])
-    return ar1_loglik(resid, params)
-
-
 @dataclass
 class TrajectorySticks:
     """A truncated stick-breaking set of trajectory atoms of one kind.
@@ -243,13 +209,6 @@ class FdpState:
     def n_units(self) -> int:
         return int(self.unit_component.size)
 
-    def trajectory_atom(self, kind: str, index: int) -> TrajectoryAtom:
-        if kind == "flat":
-            return TrajectoryAtom("flat", weight=float(self.flat_set.weights[index]),
-                                  level=float(self.flat_set.levels[index]))
-        return TrajectoryAtom("gp", weight=float(self.gp_set.weights[index]),
-                              path=self.gp_set.paths[index].copy(), grid=self.grid.copy())
-
     def validate(self) -> None:
         if abs(self.component_probs.sum() - 1.0) > 1e-9 or np.any(self.component_probs < 0):
             raise InvalidInputError("component probabilities must lie on the simplex")
@@ -305,26 +264,15 @@ def init_fdp_state(n_units: int, config: ModelConfig, grid, *, rng: np.random.Ge
                     grid, config.kernel, nu)
 
 
-def gp_atom_conditional(workspace: GpWorkspace, noise_prec: np.ndarray,
-                        b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Gaussian conditional of gp paths given their assigned units.
-
-    ``noise_prec`` is S = sum P' Q P and ``b`` = sum P' Q y over an atom's
-    units (P picks the unit's times from the grid, Q is its AR(1) noise
-    precision), for one atom or stacked over K. Returns the mean and R
-    that ``_whitened_conditional`` gives for L'SL and L'b.
-    """
-    L = workspace.factor
-    return _whitened_conditional(workspace, L.T @ noise_prec @ L, b @ L)
-
-
-def _whitened_conditional(workspace: GpWorkspace, LSL: np.ndarray,
-                          Lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The conditional of ``gp_atom_conditional`` from L'SL (K, r, r) and
-    L'b (K, r), or one atom's (r, r) and (r,). With the prior factor C = L L'
-    (G x r) the path is L u with u ~ N(0, I_r) a priori, so the posterior
-    covariance is L M^-1 L', M = I_r + L'SL = R R' (Rasmussen & Williams
-    2006, GPML 3.4). S is a sum of P'QP terms, so it is positive
+def gp_atom_conditional(workspace: GpWorkspace, LSL: np.ndarray,
+                        Lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Gaussian conditional of gp paths given their assigned units,
+    from L'SL (K, r, r) and L'b (K, r), or one atom's (r, r) and (r,), where
+    S = sum P'QP and b = sum P'Qy over an atom's units (P picks the unit's
+    times from the grid, Q is its AR(1) noise precision). With the prior
+    factor C = L L' (G x r) the path is L u with u ~ N(0, I_r) a priori, so
+    the posterior covariance is L M^-1 L', M = I_r + L'SL = R R' (Rasmussen
+    & Williams 2006, GPML 3.4). S is a sum of P'QP terms, so it is positive
     semidefinite and M >= I: its Cholesky cannot fail on finite input.
     Returns the mean L M^-1 L'b and R; the covariance is F F' with
     F = L R^-T, and ``_gp_draw`` draws mean + F z.
@@ -500,7 +448,7 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     z = rng.standard_normal((free.size, workspace.rank))
     state.gp_set.paths[free] = z @ workspace.factor.T
     busy = free[gp_counts[free] > 0]
-    mean, R = _whitened_conditional(      # pick - (1 + Lf) is negative off gp
+    mean, R = gp_atom_conditional(        # pick - (1 + Lf) is negative off gp
         workspace, *_gp_atom_terms(noise, table, pick - (1 + Lf), busy, workspace))
     state.gp_set.paths[busy] = _gp_draw(workspace, mean, R, z[busy - state.gp_set.n_frozen])
 
@@ -634,10 +582,14 @@ def load_chain(path: str) -> ChainOutput:
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise InvalidInputError(f"unreadable chain file {path}: {exc}") from exc
     chain = ChainOutput(**values, kernel=kernel)
-    n, k = len(chain.unit_ids), chain.n_keep
+    n, k, G = len(chain.unit_ids), chain.n_keep, chain.grid.size
+    lf, lg = chain.best_flat_weights.size, chain.best_gp_weights.size
     shapes = {"inclusion": (n,), "logliks": (k,), "comp_probs": (k, 3), "comp_counts": (k, 3),
               "gamma": (len(chain.gamma_sweeps), n),
-              "band_samples": (len(chain.band_sweeps), n, chain.grid.size)}
+              "band_samples": (len(chain.band_sweeps), n, G),
+              "best_component_probs": (3,), "best_flat_weights": (lf,), "best_flat_levels": (lf,),
+              "best_gp_weights": (lg,), "best_gp_paths": (lg, G),
+              "best_unit_component": (n,), "best_unit_atom": (n,)}
     for name, want in shapes.items():
         if getattr(chain, name).shape != want:
             raise InvalidInputError(f"chain file {path}: entry {name!r} has shape "

@@ -23,6 +23,8 @@ from arscreen.ar_core import (
 )
 from arscreen.cli import main
 from arscreen.dp_residual import (
+    DpResidualState,
+    StickState,
     elicit_concentration,
     expected_clusters,
     gibbs_sweep_residual,
@@ -46,8 +48,13 @@ from arscreen.simulation import (
     simulate_ar1,
 )
 from arscreen.trajectory import (
+    GP,
+    FdpState,
     GpKernelParams,
     ModelConfig,
+    TrajectorySticks,
+    _gp_atom_terms,
+    _unit_noise,
     default_hyperparameters,
     gibbs_sweep_joint,
     gp_atom_conditional,
@@ -61,7 +68,6 @@ from oracles import (
     dense_ar1_cov,
     dense_ar1_loglik,
     dense_gp_conditional,
-    dense_gp_precision_terms,
     dense_shift_loglik,
     jittered_gp_chol,
     successive_conditional_data,
@@ -81,9 +87,30 @@ def _criterion(n: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
+def _stage_d_conditional(ws, pos, vals, phi, v):
+    """The gp-path conditional as stage (d) forms it: each row of ``vals`` is
+    a unit on gp atom 0, observed at grid positions ``pos``, in a state with
+    one residual atom, (phi, v). Returns the atom's mean and R."""
+    grid, m = ws.grid, len(vals)
+    panel = SeriesPanel(tuple(ObservedSeries(f"u{i}", grid[pos], row)
+                              for i, row in enumerate(vals)))
+    stick = StickState(np.empty(0), np.ones(1), np.array([phi]), np.array([v]))
+    residual = DpResidualState(stick, np.zeros(m, dtype=np.int64), 1.0, ParametricPrior())
+    flat = TrajectorySticks("flat", np.empty(0), np.ones(1), levels=np.zeros(1))
+    gp = TrajectorySticks("gp", np.empty(0), np.ones(1), paths=np.zeros((1, grid.size)))
+    state = FdpState(np.array([0.0, 0.0, 1.0]), np.full(m, GP, dtype=np.int8),
+                     np.zeros(m, dtype=np.int64), flat, gp, residual, grid, ws.kernel, 1.0)
+    table = step_table(panel, grid=grid)
+    terms = _gp_atom_terms(_unit_noise(state, table), table, state.unit_atom, np.array([0]), ws)
+    mean, R = gp_atom_conditional(ws, *terms)
+    return mean[0], R[0]
+
+
 def test_criterion_1_oracle_equivalence():
     """1000 random cases: fast AR(1), mean-shift, and GP-conditional numerics
-    each match dense oracles within 1e-8; runtime under one minute."""
+    each match dense oracles within 1e-8; runtime under one minute. The GP
+    conditional is the one stage (d) of the joint sweep forms, from the
+    units' noise terms through ``gp_atom_conditional``."""
     rng = stream(1001, "acceptance-oracles")
     t0 = time.time()
     worst = 0.0
@@ -111,7 +138,7 @@ def test_criterion_1_oracle_equivalence():
         vals = rng.normal(size=(m, k))
         noise = dense_ar1_cov(phi, v, grid[pos])
         obs = [(pos, row, noise) for row in vals]
-        mean, R = gp_atom_conditional(ws, *dense_gp_precision_terms(g_len, obs))
+        mean, R = _stage_d_conditional(ws, pos, vals, phi, v)
         cov = whitened_gp_cov(ws.factor, R)
         mean_o, cov_o = dense_gp_conditional(ws.cov, obs)
         d3 = max(np.abs(mean - mean_o).max(), np.abs(cov - cov_o).max())

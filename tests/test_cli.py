@@ -252,6 +252,13 @@ class TestChainPersistence:
         ("inclusion", lambda a: a[:-5]),
         ("band_samples", lambda a: a[:, :, :-1]),
         ("schema", lambda a: np.array([1, 1])),
+        ("best_component_probs", lambda a: a[:2]),
+        ("best_flat_levels", lambda a: a[:3]),
+        ("best_flat_weights", lambda a: a[None]),
+        ("best_gp_paths", lambda a: a[:, :-1]),
+        ("best_gp_weights", lambda a: a[:, None]),
+        ("best_unit_component", lambda a: a[:-1]),
+        ("best_unit_atom", lambda a: a[1:]),
     ])
     def test_inconsistent_chain_exits_3(self, fitted_chain, tmp_path, capsys, entry, rewrite):
         """An entry whose shape disagrees with the rest of the chain exits 3
@@ -618,6 +625,26 @@ class TestCliCommands:
         assert rc == 3
         assert f"got {value}" in capsys.readouterr().err
         assert not outdir.exists()     # so no chain or table was written
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("fit-np", "--burn", "-3"),
+        ("fit-np", "--keep", "0"),
+        ("cluster-mle", "--burn", "-1"),
+        ("cluster-mle", "--keep", "0"),
+        ("cluster-mle", "--top", "0"),
+    ])
+    def test_bad_sweep_counts_rejected_before_reading(self, tmp_path, capsys,
+                                                      command, flag, value):
+        """Checked before any input is read (the chain file does not exist)
+        and before the output directory is made."""
+        panel_path = _write_small_panel(tmp_path, n=10)
+        outdir = tmp_path / "out"
+        argv = [command, "--input", panel_path, "--output-dir", str(outdir)]
+        if command == "cluster-mle":
+            argv += ["--chain", str(tmp_path / "missing.npz"), "--top", "2"]
+        assert main(argv + [flag, value]) == 3
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("key", ["resid_concentration", "traj_concentration"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

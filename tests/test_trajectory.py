@@ -26,7 +26,6 @@ from arscreen.trajectory import (
     _trajectory_matrix,
     _unit_noise,
     _flat_level_posterior,
-    component_loglik,
     complete_data_loglik,
     default_hyperparameters,
     gibbs_sweep_joint,
@@ -36,7 +35,6 @@ from arscreen.trajectory import (
     merge_inclusion,
     prepare_gp_workspace,
     run_chain,
-    sample_trajectory_atom,
 )
 from oracles import (
     conjugate_level_posterior,
@@ -121,11 +119,11 @@ class TestKernel:
 
 class TestGpSampling:
     def test_path_moments(self):
-        k = GpKernelParams(1.25, 13.0)
-        grid = np.arange(20)
-        ws = prepare_gp_workspace(k, grid)
-        rng = stream(11, "gp-moments")
-        draws = np.array([sample_trajectory_atom(k, grid, rng, ws).path for _ in range(10000)])
+        """The prior's gp paths, 10000 atoms of one ``init_fdp_state`` draw."""
+        config = ModelConfig(kernel=GpKernelParams(1.25, 13.0), trunc_gp=10000)
+        state = init_fdp_state(2, config, np.arange(20), rng=stream(11, "gp-moments"))
+        draws = state.gp_set.paths
+        assert draws.shape == (10000, 20)
         se_mean = np.sqrt(1.25 / 10000)
         assert np.all(np.abs(draws.mean(axis=0)) < 4 * se_mean)
         assert np.allclose(draws.var(axis=0), 1.25, rtol=0.05)
@@ -142,38 +140,33 @@ class TestGpSampling:
 
 
 class TestComponentLoglik:
-    def test_null_matches_ar1(self):
-        s = ObservedSeries("a", np.arange(12), simulate_ar1(ArParams(0.6, 0.5), 12, stream(1, "x")))
-        th = ArParams(0.6, 0.5)
-        assert component_loglik(s, None, th) == ar1_loglik(s, th)
-
-    def test_flat_matches_shift(self):
-        s = ObservedSeries("a", np.arange(12), simulate_ar1(ArParams(0.2, 1.0), 12, stream(2, "x")))
-        th = ArParams(0.2, 1.0)
-        atom = TrajectoryAtom("flat", level=1.7)
-        shifted = ObservedSeries("a", s.times, s.values - 1.7)
-        assert component_loglik(s, atom, th) == ar1_loglik(shifted, th)
-
     @pytest.mark.parametrize("case", range(6))
     def test_gp_matches_dense_oracle(self, case):
+        """A unit's gp column of stage (a)'s scores, on gapped times, against
+        the dense AR(1) likelihood of its values less the path."""
         rng = stream(40 + case, "gp-ll")
         grid = np.arange(25, dtype=np.int64)
-        k = GpKernelParams(1.25, 13.0)
-        ws = prepare_gp_workspace(k, grid)
-        atom = sample_trajectory_atom(k, grid, rng, ws)
+        ws = prepare_gp_workspace(GpKernelParams(1.25, 13.0), grid)
+        path = ws.factor @ rng.standard_normal(ws.rank)
         pos = np.sort(rng.choice(25, size=10, replace=False))
         phi, v = rng.uniform(-0.8, 0.8), rng.uniform(0.2, 2.0)
         y = rng.normal(size=10)
-        s = ObservedSeries("a", grid[pos], y)
-        got = component_loglik(s, atom, ArParams(phi, v))
-        expect = dense_ar1_loglik(y - atom.path[pos], phi, v, grid[pos])
+        panel = SeriesPanel((ObservedSeries("a", grid[pos], y),))
+        state = init_fdp_state(1, SMALL_CONFIG, grid, rng=stream(case, "gp-ll-state"))
+        stick, atom = state.residual.stick, state.residual.assignments[0]
+        stick.phi[atom], stick.v[atom] = phi, v
+        state.gp_set.paths[0] = path
+        table = step_table(panel, grid=grid)
+        scores = _assignment_scores(state, table, _unit_noise(state, table))
+        got = scores[0, 1 + SMALL_CONFIG.trunc_flat]
+        got -= np.log(state.component_probs[GP] * state.gp_set.weights[0])
+        expect = dense_ar1_loglik(y - path[pos], phi, v, grid[pos])
         assert got == pytest.approx(expect, rel=1e-9, abs=1e-9)
 
-    def test_times_off_grid_rejected(self):
-        atom = TrajectoryAtom("gp", path=np.zeros(5), grid=np.arange(0, 10, 2))
-        s = ObservedSeries("a", np.array([1, 3]), np.zeros(2))
-        with pytest.raises(InvalidInputError, match="'a'"):
-            component_loglik(s, atom, ArParams(0.0, 1.0))
+
+def _whitened_terms(ws, S, b):
+    """L'SL and L'b of a dense S and b, as ``gp_atom_conditional`` takes them."""
+    return ws.factor.T @ S @ ws.factor, b @ ws.factor
 
 
 class TestKrigingUpdate:
@@ -199,7 +192,8 @@ class TestKrigingUpdate:
     @pytest.mark.parametrize("case", range(5))
     def test_matches_dense_conditioning(self, case):
         ws, oracle_obs = self._dense_case(case)
-        mean, R = gp_atom_conditional(ws, *dense_gp_precision_terms(16, oracle_obs))
+        mean, R = gp_atom_conditional(
+            ws, *_whitened_terms(ws, *dense_gp_precision_terms(16, oracle_obs)))
         cov = whitened_gp_cov(ws.factor, R)
         mean_o, cov_o = dense_gp_conditional(ws.cov, oracle_obs)
         assert np.allclose(mean, mean_o, atol=1e-8)
@@ -210,7 +204,8 @@ class TestKrigingUpdate:
         """Stage (d)'s draw map applied to the r unit vectors gives rows A with
         A'A equal to the dense posterior covariance."""
         ws, oracle_obs = self._dense_case(case)
-        mean, R = gp_atom_conditional(ws, *dense_gp_precision_terms(16, oracle_obs))
+        mean, R = gp_atom_conditional(
+            ws, *_whitened_terms(ws, *dense_gp_precision_terms(16, oracle_obs)))
         r = ws.rank
         A = _gp_draw(ws, np.zeros((r, 16)), np.repeat(R[None], r, axis=0), np.eye(r))
         _, cov_o = dense_gp_conditional(ws.cov, oracle_obs)
@@ -218,18 +213,19 @@ class TestKrigingUpdate:
 
     def test_stacked_call_equals_single_calls(self):
         ws = self._dense_case(0)[0]
-        terms = [dense_gp_precision_terms(16, self._dense_case(case)[1]) for case in range(5)]
-        means, Rs = gp_atom_conditional(ws, np.stack([S for S, _ in terms]),
-                                        np.stack([b for _, b in terms]))
+        terms = [_whitened_terms(ws, *dense_gp_precision_terms(16, self._dense_case(case)[1]))
+                 for case in range(5)]
+        means, Rs = gp_atom_conditional(ws, np.stack([LSL for LSL, _ in terms]),
+                                        np.stack([Lb for _, Lb in terms]))
         assert means.shape == (5, 16) and Rs.shape == (5, ws.rank, ws.rank)
-        for k, (S, b) in enumerate(terms):
-            mean, R = gp_atom_conditional(ws, S, b)
+        for k, (LSL, Lb) in enumerate(terms):
+            mean, R = gp_atom_conditional(ws, LSL, Lb)
             assert np.allclose(means[k], mean, rtol=1e-12, atol=1e-12)
             assert np.allclose(Rs[k], R, rtol=1e-12, atol=1e-12)
 
     def test_no_observations_recovers_prior(self):
         ws = prepare_gp_workspace(GpKernelParams(1.25, 13.0), np.arange(8))
-        mean, R = gp_atom_conditional(ws, np.zeros((8, 8)), np.zeros(8))
+        mean, R = gp_atom_conditional(ws, *_whitened_terms(ws, np.zeros((8, 8)), np.zeros(8)))
         assert np.allclose(mean, 0.0)
         assert np.allclose(whitened_gp_cov(ws.factor, R), ws.cov, atol=1e-10)
 
@@ -239,7 +235,7 @@ class TestKrigingUpdate:
         target = jittered_gp_chol(1.25, 13.0, grid) @ stream(77, "pin").standard_normal(10)
         noise = dense_ar1_cov(0.0, 1e-4, grid)
         obs = [(np.arange(10), row, noise) for row in np.tile(target, (40, 1))]
-        mean, R = gp_atom_conditional(ws, *dense_gp_precision_terms(10, obs))
+        mean, R = gp_atom_conditional(ws, *_whitened_terms(ws, *dense_gp_precision_terms(10, obs)))
         assert np.allclose(mean, target, atol=1e-2)
         assert np.all(np.diag(whitened_gp_cov(ws.factor, R)) < 1e-4)
 
@@ -260,7 +256,7 @@ class TestKrigingUpdate:
             pos = np.sort(rng.choice(20, size=int(rng.integers(4, 16)), replace=False))
             obs.append((pos, target[pos], dense_ar1_cov(0.999, 1e-8, grid[pos])))
         S, b = dense_gp_precision_terms(20, obs)
-        mean, R = gp_atom_conditional(ws, S, b)
+        mean, R = gp_atom_conditional(ws, *_whitened_terms(ws, S, b))
         assert np.all(np.isfinite(R)) and np.all(np.diag(R) >= 1.0)
         draws = _gp_draw(ws, mean, np.repeat(R[None], 50, axis=0),
                          rng.standard_normal((50, ws.rank)))
@@ -280,7 +276,8 @@ class TestGpAtomTerms:
         grid = np.arange(20, dtype=np.int64)
         state = init_fdp_state(10, SMALL_CONFIG, grid, rng=stream(9, "st"))
         state.residual.assignments = np.arange(10) % 3
-        state.residual.stick.phi[:3] = (0.9, -0.6, 0.3)
+        stick = state.residual.stick
+        stick.phi[:3] = (0.9, -0.6, 0.3)
         labels = np.array([0, 0, 1, 1, 1, -1, 2, 0, -1, 2])
         table = step_table(panel, grid=grid)
         noise = _unit_noise(state, table)
@@ -293,9 +290,9 @@ class TestGpAtomTerms:
                 S, b = S_all[k], b_all[k]
                 obs = []
                 for i in np.flatnonzero(labels == k):
-                    th = state.residual.stick.atom(state.residual.assignments[i])
-                    s = panel[i]
-                    obs.append((s.times, s.values, dense_ar1_cov(th.phi, th.v, s.times)))
+                    a, s = state.residual.assignments[i], panel[i]
+                    noise_cov = dense_ar1_cov(stick.phi[a], stick.v[a], s.times)
+                    obs.append((s.times, s.values, noise_cov))
                 S_o, b_o = dense_gp_precision_terms(grid.size, obs)
                 S_o, b_o = L.T @ S_o @ L, b_o @ L
                 assert np.abs(S - S_o).max() <= 1e-10 * np.abs(S_o).max()
@@ -359,18 +356,22 @@ class TestAssignmentScores:
         table = step_table(panel, grid=grid)
         scores = _assignment_scores(state, table, _unit_noise(state, table))
         log_cp = np.log(state.component_probs)
+        stick, flat_set, gp_set = state.residual.stick, state.flat_set, state.gp_set
         for i, s in enumerate(panel):
-            th = state.residual.stick.atom(state.residual.assignments[i])
-            assert scores[i, 0] == pytest.approx(log_cp[NULL] + component_loglik(s, None, th),
-                                                 rel=1e-9, abs=1e-9)
-            for l in range(state.flat_set.truncation):
-                atom = state.trajectory_atom("flat", l)
-                expect = log_cp[FLAT] + np.log(atom.weight) + component_loglik(s, atom, th)
+            a = state.residual.assignments[i]
+            th = ArParams(float(stick.phi[a]), float(stick.v[a]))
+            pos = np.searchsorted(grid, s.times)
+
+            def loglik(trend):
+                return ar1_loglik(ObservedSeries(s.unit_id, s.times, s.values - trend), th)
+
+            assert scores[i, 0] == pytest.approx(log_cp[NULL] + loglik(0.0), rel=1e-9, abs=1e-9)
+            for l in range(flat_set.truncation):
+                expect = log_cp[FLAT] + np.log(flat_set.weights[l]) + loglik(flat_set.levels[l])
                 assert scores[i, 1 + l] == pytest.approx(expect, rel=1e-9, abs=1e-9)
-            for l in range(state.gp_set.truncation):
-                atom = state.trajectory_atom("gp", l)
-                expect = log_cp[GP] + np.log(atom.weight) + component_loglik(s, atom, th)
-                col = 1 + state.flat_set.truncation + l
+            for l in range(gp_set.truncation):
+                expect = log_cp[GP] + np.log(gp_set.weights[l]) + loglik(gp_set.paths[l][pos])
+                col = 1 + flat_set.truncation + l
                 assert scores[i, col] == pytest.approx(expect, rel=1e-9, abs=1e-9)
 
     def test_scores_match_scalar_logliks(self):

@@ -1,0 +1,90 @@
+"""No module of the package imports a name at module level that it never uses.
+
+No linter runs on the package, so this AST scan stands in for pyflakes'
+F401. A name counts as used when the module reads it anywhere (also inside
+a string annotation) or lists it in ``__all__``. An import whose line
+carries ``# noqa: F401`` is exempt: those bind names only for the
+benchmark's per-layer probes, or load a module ahead of the commands.
+"""
+
+import ast
+import os
+
+import arscreen
+
+PACKAGE = os.path.dirname(os.path.abspath(arscreen.__file__))
+EXEMPT = "# noqa: F401"
+
+
+def _bound_imports(tree: ast.Module, lines: list[str]) -> dict[str, int]:
+    """Name -> line of every module-level import that is not exempt."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            if any(EXEMPT in lines[n - 1] for n in {node.lineno, alias.lineno}):
+                continue
+            name = alias.asname or alias.name.split(".")[0]
+            bound[name] = alias.lineno
+    return bound
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and isinstance(
+                node.annotation, ast.Constant):
+            used |= _names_in_string(node.annotation.value)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and isinstance(
+                node.returns, ast.Constant):
+            used |= _names_in_string(node.returns.value)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {e.value for e in node.value.elts}
+    return used
+
+
+def _names_in_string(annotation) -> set[str]:
+    """Names read by a string annotation (none for ``-> None``)."""
+    if not isinstance(annotation, str):
+        return set()
+    return {n.id for n in ast.walk(ast.parse(annotation, mode="eval")) if isinstance(n, ast.Name)}
+
+
+def unused_imports(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    tree = ast.parse(source, filename=path)
+    used = _used_names(tree)
+    bound = _bound_imports(tree, source.splitlines())
+    return [f"{os.path.basename(path)}:{line}: {name}"
+            for line, name in sorted((line, name) for name, line in bound.items())
+            if name not in used]
+
+
+def test_package_modules_use_every_import():
+    modules = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+    assert "trajectory.py" in modules
+    unused = [u for f in modules for u in unused_imports(os.path.join(PACKAGE, f))]
+    assert unused == []
+
+
+def test_scan_finds_an_unused_import(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from __future__ import annotations\n"
+                    "import os\n"
+                    "import numpy.ma  # noqa: F401\n"
+                    "from json import (\n"
+                    "    dumps,\n"
+                    "    loads,\n"
+                    ")\n"
+                    "from typing import Any, Sequence as Seq\n"
+                    "__all__ = ['dumps']\n"
+                    "def f(x: 'Seq[int]') -> 'Any':\n"
+                    "    return x\n")
+    assert unused_imports(str(path)) == ["mod.py:2: os", "mod.py:6: loads"]
