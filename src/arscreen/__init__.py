@@ -12,12 +12,11 @@ from .ar_core import (
     SeriesPanel,
     ar1_loglik,
     cdf_standardize,
-    conditional_bayes_factor,
     log_conditional_bayes_factor,
     mean_shift_loglik,
     stationary_variance,
 )
-from .cli import RunConfig, frozen_cluster_rerun
+from .cli import frozen_cluster_rerun
 from .dp_residual import (
     elicit_concentration,
     expected_clusters,
@@ -35,7 +34,6 @@ from .errors import (
 from .parametric import (
     ParametricPrior,
     build_importance_sampler,
-    classify_flags,
     inclusion_probabilities_parametric,
     posterior_mixing_mode,
 )
@@ -48,9 +46,8 @@ from .simulation import (
 )
 from .trajectory import (
     GpKernelParams,
-    ModelConfig,
+    RunConfig,
     TrajectoryAtom,
-    default_hyperparameters,
     gibbs_sweep_joint,
     gp_covariance,
     init_fdp_state,
@@ -68,11 +65,9 @@ __all__ = [
     "SeriesPanel",
     "ar1_loglik",
     "cdf_standardize",
-    "conditional_bayes_factor",
     "log_conditional_bayes_factor",
     "mean_shift_loglik",
     "stationary_variance",
-    "RunConfig",
     "frozen_cluster_rerun",
     "mle_trajectory_set",
     "report_summaries",
@@ -88,7 +83,6 @@ __all__ = [
     "NumericalError",
     "ParametricPrior",
     "build_importance_sampler",
-    "classify_flags",
     "inclusion_probabilities_parametric",
     "posterior_mixing_mode",
     "MixtureScenario",
@@ -97,9 +91,8 @@ __all__ = [
     "generate_prior_study",
     "simulate_ar1",
     "GpKernelParams",
-    "ModelConfig",
+    "RunConfig",
     "TrajectoryAtom",
-    "default_hyperparameters",
     "gibbs_sweep_joint",
     "gp_covariance",
     "init_fdp_state",

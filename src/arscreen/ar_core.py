@@ -225,15 +225,6 @@ def log_conditional_bayes_factor(series: ObservedSeries, params: ArParams, shift
     return log_shift_bayes_factor(float(q_y1[0]), s11, shift_var)
 
 
-def conditional_bayes_factor(series: ObservedSeries, params: ArParams, shift_var: float) -> float:
-    """Bayes factor of the mean-shift alternative against the AR(1) null.
-
-    Equal to exp(mean_shift_loglik - ar1_loglik); may overflow to inf for
-    extreme evidence, so downstream odds calculations work on the log scale.
-    """
-    return float(np.exp(log_conditional_bayes_factor(series, params, shift_var)))
-
-
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks of ``x``, tied values sharing the mean of their ranks.
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 # imports a module.
 import argparse
 import encodings.cp437  # noqa: F401
-import hashlib
 import locale  # noqa: F401
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.ma  # noqa: F401
@@ -36,7 +36,6 @@ from .ar_core import SeriesPanel, cdf_standardize
 from .errors import ArscreenError, DomainError, InvalidInputError, NumericalError
 from .panel_io import _fmt, read_panel, write_panel, write_table
 from .parametric import (
-    ParametricPrior,
     build_importance_sampler,
     inclusion_probabilities_parametric,
     posterior_mixing_mode,
@@ -45,11 +44,9 @@ from .simulation import simulate_from_scenario
 from .trajectory import (
     DEFAULT_THRESHOLDS,
     ChainOutput,
-    GpKernelParams,
     MleTrajectorySet,
-    ModelConfig,
     ReportBundle,
-    default_hyperparameters,
+    RunConfig,
     frozen_initial_state,
     load_chain,
     merge_inclusion,
@@ -64,49 +61,6 @@ from .trajectory import prepare_gp_workspace  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # run configuration
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Scalar knobs of a run; the fingerprint of its canonical text keys outputs."""
-
-    kernel_variance: float = 1.25
-    kernel_length_scale: float = 13.0
-    resid_concentration: float = 0.0     # 0 means elicit 10 / ln(n_units)
-    traj_concentration: float = 0.0      # 0 means elicit 15 / ln(n_units)
-    trunc_resid: int = 60
-    trunc_gp: int = 60
-    trunc_flat: int = 30
-    phi_mean: float = 0.5
-    phi_var: float = 0.0625
-    var_shape: float = 2.0
-    var_scale: float = 1.0
-    shift_var: float = 1.0
-    n_draws: int = 5000
-
-    def canonical(self) -> str:
-        pairs = sorted((f.name, getattr(self, f.name)) for f in fields(self))
-        return "\n".join(f"{k} = {_fmt(v)}" for k, v in pairs)
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
-
-    def parametric_prior(self) -> ParametricPrior:
-        return ParametricPrior(phi_mean=self.phi_mean, phi_var=self.phi_var,
-                               var_shape=self.var_shape, var_scale=self.var_scale,
-                               shift_var=self.shift_var)
-
-    def model_config(self, n_units: int) -> ModelConfig:
-        elicited = default_hyperparameters(max(n_units, 2))
-        return ModelConfig(
-            kernel=GpKernelParams(self.kernel_variance, self.kernel_length_scale),
-            base=self.parametric_prior(),
-            resid_concentration=self.resid_concentration or elicited.resid_concentration,
-            traj_concentration=self.traj_concentration or elicited.traj_concentration,
-            trunc_resid=self.trunc_resid,
-            trunc_gp=self.trunc_gp,
-            trunc_flat=self.trunc_flat,
-        )
 
 
 def parse_kv_file(path: str) -> dict[str, str]:
@@ -134,7 +88,7 @@ def load_run_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
     raw = parse_kv_file(path)
-    known = {f.name: f.type for f in fields(RunConfig)}
+    known = {f.name: f.type for f in fields(RunConfig) if f.init}
     kwargs = {}
     for key, value in raw.items():
         if key not in known:
@@ -171,9 +125,8 @@ class FrozenRerunResult:
     atom_digest: str
 
 
-def frozen_cluster_rerun(panel: SeriesPanel, frozen: MleTrajectorySet,
-                         config: ModelConfig, seed: int,
-                         n_burn: int = 200, n_keep: int = 500) -> FrozenRerunResult:
+def frozen_cluster_rerun(panel: SeriesPanel, frozen: MleTrajectorySet, config: RunConfig,
+                         seed: int, n_burn: int, n_keep: int) -> FrozenRerunResult:
     """Re-run the joint chain with the given atoms' values and weights fixed.
 
     Free atoms fill the remaining truncation slots and the leftover stick
@@ -211,9 +164,17 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
-def _cmd_standardize(args) -> int:
+def _check_outdir(path: str) -> None:
+    """Reject an output directory that is a file or lies under one."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise InvalidInputError(f"--output-dir {path}: {existing} is not a directory")
+
+
+def _cmd_standardize(args, config: RunConfig) -> int:
     panel = read_panel(args.input)
-    config = load_run_config(args.config)
     out = cdf_standardize(panel)
     outdir = _ensure_outdir(args.output_dir)
     write_panel(out, os.path.join(outdir, "standardized.csv"),
@@ -221,11 +182,10 @@ def _cmd_standardize(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, config: RunConfig) -> int:
     raw = parse_kv_file(args.scenario)
     panel, truth = simulate_from_scenario(raw, args.seed)
     outdir = _ensure_outdir(args.output_dir)
-    config = load_run_config(args.config)
     comments = _output_comments(args.seed, config.fingerprint())
     write_panel(panel, os.path.join(outdir, "panel.csv"), comments=comments)
     rows = [[u, int(nn), int(c)]
@@ -235,17 +195,15 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_fit_parametric(args) -> int:
+def _cmd_fit_parametric(args, config: RunConfig) -> int:
     panel = read_panel(args.input, min_length=2)
-    config = load_run_config(args.config)
-    prior = config.parametric_prior()
-    draws = build_importance_sampler(panel, prior, n_draws=config.n_draws, seed=args.seed)
-    summary = inclusion_probabilities_parametric(draws, panel, prior)
+    draws = build_importance_sampler(panel, config.base, n_draws=config.n_draws, seed=args.seed)
+    summary = inclusion_probabilities_parametric(draws, panel, config.base)
     mix_mode = posterior_mixing_mode(draws)
     outdir = _ensure_outdir(args.output_dir)
     comments = _output_comments(args.seed, config.fingerprint())
-    rows = [[u, p, se, int(p >= args.threshold)]
-            for u, p, se in zip(summary.unit_ids, summary.probability, summary.mc_stderr)]
+    rows = [[u, p, se, int(p >= args.threshold)] for u, p, se in
+            zip(summary.unit_ids, summary.probability.tolist(), summary.mc_stderr.tolist())]
     write_table(os.path.join(outdir, "parametric_inclusion.csv"),
                 ("unit_id", "inclusion", "mc_stderr", f"flagged_at_{_fmt(args.threshold)}"),
                 rows, comments)
@@ -262,18 +220,20 @@ def _cmd_fit_parametric(args) -> int:
     return 0
 
 
-def _cmd_fit_np(args) -> int:
+def _cmd_fit_np(args, config: RunConfig) -> int:
     panel = read_panel(args.input, min_length=2)
-    config = load_run_config(args.config)
-    model = config.model_config(len(panel))
     fingerprint = config.fingerprint()
     outdir = _ensure_outdir(args.output_dir)
     chains = []
     for c in range(args.chains):
-        chain = run_chain(panel, model, n_burn=args.burn, n_keep=args.keep,
+        chain = run_chain(panel, config, n_burn=args.burn, n_keep=args.keep,
                           seed=args.seed + c, fingerprint=fingerprint)
         save_chain(chain, os.path.join(outdir, f"chain_{c}.npz"))
-        chains.append(chain)
+        # Chain 0 is reported whole; pooling reads only the unit ids and
+        # inclusion of a later chain, so no two chains' bands are held at once.
+        chains.append(chain if c == 0 else
+                      SimpleNamespace(unit_ids=chain.unit_ids, inclusion=chain.inclusion))
+        del chain
     pooled = merge_inclusion(chains)
     thresholds = tuple(sorted(set(DEFAULT_THRESHOLDS) | {args.threshold}))
     bundle = report_summaries(replace(chains[0], inclusion=pooled), thresholds=thresholds)
@@ -281,7 +241,7 @@ def _cmd_fit_np(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, config: RunConfig) -> int:
     chain = load_chain(args.chain)
     bundle = report_summaries(chain)
     outdir = _ensure_outdir(args.output_dir)
@@ -289,15 +249,13 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_cluster_mle(args) -> int:
+def _cmd_cluster_mle(args, config: RunConfig) -> int:
     panel = read_panel(args.input, min_length=2)
     chain = load_chain(args.chain)
     if tuple(chain.unit_ids) != panel.unit_ids:
         raise InvalidInputError("chain was fit on a different panel than --input")
-    config = load_run_config(args.config)
-    model = config.model_config(len(panel))
     frozen = mle_trajectory_set(chain, args.top)
-    result = frozen_cluster_rerun(panel, frozen, model, args.seed,
+    result = frozen_cluster_rerun(panel, frozen, config, args.seed,
                                   n_burn=args.burn, n_keep=args.keep)
     outdir = _ensure_outdir(args.output_dir)
     comments = _output_comments(args.seed, config.fingerprint())
@@ -311,12 +269,13 @@ def _cmd_cluster_mle(args) -> int:
                             f"complete-data loglik = {_fmt(frozen.loglik)}"))
 
     header = ("identifier", "name") + result.cluster_names + ("other", "null")
-    rows = [[u, u, *row] for u, row in zip(result.unit_ids, result.membership_percent)]
+    percent = result.membership_percent.tolist()
+    rows = [[u, u, *row] for u, row in zip(result.unit_ids, percent)]
     write_table(os.path.join(outdir, "membership.csv"), header, rows, comments)
 
     width = max(len(h) for h in header)
     table = [header] + [[u, u] + [f"{x:.0f}" for x in row]
-                        for u, row in zip(result.unit_ids, result.membership_percent)]
+                        for u, row in zip(result.unit_ids, percent)]
     _write_lines(os.path.join(outdir, "membership_summary.txt"),
                  comments + (f"frozen atom digest = {result.atom_digest}",),
                  ["  ".join(c.ljust(width) for c in cells).rstrip() for cells in table])
@@ -393,7 +352,8 @@ def cli_dispatch(argv) -> int:
         raise InvalidInputError(f"--keep must be at least 1, got {args.keep}")
     if getattr(args, "top", 1) < 1:
         raise InvalidInputError(f"--top must be at least 1, got {args.top}")
-    return args.func(args)
+    _check_outdir(args.output_dir)
+    return args.func(args, load_run_config(args.config))
 
 
 def main(argv=None) -> int:

@@ -29,8 +29,6 @@ from .mcmc import categorical_draw, sample_sticks, stick_weights, stream
 from .mcmc import gumbel_argmax, rw_metropolis_step  # noqa: F401
 from .parametric import ParametricPrior
 
-DEFAULT_TRUNCATION = 60
-
 
 def expected_clusters(concentration: float, n_units: int) -> float:
     """Prior expected number of occupied clusters among n units.
@@ -112,8 +110,7 @@ class DpResidualState:
 
 
 def init_residual_state(n_units: int, concentration: float, base: ParametricPrior,
-                        truncation: int = DEFAULT_TRUNCATION, *,
-                        rng: np.random.Generator) -> DpResidualState:
+                        truncation: int, *, rng: np.random.Generator) -> DpResidualState:
     """Draw an initial state from the prior.
 
     Sticks come from Beta(1, concentration), atoms from the base measure,
@@ -251,7 +248,7 @@ def gibbs_sweep_residual(state: DpResidualState, panel, rng: np.random.Generator
 
 
 def run_residual_chain(panel: SeriesPanel, concentration: float, base: ParametricPrior,
-                       truncation: int = DEFAULT_TRUNCATION, n_burn: int = 200,
+                       truncation: int, n_burn: int = 200,
                        n_keep: int = 300, seed: int = 0) -> tuple[DpResidualState, list[dict]]:
     """Burn-in plus retained sweeps for a standalone residual mixture fit.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 from collections.abc import Sequence
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, repeat
 from operator import methodcaller
 
 import numpy as np
@@ -25,8 +25,8 @@ _IS_COMMENT = methodcaller("startswith", "#")
 
 
 def _fmt(x) -> str:
-    if type(x) is float:
-        return repr(x)
+    """One value as the tables write it: a float (Python or numpy) by repr,
+    anything else by str."""
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
@@ -98,24 +98,21 @@ def _raise_at_bad_row(path: str) -> None:
 
 
 def write_panel(panel: SeriesPanel, path: str, comments: tuple[str, ...] = ()) -> None:
-    """Write a panel file, one row per observation."""
+    """Write a panel file, one row per observation, each unit's rows from
+    its times' and values' ``tolist()``."""
     with open(path, "w", newline="") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
         writer = csv.writer(fh)
         writer.writerow(PANEL_HEADER)
         for s in panel:
-            for t, v in zip(s.times, s.values):
-                writer.writerow([s.unit_id, int(t), _fmt(v)])
+            writer.writerows(zip(repeat(s.unit_id), s.times.tolist(), s.values.tolist()))
 
 
 class ColumnRows(Sequence):
     """Table rows held as equal-length columns of Python strings, ints and
     floats (as ``ndarray.tolist()`` gives them): row i is the tuple of every
-    column's entry i. ``write_table`` hands the rows to one
-    ``csv.writer.writerows`` call. The csv module writes a float by repr and
-    any other cell by str, as ``_fmt`` does for Python scalars, so no Python
-    code runs per cell and no tuple is kept per row."""
+    column's entry i, and no tuple is kept per row."""
 
     def __init__(self, *columns: list):
         self.columns = columns
@@ -136,18 +133,18 @@ class ColumnRows(Sequence):
 
 
 def write_table(path: str, header: tuple[str, ...], rows, comments: tuple[str, ...] = ()) -> None:
-    """Write a generic CSV result table with leading comment lines. Each
-    cell is formatted by ``_fmt``, except that ``ColumnRows`` go to the csv
-    module as they are."""
+    """Write a CSV result table with leading comment lines, all rows in one
+    ``csv.writer.writerows`` call. Cells must be Python scalars (strings,
+    ints, floats), as ``ndarray.tolist()`` gives them: the csv module writes
+    a float by repr and any other cell by str, so no Python code runs per
+    cell. A numpy scalar is not a Python scalar (``repr`` of an
+    ``np.float64`` is ``np.float64(...)``)."""
     with open(path, "w", newline="") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        if isinstance(rows, ColumnRows):
-            writer.writerows(rows)
-        else:
-            writer.writerows([_fmt(x) for x in row] for row in rows)
+        writer.writerows(rows)
 
 
 def read_table(path: str) -> tuple[tuple[str, ...], list[list[str]]]:

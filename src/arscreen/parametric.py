@@ -156,7 +156,11 @@ class InclusionSummary:
     mc_stderr: np.ndarray
 
     def flagged(self, threshold: float) -> tuple[str, ...]:
-        return classify_flags(self, threshold)
+        """Unit ids whose inclusion probability meets the threshold."""
+        if not (0.0 < threshold <= 1.0):
+            raise DomainError(f"flag threshold must lie in (0, 1], got {threshold}")
+        keep = self.probability >= threshold
+        return tuple(uid for uid, k in zip(self.unit_ids, keep) if k)
 
 
 _PENALTY = -1.0e300
@@ -317,7 +321,7 @@ def _require_fittable(panel: SeriesPanel) -> None:
 
 
 def build_importance_sampler(panel: SeriesPanel, prior: ParametricPrior,
-                             n_draws: int = 5000, seed: int = 0) -> WeightedDraws:
+                             n_draws: int, seed: int = 0) -> WeightedDraws:
     """Importance sample of the (phi, v, p) posterior for a panel.
 
     Finds the posterior mode in transformed space by damped Newton ascent
@@ -432,11 +436,3 @@ def posterior_mixing_mode(draws: WeightedDraws, grid_size: int = 512) -> float:
     ps = expit(xs)
     dens_p = dens_x / (ps * (1.0 - ps))
     return float(ps[int(np.argmax(dens_p))])
-
-
-def classify_flags(summary: InclusionSummary, threshold: float) -> tuple[str, ...]:
-    """Unit ids whose inclusion probability meets the threshold."""
-    if not (0.0 < threshold <= 1.0):
-        raise DomainError(f"flag threshold must lie in (0, 1], got {threshold}")
-    keep = summary.probability >= threshold
-    return tuple(uid for uid, k in zip(summary.unit_ids, keep) if k)

@@ -231,8 +231,10 @@ def simulate_from_scenario(raw: dict[str, str], seed: int) -> tuple[SeriesPanel,
                                 f"and sum to 1, got {w}")
     mix = SimpleNamespace(weights=w, phi=[p.phi for p in params], v=[p.v for p in params])
     grid = np.arange(length, dtype=np.int64)
-    kernel = GpKernelParams(_scalar(raw, "kernel_variance", float, "1.25", positive=True),
-                            _scalar(raw, "kernel_length_scale", float, "13.0", positive=True))
+    kernel = GpKernelParams(
+        _scalar(raw, "kernel_variance", float, str(GpKernelParams.variance), positive=True),
+        _scalar(raw, "kernel_length_scale", float, str(GpKernelParams.length_scale),
+                positive=True))
     factor = prepare_gp_workspace(kernel, grid).factor
     noise_seed = _scalar(raw, "noise_seed", int, "") if "noise_seed" in raw else None
     if noise_seed is not None and noise_seed < 0:

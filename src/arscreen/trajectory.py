@@ -26,7 +26,7 @@ import hashlib
 import os
 import warnings
 import zipfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -161,34 +161,59 @@ class TrajectorySticks:
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    """Hyperparameters of the joint model."""
+class RunConfig:
+    """The run configuration: the GP kernel, the AR(1) base prior (also the
+    parametric screen's prior), the DP concentrations and truncations, and
+    the importance-sampling draws. Building it runs every check of the
+    kernel and the prior, which it keeps as ``kernel`` and ``base``. The
+    fingerprint of its canonical text keys every output file."""
 
-    kernel: GpKernelParams = GpKernelParams()
-    base: ParametricPrior = ParametricPrior()
-    resid_concentration: float = 1.0
-    traj_concentration: float = 1.0
+    kernel_variance: float = GpKernelParams.variance
+    kernel_length_scale: float = GpKernelParams.length_scale
+    resid_concentration: float = 0.0     # 0 means elicit 10 / ln(n_units)
+    traj_concentration: float = 0.0      # 0 means elicit 15 / ln(n_units)
     trunc_resid: int = 60
     trunc_gp: int = 60
     trunc_flat: int = 30
+    phi_mean: float = ParametricPrior.phi_mean
+    phi_var: float = ParametricPrior.phi_var
+    var_shape: float = ParametricPrior.var_shape
+    var_scale: float = ParametricPrior.var_scale
+    shift_var: float = ParametricPrior.shift_var
+    n_draws: int = 5000
+    kernel: GpKernelParams = field(init=False, repr=False, compare=False)
+    base: ParametricPrior = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("resid_concentration", "traj_concentration"):
             value = getattr(self, name)
-            if not (value > 0.0 and np.isfinite(value)):
-                raise DomainError(f"{name} must be finite and positive, got {value}")
+            if not (value >= 0.0 and np.isfinite(value)):
+                raise DomainError(f"{name} must be finite and nonnegative, got {value}")
         for name in ("trunc_resid", "trunc_gp", "trunc_flat"):
             if getattr(self, name) < 2:
-                raise DomainError(f"{name} must be at least 2")
+                raise DomainError(f"{name} must be at least 2, got {getattr(self, name)}")
+        if self.n_draws < 2:
+            raise DomainError(f"n_draws must be at least 2, got {self.n_draws}")
+        object.__setattr__(self, "kernel",
+                           GpKernelParams(self.kernel_variance, self.kernel_length_scale))
+        object.__setattr__(self, "base", ParametricPrior(self.phi_mean, self.phi_var,
+                                                         self.var_shape, self.var_scale,
+                                                         self.shift_var))
 
+    def canonical(self) -> str:
+        pairs = sorted((f.name, getattr(self, f.name)) for f in fields(self) if f.init)
+        return "\n".join(f"{k} = {_fmt(v)}" for k, v in pairs)
 
-def default_hyperparameters(n_units: int) -> ModelConfig:
-    """Elicited defaults: the default kernel and base prior, with
-    concentrations 10/ln N and 15/ln N."""
-    if n_units < 2:
-        raise DomainError(f"defaults need a panel of at least 2 units, got {n_units}")
-    log_n = np.log(n_units)
-    return ModelConfig(resid_concentration=10.0 / log_n, traj_concentration=15.0 / log_n)
+    def fingerprint(self) -> str:
+        return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
+
+    def concentrations(self, n_units: int) -> tuple[float, float]:
+        """The residual and trajectory DP concentrations for a panel of
+        ``n_units``; a 0 is elicited as 10 / ln N and 15 / ln N, with N
+        below 2 counted as 2."""
+        log_n = np.log(max(n_units, 2))
+        return (self.resid_concentration or 10.0 / log_n,
+                self.traj_concentration or 15.0 / log_n)
 
 
 @dataclass
@@ -232,14 +257,15 @@ class FdpState:
         return copy.deepcopy(self)
 
 
-def init_fdp_state(n_units: int, config: ModelConfig, grid, *, rng: np.random.Generator,
+def init_fdp_state(n_units: int, config: RunConfig, grid, *, rng: np.random.Generator,
                    workspace: GpWorkspace | None = None) -> FdpState:
-    """Exact prior draw of the full state."""
+    """Exact prior draw of the full state, at ``config``'s concentrations
+    for ``n_units``."""
     grid = np.asarray(grid, dtype=np.int64)
     if workspace is None:
         workspace = prepare_gp_workspace(config.kernel, grid)
     cp = rng.dirichlet(np.ones(3))
-    nu = config.traj_concentration
+    alpha, nu = config.concentrations(n_units)
 
     f_sticks = rng.beta(1.0, nu, size=config.trunc_flat - 1)
     f_weights = stick_weights(f_sticks)
@@ -258,8 +284,7 @@ def init_fdp_state(n_units: int, config: ModelConfig, grid, *, rng: np.random.Ge
     unit_atom[is_flat] = rng.choice(config.trunc_flat, size=int(is_flat.sum()), p=f_weights)
     unit_atom[is_gp] = rng.choice(config.trunc_gp, size=int(is_gp.sum()), p=g_weights)
 
-    residual = init_residual_state(n_units, config.resid_concentration, config.base,
-                                   config.trunc_resid, rng=rng)
+    residual = init_residual_state(n_units, alpha, config.base, config.trunc_resid, rng=rng)
     return FdpState(cp, unit_component, unit_atom, flat_set, gp_set, residual,
                     grid, config.kernel, nu)
 
@@ -622,7 +647,7 @@ def _trajectory_matrix(state: FdpState) -> np.ndarray:
     return f
 
 
-def run_chain(panel: SeriesPanel, config: ModelConfig, n_burn: int, n_keep: int,
+def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int,
               seed: int, checkpoint_stride: int = 10, fingerprint: str = "",
               initial_state: FdpState | None = None) -> ChainOutput:
     """Burn-in plus retained sweeps of the joint sampler, from a prior draw
@@ -707,7 +732,8 @@ def run_chain(panel: SeriesPanel, config: ModelConfig, n_burn: int, n_keep: int,
 
 
 def merge_inclusion(chains: list[ChainOutput]) -> np.ndarray:
-    """Pooled inclusion probabilities across chains (equal-weight average)."""
+    """Pooled inclusion probabilities across chains (equal-weight average);
+    reads only each chain's ``unit_ids`` and ``inclusion``."""
     if not chains:
         raise InvalidInputError("no chains to merge")
     ids = chains[0].unit_ids
@@ -789,7 +815,7 @@ def mle_trajectory_set(chain: ChainOutput, top_k: int) -> MleTrajectorySet:
         raise DomainError(f"top_k must be at least 1, got {top_k}")
     cp, f_weights, g_weights = (chain.best_component_probs, chain.best_flat_weights,
                                 chain.best_gp_weights)
-    alt_mass = cp[FLAT] + cp[GP]
+    alt_mass = float(cp[FLAT] + cp[GP])
     ranked = [("flat", l, float(cp[FLAT] * f_weights[l]), float(f_weights[l]))
               for l in range(f_weights.size)]
     ranked += [("gp", l, float(cp[GP] * g_weights[l]), float(g_weights[l]))
@@ -817,7 +843,7 @@ def mle_trajectory_set(chain: ChainOutput, top_k: int) -> MleTrajectorySet:
                             top_k)
 
 
-def frozen_initial_state(panel: SeriesPanel, frozen: MleTrajectorySet, config: ModelConfig,
+def frozen_initial_state(panel: SeriesPanel, frozen: MleTrajectorySet, config: RunConfig,
                          seed: int) -> tuple[FdpState, tuple[str, ...]]:
     """Prior draw with ``frozen``'s atoms (values and within-set weights) at
     the head of their stick sets, free sticks on the leftover mass and every
@@ -846,7 +872,7 @@ def frozen_initial_state(panel: SeriesPanel, frozen: MleTrajectorySet, config: M
             tset.levels[:k] = [frozen.atoms[i].level for i in sel]
         else:
             tset.paths[:k] = np.stack([frozen.atoms[i].path for i in sel])
-        tset.sticks = init_rng.beta(1.0, config.traj_concentration, size=tset.truncation - k - 1)
+        tset.sticks = init_rng.beta(1.0, state.traj_concentration, size=tset.truncation - k - 1)
         tset.weights = np.concatenate([head_w, (1.0 - head_w.sum()) * stick_weights(tset.sticks)])
         tset.n_frozen = k
     state.unit_component[:] = NULL

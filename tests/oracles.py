@@ -526,6 +526,22 @@ def write_table_per_cell(path: str, header, rows, comments=()) -> None:
             writer.writerow([_fmt_cell(x) for x in row])
 
 
+def write_panel_per_row(panel, path: str, comments=()) -> None:
+    """A panel file written one ``writerow`` per observation, the time by
+    ``int`` and the value by ``_fmt_cell``: the reference for the package's
+    per-unit writer."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        for c in comments:
+            fh.write(f"# {c}\n")
+        writer = csv.writer(fh)
+        writer.writerow(("unit_id", "time", "value"))
+        for s in panel:
+            for t, v in zip(s.times, s.values):
+                writer.writerow([s.unit_id, int(t), _fmt_cell(v)])
+
+
 def write_report_per_cell(chain, thresholds, outdir: str, seed: int, fingerprint: str) -> None:
     """``inclusion.csv``, ``bands.csv`` (when the chain kept bands) and
     ``summary.txt`` of a chain, built one row tuple per (unit, time) and

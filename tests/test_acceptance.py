@@ -51,11 +51,10 @@ from arscreen.trajectory import (
     GP,
     FdpState,
     GpKernelParams,
-    ModelConfig,
+    RunConfig,
     TrajectorySticks,
     _gp_atom_terms,
     _unit_noise,
-    default_hyperparameters,
     gibbs_sweep_joint,
     gp_atom_conditional,
     init_fdp_state,
@@ -204,8 +203,7 @@ def test_criterion_4_nonparametric_robustness():
     the 0.5 threshold below 2%, one chain well under 30 minutes."""
     panel = _null_panel(CHECKERBOARD, 1000, 40, seed=100)
     t0 = time.time()
-    out = run_chain(panel, default_hyperparameters(1000), n_burn=300, n_keep=600,
-                    seed=1)
+    out = run_chain(panel, RunConfig(), n_burn=300, n_keep=600, seed=1)
     elapsed = time.time() - t0
     rate = float(np.mean(out.inclusion >= 0.5))
     _criterion(4, rate < 0.02 and elapsed < 1800.0,
@@ -231,7 +229,7 @@ def test_criterion_5_fdr_study():
     """Signal fraction 1/5: realized FDR at 0.5 at most 15% with at least 30
     discoveries. Sparse 1/55: zero-to-few false flags, each below 0.75."""
     panel5, truth5 = _study_panel(1.0 / 5.0, seed=200)
-    cfg = default_hyperparameters(1000)
+    cfg = RunConfig()
     out5 = run_chain(panel5, cfg, n_burn=300, n_keep=600, seed=2)
     flagged5 = [u for u, p in zip(out5.unit_ids, out5.inclusion) if p >= 0.5]
     rep5 = error_report(flagged5, truth5)
@@ -291,9 +289,8 @@ def test_criterion_6_sampler_correctness():
     p_v = stats.kstest(v0[::C6_THIN["v"]], v_prior.cdf).pvalue
 
     # joint sampler invariance
-    cfg = ModelConfig(kernel=GpKernelParams(1.25, 13.0), base=base,
-                      resid_concentration=1.0, traj_concentration=1.5,
-                      trunc_resid=8, trunc_gp=10, trunc_flat=6)
+    cfg = RunConfig(resid_concentration=1.0, traj_concentration=1.5,
+                    trunc_resid=8, trunc_gp=10, trunc_flat=6)
     grid = np.arange(5, dtype=np.int64)
     panel_j = SeriesPanel(tuple(ObservedSeries(f"j{i}", grid, np.zeros(5))
                                 for i in range(3)))

@@ -15,7 +15,6 @@ from arscreen.ar_core import (
     ar1_loglik,
     ar1_precision,
     cdf_standardize,
-    conditional_bayes_factor,
     gap_table,
     gaussian_parts,
     group_gaussian_parts,
@@ -172,7 +171,6 @@ class TestMeanShift:
         direct = log_conditional_bayes_factor(s, p, sv)
         via_logliks = mean_shift_loglik(s, p, sv) - ar1_loglik(s, p)
         assert direct == pytest.approx(via_logliks, abs=1e-10)
-        assert conditional_bayes_factor(s, p, sv) == pytest.approx(np.exp(direct), rel=1e-12)
 
     def test_path_choice_does_not_change_bayes_factor(self):
         """The Bayes factor from the recursion equals the dense-oracle one,

@@ -28,23 +28,12 @@ from arscreen.mcmc import stream
 from arscreen.panel_io import ColumnRows, read_panel, read_table, write_panel, write_table
 from arscreen.parametric import ParametricPrior
 from arscreen.simulation import simulate_ar1
-from arscreen.trajectory import (
-    DEFAULT_THRESHOLDS,
-    ChainOutput,
-    GpKernelParams,
-    ModelConfig,
-    run_chain,
-)
+from arscreen.trajectory import DEFAULT_THRESHOLDS, ChainOutput, GpKernelParams, run_chain
 
-TEST_CONFIG = ModelConfig(
-    kernel=GpKernelParams(1.25, 13.0),
-    base=ParametricPrior(),
-    resid_concentration=1.2,
-    traj_concentration=2.0,
-    trunc_resid=15,
-    trunc_gp=18,
-    trunc_flat=12,
-)
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+TEST_CONFIG = RunConfig(resid_concentration=1.2, traj_concentration=2.0,
+                        trunc_resid=15, trunc_gp=18, trunc_flat=12)
 
 
 def _two_group_panel(seed=17):
@@ -96,10 +85,42 @@ class TestRunConfig:
             load_run_config(str(path))
 
     def test_elicited_concentrations_when_zero(self):
-        model = RunConfig().model_config(100)
-        assert model.resid_concentration == pytest.approx(10.0 / np.log(100))
-        fixed = RunConfig(resid_concentration=2.5).model_config(100)
-        assert fixed.resid_concentration == 2.5
+        resid, traj = RunConfig().concentrations(100)
+        assert resid == pytest.approx(10.0 / np.log(100))
+        assert traj == pytest.approx(15.0 / np.log(100))
+        assert RunConfig(resid_concentration=2.5).concentrations(100) == (2.5, traj)
+
+    def test_kernel_and_base_built_from_keys(self):
+        cfg = RunConfig(kernel_variance=2.0, kernel_length_scale=4.0, phi_mean=-0.3,
+                        phi_var=0.5, var_shape=3.0, var_scale=0.5, shift_var=2.0)
+        assert cfg.kernel == GpKernelParams(2.0, 4.0)
+        assert cfg.base == ParametricPrior(-0.3, 0.5, 3.0, 0.5, 2.0)
+        assert RunConfig().kernel == GpKernelParams() and RunConfig().base == ParametricPrior()
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("trunc_flat", 1, "trunc_flat must be at least 2"),
+        ("trunc_resid", 0, "trunc_resid must be at least 2"),
+        ("resid_concentration", -1.0, "resid_concentration"),
+        ("traj_concentration", float("nan"), "traj_concentration"),
+        ("kernel_variance", 0.0, "kernel variance"),
+        ("kernel_length_scale", float("inf"), "kernel length scale"),
+        ("phi_mean", 1.0, "phi prior mean"),
+        ("var_scale", -2.0, "var_scale"),
+        ("n_draws", 1, "n_draws must be at least 2"),
+    ])
+    def test_invalid_value_rejected_when_built(self, key, value, match):
+        with pytest.raises(DomainError, match=match):
+            RunConfig(**{key: value})
+
+    def test_readme_block_names_every_key_with_its_default(self, tmp_path):
+        """README's "Run config" block is a config file naming exactly
+        ``RunConfig``'s keys, each at its default."""
+        text = open(README, encoding="utf-8").read()
+        block = text.split("**Run config**", 1)[1].split("```", 2)[1]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert list(parse_kv_file(str(path))) == [f.name for f in fields(RunConfig) if f.init]
+        assert load_run_config(str(path)) == RunConfig()
 
 
 class TestKvParsing:
@@ -658,6 +679,47 @@ class TestCliCommands:
         assert rc == 3
         assert key in capsys.readouterr().err
         assert not outdir.exists()     # so no chain_0.npz was written
+
+    @pytest.mark.parametrize("command", ["standardize", "simulate", "fit-parametric", "fit-np",
+                                         "report", "cluster-mle"])
+    def test_invalid_config_rejected_by_every_command(self, tmp_path, capsys, command):
+        """A config that no fit accepts exits 3 naming its key, whatever the
+        command, before any output directory is made. The chain file does
+        not exist: the config is checked before any input is read."""
+        panel_path = _write_small_panel(tmp_path, n=10)
+        scen = tmp_path / "scen.cfg"
+        scen.write_text("kind = mixture\nn_units = 6\nlength = 8\ncomponents = 0.5:0.25:1.0\n")
+        chain = str(tmp_path / "missing.npz")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trunc_flat = 1\n")
+        outdir = tmp_path / "out"
+        inputs = {"standardize": ["--input", panel_path], "simulate": ["--scenario", str(scen)],
+                  "fit-parametric": ["--input", panel_path], "fit-np": ["--input", panel_path],
+                  "report": ["--chain", chain],
+                  "cluster-mle": ["--input", panel_path, "--chain", chain, "--top", "2"]}
+        rc = main([command, *inputs[command], "--config", str(cfg), "--output-dir", str(outdir)])
+        assert rc == 3
+        assert "trunc_flat must be at least 2, got 1" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", ["standardize", "simulate", "fit-parametric", "fit-np",
+                                         "report", "cluster-mle"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_output_dir_that_is_a_file_exits_3(self, tmp_path, capsys, command, under):
+        """An --output-dir that is a file, or lies under one, exits 3 naming
+        the file before any input is read (no input here exists)."""
+        blocker = tmp_path / "taken.csv"
+        blocker.write_text("unit_id,time,value\n")
+        missing = str(tmp_path / "missing")
+        inputs = {"standardize": ["--input", missing], "simulate": ["--scenario", missing],
+                  "fit-parametric": ["--input", missing], "fit-np": ["--input", missing],
+                  "report": ["--chain", missing],
+                  "cluster-mle": ["--input", missing, "--chain", missing, "--top", "2"]}
+        outdir = blocker / "sub" if under else blocker
+        assert main([command, *inputs[command], "--output-dir", str(outdir)]) == 3
+        err = capsys.readouterr().err
+        assert f"{blocker} is not a directory" in err and "missing" not in err
+        assert blocker.read_text() == "unit_id,time,value\n"
 
     def test_console_entry_point(self, tmp_path):
         panel_path = _write_small_panel(tmp_path)

@@ -85,6 +85,22 @@ def test_table_round_trip(tmp_path):
     assert back == [["a", "0.5", "1"], ["b", "0.25", "0"]]
 
 
+def test_panel_writer_equals_per_row_writer(tmp_path):
+    """Values whose repr takes exponent form, -0.0, the smallest subnormal
+    and a unit id that needs quoting, written per unit and by the per-row
+    reference."""
+    panel = SeriesPanel((
+        ObservedSeries('id,"quoted"', np.array([-3, 0, 7]), np.array([1e-05, -0.0, 1e16])),
+        ObservedSeries("plain", np.array([1, 2, 40]), np.array([5e-324, -2.5, 0.1])),
+    ))
+    comments = ("seed = 1", "config = abc")
+    write_panel(panel, str(tmp_path / "new.csv"), comments=comments)
+    oracles.write_panel_per_row(panel, str(tmp_path / "ref.csv"), comments=comments)
+    text = (tmp_path / "new.csv").read_bytes()
+    assert text == (tmp_path / "ref.csv").read_bytes()
+    assert b'"id,""quoted""",-3,1e-05' in text and b"5e-324" in text and b",-0.0\r\n" in text
+
+
 def _messy_panel(path, rng):
     """Rows of 30 units on gapped times, shuffled, with comment and blank
     lines and fields padded by spaces and tabs."""

@@ -17,8 +17,8 @@ from arscreen.ar_core import (
     ObservedSeries,
     SeriesPanel,
     cdf_standardize,
-    conditional_bayes_factor,
     lag_stats,
+    log_conditional_bayes_factor,
     step_table,
 )
 from arscreen.errors import DomainError, InvalidInputError, ModeSearchError, NumericalError
@@ -30,7 +30,6 @@ from arscreen.parametric import (
     WeightedDraws,
     _log_target,
     build_importance_sampler,
-    classify_flags,
     inclusion_probabilities_parametric,
     posterior_mixing_mode,
 )
@@ -159,7 +158,7 @@ class TestInclusion:
         for phi, v, p in [(0.3, 0.8, 0.5), (0.0, 1.0, 0.2), (0.7, 0.4, 0.9)]:
             draws = WeightedDraws(np.array([[phi, v, p]]), np.zeros(1), 1.0, 0)
             got = inclusion_probabilities_parametric(draws, panel, prior).probability[0]
-            bf = conditional_bayes_factor(series, ArParams(phi, v), prior.shift_var)
+            bf = np.exp(log_conditional_bayes_factor(series, ArParams(phi, v), prior.shift_var))
             want = p * bf / (p * bf + 1.0 - p)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -192,11 +191,11 @@ class TestInclusion:
 
     def test_flags_threshold(self):
         summary = InclusionSummary(("a", "b", "c"), np.array([0.95, 0.5, 0.2]), np.zeros(3))
-        assert classify_flags(summary, 0.5) == ("a", "b")
-        assert classify_flags(summary, 0.9) == ("a",)
+        assert summary.flagged(0.5) == ("a", "b")
+        assert summary.flagged(0.9) == ("a",)
         assert summary.flagged(0.96) == ()
         with pytest.raises(DomainError):
-            classify_flags(summary, 0.0)
+            summary.flagged(0.0)
 
     def test_probability_never_exceeds_one(self):
         """Normalized weights sum to 1 only up to rounding; at this seed the

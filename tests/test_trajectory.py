@@ -17,7 +17,7 @@ from arscreen.trajectory import (
     NULL,
     GpKernelParams,
     GpWorkspace,
-    ModelConfig,
+    RunConfig,
     TrajectoryAtom,
     _assignment_scores,
     _detrended_values,
@@ -27,7 +27,6 @@ from arscreen.trajectory import (
     _unit_noise,
     _flat_level_posterior,
     complete_data_loglik,
-    default_hyperparameters,
     gibbs_sweep_joint,
     gp_atom_conditional,
     gp_covariance,
@@ -59,15 +58,8 @@ def _panel(n_units, length, seed, shift=None, n_shift=0, params=ArParams(0.4, 0.
     return SeriesPanel(tuple(series))
 
 
-SMALL_CONFIG = ModelConfig(
-    kernel=GpKernelParams(1.25, 13.0),
-    base=ParametricPrior(),
-    resid_concentration=1.0,
-    traj_concentration=1.5,
-    trunc_resid=10,
-    trunc_gp=12,
-    trunc_flat=8,
-)
+SMALL_CONFIG = RunConfig(resid_concentration=1.0, traj_concentration=1.5,
+                         trunc_resid=10, trunc_gp=12, trunc_flat=8)
 
 
 class TestKernel:
@@ -120,7 +112,7 @@ class TestKernel:
 class TestGpSampling:
     def test_path_moments(self):
         """The prior's gp paths, 10000 atoms of one ``init_fdp_state`` draw."""
-        config = ModelConfig(kernel=GpKernelParams(1.25, 13.0), trunc_gp=10000)
+        config = RunConfig(resid_concentration=1.0, traj_concentration=1.0, trunc_gp=10000)
         state = init_fdp_state(2, config, np.arange(20), rng=stream(11, "gp-moments"))
         draws = state.gp_set.paths
         assert draws.shape == (10000, 20)
@@ -665,11 +657,7 @@ class TestRunChain:
 
     def test_signal_separation_and_restart_agreement(self):
         panel = _panel(40, 30, seed=81, shift=3.0, n_shift=8)
-        cfg = default_hyperparameters(40)
-        cfg = ModelConfig(kernel=cfg.kernel, base=cfg.base,
-                          resid_concentration=cfg.resid_concentration,
-                          traj_concentration=cfg.traj_concentration,
-                          trunc_resid=20, trunc_gp=25, trunc_flat=15)
+        cfg = RunConfig(trunc_resid=20, trunc_gp=25, trunc_flat=15)
         out1 = run_chain(panel, cfg, n_burn=400, n_keep=2000, seed=1)
         out2 = run_chain(panel, cfg, n_burn=400, n_keep=2000, seed=2)
         assert np.all(out1.inclusion[:8] > 0.8)
@@ -702,19 +690,30 @@ class TestRunChain:
 
 class TestDefaults:
     def test_elicited_concentrations(self):
-        cfg = default_hyperparameters(5498)
-        assert cfg.resid_concentration == pytest.approx(10.0 / np.log(5498), rel=1e-12)
-        assert cfg.resid_concentration == pytest.approx(1.1611516283595347, rel=1e-10)
-        assert cfg.traj_concentration == pytest.approx(15.0 / np.log(5498), rel=1e-12)
+        resid, traj = RunConfig().concentrations(5498)
+        assert resid == pytest.approx(10.0 / np.log(5498), rel=1e-12)
+        assert resid == pytest.approx(1.1611516283595347, rel=1e-10)
+        assert traj == pytest.approx(15.0 / np.log(5498), rel=1e-12)
         n_e10 = int(round(np.exp(10)))
-        assert default_hyperparameters(n_e10).resid_concentration == pytest.approx(1.0, abs=1e-4)
+        assert RunConfig().concentrations(n_e10)[0] == pytest.approx(1.0, abs=1e-4)
 
     def test_kernel_defaults(self):
-        cfg = default_hyperparameters(100)
-        assert cfg.kernel.variance == 1.25
-        assert cfg.kernel.length_scale == 13.0
+        cfg = RunConfig()
+        assert cfg.kernel == GpKernelParams() == GpKernelParams(1.25, 13.0)
+        assert cfg.base == ParametricPrior()
         assert cfg.trunc_resid == 60 and cfg.trunc_gp == 60 and cfg.trunc_flat == 30
 
-    def test_tiny_panel_rejected(self):
-        with pytest.raises(DomainError):
-            default_hyperparameters(1)
+    def test_tiny_panel_counted_as_two(self):
+        """Elicitation needs ln N > 0: a panel below 2 units is counted as 2,
+        and a concentration that is set is used as it is."""
+        two = RunConfig().concentrations(2)
+        assert two == (10.0 / np.log(2), 15.0 / np.log(2))
+        assert RunConfig().concentrations(1) == RunConfig().concentrations(0) == two
+        assert RunConfig(traj_concentration=0.5).concentrations(1) == (two[0], 0.5)
+
+    def test_state_draws_at_the_elicited_concentrations(self):
+        state = init_fdp_state(40, RunConfig(trunc_resid=5, trunc_gp=4, trunc_flat=3),
+                               np.arange(6), rng=stream(3, "st"))
+        resid, traj = RunConfig().concentrations(40)
+        assert state.residual.concentration == resid
+        assert state.traj_concentration == traj
