@@ -220,23 +220,124 @@ def _cmd_fit_parametric(args, config: RunConfig) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS keeps
+    one (``taskset`` narrows it), else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _failure_record(c: int, exc: Exception) -> bytes:
+    """What a worker sends for its failing chain ``c``: the chain, the exit
+    code ``main`` would give, and the error line or the traceback."""
+    if isinstance(exc, ArscreenError):
+        code, text = (4 if isinstance(exc, NumericalError) else 3), str(exc)
+    else:
+        import traceback   # loaded only in a failing worker, never in the command process
+        code, text = 1, "".join(traceback.format_exception(exc))
+    return f"{c}\n{code}\n{text}".encode()
+
+
+def _worker_failure(record: bytes) -> tuple[int, Exception]:
+    """The chain and the exception of a worker's failure record, raised as
+    the command process would raise it from that chain."""
+    c, code, text = record.decode().split("\n", 2)
+    if code == "1":
+        return int(c), RuntimeError(f"chain {c} failed in a worker process:\n{text}")
+    return int(c), (NumericalError if code == "4" else ArscreenError)(text)
+
+
+def _run_chains(run, n_chains: int, n_proc: int):
+    """Run chains 0 .. n_chains - 1 through ``run(c)`` in ``n_proc`` processes
+    and return ``run(0)``.
+
+    This process runs chains 0, n_proc, 2 n_proc, ...; worker j, forked
+    before any chain starts, runs chains j, j + n_proc, ... and leaves only
+    through ``os._exit``. Each process stops at its first failing chain, and
+    the failure of the lowest-numbered failing chain is raised, as a loop
+    over the chains in order would raise it. Every worker is reaped before
+    this returns or raises; when chain 0 fails or this process is
+    interrupted, it is killed first.
+    """
+    workers = {}            # pid -> (its first chain, read end of the pipe it reports on)
+    failures = []           # (chain, exception), at most one per process
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for j in range(1, n_proc):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    record = b""
+                    for c in range(j, n_chains, n_proc):
+                        try:
+                            run(c)
+                        except Exception as exc:
+                            record = _failure_record(c, exc)
+                            break
+                    with os.fdopen(write_fd, "wb") as fh:
+                        fh.write(record)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            workers[pid] = (j, os.fdopen(read_fd, "rb"))
+        first = run(0)      # no chain comes before it: if it fails, the finally stops the workers
+        for c in range(n_proc, n_chains, n_proc):
+            try:
+                run(c)
+            except Exception as exc:
+                failures.append((c, exc))
+                break
+        for pid, (j, fh) in list(workers.items()):
+            record = fh.read()
+            fh.close()
+            _, status = os.waitpid(pid, 0)
+            del workers[pid]
+            if record:
+                failures.append(_worker_failure(record))
+            elif status != 0:     # killed before it could report: counted at its first chain
+                failures.append((j, RuntimeError(f"chain worker {pid} ended with exit status "
+                                                 f"{os.waitstatus_to_exitcode(status)}")))
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        return first
+    finally:
+        for pid, (_, fh) in workers.items():
+            fh.close()
+            os.kill(pid, 9)    # SIGKILL: os.fork, and so a worker, exists only on POSIX
+            os.waitpid(pid, 0)
+
+
+def _saved_inclusion(path: str) -> SimpleNamespace:
+    """The unit ids and inclusion of a chain file, without its bands."""
+    with np.load(path) as z:
+        return SimpleNamespace(unit_ids=tuple(map(str, z["unit_ids"])), inclusion=z["inclusion"])
+
+
 def _cmd_fit_np(args, config: RunConfig) -> int:
     panel = read_panel(args.input, min_length=2)
     fingerprint = config.fingerprint()
     outdir = _ensure_outdir(args.output_dir)
-    chains = []
-    for c in range(args.chains):
+    paths = [os.path.join(outdir, f"chain_{c}.npz") for c in range(args.chains)]
+
+    def run(c: int) -> ChainOutput:
         chain = run_chain(panel, config, n_burn=args.burn, n_keep=args.keep,
                           seed=args.seed + c, fingerprint=fingerprint)
-        save_chain(chain, os.path.join(outdir, f"chain_{c}.npz"))
-        # Chain 0 is reported whole; pooling reads only the unit ids and
-        # inclusion of a later chain, so no two chains' bands are held at once.
-        chains.append(chain if c == 0 else
-                      SimpleNamespace(unit_ids=chain.unit_ids, inclusion=chain.inclusion))
-        del chain
-    pooled = merge_inclusion(chains)
+        save_chain(chain, paths[c])
+        return chain
+
+    n_proc = min(args.chains, _usable_cpus()) if hasattr(os, "fork") else 1
+    first = _run_chains(run, args.chains, n_proc)
+    # Chain 0 is reported whole; a later chain is pooled from its file's unit
+    # ids and inclusion, so no process holds two chains' bands.
+    pooled = merge_inclusion([first] + [_saved_inclusion(p) for p in paths[1:]])
     thresholds = tuple(sorted(set(DEFAULT_THRESHOLDS) | {args.threshold}))
-    bundle = report_summaries(replace(chains[0], inclusion=pooled), thresholds=thresholds)
+    bundle = report_summaries(replace(first, inclusion=pooled), thresholds=thresholds)
     write_report(bundle, outdir, args.seed, fingerprint)
     return 0
 

@@ -156,11 +156,15 @@ class InclusionSummary:
     mc_stderr: np.ndarray
 
     def flagged(self, threshold: float) -> tuple[str, ...]:
-        """Unit ids whose inclusion probability meets the threshold."""
-        if not (0.0 < threshold <= 1.0):
-            raise DomainError(f"flag threshold must lie in (0, 1], got {threshold}")
-        keep = self.probability >= threshold
-        return tuple(uid for uid, k in zip(self.unit_ids, keep) if k)
+        return flagged_units(self.unit_ids, self.probability, threshold)
+
+
+def flagged_units(unit_ids, inclusion, threshold: float) -> tuple[str, ...]:
+    """Unit ids whose inclusion probability meets a threshold in (0, 1]; the
+    flag rule of both screens."""
+    if not (0.0 < threshold <= 1.0):
+        raise DomainError(f"flag threshold must lie in (0, 1], got {threshold}")
+    return tuple(u for u, keep in zip(unit_ids, np.asarray(inclusion) >= threshold) if keep)
 
 
 _PENALTY = -1.0e300

@@ -50,7 +50,7 @@ from .dp_residual import (
 from .errors import DomainError, InvalidInputError, NumericalError
 from .mcmc import categorical_draw, sample_sticks, stick_weights, stream
 from .panel_io import ColumnRows, _fmt
-from .parametric import ParametricPrior
+from .parametric import ParametricPrior, flagged_units
 
 NULL, FLAT, GP = 0, 1, 2
 COMPONENT_NAMES = ("null", "flat", "gp")
@@ -557,9 +557,7 @@ class ChainOutput:
     kernel: GpKernelParams
 
     def flagged(self, threshold: float) -> tuple[str, ...]:
-        if not (0.0 < threshold <= 1.0):
-            raise DomainError(f"flag threshold must lie in (0, 1], got {threshold}")
-        return tuple(u for u, p in zip(self.unit_ids, self.inclusion) if p >= threshold)
+        return flagged_units(self.unit_ids, self.inclusion, threshold)
 
 
 # Entries of a schema-1 chain file in the order ``save_chain`` writes them: the

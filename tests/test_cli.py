@@ -1,13 +1,16 @@
 """Tests for the command-line driver, chain persistence, and MLE clustering."""
 
+import hashlib
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import arscreen.cli as cli
 from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel
 import oracles
 from arscreen.cli import (
@@ -23,7 +26,7 @@ from arscreen.cli import (
     simulate_from_scenario,
     write_report,
 )
-from arscreen.errors import DomainError, InvalidInputError
+from arscreen.errors import DomainError, InvalidInputError, NumericalError
 from arscreen.mcmc import stream
 from arscreen.panel_io import ColumnRows, read_panel, read_table, write_panel, write_table
 from arscreen.parametric import ParametricPrior
@@ -741,3 +744,126 @@ class TestCliCommands:
                    "--chain", os.path.join(npdir, "chain_0.npz"),
                    "--top", "2", "--output-dir", str(tmp_path / "x")])
         assert rc == 3
+
+
+def _digests(directory) -> dict[str, str]:
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(directory))}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelChains:
+    """``fit-np`` runs its chains in min(chains, usable CPUs) processes; the
+    usable-CPU count is forced through ``cli._usable_cpus``."""
+
+    FIT = ["--burn", "5", "--keep", "8", "--seed", "7"]
+
+    def _fit(self, monkeypatch, panel_path, outdir, n_cpus, chains=3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: n_cpus)
+        try:
+            return main(["fit-np", "--input", panel_path, "--output-dir", str(outdir),
+                         "--chains", str(chains), *self.FIT])
+        finally:
+            _assert_no_child_left()
+
+    def test_worker_count_changes_no_output(self, tmp_path, monkeypatch):
+        panel_path = _write_small_panel(tmp_path)
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        digests = {}
+        for n_cpus in (1, 2, 3):
+            assert self._fit(monkeypatch, panel_path, tmp_path / f"cpus{n_cpus}", n_cpus) == 0
+            digests[n_cpus] = _digests(tmp_path / f"cpus{n_cpus}")
+            assert len(forks) == n_cpus - 1
+            forks.clear()
+        assert sorted(digests[1]) == ["bands.csv", "chain_0.npz", "chain_1.npz", "chain_2.npz",
+                                      "inclusion.csv", "summary.txt"]
+        assert digests[2] == digests[1] and digests[3] == digests[1]
+
+    def test_workers_capped_by_cpus_not_chains(self, tmp_path, monkeypatch):
+        panel_path = _write_small_panel(tmp_path, n=6, length=8)
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        assert self._fit(monkeypatch, panel_path, tmp_path / "out", n_cpus=2, chains=5) == 0
+        assert len(forks) == 1
+        assert len(list((tmp_path / "out").glob("chain_*.npz"))) == 5
+
+    def test_no_fork_runs_in_process(self, tmp_path, monkeypatch):
+        panel_path = _write_small_panel(tmp_path, n=6, length=8)
+        assert self._fit(monkeypatch, panel_path, tmp_path / "a", n_cpus=1) == 0
+        monkeypatch.delattr(os, "fork")
+        assert self._fit(monkeypatch, panel_path, tmp_path / "b", n_cpus=3) == 0
+        assert _digests(tmp_path / "b") == _digests(tmp_path / "a")
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_numerical_failure_exits_4_as_in_process(self, tmp_path, monkeypatch, capsys,
+                                                     n_cpus):
+        panel_path = str(tmp_path / "bad.csv")
+        (tmp_path / "bad.csv").write_text(
+            "unit_id,time,value\na,0,0.1\na,5,0.3\nb,2,1e300\nb,3,-1e300\n")
+        assert self._fit(monkeypatch, panel_path, tmp_path / "out", n_cpus, chains=2) == 4
+        assert capsys.readouterr().err == \
+            "error: assignment stage (a): no finite component score for unit 'b'\n"
+
+    @staticmethod
+    def _failing(monkeypatch, failures):
+        """Make ``cli.run_chain`` raise ``failures[c]`` for chain c (seed 7 + c);
+        a forked worker inherits the patch."""
+        real = cli.run_chain
+
+        def run_chain(panel, config, seed, **kw):
+            if seed - 7 in failures:
+                raise failures[seed - 7]
+            return real(panel, config, seed=seed, **kw)
+        monkeypatch.setattr(cli, "run_chain", run_chain)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_only_chain_1_fails(self, tmp_path, monkeypatch, capsys, n_cpus):
+        panel_path = _write_small_panel(tmp_path, n=6, length=8)
+        self._failing(monkeypatch, {1: NumericalError("chain one diverged")})
+        assert self._fit(monkeypatch, panel_path, tmp_path / "out", n_cpus) == 4
+        assert capsys.readouterr().err == "error: chain one diverged\n"
+        assert not (tmp_path / "out" / "inclusion.csv").exists()
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_lowest_failing_chain_is_reported(self, tmp_path, monkeypatch, capsys, n_cpus):
+        """With two CPUs, chain 2 fails in this process and chain 1 in the
+        worker; chain 1's error is the one a loop in order would give."""
+        panel_path = _write_small_panel(tmp_path, n=6, length=8)
+        self._failing(monkeypatch, {1: InvalidInputError("one"), 2: NumericalError("two")})
+        assert self._fit(monkeypatch, panel_path, tmp_path / "out", n_cpus) == 3
+        assert capsys.readouterr().err == "error: one\n"
+
+    def test_worker_crash_raises_its_traceback(self, tmp_path, monkeypatch):
+        panel_path = _write_small_panel(tmp_path, n=6, length=8)
+        self._failing(monkeypatch, {1: ValueError("kaboom")})
+        with pytest.raises(RuntimeError, match="chain 1 failed") as exc:
+            self._fit(monkeypatch, panel_path, tmp_path / "out", n_cpus=2, chains=2)
+        assert "Traceback (most recent call last)" in str(exc.value)
+        assert str(exc.value).endswith("ValueError: kaboom\n")
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt(), NumericalError("chain zero")])
+    def test_chain_0_failure_kills_and_reaps_workers(self, tmp_path, monkeypatch, capsys, error):
+        """No chain comes before chain 0, so its failure or an interrupt
+        ends the run at once, stopping a worker that is still running."""
+        panel_path = _write_small_panel(tmp_path, n=6, length=8)
+
+        def run_chain(panel, config, seed, **kw):
+            if seed == 7:
+                raise error
+            time.sleep(60)      # the worker's chain: never finishes unless killed
+        monkeypatch.setattr(cli, "run_chain", run_chain)
+        start = time.perf_counter()
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                self._fit(monkeypatch, panel_path, tmp_path / "out", n_cpus=2, chains=2)
+        else:
+            assert self._fit(monkeypatch, panel_path, tmp_path / "out", n_cpus=2, chains=2) == 4
+            assert capsys.readouterr().err == "error: chain zero\n"
+        assert time.perf_counter() - start < 30
