@@ -76,9 +76,9 @@ class ObservedSeries:
             raise InvalidInputError(f"unit {self.unit_id!r}: times and values must be 1-d and equal length")
         if times.size == 0:
             raise InvalidInputError(f"unit {self.unit_id!r}: series is empty")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        if not (times[1:] > times[:-1]).all():
             raise InvalidInputError(f"unit {self.unit_id!r}: times must be strictly increasing")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise InvalidInputError(f"unit {self.unit_id!r}: values must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
@@ -574,26 +574,29 @@ def lag_stats(table: StepTable, values: np.ndarray | None = None) -> LagStats:
     return LagStats(table.sizes, terms, linear)
 
 
-def step_precision(table: StepTable, phi: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of every unit's AR(1) precision under its own (phi, v), given
-    one value each per unit: the diagonal at each observation and the
-    off-diagonal at each step.
+def step_precision(table: StepTable, phi: np.ndarray, v: np.ndarray,
+                   atom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of every unit's AR(1) precision under its atom's (phi, v),
+    given L atoms' ``phi`` and ``v`` and each unit's ``atom``: the diagonal
+    at each observation and the off-diagonal at each step.
 
     The observed series is Markov, so the precision is tridiagonal in closed
     form (Rue & Held 2005). With coefficient a and innovation variance w of
     a step, the step's off-diagonal entry is -a / w; a diagonal entry is
     1 / w of the step into it (1 / s for a unit's first observation) plus
-    a^2 / w of the step out of it.
+    a^2 / w of the step out of it. Each entry is evaluated once per atom
+    and gap, in an (L, D) table that each step gathers from by its unit's
+    atom. An observation has at most one term into it (1 / s or 1 / w) and
+    one out of it, so one ``bincount`` sums its diagonal.
     """
     coef, ratio = _gap_coefficients(phi, table.sizes)
-    u = table.step_unit
-    a = coef[u, table.gap]
-    inv_w = 1.0 / (v[u] * ratio[u, table.gap])
-    diag = np.zeros(table.values.size)
-    diag[table.first] = (1.0 - phi * phi) / v
-    diag[table.later] += inv_w
-    diag[table.earlier] += a * a * inv_w
-    return diag, -a * inv_w
+    inv_w = 1.0 / (v[:, None] * ratio)
+    cell = atom[table.step_unit] * len(table.sizes) + table.gap
+    terms = np.concatenate([((1.0 - phi * phi) / v)[atom], inv_w.ravel()[cell],
+                            (coef * coef * inv_w).ravel()[cell]])
+    diag = np.bincount(np.concatenate([table.first, table.later, table.earlier]), terms,
+                       minlength=table.values.size)
+    return diag, (-coef * inv_w).ravel()[cell]
 
 
 def ar1_precision(params: ArParams, gaps: GapTable) -> np.ndarray:
@@ -603,5 +606,5 @@ def ar1_precision(params: ArParams, gaps: GapTable) -> np.ndarray:
     zeros = np.zeros(T, dtype=np.int64)
     one_unit = StepTable(("",), np.zeros(T), zeros, zeros[:1], gaps.sizes, np.arange(1, T),
                          np.arange(T - 1), zeros[1:], gaps.step)
-    diag, off = step_precision(one_unit, np.array([params.phi]), np.array([params.v]))
+    diag, off = step_precision(one_unit, np.array([params.phi]), np.array([params.v]), zeros[:1])
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

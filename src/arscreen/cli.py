@@ -42,11 +42,13 @@ from .parametric import (
 )
 from .simulation import simulate_from_scenario
 from .trajectory import (
+    BAND_HEADER,
     DEFAULT_THRESHOLDS,
     ChainOutput,
     MleTrajectorySet,
     ReportBundle,
     RunConfig,
+    band_table,
     frozen_initial_state,
     load_chain,
     merge_inclusion,
@@ -322,6 +324,7 @@ def _saved_inclusion(path: str) -> SimpleNamespace:
 def _cmd_fit_np(args, config: RunConfig) -> int:
     panel = read_panel(args.input, min_length=2)
     fingerprint = config.fingerprint()
+    comments = _output_comments(args.seed, fingerprint)
     outdir = _ensure_outdir(args.output_dir)
     paths = [os.path.join(outdir, f"chain_{c}.npz") for c in range(args.chains)]
 
@@ -329,12 +332,17 @@ def _cmd_fit_np(args, config: RunConfig) -> int:
         chain = run_chain(panel, config, n_burn=args.burn, n_keep=args.keep,
                           seed=args.seed + c, fingerprint=fingerprint)
         save_chain(chain, paths[c])
+        if c == 0:      # its bands are written while the workers run their chains
+            write_table(os.path.join(outdir, "bands.csv"), BAND_HEADER, band_table(chain),
+                        comments)
+            chain = replace(chain, band_samples=chain.band_samples[:0])
         return chain
 
     n_proc = min(args.chains, _usable_cpus()) if hasattr(os, "fork") else 1
     first = _run_chains(run, args.chains, n_proc)
-    # Chain 0 is reported whole; a later chain is pooled from its file's unit
-    # ids and inclusion, so no process holds two chains' bands.
+    # Chain 0 is kept without its bands, which are written; a later chain is
+    # pooled from its file's unit ids and inclusion, so no process holds two
+    # chains' bands.
     pooled = merge_inclusion([first] + [_saved_inclusion(p) for p in paths[1:]])
     thresholds = tuple(sorted(set(DEFAULT_THRESHOLDS) | {args.threshold}))
     bundle = report_summaries(replace(first, inclusion=pooled), thresholds=thresholds)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 from collections.abc import Sequence
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse, islice, repeat
 from operator import methodcaller
 
 import numpy as np
@@ -61,8 +61,8 @@ def read_panel(path: str, min_length: int = 1) -> SeriesPanel:
     n = len(rows)
     fields = list(chain.from_iterable(rows))
     try:
-        times = np.fromiter(map(int, map(str.strip, fields[1::3])), np.int64, n)
-        values = np.fromiter(map(float, map(str.strip, fields[2::3])), float, n)
+        times = np.fromiter(map(int, fields[1::3]), np.int64, n)     # both ignore padding
+        values = np.fromiter(map(float, fields[2::3]), float, n)
     except ValueError:
         _raise_at_bad_row(path)
         raise
@@ -110,11 +110,11 @@ def write_panel(panel: SeriesPanel, path: str, comments: tuple[str, ...] = ()) -
 
 
 class ColumnRows(Sequence):
-    """Table rows held as equal-length columns of Python strings, ints and
-    floats (as ``ndarray.tolist()`` gives them): row i is the tuple of every
-    column's entry i, and no tuple is kept per row."""
+    """Table rows held as equal-length columns, each a list of Python
+    scalars or a numpy array: row i is the tuple of every column's entry i,
+    and no tuple is kept per row."""
 
-    def __init__(self, *columns: list):
+    def __init__(self, *columns):
         self.columns = columns
 
     def __len__(self) -> int:
@@ -128,23 +128,92 @@ class ColumnRows(Sequence):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ColumnRows):
-            return self.columns == other.columns
+            return len(self.columns) == len(other.columns) and all(
+                np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
         return NotImplemented
 
 
+# Rows rendered and written at a time. A block's text is all the writer
+# holds, whatever the table's length; at 512 rows it is small enough that
+# writing a 200 x 40 band table leaves a command's peak RSS where the csv
+# module's row-by-row writer left it, while each block's fixed cost (a
+# np.unique per column) stays a small share of its time.
+BLOCK_ROWS = 512
+
+
+def _quote(s: str) -> str:
+    """A string as csv's excel dialect writes it under QUOTE_MINIMAL: quoted,
+    with quotes doubled, when it holds a comma, a quote, CR or LF."""
+    if '"' in s or "," in s or "\r" in s or "\n" in s:
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _render(column) -> list[str]:
+    """The cells of one block of a column as ``write_table`` writes them,
+    each distinct value formatted once. A float is keyed by its bit pattern,
+    so 0.0 and -0.0 (equal, with equal hashes) keep their own text; ints and
+    strings are keyed by value only in a column of that one type, so 1 and
+    1.0 never share a string. Any other column is formatted cell by cell."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        if column.dtype.kind == "f":
+            keys, inverse = np.unique(column.astype(float, copy=False).view(np.int64),
+                                      return_inverse=True)
+            text = list(map(repr, keys.view(float).tolist()))
+        else:
+            keys, inverse = np.unique(column, return_inverse=True)
+            text = list(map(str, keys.tolist()))
+        return np.array(text, dtype=object)[inverse].tolist()
+    column = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return _render(np.array(column, dtype=float))
+    if kinds == {str}:
+        memo = {s: _quote(s) for s in dict.fromkeys(column)}
+        if all(k is v for k, v in memo.items()):
+            return column
+        return list(map(memo.__getitem__, column))
+    if kinds == {int}:
+        memo = {i: str(i) for i in dict.fromkeys(column)}
+        return list(map(memo.__getitem__, column))
+    return [_quote(_fmt(x)) for x in column]
+
+
+def _blocks(rows):
+    """The columns of each block of ``BLOCK_ROWS`` rows of a table."""
+    if isinstance(rows, ColumnRows):
+        for start in range(0, len(rows), BLOCK_ROWS):
+            yield [c[start:start + BLOCK_ROWS] for c in rows.columns]
+        return
+    it = iter(rows)
+    while block := list(islice(it, BLOCK_ROWS)):
+        if len(set(map(len, block))) != 1:
+            raise ValueError("table rows must all have the same number of cells")
+        yield list(zip(*block))
+
+
+def _lines(columns) -> str:
+    """Rendered columns joined into CRLF-terminated CSV lines. csv quotes
+    the only field of a one-column row when it is empty, so that the line
+    is not blank; so does this."""
+    if len(columns) == 1:
+        columns = [['""' if c == "" else c for c in columns[0]]]
+    text = "\r\n".join(map(",".join, zip(*columns)))
+    return text + "\r\n" if text else text
+
+
 def write_table(path: str, header: tuple[str, ...], rows, comments: tuple[str, ...] = ()) -> None:
-    """Write a CSV result table with leading comment lines, all rows in one
-    ``csv.writer.writerows`` call. Cells must be Python scalars (strings,
-    ints, floats), as ``ndarray.tolist()`` gives them: the csv module writes
-    a float by repr and any other cell by str, so no Python code runs per
-    cell. A numpy scalar is not a Python scalar (``repr`` of an
-    ``np.float64`` is ``np.float64(...)``)."""
+    """Write a CSV result table with leading comment lines, as csv's excel
+    dialect writes cells that are each formatted by ``_fmt``: a float
+    (Python or numpy) by repr, anything else by str. ``rows`` is a
+    ``ColumnRows`` (whose float columns may be numpy arrays) or a sequence
+    of equal-length rows. The rows are rendered a block at a time
+    (``_render``) and each block is written as one string."""
     with open(path, "w", newline="") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("".join(f"# {c}\n" for c in comments))
+        fh.write(_lines([[_quote(_fmt(h))] for h in header]))    # one row of one-cell columns
+        for columns in _blocks(rows):
+            fh.write(_lines([_render(c) for c in columns]))
 
 
 def read_table(path: str) -> tuple[tuple[str, ...], list[list[str]]]:

@@ -27,6 +27,7 @@ import os
 import warnings
 import zipfile
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -95,10 +96,17 @@ class GpWorkspace:
     cov: np.ndarray        # (G, G) prior covariance the sampler uses, L L'
     factor: np.ndarray     # (G, r) L = U_r Lambda_r^(1/2) over the kept eigenpairs
     dropped_variance: float     # sum of the dropped eigenvalues (negative ones as 0)
+    # The constants of the sweeps over one step table (``_chain_index``).
+    chain_index: _ChainIndex | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     @property
     def rank(self) -> int:
         return int(self.factor.shape[1])
+
+    @cached_property
+    def identity(self) -> np.ndarray:
+        return np.eye(self.rank)
 
 
 def prepare_gp_workspace(kernel: GpKernelParams, grid) -> GpWorkspace:
@@ -302,7 +310,7 @@ def gp_atom_conditional(workspace: GpWorkspace, LSL: np.ndarray,
     Returns the mean L M^-1 L'b and R; the covariance is F F' with
     F = L R^-T, and ``_gp_draw`` draws mean + F z.
     """
-    R = np.linalg.cholesky(LSL + np.eye(workspace.rank))
+    R = np.linalg.cholesky(LSL + workspace.identity)
     u = np.linalg.solve(R, Lb[..., None])
     w = np.linalg.solve(np.swapaxes(R, -1, -2), u)[..., 0]
     return w @ workspace.factor.T, R
@@ -334,9 +342,22 @@ class _UnitNoise:
     atom_loglik: np.ndarray     # (L, 2 + 4D)
 
 
-def _unit_noise(state: FdpState, table: StepTable) -> _UnitNoise:
+def _noise_cells(table: StepTable, n_times: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``_unit_noise`` scatters ``table``'s entries on a grid of
+    ``n_times``: the flat positions in ``_UnitNoise.grid`` of each
+    observation's diagonal entry and of each step's pair entry. An
+    observation's Q y entry lies G + P places after its diagonal entry."""
+    width = 2 * n_times + len(table.pairs)
+    return (table.unit * width + table.pos,
+            table.step_unit * width + n_times + table.pair)
+
+
+def _unit_noise(state: FdpState, table: StepTable, cells=None) -> _UnitNoise:
     """``_UnitNoise`` of every unit in ``table`` (grid positions required).
-    Each unit is scored under its own atom only, in O(columns)."""
+    Each unit is scored under its own atom only, in O(columns). ``cells``
+    are the table's ``_noise_cells``, built here when not given."""
+    G = state.grid.size
+    diag_cells, pair_cells = _noise_cells(table, G) if cells is None else cells
     stick, atom = state.residual.stick, state.residual.assignments
     stats = table.stats
     logdet, q_yy, s11, q_y1 = _lag_coefficients(stick.phi, stick.v, table.sizes)
@@ -344,23 +365,31 @@ def _unit_noise(state: FdpState, table: StepTable) -> _UnitNoise:
     null = np.einsum("ij,ij->i", stats.terms, atom_loglik[atom])
     s11 = np.einsum("ij,ij->i", stats.terms[:, :s11.shape[1]], s11[atom])
     q_y1 = np.einsum("ij,ij->i", stats.linear, q_y1[atom])
-    diag, off = step_precision(table, stick.phi[atom], stick.v[atom])
+    diag, off = step_precision(table, stick.phi, stick.v, atom)
     y, later, earlier = table.values, table.later, table.earlier
     qy = diag * y
     qy[later] += off * y[earlier]
     qy[earlier] += off * y[later]
-    G, P = state.grid.size, len(table.pairs)
+    P = len(table.pairs)
     grid = np.zeros((table.n_units, 2 * G + P))
-    cells = grid.ravel()                        # scattered into through flat indices
-    row = table.unit * grid.shape[1]
-    cells[row + table.pos] = diag
-    cells[table.step_unit * grid.shape[1] + G + table.pair] = off
-    cells[row + G + P + table.pos] = qy
+    flat = grid.ravel()                         # scattered into through flat indices
+    flat[diag_cells] = diag
+    flat[pair_cells] = off
+    flat[G + P:][diag_cells] = qy
     return _UnitNoise(null, q_y1, s11, grid, G, atom_loglik)
 
 
+def _pair_stacks(table: StepTable, workspace: GpWorkspace) -> tuple[np.ndarray, np.ndarray]:
+    """The prior factor L stacked over its rows at each step pair's earlier
+    grid position, and over those at its later one: (G + P, r) each."""
+    prev, cur = table.pairs.T
+    L = workspace.factor
+    return np.vstack([L, L[prev]]), np.vstack([L, L[cur]])
+
+
 def _gp_atom_terms(noise: _UnitNoise, table: StepTable, unit_atom: np.ndarray,
-                   atoms: np.ndarray, workspace: GpWorkspace) -> tuple[np.ndarray, np.ndarray]:
+                   atoms: np.ndarray, workspace: GpWorkspace,
+                   stacks=None) -> tuple[np.ndarray, np.ndarray]:
     """L'SL (K, r, r) and L'b (K, r) of S = sum P'QP and b = sum P'Qy over the
     units on each gp atom in ``atoms`` (``unit_atom`` is negative off the gp
     component), by one membership product. S is never formed: with its
@@ -368,7 +397,8 @@ def _gp_atom_terms(noise: _UnitNoise, table: StepTable, unit_atom: np.ndarray,
     L'SL = Y + Y' for Y = sum_g (d_g / 2) L_g' L_g + sum_p o_p L_prev' L_cur
     over the rows of L, in O((G + P) r^2) per atom. Members are checked
     first: in the product 0 * NaN would reach every atom, and the Cholesky
-    returns NaN without error."""
+    returns NaN without error. ``stacks`` are the ``_pair_stacks``, built
+    here when not given."""
     member = atoms[:, None] == unit_atom
     rows = np.flatnonzero(member.any(axis=0))
     terms = noise.grid[rows]
@@ -376,13 +406,42 @@ def _gp_atom_terms(noise: _UnitNoise, table: StepTable, unit_atom: np.ndarray,
     if bad.size:
         raise NumericalError(f"gp-path stage (d), atom {unit_atom[bad].min()}: "
                              "non-finite noise precision or data term")
-    G, L = noise.n_times, workspace.factor
+    G = noise.n_times
     sums = member[:, rows] @ terms          # diag | pair | qy
     sums[:, :G] *= 0.5
-    prev, cur = table.pairs.T
-    left, right = np.vstack([L, L[prev]]), np.vstack([L, L[cur]])
+    left, right = _pair_stacks(table, workspace) if stacks is None else stacks
     Y = np.swapaxes(sums[:, :-G, None] * left, 1, 2) @ right
-    return Y + np.swapaxes(Y, 1, 2), sums[:, -G:] @ L
+    return Y + np.swapaxes(Y, 1, 2), sums[:, -G:] @ workspace.factor
+
+
+@dataclass(frozen=True)
+class _ChainIndex:
+    """What every sweep over one step table reads and none changes: the
+    component and atom of each score column, the table's ``_noise_cells``
+    and ``_pair_stacks``."""
+
+    table: StepTable
+    truncations: tuple[int, int]        # (Lf, Lg)
+    column_kind: np.ndarray             # (1 + Lf + Lg,) NULL | FLAT... | GP...
+    column_atom: np.ndarray             # (1 + Lf + Lg,) -1 | 0..Lf-1 | 0..Lg-1
+    noise_cells: tuple[np.ndarray, np.ndarray]
+    stacks: tuple[np.ndarray, np.ndarray]
+
+
+def _chain_index(state: FdpState, table: StepTable, workspace: GpWorkspace) -> _ChainIndex:
+    """The ``_ChainIndex`` of ``table`` at ``state``'s truncations, kept on
+    ``workspace``: a chain builds it on its first sweep, and every later
+    sweep over the same table finds it there."""
+    truncations = (state.flat_set.truncation, state.gp_set.truncation)
+    index = workspace.chain_index
+    if index is None or index.table is not table or index.truncations != truncations:
+        Lf, Lg = truncations
+        index = workspace.chain_index = _ChainIndex(
+            table, truncations,
+            np.repeat(np.array([NULL, FLAT, GP], dtype=np.int8), [1, Lf, Lg]),
+            np.concatenate([[-1], np.arange(Lf), np.arange(Lg)]),
+            _noise_cells(table, state.grid.size), _pair_stacks(table, workspace))
+    return index
 
 
 def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise) -> np.ndarray:
@@ -398,19 +457,17 @@ def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise) -> 
         log_cp = np.log(state.component_probs)
         log_wf = np.log(state.flat_set.weights)
         log_wg = np.log(state.gp_set.weights)
-    scores = np.empty((n, 1 + Lf + Lg))
-    scores[:, 0] = log_cp[NULL]
-    scores[:, 1:1 + Lf] = log_cp[FLAT] + log_wf[None, :]
-    scores[:, 1 + Lf:] = log_cp[GP] + log_wg[None, :]
-
     levels, paths = state.flat_set.levels, state.gp_set.paths
     prev, cur = table.pairs.T
     # y'Qf - f'Qf/2 for every gp path f, in one product with the noise rows.
     gp_weights = np.hstack([-0.5 * paths * paths, -paths[:, prev] * paths[:, cur], paths])
     null, q_y1 = noise.null[:, None], noise.q_y1[:, None]
-    scores[:, :1] += null
-    scores[:, 1:1 + Lf] += null + levels * q_y1 - 0.5 * noise.s11[:, None] * levels ** 2
-    scores[:, 1 + Lf:] += null + noise.grid @ gp_weights.T
+    # Each column block is its log prior row plus its log-likelihoods.
+    scores = np.empty((n, 1 + Lf + Lg))
+    np.add(log_cp[NULL], noise.null, out=scores[:, 0])
+    np.add(log_cp[FLAT] + log_wf, null + levels * q_y1 - 0.5 * noise.s11[:, None] * levels ** 2,
+           out=scores[:, 1:1 + Lf])
+    np.add(log_cp[GP] + log_wg, null + noise.grid @ gp_weights.T, out=scores[:, 1 + Lf:])
     return scores
 
 
@@ -439,19 +496,17 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     table = panel if isinstance(panel, StepTable) else step_table(panel, grid=state.grid)
     if workspace is None:
         workspace = prepare_gp_workspace(state.kernel, state.grid)
-    Lf = state.flat_set.truncation
+    index = _chain_index(state, table, workspace)
+    Lf, Lg = index.truncations
 
     # (a) joint draw of (component, atom) per unit: a score column per pair
-    noise = _unit_noise(state, table)
+    noise = _unit_noise(state, table, index.noise_cells)
     pick, top = categorical_draw(_assignment_scores(state, table, noise), rng)
     finite = np.isfinite(top)
     if not finite.all():
         raise NumericalError("assignment stage (a): no finite component score for unit "
                              f"{table.unit_ids[int(np.argmin(finite))]!r}")
-    Lg = state.gp_set.truncation
-    column_kind = np.repeat(np.array([NULL, FLAT, GP], dtype=np.int8), [1, Lf, Lg])
-    column_atom = np.concatenate([[-1], np.arange(Lf), np.arange(Lg)])
-    state.unit_component, state.unit_atom = column_kind[pick], column_atom[pick]
+    state.unit_component, state.unit_atom = index.column_kind[pick], index.column_atom[pick]
     column_counts = np.bincount(pick, minlength=1 + Lf + Lg)
     flat_counts, gp_counts = column_counts[1:1 + Lf], column_counts[1 + Lf:]
 
@@ -474,7 +529,7 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     state.gp_set.paths[free] = z @ workspace.factor.T
     busy = free[gp_counts[free] > 0]
     mean, R = gp_atom_conditional(        # pick - (1 + Lf) is negative off gp
-        workspace, *_gp_atom_terms(noise, table, pick - (1 + Lf), busy, workspace))
+        workspace, *_gp_atom_terms(noise, table, pick - (1 + Lf), busy, workspace, index.stacks))
     state.gp_set.paths[busy] = _gp_draw(workspace, mean, R, z[busy - state.gp_set.n_frozen])
 
     # (f) residual mixture on de-trended values. Its assignments are drawn
@@ -497,7 +552,10 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
 
 
 def _detrended_values(state: FdpState, table: StepTable) -> np.ndarray:
-    return table.values - _trajectory_matrix(state)[table.unit, table.pos]
+    """Each observation less its unit's trajectory at its time, gathered
+    from the state's ``_trajectory_rows``."""
+    rows, unit_row = _trajectory_rows(state)
+    return table.values - rows.ravel()[(unit_row * rows.shape[1])[table.unit] + table.pos]
 
 
 def complete_data_loglik(state: FdpState, table: StepTable) -> float:
@@ -635,14 +693,22 @@ def _best_snapshot(state: FdpState) -> dict[str, np.ndarray]:
             "best_unit_atom": np.copy(state.unit_atom)}
 
 
+def _trajectory_rows(state: FdpState) -> tuple[np.ndarray, np.ndarray]:
+    """Every trajectory of the state on the grid, one row each: zero (the
+    null), each flat level, each gp path; and each unit's row. A null unit's
+    atom is -1, so its row is 0."""
+    Lf = state.flat_set.truncation
+    rows = np.empty((1 + Lf + state.gp_set.truncation, state.grid.size))
+    rows[0] = 0.0
+    rows[1:1 + Lf] = state.flat_set.levels[:, None]
+    rows[1 + Lf:] = state.gp_set.paths
+    return rows, state.unit_atom + 1 + Lf * (state.unit_component == GP)
+
+
 def _trajectory_matrix(state: FdpState) -> np.ndarray:
     """Per-unit trajectory values on the grid at the current state."""
-    f = np.zeros((state.n_units, state.grid.size))
-    is_flat = state.unit_component == FLAT
-    f[is_flat] = state.flat_set.levels[state.unit_atom[is_flat]][:, None]
-    is_gp = state.unit_component == GP
-    f[is_gp] = state.gp_set.paths[state.unit_atom[is_gp]]
-    return f
+    rows, unit_row = _trajectory_rows(state)
+    return rows[unit_row]
 
 
 def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int,
@@ -745,20 +811,35 @@ def merge_inclusion(chains: list[ChainOutput]) -> np.ndarray:
 # chain summaries: reports, the maximum-likelihood trajectory set, frozen reruns
 
 
+BAND_HEADER = ("unit_id", "time", "band_lo", "band_mid", "band_hi")
+
+
 @dataclass
 class ReportBundle:
     inclusion_header: tuple[str, ...]
     inclusion_rows: list[list]
     band_header: tuple[str, ...]
-    band_rows: ColumnRows       # (unit_id, time, band_lo, band_mid, band_hi) per unit and time
+    band_rows: ColumnRows       # ``band_table`` of the chain
     summary_lines: list[str]
+
+
+def band_table(chain: ChainOutput) -> ColumnRows:
+    """Plot-ready trajectory bands, one row per unit and grid time
+    (``BAND_HEADER``): the ``BAND_QUANTILES`` of the unit's saved
+    trajectories at that time, each quantile a float64 column. No rows when
+    the chain kept no bands."""
+    if not len(chain.band_samples):
+        return ColumnRows([], [], [], [], [])
+    lo, mid, hi = np.quantile(np.asarray(chain.band_samples, dtype=float), BAND_QUANTILES,
+                              axis=0).reshape(len(BAND_QUANTILES), -1)
+    ids = np.repeat(np.array(chain.unit_ids, dtype=object), chain.grid.size).tolist()
+    return ColumnRows(ids, np.tile(chain.grid, len(chain.unit_ids)), lo, mid, hi)
 
 
 def report_summaries(chain: ChainOutput,
                      thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS) -> ReportBundle:
-    """Inclusion table with flag columns, plot-ready trajectory bands, and
-    one discovery-count line per threshold. The bands are built column by
-    column, each from one ``tolist``: no Python code runs per (unit, time)."""
+    """Inclusion table with flag columns, the chain's ``band_table``, and
+    one discovery-count line per threshold."""
     for t in thresholds:
         if not (0.0 < t <= 1.0):
             raise DomainError(f"thresholds must lie in (0, 1], got {t}")
@@ -767,16 +848,9 @@ def report_summaries(chain: ChainOutput,
     inc_header = ("unit_id", "inclusion") + tuple(f"flagged_at_{_fmt(t)}" for t in thresholds)
     inc_rows = [[u, p] + [int(p >= t) for t in thresholds]
                 for u, p in zip(unit_ids, inclusion.tolist())]
-    band_header = ("unit_id", "time", "band_lo", "band_mid", "band_hi")
-    band_rows = ColumnRows([], [], [], [], [])
-    if len(chain.band_samples):
-        lo, mid, hi = np.quantile(np.asarray(chain.band_samples, dtype=float), BAND_QUANTILES,
-                                  axis=0).reshape(len(BAND_QUANTILES), -1).tolist()
-        ids = np.repeat(np.array(unit_ids, dtype=object), chain.grid.size).tolist()
-        band_rows = ColumnRows(ids, chain.grid.tolist() * len(unit_ids), lo, mid, hi)
     lines = [f"flagged {int(np.sum(inclusion >= t))} of {len(unit_ids)} units "
              f"at threshold {_fmt(t)}" for t in thresholds]
-    return ReportBundle(inc_header, inc_rows, band_header, band_rows, lines)
+    return ReportBundle(inc_header, inc_rows, BAND_HEADER, band_table(chain), lines)
 
 
 @dataclass

@@ -60,6 +60,29 @@ def successive_conditional_data(state, table, rng: np.random.Generator):
     return dataclasses.replace(table, values=y)
 
 
+def step_precision_per_unit(table, phi: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tridiagonal AR(1) precision entries of every unit in a step table
+    under its own (phi, v), one value each per unit: the diagonal at each
+    observation and the off-diagonal at each step, each unit's gap powers
+    evaluated on its own. With coefficient a = phi^d and innovation
+    variance w = v (1 - a^2) / (1 - phi^2) of a step, the step's entry is
+    -a / w; a diagonal entry is 1 / w of the step into it (1 / s for a
+    unit's first observation) plus a^2 / w of the step out of it. The
+    reference for ``ar_core.step_precision``'s atom-table form, in the same
+    operations, so the two agree bit for bit."""
+    phi, v = np.asarray(phi, dtype=float), np.asarray(v, dtype=float)
+    coef = phi[:, None] ** np.asarray(table.sizes, dtype=float)
+    ratio = (1.0 - coef * coef) / (1.0 - phi[:, None] * phi[:, None])
+    u = table.step_unit
+    a = coef[u, table.gap]
+    inv_w = 1.0 / (v[u] * ratio[u, table.gap])
+    diag = np.zeros(table.values.size)
+    diag[table.first] = (1.0 - phi * phi) / v
+    diag[table.later] += inv_w
+    diag[table.earlier] += a * a * inv_w
+    return diag, -a * inv_w
+
+
 def dense_ar1_loglik(y, phi: float, v: float, times) -> float:
     """AR(1) null log-likelihood via a dense multivariate normal density."""
     cov = dense_ar1_cov(phi, v, times)

@@ -24,11 +24,19 @@ from arscreen.ar_core import (
     ndtri,
     panel_groups,
     stationary_variance,
+    step_precision,
     step_table,
 )
 from arscreen.errors import DomainError, InvalidInputError
 
-from oracles import average_ranks, dense_ar1_cov, dense_ar1_loglik, dense_shift_loglik, pool_add_at
+from oracles import (
+    average_ranks,
+    dense_ar1_cov,
+    dense_ar1_loglik,
+    dense_shift_loglik,
+    pool_add_at,
+    step_precision_per_unit,
+)
 from oracles import ndtri as oracles_ndtri
 
 RNG = np.random.default_rng(20260815)
@@ -451,6 +459,25 @@ class TestPanelTypes:
         assert np.array_equal(np.asarray(table.sizes)[table.gap], times[later] - times[later - 1])
         assert np.array_equal(table.pairs[table.pair], np.column_stack([table.pos[later - 1],
                                                                         table.pos[later]]))
+
+    def test_step_precision_atom_table_equals_per_unit_form(self):
+        """Every unit's entries gathered from the (atom, gap) table are
+        those of the per-unit reference, bit for bit, on ragged times with
+        four distinct gaps, phi near +-1 and units of one observation."""
+        rng = np.random.default_rng(61)
+        series = []
+        for i in range(40):
+            n = 1 if i % 7 == 0 else int(rng.integers(2, 12))
+            times = np.cumsum(rng.choice([1, 2, 3, 5], size=n)) - 1
+            series.append(ObservedSeries(f"u{i}", times, rng.normal(size=n)))
+        table = step_table(SeriesPanel(tuple(series)))
+        assert len(table.sizes) >= 3
+        phi = np.array([0.5, -0.5, 0.999, -0.999, 0.5, -0.999])
+        v = np.array([1.0, 0.3, 2.5, 0.05, 7.0, 1.0])
+        atom = rng.integers(0, phi.size, size=len(series))
+        got = step_precision(table, phi, v, atom)
+        want = step_precision_per_unit(table, phi[atom], v[atom])
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_step_table_names_unit_off_grid(self):
         panel = SeriesPanel((ObservedSeries("on", np.array([0, 2, 4]), np.zeros(3)),

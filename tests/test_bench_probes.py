@@ -61,3 +61,31 @@ def test_write_table_rows_count_band_and_inclusion_rows(monkeypatch, tmp_path):
     assert rc == 0
     totals = tracer_module.summarize(tracer.spans)
     assert totals["panel_io.write_table"].attrs["rows"] == n_units * n_times + n_units
+
+
+def test_write_table_rows_count_report_rows(monkeypatch, tmp_path):
+    """A traced ``report`` counts the same N x G + N ``panel_io.write_table``
+    rows as ``fit-np``, which writes its bands before pooling."""
+    n_units, n_times = 4, 6
+    times = np.arange(n_times, dtype=np.int64)
+    panel = SeriesPanel(tuple(
+        ObservedSeries(f"u{i}", times, simulate_ar1(ArParams(0.3, 0.5), n_times, stream(3, "probe", i)))
+        for i in range(n_units)))
+    path = str(tmp_path / "panel.csv")
+    write_panel(panel, path)
+    assert main(["fit-np", "--input", path, "--burn", "2", "--keep", "3",
+                 "--output-dir", str(tmp_path / "fit")]) == 0
+    monkeypatch.syspath_prepend(BENCH)
+    layers = importlib.import_module("layers")
+    tracer_module = importlib.import_module("tracer")
+    tracer = tracer_module.Tracer()
+    tracer.install(layers.PROBES)
+    try:
+        rc = main(["report", "--chain", str(tmp_path / "fit" / "chain_0.npz"),
+                   "--output-dir", str(tmp_path / "rep")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    totals = tracer_module.summarize(tracer.spans)
+    assert totals["panel_io.write_table"].attrs["rows"] == n_units * n_times + n_units
+    assert totals["panel_io.write_table"].calls == 2

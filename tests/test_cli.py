@@ -832,6 +832,27 @@ class TestParallelChains:
         assert not (tmp_path / "out" / "inclusion.csv").exists()
 
     @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_bands_are_chain_0s_as_report_writes_them(self, tmp_path, monkeypatch, n_cpus):
+        """``bands.csv`` is written once chain 0 is saved, while the other
+        chains run: byte for byte what ``report`` writes from that file."""
+        panel_path = _write_small_panel(tmp_path, n=6, length=8)
+        assert self._fit(monkeypatch, panel_path, tmp_path / "fit", n_cpus) == 0
+        assert main(["report", "--chain", str(tmp_path / "fit" / "chain_0.npz"),
+                     "--output-dir", str(tmp_path / "rep")]) == 0
+        bands = (tmp_path / "fit" / "bands.csv").read_bytes()
+        assert bands == (tmp_path / "rep" / "bands.csv").read_bytes()
+        assert bands.startswith(b"# seed = 7\n")
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_chain_1_failure_keeps_chain_0_and_its_bands(self, tmp_path, monkeypatch, n_cpus):
+        panel_path = _write_small_panel(tmp_path, n=6, length=8)
+        self._failing(monkeypatch, {1: NumericalError("chain one diverged")})
+        assert self._fit(monkeypatch, panel_path, tmp_path / "out", n_cpus) == 4
+        out = tmp_path / "out"
+        assert (out / "chain_0.npz").exists() and (out / "bands.csv").exists()
+        assert not (out / "inclusion.csv").exists() and not (out / "summary.txt").exists()
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
     def test_lowest_failing_chain_is_reported(self, tmp_path, monkeypatch, capsys, n_cpus):
         """With two CPUs, chain 2 fails in this process and chain 1 in the
         worker; chain 1's error is the one a loop in order would give."""

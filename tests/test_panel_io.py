@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from arscreen.ar_core import ObservedSeries, SeriesPanel
 from arscreen.errors import InvalidInputError
-from arscreen.panel_io import read_panel, read_table, write_panel, write_table
+from arscreen.panel_io import ColumnRows, read_panel, read_table, write_panel, write_table
 
 import oracles
 
@@ -129,11 +131,29 @@ def test_column_reader_equals_per_row_reader(tmp_path):
         assert a.values.tobytes() == b.values.tobytes()
 
 
+def test_padded_fields_equal_per_row_reader(tmp_path):
+    """Time and value fields with spaces and tabs on either side."""
+    path = tmp_path / "padded.csv"
+    path.write_text("unit_id,time,value\n"
+                    "a, 3 ,\t-0.0\t\n"
+                    "b,\t1\t, 1e-05 \n"
+                    "a,\t 1, \t2.5e16\n"
+                    "b, \t-4 \t,\t-7.25 \t\n"
+                    "a,2\t ,  5e-324  \n")
+    got, want = read_panel(str(path)), oracles.read_panel_per_row(str(path))
+    assert got.unit_ids == want.unit_ids == ("a", "b")
+    for a, b in zip(got, want):
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+    assert got[0].times.tolist() == [1, 2, 3] and got[1].values.tolist() == [-7.25, 1e-05]
+
+
 @pytest.mark.parametrize("text", [
     "unit_id,time,value\na,1,2.0\n\n# c\na,2\n",
     "unit_id,time,value\na,1,2.0\na,2,3.0,4\n",
     "unit_id,time,value\na,1,2.0\nb, 2.5 ,1\n",
     "unit_id,time,value\na,1,2.0\nb,3, x1 \n",
+    "unit_id,time,value\na,\t1 , 2.0\t\na, 2\t,\t3.0 \na,\t2 ,1.0\n",
     "unit_id,time,value\n# only a comment\n",
     "# nothing else\n",
 ])
@@ -145,3 +165,77 @@ def test_errors_equal_per_row_reader(tmp_path, text):
     with pytest.raises(InvalidInputError) as got:
         read_panel(str(path))
     assert str(got.value) == str(want.value)
+
+
+# A float column with 0.0 and -0.0 in one block (equal, with equal hashes),
+# non-finite values, the smallest subnormal and exponent forms; ids that need
+# quoting, non-ASCII text and the empty string; large and negative ints.
+EDGE_COLUMNS = (
+    ['a,b', 'say "hi"', "cr\rhere", "lf\nhere", "Zürich 東京", "", "plain", "a,b"],
+    [0, -1, 2 ** 62, -(2 ** 63), 10 ** 30, 7, 7, -12345678901234567890],
+    [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e-05, 1e16],
+)
+EDGE_HEADER = ("id", 'x,"y"', "value")
+
+
+@pytest.mark.parametrize("n_rows", [len(EDGE_COLUMNS[0]), 0])
+def test_writer_edge_cases_equal_per_cell_writer(tmp_path, n_rows):
+    """``write_table`` against the per-cell reference, byte for byte, from
+    columns and from rows; a memo of formatted floats keyed by value alone
+    would write -0.0 as 0.0 (or 0.0 as -0.0)."""
+    columns = [c[:n_rows] for c in EDGE_COLUMNS]
+    rows = [list(r) for r in zip(*columns)]
+    comments = ("seed = 1", "config = abc")
+    oracles.write_table_per_cell(str(tmp_path / "ref.csv"), EDGE_HEADER, rows, comments)
+    want = (tmp_path / "ref.csv").read_bytes()
+    tables = {"columns": ColumnRows(*columns), "floats as an array": ColumnRows(
+        columns[0], columns[1], np.array(columns[2])), "rows": rows}
+    for name, table in tables.items():
+        write_table(str(tmp_path / "new.csv"), EDGE_HEADER, table, comments)
+        assert (tmp_path / "new.csv").read_bytes() == want, name
+    if n_rows:
+        assert b',0.0\r\n' in want and b',-0.0\r\n' in want and b'"say ""hi"""' in want
+    else:
+        assert want.endswith(b'id,"x,""y""",value\r\n')
+
+
+def test_writer_one_column_table_equals_per_cell_writer(tmp_path):
+    """csv quotes an empty cell that is a row's only field, and an empty
+    one-cell header, so that no line is blank."""
+    rows = [[""], ["a"], [""], [-0.0]]
+    oracles.write_table_per_cell(str(tmp_path / "ref.csv"), ("",), rows)
+    want = (tmp_path / "ref.csv").read_bytes()
+    assert want == b'""\r\n""\r\na\r\n""\r\n-0.0\r\n'
+    for table in (rows, ColumnRows(["", "a", "", -0.0])):
+        write_table(str(tmp_path / "new.csv"), ("",), table)
+        assert (tmp_path / "new.csv").read_bytes() == want
+
+
+def test_writer_rejects_rows_of_unequal_length(tmp_path):
+    """Rows are written as columns, which would drop the cells a longer row
+    has past the shortest one."""
+    with pytest.raises(ValueError, match="same number of cells"):
+        write_table(str(tmp_path / "t.csv"), ("a", "b"), [["x", 1], ["y", 2, 3]])
+
+
+def _traced_write_peak(path, n_rows: int) -> int:
+    """tracemalloc's peak while ``write_table`` writes a table of
+    ``n_rows``, counted from after the table exists."""
+    ids = [f"unit{i % 1000:04d}" for i in range(n_rows)]
+    table = ColumnRows(ids, np.arange(n_rows) % 50, np.tile(np.linspace(-1.0, 1.0, 100), n_rows // 100),
+                       np.arange(n_rows) % 777 * 0.25)
+    tracemalloc.start()
+    try:
+        write_table(str(path), ("unit_id", "time", "x", "y"), table)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_does_not_grow_with_rows(tmp_path):
+    """Rows are rendered and written a block at a time, so ten times the
+    rows take no more than half as much memory again at the peak."""
+    small = _traced_write_peak(tmp_path / "small.csv", 50_000)
+    large = _traced_write_peak(tmp_path / "large.csv", 500_000)
+    assert large <= 1.5 * small, (small, large)
+    assert len((tmp_path / "large.csv").read_bytes().splitlines()) == 500_001
