@@ -86,6 +86,16 @@ class ObservedSeries:
     def __len__(self) -> int:
         return int(self.times.size)
 
+    @classmethod
+    def _checked(cls, unit_id: str, times: np.ndarray, values: np.ndarray) -> "ObservedSeries":
+        """A series from int64 ``times`` and float ``values`` that its caller
+        has already checked as ``__post_init__`` would."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "unit_id", unit_id)
+        object.__setattr__(series, "times", times)
+        object.__setattr__(series, "values", values)
+        return series
+
 
 @dataclass(frozen=True)
 class SeriesPanel:
@@ -118,6 +128,45 @@ class SeriesPanel:
     @property
     def unit_ids(self) -> tuple[str, ...]:
         return tuple(s.unit_id for s in self.series)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """Every distinct time of the panel, ascending: the trajectory grid.
+        Sorted and masked rather than ``np.unique``d, which would load
+        ``numpy.ma`` in the command that first calls it."""
+        times = np.sort(np.concatenate([s.times for s in self.series]))
+        distinct = np.empty(times.size, dtype=bool)
+        distinct[:1] = True
+        np.not_equal(times[1:], times[:-1], out=distinct[1:])
+        return times[distinct]
+
+    @cached_property
+    def stats(self) -> LagStats:
+        """Lag statistics of the panel's ``step_table``, built on first use:
+        every reader of the same panel shares them."""
+        return step_table(self).stats
+
+    @classmethod
+    def from_flat(cls, unit_ids: tuple[str, ...], unit: np.ndarray, times: np.ndarray,
+                  values: np.ndarray, min_length: int = 1) -> "SeriesPanel":
+        """The panel whose unit ``unit_ids[k]`` has the rows i with
+        ``unit[i] == k``: ``unit`` ascending, int64 ``times`` ascending within
+        a unit, float ``values``. Order and finiteness are checked once over
+        the flat arrays; the first failing unit in ``unit_ids`` order raises
+        what its ``ObservedSeries`` raises."""
+        counts = np.bincount(unit, minlength=len(unit_ids))
+        ends = np.cumsum(counts).tolist()
+        starts = [0] + ends[:-1]
+        same_unit = unit[1:] == unit[:-1]
+        failing = np.concatenate([np.flatnonzero(counts == 0),
+                                  unit[1:][same_unit & (times[1:] <= times[:-1])],
+                                  unit[~np.isfinite(values)]])
+        if failing.size:
+            k = int(failing.min())
+            ObservedSeries(unit_ids[k], times[starts[k]:ends[k]], values[starts[k]:ends[k]])
+        checked = ObservedSeries._checked
+        return cls(tuple(checked(u, times[a:b], values[a:b])
+                         for u, a, b in zip(unit_ids, starts, ends)), min_length=min_length)
 
 
 @dataclass(frozen=True)

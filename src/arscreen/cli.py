@@ -15,21 +15,19 @@ Exit codes: 0 success, 2 usage errors, 3 invalid input or domain errors,
 
 from __future__ import annotations
 
-# Besides what it uses, this module imports what numpy, argparse and zipfile
-# would otherwise load inside a command: encodings.cp437 (zipfile reading a
-# chain), locale (argparse's gettext), numpy.ma (np.unique) and numpy.random
-# (the first random stream). Every CLI call pays this import, and no command
-# imports a module.
+# Besides what it uses, this module imports what numpy and zipfile would
+# otherwise load inside a command: encodings.cp437 (zipfile reading a chain)
+# and numpy.random (the first random stream). Every CLI call pays this
+# import, and no command imports a module; only an argv that argparse reads
+# (help, an error) loads more, such as locale for argparse's gettext.
 import argparse
 import encodings.cp437  # noqa: F401
-import locale  # noqa: F401
 import os
 import sys
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
-import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .ar_core import SeriesPanel, cdf_standardize
@@ -44,6 +42,7 @@ from .simulation import simulate_from_scenario
 from .trajectory import (
     BAND_HEADER,
     DEFAULT_THRESHOLDS,
+    ChainFile,
     ChainOutput,
     MleTrajectorySet,
     ReportBundle,
@@ -317,7 +316,7 @@ def _run_chains(run, n_chains: int, n_proc: int):
 
 def _saved_inclusion(path: str) -> SimpleNamespace:
     """The unit ids and inclusion of a chain file, without its bands."""
-    with np.load(path) as z:
+    with ChainFile(path) as z:
         return SimpleNamespace(unit_ids=tuple(map(str, z["unit_ids"])), inclusion=z["inclusion"])
 
 
@@ -395,60 +394,77 @@ def _cmd_cluster_mle(args, config: RunConfig) -> int:
 # argument parsing and dispatch
 
 
+# Options as (flag, type, default, required, help). Every command takes its
+# own options, then the common ones.
+_COMMON = (("--output-dir", str, None, True, "directory for outputs"),
+           ("--seed", int, 0, False, "integer seed"),
+           ("--config", str, None, False, "key = value config file"))
+_INPUT = ("--input", str, None, True, None)
+_CHAIN = ("--chain", str, None, True, "chain .npz from fit-np")
+_BURN = ("--burn", int, 200, False, None)
+_KEEP = ("--keep", int, 500, False, None)
+_THRESHOLD = ("--threshold", float, 0.5, False, None)
+
+# Each command's help, function and own options: the one table ``main`` reads
+# argv from, and ``build_parser`` builds argparse from.
+COMMANDS = {
+    "standardize": ("rank-normalize a panel to normal scores", _cmd_standardize, (_INPUT,)),
+    "simulate": ("generate a panel and truth labels", _cmd_simulate,
+                 (("--scenario", str, None, True, "scenario key = value file"),)),
+    "fit-parametric": ("importance-sampling screen", _cmd_fit_parametric, (_INPUT, _THRESHOLD)),
+    "fit-np": ("joint trajectory model by MCMC", _cmd_fit_np,
+               (_INPUT, _BURN, _KEEP, ("--chains", int, 1, False, None), _THRESHOLD)),
+    "report": ("tables and bands from a saved chain", _cmd_report, (_CHAIN,)),
+    "cluster-mle": ("extract and freeze the MLE trajectory set", _cmd_cluster_mle,
+                    (_INPUT, _CHAIN, ("--top", int, None, True, "number of clusters to keep"),
+                     _BURN, _KEEP)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arscreen",
         description="Screen panels of AR(1) series for nonzero mean trajectories.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--output-dir", required=True, help="directory for outputs")
-        p.add_argument("--seed", type=int, default=0, help="integer seed")
-        p.add_argument("--config", default=None, help="key = value config file")
-
-    p = sub.add_parser("standardize", help="rank-normalize a panel to normal scores")
-    p.add_argument("--input", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_standardize)
-
-    p = sub.add_parser("simulate", help="generate a panel and truth labels")
-    p.add_argument("--scenario", required=True, help="scenario key = value file")
-    common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("fit-parametric", help="importance-sampling screen")
-    p.add_argument("--input", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
-    common(p)
-    p.set_defaults(func=_cmd_fit_parametric)
-
-    p = sub.add_parser("fit-np", help="joint trajectory model by MCMC")
-    p.add_argument("--input", required=True)
-    p.add_argument("--burn", type=int, default=200)
-    p.add_argument("--keep", type=int, default=500)
-    p.add_argument("--chains", type=int, default=1)
-    p.add_argument("--threshold", type=float, default=0.5)
-    common(p)
-    p.set_defaults(func=_cmd_fit_np)
-
-    p = sub.add_parser("report", help="tables and bands from a saved chain")
-    p.add_argument("--chain", required=True, help="chain .npz from fit-np")
-    common(p)
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("cluster-mle", help="extract and freeze the MLE trajectory set")
-    p.add_argument("--input", required=True)
-    p.add_argument("--chain", required=True, help="chain .npz from fit-np")
-    p.add_argument("--top", type=int, required=True, help="number of clusters to keep")
-    p.add_argument("--burn", type=int, default=200)
-    p.add_argument("--keep", type=int, default=500)
-    common(p)
-    p.set_defaults(func=_cmd_cluster_mle)
+    for command, (help_text, func, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, kind, default, required, help_option in options + _COMMON:
+            p.add_argument(flag, type=kind, default=default, required=required, help=help_option)
+        p.set_defaults(func=func)
     return parser
 
 
+def _table_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse builds for a well-formed ``argv``, read from
+    ``COMMANDS``: a command, then ``--option value`` pairs of its options,
+    each option at most once and every required one present, no value
+    starting with '-' and every value converting. None for any other argv
+    (a help request, an error, an abbreviation, ``--option=value``, a
+    negative number), which argparse reads."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    table = {option[0]: option for option in options + _COMMON}
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in table or flag in given or value.startswith("-"):
+            return None
+        try:
+            given[flag] = table[flag][1](value)
+        except ValueError:
+            return None
+    if any(required and flag not in given for flag, _, _, required, _ in table.values()):
+        return None
+    return argparse.Namespace(command=argv[0], func=func, **{
+        flag[2:].replace("-", "_"): given.get(flag, default)
+        for flag, _, default, _, _ in table.values()})
+
+
 def cli_dispatch(argv) -> int:
-    args = build_parser().parse_args(argv)
+    argv = list(argv)
+    args = _table_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.seed < 0:
         raise InvalidInputError(f"seed must be nonnegative, got {args.seed}")
     if not (0.0 < getattr(args, "threshold", 0.5) <= 1.0):

@@ -17,7 +17,7 @@ from operator import methodcaller
 
 import numpy as np
 
-from .ar_core import ObservedSeries, SeriesPanel
+from .ar_core import SeriesPanel
 from .errors import InvalidInputError
 
 PANEL_HEADER = ("unit_id", "time", "value")
@@ -35,13 +35,89 @@ def _fmt(x) -> str:
 def read_panel(path: str, min_length: int = 1) -> SeriesPanel:
     """Read a panel file, grouping rows by unit in order of first appearance.
 
-    Rows within a unit are sorted by time; duplicate times are rejected by
-    series validation. One csv pass reads the rows, whose fields are
-    converted a column at a time; only a file with a row that does not
-    convert is read again row by row, to name that row's line.
+    Rows within a unit are sorted by time; duplicate times and non-finite
+    values are rejected as ``ObservedSeries`` rejects them, naming the first
+    such unit. The fields come from one bulk split of the file
+    (``_bulk_fields``) or, for a file that split cannot read as csv would,
+    from one csv pass; they are converted a column at a time, and only a
+    file with a row that does not convert is read again row by row, to name
+    that row's line.
     """
     if not os.path.exists(path):
         raise InvalidInputError(f"panel file not found: {path}")
+    fields = _bulk_fields(path)
+    if fields is None:
+        fields = _csv_fields(path)
+    n = len(fields) // 3
+    try:
+        times, values = _numbers(fields[1::3], fields[2::3], n)
+    except ValueError:
+        try:    # int and float ignore padding, but not \x1c-\x1f, which str.strip removes
+            times, values = _numbers(map(str.strip, fields[1::3]), map(str.strip, fields[2::3]), n)
+        except ValueError:
+            _raise_at_bad_row(path)
+            raise
+    units = list(map(str.strip, fields[0::3]))
+    del fields
+    first = dict.fromkeys(units)
+    code = dict(zip(first, range(len(first))))
+    unit = np.fromiter(map(code.__getitem__, units), np.int64, n)
+    order = np.lexsort((times, unit))          # stable: equal times keep file order
+    return SeriesPanel.from_flat(tuple(first), unit[order], times[order], values[order],
+                                 min_length=min_length)
+
+
+def _numbers(times, values, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` time fields as int64 and value fields as floats."""
+    return np.fromiter(map(int, times), np.int64, n), np.fromiter(map(float, values), float, n)
+
+
+def _bulk_fields(path: str) -> list[str] | None:
+    """The data fields of a panel file, three per row, split from the whole
+    text at once, as ``_csv_fields`` splits them. None for a file whose
+    fields csv might read otherwise (one with a quote, a NUL, a line end
+    other than LF and CRLF, or a field over csv's size limit), for one
+    with a comment or blank line among its rows, and for one that does not
+    read cleanly (a bad header, no data row, a row of other than three
+    fields): ``_csv_fields`` reads those."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    if '"' in text or "\0" in text:        # csv before Python 3.11 refuses a NUL
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):     # a CR that ends a line alone
+            return None
+        text = text.replace("\r", "")
+    start = 0
+    while text.startswith("#", start):         # the leading comment lines
+        start = text.find("\n", start) + 1
+        if start == 0:
+            return None
+    end = text.find("\n", start)
+    header, body = text[start:end], text[end + 1:].rstrip("\n")
+    del text
+    limit = csv.field_size_limit()
+    if (end < 0 or not body or body[0] in "\n#" or "\n\n" in body or "\n#" in body
+            or len(header) > limit
+            or tuple(h.strip() for h in header.split(",")) != PANEL_HEADER):
+        return None
+    # One scan of the encoded rows (UTF-8 keeps every multi-byte character
+    # clear of the bytes sought) finds the commas and line ends: they must
+    # run ",,|,,|...,,", three fields a row, with no field over the limit.
+    data = np.frombuffer(body.encode(), dtype=np.uint8)
+    cuts = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    kinds = data[cuts]
+    if (cuts.size != 3 * body.count("\n") + 2 or (kinds[2::3] != ord("\n")).any()
+            or np.diff(cuts, prepend=-1, append=data.size).max() > limit + 1):
+        return None
+    del data, cuts, kinds
+    return body.replace("\n", ",").split(",")
+
+
+def _csv_fields(path: str) -> list[str]:
+    """The data fields of a panel file, three per row, from one csv pass
+    over its non-comment lines; raises for an empty file, a bad header, no
+    data rows or a row of other than three fields."""
     with open(path, newline="") as fh:
         reader = csv.reader(filterfalse(_IS_COMMENT, fh))
         try:
@@ -58,24 +134,7 @@ def read_panel(path: str, min_length: int = 1) -> SeriesPanel:
         raise InvalidInputError(f"{path}: no data rows")
     if set(map(len, rows)) != {3}:
         _raise_at_bad_row(path)
-    n = len(rows)
-    fields = list(chain.from_iterable(rows))
-    try:
-        times = np.fromiter(map(int, fields[1::3]), np.int64, n)     # both ignore padding
-        values = np.fromiter(map(float, fields[2::3]), float, n)
-    except ValueError:
-        _raise_at_bad_row(path)
-        raise
-    units = list(map(str.strip, fields[0::3]))
-    first = dict.fromkeys(units)
-    code = dict(zip(first, range(len(first))))
-    unit = np.fromiter(map(code.__getitem__, units), np.int64, n)
-    order = np.lexsort((times, unit))          # stable: equal times keep file order
-    ends = np.cumsum(np.bincount(unit)).tolist()
-    times, values = times[order], values[order]
-    return SeriesPanel(tuple(ObservedSeries(u, times[a:b], values[a:b])
-                             for u, a, b in zip(first, [0] + ends, ends)),
-                       min_length=min_length)
+    return list(chain.from_iterable(rows))
 
 
 def _raise_at_bad_row(path: str) -> None:

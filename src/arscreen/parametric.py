@@ -24,7 +24,6 @@ from .ar_core import (
     SeriesPanel,
     _lag_coefficient_slopes,
     log_shift_bayes_factor,
-    step_table,
 )
 # Bound only for the probes in bench/layers.py; not called here (counts read 0).
 from .ar_core import group_gaussian_parts, panel_groups  # noqa: F401
@@ -338,7 +337,7 @@ def build_importance_sampler(panel: SeriesPanel, prior: ParametricPrior,
     if n_draws < 2:
         raise DomainError(f"need at least 2 importance draws, got {n_draws}")
     _require_fittable(panel)
-    stats = step_table(panel).stats
+    stats = panel.stats
 
     starts = [
         np.array([np.arctanh(prior.phi_mean), 0.0, logit(0.1)]),
@@ -381,7 +380,7 @@ def inclusion_probabilities_parametric(draws: WeightedDraws, panel: SeriesPanel,
     error.
     """
     _require_fittable(panel)
-    stats = step_table(panel).stats
+    stats = panel.stats
     wbar = draws.normalized_weights
     phi, v, p = draws.draws.T
     prob, s2_ww, s2_w = np.zeros((3, len(panel)))

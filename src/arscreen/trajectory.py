@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 import os
 import warnings
 import zipfile
+import zlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -237,6 +239,8 @@ class FdpState:
     grid: np.ndarray
     kernel: GpKernelParams
     traj_concentration: float
+    # The workspace the state was drawn with, which ``run_chain`` reuses.
+    workspace: GpWorkspace | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_units(self) -> int:
@@ -294,7 +298,7 @@ def init_fdp_state(n_units: int, config: RunConfig, grid, *, rng: np.random.Gene
 
     residual = init_residual_state(n_units, alpha, config.base, config.trunc_resid, rng=rng)
     return FdpState(cp, unit_component, unit_atom, flat_set, gp_set, residual,
-                    grid, config.kernel, nu)
+                    grid, config.kernel, nu, workspace)
 
 
 def gp_atom_conditional(workspace: GpWorkspace, LSL: np.ndarray,
@@ -639,29 +643,160 @@ def save_chain(chain: ChainOutput, path: str) -> None:
     np.savez(path, **{k: np.asarray(values[k]) for k in _CHAIN_KEYS})
 
 
+# Header lengths numpy reads by default (np.load's max_header_size).
+_MAX_NPY_HEADER = 10000
+
+
+def _npy_layout(header: str) -> tuple[np.dtype, bool, tuple[int, ...]] | None:
+    """The dtype, Fortran order and shape of a ``.npy`` header in the form
+    numpy writes it (``{'descr': '<f8', 'fortran_order': False, 'shape':
+    (3, 4), }`` and padding), parsed without compiling it; None for any
+    other header, and for object dtypes."""
+    body = header.rstrip(" \n")
+    if not (body.startswith("{'descr': '") and body.endswith("), }")):
+        return None
+    descr, _, rest = body[11:-4].partition("', 'fortran_order': ")
+    order, _, shape = rest.partition(", 'shape': (")
+    dims = [shape[:-1]] if shape.endswith(",") else shape.split(", ") if shape else []
+    if (order not in ("True", "False") or descr[:1] not in ("<", ">", "|", "=")
+            or not (descr[1:].isascii() and descr[1:].isalnum())
+            or not all(d.isascii() and d.isdigit() and (d == "0" or d[0] != "0") for d in dims)):
+        return None
+    try:
+        dtype = np.dtype(descr)
+    except TypeError:
+        return None
+    return None if dtype.hasobject else (dtype, order == "True", tuple(map(int, dims)))
+
+
+def _read_npy(f, size: int, crc: int) -> np.ndarray | None:
+    """The array of the ``.npy`` member of ``size`` bytes and CRC-32 ``crc``
+    that starts at ``f``'s position, read in one pass straight into the
+    array: the dtype, shape and memory order ``np.load`` gives. None for a
+    member whose header ``_npy_layout`` does not parse, whose data is
+    shorter than its shape, or whose CRC does not match."""
+    preamble = f.read(10)
+    if preamble[:6] != b"\x93NUMPY" or preamble[6:8] not in (b"\x01\x00", b"\x02\x00", b"\x03\x00"):
+        return None
+    if preamble[6] > 1:         # versions 2 and 3 give the header length in 4 bytes
+        preamble += f.read(2)
+    length = int.from_bytes(preamble[8:], "little")
+    if len(preamble) != (10 if preamble[6] == 1 else 12) or length > _MAX_NPY_HEADER:
+        return None
+    header = f.read(length)
+    if len(header) != length or len(preamble) + length > size:
+        return None
+    try:
+        layout = _npy_layout(header.decode("utf8" if preamble[6] == 3 else "latin1"))
+    except UnicodeDecodeError:
+        return None
+    if layout is None:
+        return None
+    dtype, fortran, shape = layout
+    flat = np.ndarray(math.prod(shape), dtype=dtype)
+    data = memoryview(flat).cast("B")
+    used = len(preamble) + length + data.nbytes
+    if used > size or f.readinto(data) != data.nbytes:
+        return None
+    # The CRC covers the whole member, so it is checked, as zipfile checks
+    # it, only when the array ends the member.
+    if used == size and zlib.crc32(data, zlib.crc32(header, zlib.crc32(preamble))) != crc:
+        return None
+    return flat.reshape(shape[::-1]).transpose() if fortran else flat.reshape(shape)
+
+
+class ChainFile:
+    """A chain file's ``.npz`` archive, opened once. ``chain_file[key]``
+    reads one entry: an uncompressed member in one pass from the file
+    (``_read_npy``), any other member, or one ``_read_npy`` declines,
+    through zipfile and numpy's own reader, which raise what ``np.load``
+    raises. A missing file, one that is not an archive and any failure to
+    read raise ``InvalidInputError`` naming the path (and the entry)."""
+
+    def __init__(self, path: str):
+        self.path = path
+        try:
+            self.zip = zipfile.ZipFile(path)
+        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            if not os.path.exists(path):
+                raise InvalidInputError(f"chain file not found: {path}") from None
+            if not zipfile.is_zipfile(path):
+                raise InvalidInputError(f"not a chain file (no .npz archive): {path}") from None
+            raise InvalidInputError(f"unreadable chain file {path}: {exc}") from exc
+
+    def __enter__(self) -> "ChainFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.zip.close()
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.zip.NameToInfo or f"{key}.npy" in self.zip.NameToInfo
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        if key not in self:
+            raise InvalidInputError(f"chain file {self.path} lacks entry {key!r}")
+        info = self.zip.getinfo(key if key in self.zip.NameToInfo else f"{key}.npy")
+        try:
+            array = self._read_stored(info)
+            if array is None:
+                with self.zip.open(info) as fh:
+                    array = np.lib.format.read_array(fh, allow_pickle=False)
+        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            raise InvalidInputError(
+                f"unreadable chain file {self.path}: entry {key!r}: {exc}") from exc
+        return array
+
+    def _read_stored(self, info: zipfile.ZipInfo) -> np.ndarray | None:
+        """``_read_npy`` of an uncompressed, unencrypted member whose local
+        header is sound; None for any other member."""
+        if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 1:
+            return None
+        f = self.zip.fp         # the archive's file, which zipfile keeps open
+        f.seek(info.header_offset)
+        local = f.read(30)
+        if len(local) < 30 or local[:4] != b"PK\x03\x04":
+            return None
+        name = f.read(int.from_bytes(local[26:28], "little"))
+        if name != info.filename.encode():
+            return None
+        f.seek(int.from_bytes(local[28:30], "little"), 1)
+        return _read_npy(f, info.compress_size, info.CRC)
+
+
+def _converted(path: str, key: str, convert, array: np.ndarray):
+    """``convert(array)`` for chain entry ``key``; a failure raises
+    ``InvalidInputError`` naming the path and the entry."""
+    try:
+        return convert(array)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"unreadable chain file {path}: entry {key!r}: {exc}") from exc
+
+
 def load_chain(path: str) -> ChainOutput:
     """Read a chain written by ``save_chain``; a missing or malformed file
-    raises ``InvalidInputError`` naming the path (and the offending entry)."""
-    if not os.path.exists(path):
-        raise InvalidInputError(f"chain file not found: {path}")
-    if not zipfile.is_zipfile(path):
-        raise InvalidInputError(f"not a chain file (no .npz archive): {path}")
-    try:
-        with np.load(path) as z:
-            for k in _SCALAR_KEYS:
-                if k in z.files and z[k].shape != ():
+    raises ``InvalidInputError`` naming the path (and the offending entry).
+    The archive is opened once (``ChainFile``) and each entry read once,
+    the scalars first."""
+    with ChainFile(path) as z:
+        entries = {}
+        for k in _SCALAR_KEYS:
+            if k in z:
+                entries[k] = z[k]
+                if entries[k].shape != ():
                     raise InvalidInputError(f"chain file {path}: entry {k!r} is not a scalar")
-            if "schema" in z.files and int(z["schema"]) != 1:
-                raise InvalidInputError(f"unsupported chain schema {int(z['schema'])} in {path}")
-            missing = [k for k in _CHAIN_KEYS if k not in z.files]
-            if missing:
-                raise InvalidInputError(f"chain file {path} lacks entry {missing[0]!r}")
-            cast = {"int": int, "str": str, "tuple[str, ...]": lambda a: tuple(map(str, a))}
-            values = {f.name: cast.get(f.type, np.asarray)(z[f.name])
-                      for f in fields(ChainOutput) if f.name != "kernel"}
-            kernel = GpKernelParams(float(z["kernel_variance"]), float(z["kernel_length_scale"]))
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise InvalidInputError(f"unreadable chain file {path}: {exc}") from exc
+        schema = _converted(path, "schema", int, entries["schema"]) if "schema" in entries else 1
+        if schema != 1:
+            raise InvalidInputError(f"unsupported chain schema {schema} in {path}")
+        missing = [k for k in _CHAIN_KEYS if k not in z]
+        if missing:
+            raise InvalidInputError(f"chain file {path} lacks entry {missing[0]!r}")
+        entries.update((k, z[k]) for k in _CHAIN_KEYS if k not in entries)
+    cast = {"int": int, "str": str, "tuple[str, ...]": lambda a: tuple(map(str, a))}
+    values = {f.name: _converted(path, f.name, cast.get(f.type, np.asarray), entries[f.name])
+              for f in fields(ChainOutput) if f.name != "kernel"}
+    kernel = GpKernelParams(*(_converted(path, k, float, entries[k])
+                              for k in ("kernel_variance", "kernel_length_scale")))
     chain = ChainOutput(**values, kernel=kernel)
     n, k, G = len(chain.unit_ids), chain.n_keep, chain.grid.size
     lf, lg = chain.best_flat_weights.size, chain.best_gp_weights.size
@@ -731,8 +866,11 @@ def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int,
         raise DomainError("checkpoint stride must be positive")
     if len(panel) == 0:
         raise InvalidInputError("cannot fit an empty panel")
-    grid = np.unique(np.concatenate([s.times for s in panel]))
-    workspace = prepare_gp_workspace(config.kernel, grid)
+    grid = panel.grid
+    workspace = getattr(initial_state, "workspace", None)     # drawn with it, when given
+    if workspace is None or workspace.kernel != config.kernel or not np.array_equal(
+            workspace.grid, grid):
+        workspace = prepare_gp_workspace(config.kernel, grid)
     table = step_table(panel, grid=grid)
     n = len(panel)
 
@@ -823,6 +961,33 @@ class ReportBundle:
     summary_lines: list[str]
 
 
+def band_quantiles(samples: np.ndarray) -> np.ndarray:
+    """``np.quantile(samples, BAND_QUANTILES, axis=0)`` bit for bit: numpy's
+    steps for the linear method (a partition at the two ranks around each
+    virtual index (n - 1) q, then its two-sided interpolation, and NaN where
+    a column holds one), with the partition's ranks listed in Python rather
+    than by the ``np.unique`` that loads ``numpy.ma``. It partitions one
+    float64 copy of ``samples`` in place, where ``np.quantile`` makes two."""
+    arr = np.array(samples, dtype=float, order="C")
+    n = arr.shape[0]
+    virtual = (n - 1) * np.asarray(BAND_QUANTILES)
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    top = virtual >= n - 1
+    prev[top] = nxt[top] = -1
+    prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
+    arr.partition(sorted({0, -1, *prev.tolist(), *nxt.tolist()}), axis=0)
+    gamma = (virtual - prev).reshape((-1,) + (1,) * (arr.ndim - 1))
+    lower, upper = arr[prev], arr[nxt]
+    diff = upper - lower
+    out = np.add(lower, diff * gamma)
+    np.subtract(upper, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    has_nan = np.isnan(arr[-1])
+    if has_nan.any():
+        np.copyto(out, arr[-1], where=has_nan)
+    return out
+
+
 def band_table(chain: ChainOutput) -> ColumnRows:
     """Plot-ready trajectory bands, one row per unit and grid time
     (``BAND_HEADER``): the ``BAND_QUANTILES`` of the unit's saved
@@ -830,8 +995,7 @@ def band_table(chain: ChainOutput) -> ColumnRows:
     the chain kept no bands."""
     if not len(chain.band_samples):
         return ColumnRows([], [], [], [], [])
-    lo, mid, hi = np.quantile(np.asarray(chain.band_samples, dtype=float), BAND_QUANTILES,
-                              axis=0).reshape(len(BAND_QUANTILES), -1)
+    lo, mid, hi = band_quantiles(chain.band_samples).reshape(len(BAND_QUANTILES), -1)
     ids = np.repeat(np.array(chain.unit_ids, dtype=object), chain.grid.size).tolist()
     return ColumnRows(ids, np.tile(chain.grid, len(chain.unit_ids)), lo, mid, hi)
 
@@ -920,7 +1084,7 @@ def frozen_initial_state(panel: SeriesPanel, frozen: MleTrajectorySet, config: R
     """Prior draw with ``frozen``'s atoms (values and within-set weights) at
     the head of their stick sets, free sticks on the leftover mass and every
     unit null; also the frozen names in membership column order (flat, gp)."""
-    grid = np.unique(np.concatenate([s.times for s in panel]))
+    grid = panel.grid
     if not np.array_equal(grid, frozen.grid):
         raise InvalidInputError("panel time grid differs from the frozen atoms' grid")
     if not frozen.atoms:
