@@ -512,6 +512,13 @@ class LagStats:
         k = self.terms.shape[1]
         return LagStats(self.sizes, sums[:, :k], sums[:, k:])
 
+    @cached_property
+    def total(self) -> "LagStats":
+        """Every row pooled into one (``pool`` with one label), built on first
+        use: the null log-likelihood summed over the rows is this row's, at
+        O(D) per (phi, v) pair."""
+        return self.pool(np.zeros(len(self.terms), dtype=np.int64), 1)
+
     def loglik(self, phi, v) -> np.ndarray:
         """Null AR(1) log-likelihood of every row under every (phi, v) pair.
 
@@ -529,6 +536,12 @@ class LagStats:
         k = 1 + len(self.sizes)
         counts, quad = self.terms[..., :k], self.terms[..., k:]
         return quad @ q_yy.T, self.linear @ q_y1.T, counts @ s11.T, counts @ logdet.T
+
+    def shift_parts(self, phi, v) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row (q_y1, s11), the two ``gaussian_parts`` a mean shift reads,
+        by the same products and in the same shapes."""
+        _, _, s11, q_y1 = _lag_coefficients(phi, v, self.sizes)
+        return self.linear @ q_y1.T, self.terms[..., :1 + len(self.sizes)] @ s11.T
 
 
 def _lag_coefficients(phi, v, sizes):
@@ -560,19 +573,24 @@ def _loglik_weights(logdet: np.ndarray, q_yy: np.ndarray) -> np.ndarray:
     return -0.5 * np.concatenate([LOG_2PI + logdet, q_yy], axis=-1)
 
 
-def _lag_coefficient_slopes(phi: float, v: float, sizes):
-    """Derivatives of the ``_lag_coefficients`` weights in atanh phi, at one
-    pair (phi, v). (Every weight but logdet's is linear in 1 / v, so its
-    derivative in log v is minus itself; logdet's weights gain 1.)
+def _lag_coefficient_slopes(phi, v, sizes):
+    """Derivatives of the ``_lag_coefficients`` weights in atanh phi, with the
+    same shapes: ``phi`` and ``v`` are scalars or equal-length 1-d arrays of
+    pairs, and each result has a trailing axis over statistic columns.
+    (Every weight but logdet's is linear in 1 / v, so its derivative in
+    log v is minus itself; logdet's weights gain 1.)
 
     With c = 1 - phi^2 = dphi / d atanh phi, per gap d: a' = d phi^(d-1) c,
     inv_s' = -2 phi inv_s, and since r_d = (1 - phi^(2d)) / c is the sum of
     phi^(2j) over j < d, (log r_d)' = 2 phi - 2 d phi^(2d-1) / r_d and
     w' = -w (log r_d)'. No term divides by c, so the slopes stay finite as
-    |phi| approaches 1.
+    |phi| approaches 1. Every operation is elementwise, so a pair's slopes
+    do not depend on the other pairs it is stacked with.
     """
     d = np.asarray(sizes, dtype=float)
     a, ratio = _gap_coefficients(phi, sizes)
+    phi = np.asarray(phi, dtype=float)[..., None]
+    v = np.asarray(v, dtype=float)[..., None]
     c = 1.0 - phi * phi
     inv_s = c / v
     w = 1.0 / (v * ratio)
@@ -581,13 +599,13 @@ def _lag_coefficient_slopes(phi: float, v: float, sizes):
     da = d * lead * c
     dlog_r = 2.0 * phi - 2.0 * d * a * lead / ratio
     dw = -w * dlog_r
-    dinv_s = np.array([-2.0 * phi * inv_s])
+    dinv_s = -2.0 * phi * inv_s
     dbw = -da * w + b * dw
     dbbw = -2.0 * b * da * w + b * b * dw
-    logdet = np.concatenate([[2.0 * phi], dlog_r])
-    q_yy = np.concatenate([dinv_s, dw, 2.0 * dbw, dbbw])
-    s11 = np.concatenate([dinv_s, dbbw])
-    q_y1 = np.concatenate([dinv_s, dbw, dbbw])
+    logdet = np.concatenate([2.0 * phi, dlog_r], axis=-1)
+    q_yy = np.concatenate([dinv_s, dw, 2.0 * dbw, dbbw], axis=-1)
+    s11 = np.concatenate([dinv_s, dbbw], axis=-1)
+    q_y1 = np.concatenate([dinv_s, dbw, dbbw], axis=-1)
     return logdet, q_yy, s11, q_y1
 
 

@@ -19,8 +19,7 @@ from __future__ import annotations
 # otherwise load inside a command: encodings.cp437 (zipfile reading a chain)
 # and numpy.random (the first random stream). Every CLI call pays this
 # import, and no command imports a module; only an argv that argparse reads
-# (help, an error) loads more, such as locale for argparse's gettext.
-import argparse
+# (help, an error) loads more: argparse itself, with its gettext and locale.
 import encodings.cp437  # noqa: F401
 import os
 import sys
@@ -47,6 +46,7 @@ from .trajectory import (
     MleTrajectorySet,
     ReportBundle,
     RunConfig,
+    _read_chain,
     band_table,
     frozen_initial_state,
     load_chain,
@@ -359,7 +359,7 @@ def _cmd_report(args, config: RunConfig) -> int:
 
 def _cmd_cluster_mle(args, config: RunConfig) -> int:
     panel = read_panel(args.input, min_length=2)
-    chain = load_chain(args.chain)
+    chain = _read_chain(args.chain, bands=False)     # neither step reads the bands
     if tuple(chain.unit_ids) != panel.unit_ids:
         raise InvalidInputError("chain was fit on a different panel than --input")
     frozen = mle_trajectory_set(chain, args.top)
@@ -421,7 +421,11 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of ``COMMANDS``, for every argv ``_table_args``
+    declines; argparse is imported here, so a well-formed argv never loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="arscreen",
         description="Screen panels of AR(1) series for nonzero mean trajectories.")
@@ -434,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _table_args(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse builds for a well-formed ``argv``, read from
+def _table_args(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes argparse sets for a well-formed ``argv``, read from
     ``COMMANDS``: a command, then ``--option value`` pairs of its options,
     each option at most once and every required one present, no value
     starting with '-' and every value converting. None for any other argv
@@ -455,7 +459,7 @@ def _table_args(argv: list[str]) -> argparse.Namespace | None:
             return None
     if any(required and flag not in given for flag, _, _, required, _ in table.values()):
         return None
-    return argparse.Namespace(command=argv[0], func=func, **{
+    return SimpleNamespace(command=argv[0], func=func, **{
         flag[2:].replace("-", "_"): given.get(flag, default)
         for flag, _, default, _, _ in table.values()})
 

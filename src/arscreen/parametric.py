@@ -14,15 +14,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .ar_core import (
-    LOG_2PI,
     LagStats,
     SeriesPanel,
     _lag_coefficient_slopes,
+    _lag_coefficients,
     log_shift_bayes_factor,
 )
 # Bound only for the probes in bench/layers.py; not called here (counts read 0).
@@ -182,8 +182,10 @@ def _log_target(stats: LagStats, prior: ParametricPrior, xs: np.ndarray) -> np.n
     Jacobian included, with ``_PENALTY`` wherever it is not finite.
 
     Each unit's likelihood is the two-point mixture (1 - p) null + p alt,
-    whose Gaussian parts come from the lag statistics for a block of rows
-    at once.
+    whose log is null + log(1 - p) + softplus(z) with z = logit p + logbf.
+    The nulls sum to the null of the pooled row ``stats.total``, O(D) per
+    row of ``xs``; per unit, only the mean-shift parts q_y1 and s11 and
+    softplus(z) remain, scored for a block of rows at once.
     """
     xs = np.atleast_2d(xs)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -193,49 +195,74 @@ def _log_target(stats: LagStats, prior: ParametricPrior, xs: np.ndarray) -> np.n
     # log_jac is finite exactly where |phi| < 1, 0 < v < inf and 0 < p < 1.
     keep = np.flatnonzero(np.isfinite(lp))
     total = np.full(len(xs), _PENALTY)
-    for rows in _blocks(len(stats.terms), keep.size):
+    n_units = len(stats.terms)
+    total[keep] = stats.total.loglik(phi[keep], v[keep])[0] + n_units * np.log1p(-p[keep]) + lp[keep]
+    for rows in _blocks(n_units, keep.size):
         k = keep[rows]
-        q_yy, q_y1, s11, logdet = stats.gaussian_parts(phi[k], v[k])
-        null = -0.5 * (stats.length[:, None] * LOG_2PI + logdet + q_yy)
-        logbf = log_shift_bayes_factor(q_y1, s11, prior.shift_var)
-        total[k] = np.sum(null + np.logaddexp(np.log1p(-p[k]), np.log(p[k]) + logbf), axis=0) + lp[k]
+        z = xs[k, 2] + log_shift_bayes_factor(*stats.shift_parts(phi[k], v[k]), prior.shift_var)
+        # softplus(z) = max(z, 0) + log1p(exp(-|z|)): np.logaddexp(0, z) takes 4x as long
+        total[k] += np.sum(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))), axis=0)
     return np.where(np.isfinite(total), total, _PENALTY)
 
 
-def _grad_log_target(stats: LagStats, prior: ParametricPrior, x: np.ndarray) -> np.ndarray:
-    """Gradient of ``_log_target`` at one point x = (atanh phi, log v, logit p), in O(N D).
+def _unit_sums(cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``weights @ cols.T``: for M rows of ``weights`` and N rows of ``cols``,
+    the (M, N) weighted sums of each row of ``cols``, added column by column
+    elementwise, so that a row of ``weights`` gives the same bits in any
+    stack (a matrix product may round differently with the stack's height)."""
+    out = weights[:, :1] * cols[:, 0]
+    for k in range(1, cols.shape[1]):
+        out += weights[:, k:k + 1] * cols[:, k]
+    return out
 
-    Each unit enters through its Gaussian parts, which are linear in the
-    lag statistics, and through logbf, which its inclusion odds
-    r = expit(logit p + logbf) weight in the mixture. So the phi slope is
-    the statistics' column sums times ``_lag_coefficient_slopes``; in log v
-    every weight but logdet's flips sign; the logit-p slope is sum (r - p).
+
+def _grad_log_target(stats: LagStats, prior: ParametricPrior, xs: np.ndarray) -> np.ndarray:
+    """Gradient of ``_log_target`` at each row x = (atanh phi, log v, logit p) of
+    ``xs``, in O(N D) per row; a single x gives a single gradient.
+
+    The null enters through the pooled row ``stats.total``, whose Gaussian
+    parts are linear in its statistics. Each unit enters through logbf,
+    which its inclusion odds r = expit(logit p + logbf) weight in the
+    mixture, and logbf reads the unit's q_y1 and s11. So the phi slope
+    takes the statistics times ``_lag_coefficient_slopes``; in log v every
+    weight but logdet's flips sign; the logit-p slope is sum (r - p). Every
+    sum runs along one row of its own (no matrix product), so a point's
+    gradient is the same bits alone or in any stack; meant for a few points
+    at once, as it holds (points, units, columns) arrays.
     """
-    phi, v, p = np.tanh(x[0]), np.exp(x[1]), expit(x[2])
+    xs = np.asarray(xs, dtype=float)
+    x = np.atleast_2d(xs)
+    phi, v, p = np.tanh(x[:, 0]), np.exp(x[:, 1]), expit(x[:, 2])
     c = prior.shift_var
-    q_yy, q_y1, s11, _ = stats.gaussian_parts(phi, v)
+    k = 1 + len(stats.sizes)
+    counts, total = stats.terms[:, :k], stats.total.terms[0]
+    _, w_qyy, w_s11, w_qy1 = _lag_coefficients(phi, v, stats.sizes)
+    d_logdet, d_qyy, d_s11, d_qy1 = _lag_coefficient_slopes(phi, v, stats.sizes)
+    q_y1, s11 = _unit_sums(stats.linear, w_qy1), _unit_sums(counts, w_s11)
     den = 1.0 + c * s11
-    r = expit(x[2] + log_shift_bayes_factor(q_y1, s11, c))
+    r = expit(x[:, 2:] + log_shift_bayes_factor(q_y1, s11, c))
     # r times the partial derivatives of logbf in s11 and in q_y1
     r_s11 = r * (-0.5 * c / den - 0.5 * np.square(c * q_y1 / den))
     r_q = r * c * q_y1 / den
-    k = 1 + len(stats.sizes)
-    counts, quad = stats.terms[:, :k], stats.terms[:, k:]
-    d_logdet, d_qyy, d_s11, d_qy1 = _lag_coefficient_slopes(phi, v, stats.sizes)
-    g_phi = (-0.5 * (counts.sum(axis=0) @ d_logdet + quad.sum(axis=0) @ d_qyy)
-             + (r_s11 @ counts) @ d_s11 + (r_q @ stats.linear) @ d_qy1
+    slopes = r_s11 * _unit_sums(counts, d_s11) + r_q * _unit_sums(stats.linear, d_qy1)
+    g_phi = (np.sum(slopes, axis=-1)
+             - 0.5 * np.sum(total * np.concatenate([d_logdet, d_qyy], axis=-1), axis=-1)
              - (phi - prior.phi_mean) / prior.phi_var * (1.0 - phi * phi) - 2.0 * phi)
-    g_v = (-0.5 * (counts.sum() - q_yy.sum()) - r_s11 @ s11 - r_q @ q_y1
-           - prior.var_shape + prior.var_scale / v)
-    g_p = np.sum(r - p) + 1.0 - 2.0 * p
-    return np.array([g_phi, g_v, g_p])
+    g_v = (-0.5 * (total[:k].sum() - np.sum(total[k:] * w_qyy, axis=-1))
+           - np.sum(r_s11 * s11 + r_q * q_y1, axis=-1) - prior.var_shape + prior.var_scale / v)
+    g_p = np.sum(r - p[:, None], axis=-1) + 1.0 - 2.0 * p
+    g = np.stack([g_phi, g_v, g_p], axis=-1)
+    return g.reshape(xs.shape)
 
 
-def _grad_hessian(grad, x: np.ndarray) -> np.ndarray:
-    """Symmetrized central-difference Hessian from the gradient ``grad`` at x."""
+def _derivatives(stats: LagStats, prior: ParametricPrior, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of ``_log_target`` at x and its symmetrized Hessian by central
+    differences of the gradient (Nocedal & Wright 2006, §8.1), from one
+    ``_grad_log_target`` call on the stencil x, x + h e_i, x - h e_i."""
     h = 1e-5 * np.maximum(1.0, np.abs(x))
-    H = np.array([(grad(x + e) - grad(x - e)) / (2.0 * hi) for e, hi in zip(np.diag(h), h)])
-    return 0.5 * (H + H.T)
+    g = _grad_log_target(stats, prior, np.vstack([x, x + np.diag(h), x - np.diag(h)]))
+    H = (g[1:1 + x.size] - g[1 + x.size:]) / (2.0 * h[:, None])
+    return g[0], 0.5 * (H + H.T)
 
 
 _GRAD_TOL = 1e-6
@@ -250,14 +277,15 @@ def _newton_ascent(stats: LagStats, prior: ParametricPrior, x: np.ndarray) -> Po
     the step's predicted rise (Armijo). A predicted rise below the target's
     rounding error, about N ulps of the target over N units (Higham 2002,
     §4.2), cannot be told from noise: such a step is taken once it halves
-    max |gradient| instead. Stops when max |gradient| < 1e-6, when no step
-    makes progress, or at a non-finite gradient or curvature.
+    max |gradient| instead, probed by a single gradient. Stops when
+    max |gradient| < 1e-6, when no step makes progress, or at a non-finite
+    gradient or curvature. The start and each accepted iterate take their
+    gradient and curvature from one ``_derivatives`` call.
     """
-    grad = partial(_grad_log_target, stats, prior)
-    f, g = _log_target(stats, prior, x)[0], grad(x)
+    f = _log_target(stats, prior, x)[0]
+    g, H = _derivatives(stats, prior, x)
     it = 0
     while it < _MAX_NEWTON and np.all(np.isfinite(g)) and np.max(np.abs(g)) >= _GRAD_TOL:
-        H = _grad_hessian(grad, x)
         if not np.all(np.isfinite(H)):
             break
         step = _proposal_shape(-H) @ g
@@ -268,18 +296,18 @@ def _newton_ascent(stats: LagStats, prior: ParametricPrior, x: np.ndarray) -> Po
             f_new = _log_target(stats, prior, x_new)[0]
             rise = t * float(g @ step)
             if f_new >= f + 1e-4 * rise:
-                g_new = grad(x_new)
                 break
             if rise <= noise and f_new > _PENALTY:
-                g_new = grad(x_new)
+                g_new = _grad_log_target(stats, prior, x_new)      # a single-point probe
                 if np.max(np.abs(g_new)) <= 0.5 * np.max(np.abs(g)):
                     break
             t *= 0.5
         else:
             break
-        x, f, g = x_new, f_new, g_new
+        x, f = x_new, f_new
+        g, H = _derivatives(stats, prior, x)
         it += 1
-    return PosteriorMode(x, f, _grad_hessian(grad, x), it, float(np.max(np.abs(g))))
+    return PosteriorMode(x, f, H, it, float(np.max(np.abs(g))))
 
 
 def _proposal_shape(H: np.ndarray) -> np.ndarray:
@@ -385,7 +413,7 @@ def inclusion_probabilities_parametric(draws: WeightedDraws, panel: SeriesPanel,
     phi, v, p = draws.draws.T
     prob, s2_ww, s2_w = np.zeros((3, len(panel)))
     for rows in _blocks(len(panel), draws.n_draws):
-        _, q_y1, s11, _ = stats.gaussian_parts(phi[rows], v[rows])
+        q_y1, s11 = stats.shift_parts(phi[rows], v[rows])
         logbf = log_shift_bayes_factor(q_y1, s11, prior.shift_var)
         if not np.all(np.isfinite(logbf)):
             k, unit = np.argwhere(~np.isfinite(logbf.T))[0]   # first draw, then first unit

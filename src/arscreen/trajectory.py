@@ -778,6 +778,13 @@ def load_chain(path: str) -> ChainOutput:
     raises ``InvalidInputError`` naming the path (and the offending entry).
     The archive is opened once (``ChainFile``) and each entry read once,
     the scalars first."""
+    return _read_chain(path, bands=True)
+
+
+def _read_chain(path: str, bands: bool) -> ChainOutput:
+    """``load_chain``; without ``bands``, the ``band_samples`` entry must be
+    present but is never read, and the chain holds none of its sweeps
+    (``band_samples[:0]``, of the shape a written chain 0 keeps)."""
     with ChainFile(path) as z:
         entries = {}
         for k in _SCALAR_KEYS:
@@ -791,10 +798,14 @@ def load_chain(path: str) -> ChainOutput:
         missing = [k for k in _CHAIN_KEYS if k not in z]
         if missing:
             raise InvalidInputError(f"chain file {path} lacks entry {missing[0]!r}")
-        entries.update((k, z[k]) for k in _CHAIN_KEYS if k not in entries)
+        entries.update((k, z[k]) for k in _CHAIN_KEYS
+                       if k not in entries and (bands or k != "band_samples"))
     cast = {"int": int, "str": str, "tuple[str, ...]": lambda a: tuple(map(str, a))}
     values = {f.name: _converted(path, f.name, cast.get(f.type, np.asarray), entries[f.name])
-              for f in fields(ChainOutput) if f.name != "kernel"}
+              for f in fields(ChainOutput) if f.name in entries}
+    if not bands:
+        values["band_samples"] = np.empty((0, len(values["unit_ids"]), values["grid"].size),
+                                          dtype=np.float32)
     kernel = GpKernelParams(*(_converted(path, k, float, entries[k])
                               for k in ("kernel_variance", "kernel_length_scale")))
     chain = ChainOutput(**values, kernel=kernel)
@@ -802,7 +813,7 @@ def load_chain(path: str) -> ChainOutput:
     lf, lg = chain.best_flat_weights.size, chain.best_gp_weights.size
     shapes = {"inclusion": (n,), "logliks": (k,), "comp_probs": (k, 3), "comp_counts": (k, 3),
               "gamma": (len(chain.gamma_sweeps), n),
-              "band_samples": (len(chain.band_sweeps), n, G),
+              "band_samples": (len(chain.band_sweeps) if bands else 0, n, G),
               "best_component_probs": (3,), "best_flat_weights": (lf,), "best_flat_levels": (lf,),
               "best_gp_weights": (lg,), "best_gp_paths": (lg, G),
               "best_unit_component": (n,), "best_unit_atom": (n,)}

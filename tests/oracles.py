@@ -5,8 +5,11 @@ exhaustive enumeration. No code is shared with the package beyond numpy
 and scipy, so agreement is meaningful. The exceptions are the
 successive-conditional data draw, which reads the sampler state it redraws
 data for (``trajectory._trajectory_matrix``), since the test checks the
-sweeps, not that read, and the per-row panel reader, which returns the
-package's panel types so that panels compare field by field.
+sweeps, not that read; the per-row panel reader, which returns the
+package's panel types so that panels compare field by field; and the
+parametric screen's single-point forms, which read the package's lag
+statistics and their slopes, since they check how the target and its
+derivatives are assembled from them, not the statistics.
 """
 
 from __future__ import annotations
@@ -432,6 +435,71 @@ def maximize(f, grad, x0) -> np.ndarray:
         res = minimize(lambda x: (-f(x), -grad(x)), x0, jac=True, method="BFGS",
                        options={"gtol": 1e-9, "maxiter": 1000})
     return res.x
+
+
+# --- the parametric screen's single-point forms, kept as references ---
+#
+# ``parametric`` now scores the null of every point from the panel's pooled
+# lag statistics and takes the gradient and curvature of a Newton iterate
+# from one stacked gradient call. These are the forms it replaced: each
+# unit's null from its own ``LagStats.gaussian_parts`` row, the gradient at
+# one point, and the curvature from six gradient calls.
+
+
+def parametric_log_target_per_unit(stats, prior, xs) -> np.ndarray:
+    """The screen's log target at each row x = (atanh phi, log v, logit p) of
+    ``xs``, with each unit's null scored separately from its Gaussian parts;
+    ``PENALTY`` wherever it is not finite."""
+    from scipy.special import expit
+
+    xs = np.atleast_2d(xs)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phi, v, p = np.tanh(xs[:, 0]), np.exp(xs[:, 1]), expit(xs[:, 2])
+        lp = (prior.log_density_phi_v(phi, v)
+              + np.log1p(-phi * phi) + np.log(v) + np.log(p) + np.log1p(-p))
+    k = np.flatnonzero(np.isfinite(lp))
+    total = np.full(len(xs), PENALTY)
+    q_yy, q_y1, s11, logdet = stats.gaussian_parts(phi[k], v[k])
+    null = -0.5 * (stats.length[:, None] * np.log(2.0 * np.pi) + logdet + q_yy)
+    den = 1.0 + prior.shift_var * s11
+    logbf = -0.5 * np.log(den) + 0.5 * prior.shift_var * q_y1 ** 2 / den
+    total[k] = np.sum(null + np.logaddexp(np.log1p(-p[k]), np.log(p[k]) + logbf), axis=0) + lp[k]
+    return np.where(np.isfinite(total), total, PENALTY)
+
+
+def parametric_grad_per_unit(stats, prior, x) -> np.ndarray:
+    """Gradient of the screen's log target at one point x, with each unit's
+    null part summed from its own statistics rows."""
+    from scipy.special import expit
+
+    from arscreen.ar_core import _lag_coefficient_slopes
+
+    phi, v, p = np.tanh(x[0]), np.exp(x[1]), expit(x[2])
+    c = prior.shift_var
+    q_yy, q_y1, s11, _ = stats.gaussian_parts(phi, v)
+    den = 1.0 + c * s11
+    logbf = -0.5 * np.log(den) + 0.5 * c * q_y1 ** 2 / den
+    r = expit(x[2] + logbf)
+    r_s11 = r * (-0.5 * c / den - 0.5 * np.square(c * q_y1 / den))
+    r_q = r * c * q_y1 / den
+    k = 1 + len(stats.sizes)
+    counts, quad = stats.terms[:, :k], stats.terms[:, k:]
+    d_logdet, d_qyy, d_s11, d_qy1 = _lag_coefficient_slopes(phi, v, stats.sizes)
+    g_phi = (-0.5 * (counts.sum(axis=0) @ d_logdet + quad.sum(axis=0) @ d_qyy)
+             + (r_s11 @ counts) @ d_s11 + (r_q @ stats.linear) @ d_qy1
+             - (phi - prior.phi_mean) / prior.phi_var * (1.0 - phi * phi) - 2.0 * phi)
+    g_v = (-0.5 * (counts.sum() - q_yy.sum()) - r_s11 @ s11 - r_q @ q_y1
+           - prior.var_shape + prior.var_scale / v)
+    g_p = np.sum(r - p) + 1.0 - 2.0 * p
+    return np.array([g_phi, g_v, g_p])
+
+
+def grad_hessian_six_calls(grad, x: np.ndarray) -> np.ndarray:
+    """Symmetrized central-difference Hessian from the gradient ``grad`` at x,
+    one call at x + h e_i and one at x - h e_i per coordinate."""
+    h = 1e-5 * np.maximum(1.0, np.abs(x))
+    H = np.array([(grad(x + e) - grad(x - e)) / (2.0 * hi) for e, hi in zip(np.diag(h), h)])
+    return 0.5 * (H + H.T)
 
 
 def pool_add_at(terms: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:

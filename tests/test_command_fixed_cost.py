@@ -10,6 +10,7 @@ replaces.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import os
@@ -147,6 +148,20 @@ def test_chain_entries_equal_np_load(chain_path):
         assert sorted(z.files) == sorted(trajectory._CHAIN_KEYS)
         for k in z.files:
             _assert_same_arrays(c[k], z[k], k)
+
+
+def test_chain_without_bands_equals_load_chain(chain_path):
+    """``cluster-mle``'s read: every other field as ``load_chain`` reads it,
+    and no band sweep."""
+    full, lean = trajectory.load_chain(chain_path), trajectory._read_chain(chain_path, bands=False)
+    for f in dataclasses.fields(full):
+        a, b = getattr(full, f.name), getattr(lean, f.name)
+        if f.name == "band_samples":
+            assert len(a) and b.shape == (0,) + a.shape[1:] and b.dtype == a.dtype
+        elif isinstance(a, np.ndarray):
+            _assert_same_arrays(b, a, f.name)
+        else:
+            assert b == a, f.name
 
 
 def test_npy_layouts_equal_np_load(tmp_path):
@@ -405,9 +420,10 @@ README_PIPELINE = [
 
 def test_pipeline_pays_each_fixed_cost_once(tmp_path, monkeypatch):
     """The six README-pipeline commands run without building argparse;
-    ``report`` and ``cluster-mle`` read each chain entry once, ``fit-np``
-    reads two entries of chain 1; ``fit-parametric`` builds the panel's lag
-    statistics once and ``cluster-mle`` prepares one GP workspace."""
+    ``report`` reads each chain entry once, ``cluster-mle`` each entry but
+    the bands once and the bands never, ``fit-np`` reads two entries of
+    chain 1; ``fit-parametric`` builds the panel's lag statistics once and
+    ``cluster-mle`` prepares one GP workspace."""
     scenario, cfg = tmp_path / "scenario.cfg", tmp_path / "run.cfg"
     scenario.write_text("kind = mixture\nn_units = 12\nlength = 10\n"
                         "components = 0.3:0.4:0.5; 0.9:0.1:0.5\nshift_prob = 0.5\n")
@@ -446,8 +462,10 @@ def test_pipeline_pays_each_fixed_cost_once(tmp_path, monkeypatch):
         reads.clear()
         builds.clear()
         assert cli.main(argv) == 0, argv
-        if argv[0] in ("report", "cluster-mle"):
-            assert reads == entries, argv[0]
+        if argv[0] == "report":
+            assert reads == entries
+        if argv[0] == "cluster-mle":
+            assert reads == entries - Counter(["band_samples.npy"])
         if argv[0] == "fit-np":
             assert reads == Counter(["unit_ids.npy", "inclusion.npy"])
         if argv[0] == "fit-parametric":

@@ -4,7 +4,8 @@ Every CLI call pays the import before it starts, and the package runs on
 numpy alone: no scipy module is loaded, by the import or by a command (the
 tests use scipy only as a reference). A module imported inside a command
 would only move its cost into the command's time, so the six commands of
-the README pipeline must run without importing one.
+the README pipeline must run without importing one. Nor does a
+well-formed argv load argparse.
 """
 
 import json
@@ -19,6 +20,7 @@ import json, os, sys
 import arscreen.cli as cli
 
 scipy_at_import = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+argv_modules_at_import = sorted(m for m in ("argparse", "gettext") if m in sys.modules)
 before = set(sys.modules)
 w = sys.argv[1]
 with open(os.path.join(w, "scenario.cfg"), "w") as fh:
@@ -40,6 +42,9 @@ commands = [
 ]
 codes = {c[0]: cli.main(c) for c in commands}
 print(json.dumps({"scipy_at_import": scipy_at_import, "codes": codes,
+                  "argv_modules_at_import": argv_modules_at_import,
+                  "argv_modules_after": sorted(m for m in ("argparse", "gettext")
+                                               if m in sys.modules),
                   "scipy_after": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   "new": sorted(set(sys.modules) - before)}))
 """
@@ -76,6 +81,10 @@ def test_cli_imports_no_heavy_scipy_and_commands_import_nothing(tmp_path):
                                   "report", "cluster-mle"]
     assert all(rc == 0 for rc in got["codes"].values()), got["codes"]
     assert got["new"] == []
+    # A well-formed argv is read from ``cli.COMMANDS``: argparse, with the
+    # gettext it loads, is imported only for an argv that it reads.
+    assert got["argv_modules_at_import"] == []
+    assert got["argv_modules_after"] == []
 
 
 def test_pipeline_runs_with_scipy_blocked(tmp_path):
