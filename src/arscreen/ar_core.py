@@ -32,6 +32,7 @@ parametric and nonparametric screens.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -106,9 +107,9 @@ class SeriesPanel:
 
     def __post_init__(self):
         object.__setattr__(self, "series", tuple(self.series))
-        ids = [s.unit_id for s in self.series]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({u for u in ids if ids.count(u) > 1})
+        counts = Counter(s.unit_id for s in self.series)
+        if len(counts) != len(self.series):
+            dupes = sorted(u for u, c in counts.items() if c > 1)
             raise InvalidInputError(f"duplicate unit ids in panel: {dupes[:5]}")
         for s in self.series:
             if len(s) < self.min_length:
@@ -528,18 +529,11 @@ class LagStats:
         logdet, q_yy, _, _ = _lag_coefficients(phi, v, self.sizes)
         return self.terms @ _loglik_weights(logdet, q_yy).T
 
-    def gaussian_parts(self, phi, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-row (q_yy, q_y1, s11, logdet), as ``gaussian_parts`` returns
-        them for rows observed at their own times. As in ``loglik``, scalars
-        give one value per row and 1-d arrays of L pairs (rows, L) matrices."""
-        logdet, q_yy, s11, q_y1 = _lag_coefficients(phi, v, self.sizes)
-        k = 1 + len(self.sizes)
-        counts, quad = self.terms[..., :k], self.terms[..., k:]
-        return quad @ q_yy.T, self.linear @ q_y1.T, counts @ s11.T, counts @ logdet.T
-
     def shift_parts(self, phi, v) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row (q_y1, s11), the two ``gaussian_parts`` a mean shift reads,
-        by the same products and in the same shapes."""
+        """Per-row (q_y1, s11), the two of ``gaussian_parts``' results that a
+        mean shift reads, for rows observed at their own times. As in
+        ``loglik``, scalars give one value per row and 1-d arrays of L pairs
+        (rows, L) matrices."""
         _, _, s11, q_y1 = _lag_coefficients(phi, v, self.sizes)
         return self.linear @ q_y1.T, self.terms[..., :1 + len(self.sizes)] @ s11.T
 

@@ -31,7 +31,7 @@ import numpy.random  # noqa: F401
 
 from .ar_core import SeriesPanel, cdf_standardize
 from .errors import ArscreenError, DomainError, InvalidInputError, NumericalError
-from .panel_io import _fmt, read_panel, write_panel, write_table
+from .panel_io import ColumnRows, _fmt, read_panel, write_panel, write_table
 from .parametric import (
     build_importance_sampler,
     inclusion_probabilities_parametric,
@@ -189,10 +189,9 @@ def _cmd_simulate(args, config: RunConfig) -> int:
     outdir = _ensure_outdir(args.output_dir)
     comments = _output_comments(args.seed, config.fingerprint())
     write_panel(panel, os.path.join(outdir, "panel.csv"), comments=comments)
-    rows = [[u, int(nn), int(c)]
-            for u, nn, c in zip(truth.unit_ids, truth.nonnull, truth.component)]
-    write_table(os.path.join(outdir, "truth.csv"),
-                ("unit_id", "nonnull", "component"), rows, comments)
+    write_table(os.path.join(outdir, "truth.csv"), ("unit_id", "nonnull", "component"),
+                ColumnRows(truth.unit_ids, truth.nonnull.astype(np.int64),
+                           truth.component.astype(np.int64)), comments)
     return 0
 
 
@@ -203,12 +202,12 @@ def _cmd_fit_parametric(args, config: RunConfig) -> int:
     mix_mode = posterior_mixing_mode(draws)
     outdir = _ensure_outdir(args.output_dir)
     comments = _output_comments(args.seed, config.fingerprint())
-    rows = [[u, p, se, int(p >= args.threshold)] for u, p, se in
-            zip(summary.unit_ids, summary.probability.tolist(), summary.mc_stderr.tolist())]
+    flags = (summary.probability >= args.threshold).astype(np.int64)
     write_table(os.path.join(outdir, "parametric_inclusion.csv"),
                 ("unit_id", "inclusion", "mc_stderr", f"flagged_at_{_fmt(args.threshold)}"),
-                rows, comments)
-    n_flag = int(np.sum(summary.probability >= args.threshold))
+                ColumnRows(summary.unit_ids, summary.probability, summary.mc_stderr, flags),
+                comments)
+    n_flag = int(flags.sum())
     _write_lines(os.path.join(outdir, "parametric_summary.txt"), comments, [
         f"importance draws = {draws.draws.shape[0]}",
         f"effective sample size = {_fmt(draws.ess)}",
@@ -368,22 +367,21 @@ def _cmd_cluster_mle(args, config: RunConfig) -> int:
     outdir = _ensure_outdir(args.output_dir)
     comments = _output_comments(args.seed, config.fingerprint())
 
-    atom_rows = [[name, atom.kind, atom.weight,
-                  _fmt(atom.level) if atom.kind == "flat" else " ".join(map(_fmt, atom.path))]
-                 for name, atom in zip(frozen.names, frozen.atoms)]
-    write_table(os.path.join(outdir, "mle_atoms.csv"),
-                ("name", "kind", "weight", "values"), atom_rows,
+    atoms = frozen.atoms
+    values = [_fmt(a.level) if a.kind == "flat" else " ".join(map(_fmt, a.path)) for a in atoms]
+    write_table(os.path.join(outdir, "mle_atoms.csv"), ("name", "kind", "weight", "values"),
+                ColumnRows(frozen.names, [a.kind for a in atoms], [a.weight for a in atoms], values),
                 comments + (f"mle sweep = {frozen.sweep}",
                             f"complete-data loglik = {_fmt(frozen.loglik)}"))
 
     header = ("identifier", "name") + result.cluster_names + ("other", "null")
-    percent = result.membership_percent.tolist()
-    rows = [[u, u, *row] for u, row in zip(result.unit_ids, percent)]
-    write_table(os.path.join(outdir, "membership.csv"), header, rows, comments)
+    percent = result.membership_percent
+    write_table(os.path.join(outdir, "membership.csv"), header,
+                ColumnRows(result.unit_ids, result.unit_ids, *percent.T), comments)
 
     width = max(len(h) for h in header)
     table = [header] + [[u, u] + [f"{x:.0f}" for x in row]
-                        for u, row in zip(result.unit_ids, percent)]
+                        for u, row in zip(result.unit_ids, percent.tolist())]
     _write_lines(os.path.join(outdir, "membership_summary.txt"),
                  comments + (f"frozen atom digest = {result.atom_digest}",),
                  ["  ".join(c.ljust(width) for c in cells).rstrip() for cells in table])

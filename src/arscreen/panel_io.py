@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 from collections.abc import Sequence
-from itertools import chain, filterfalse, islice, repeat
+from itertools import chain, filterfalse, repeat
 from operator import methodcaller
 
 import numpy as np
@@ -156,24 +156,14 @@ def _raise_at_bad_row(path: str) -> None:
                 raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
 
 
-def write_panel(panel: SeriesPanel, path: str, comments: tuple[str, ...] = ()) -> None:
-    """Write a panel file, one row per observation, each unit's rows from
-    its times' and values' ``tolist()``."""
-    with open(path, "w", newline="") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        writer = csv.writer(fh)
-        writer.writerow(PANEL_HEADER)
-        for s in panel:
-            writer.writerows(zip(repeat(s.unit_id), s.times.tolist(), s.values.tolist()))
-
-
 class ColumnRows(Sequence):
-    """Table rows held as equal-length columns, each a list of Python
+    """Table rows held as equal-length columns, each a sequence of Python
     scalars or a numpy array: row i is the tuple of every column's entry i,
     and no tuple is kept per row."""
 
     def __init__(self, *columns):
+        if len(set(map(len, columns))) != 1:
+            raise ValueError("a table needs one or more columns, all of the same length")
         self.columns = columns
 
     def __len__(self) -> int:
@@ -238,17 +228,10 @@ def _render(column) -> list[str]:
     return [_quote(_fmt(x)) for x in column]
 
 
-def _blocks(rows):
+def _blocks(rows: ColumnRows):
     """The columns of each block of ``BLOCK_ROWS`` rows of a table."""
-    if isinstance(rows, ColumnRows):
-        for start in range(0, len(rows), BLOCK_ROWS):
-            yield [c[start:start + BLOCK_ROWS] for c in rows.columns]
-        return
-    it = iter(rows)
-    while block := list(islice(it, BLOCK_ROWS)):
-        if len(set(map(len, block))) != 1:
-            raise ValueError("table rows must all have the same number of cells")
-        yield list(zip(*block))
+    for start in range(0, len(rows), BLOCK_ROWS):
+        yield [c[start:start + BLOCK_ROWS] for c in rows.columns]
 
 
 def _lines(columns) -> str:
@@ -261,13 +244,13 @@ def _lines(columns) -> str:
     return text + "\r\n" if text else text
 
 
-def write_table(path: str, header: tuple[str, ...], rows, comments: tuple[str, ...] = ()) -> None:
-    """Write a CSV result table with leading comment lines, as csv's excel
-    dialect writes cells that are each formatted by ``_fmt``: a float
-    (Python or numpy) by repr, anything else by str. ``rows`` is a
-    ``ColumnRows`` (whose float columns may be numpy arrays) or a sequence
-    of equal-length rows. The rows are rendered a block at a time
-    (``_render``) and each block is written as one string."""
+def write_table(path: str, header: tuple[str, ...], rows: ColumnRows,
+                comments: tuple[str, ...] = ()) -> None:
+    """Write a CSV table with leading comment lines, as csv's excel dialect
+    writes cells that are each formatted by ``_fmt``: a float (Python or
+    numpy) by repr, anything else by str. The rows are rendered a block at
+    a time (``_render``) and each block is written as one string. Panels
+    and every command's result tables are written here."""
     with open(path, "w", newline="") as fh:
         fh.write("".join(f"# {c}\n" for c in comments))
         fh.write(_lines([[_quote(_fmt(h))] for h in header]))    # one row of one-cell columns
@@ -275,14 +258,10 @@ def write_table(path: str, header: tuple[str, ...], rows, comments: tuple[str, .
             fh.write(_lines([_render(c) for c in columns]))
 
 
-def read_table(path: str) -> tuple[tuple[str, ...], list[list[str]]]:
-    """Read a CSV table written by ``write_table``, skipping comments."""
-    if not os.path.exists(path):
-        raise InvalidInputError(f"table file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise InvalidInputError(f"{path}: empty table") from None
-        return header, [row for row in reader if row]
+def write_panel(panel: SeriesPanel, path: str, comments: tuple[str, ...] = ()) -> None:
+    """Write a panel file, one row per observation, through ``write_table``
+    over the panel's flat id, time and value columns."""
+    ids = list(chain.from_iterable(repeat(s.unit_id, len(s)) for s in panel))
+    times = np.concatenate([s.times for s in panel] + [np.empty(0, dtype=np.int64)])
+    values = np.concatenate([s.values for s in panel] + [np.empty(0)])
+    write_table(path, PANEL_HEADER, ColumnRows(ids, times, values), comments)

@@ -91,11 +91,10 @@ def gp_covariance(kernel: GpKernelParams, times) -> np.ndarray:
 @dataclass
 class GpWorkspace:
     """Per-chain cache of the grid kernel as a rank-r eigen root: the prior
-    covariance is cov = factor @ factor.T."""
+    covariance the sampler uses is factor @ factor.T."""
 
     grid: np.ndarray
     kernel: GpKernelParams
-    cov: np.ndarray        # (G, G) prior covariance the sampler uses, L L'
     factor: np.ndarray     # (G, r) L = U_r Lambda_r^(1/2) over the kept eigenpairs
     dropped_variance: float     # sum of the dropped eigenvalues (negative ones as 0)
     # The constants of the sweeps over one step table (``_chain_index``).
@@ -121,8 +120,7 @@ def prepare_gp_workspace(kernel: GpKernelParams, grid) -> GpWorkspace:
     values, vectors = np.linalg.eigh(gp_covariance(kernel, grid))
     keep = values > EIGEN_FLOOR * kernel.variance
     factor = vectors[:, keep] * np.sqrt(values[keep])
-    return GpWorkspace(grid, kernel, factor @ factor.T, factor,
-                       float(np.maximum(values[~keep], 0.0).sum()))
+    return GpWorkspace(grid, kernel, factor, float(np.maximum(values[~keep], 0.0).sum()))
 
 
 @dataclass
@@ -966,7 +964,7 @@ BAND_HEADER = ("unit_id", "time", "band_lo", "band_mid", "band_hi")
 @dataclass
 class ReportBundle:
     inclusion_header: tuple[str, ...]
-    inclusion_rows: list[list]
+    inclusion_rows: ColumnRows
     band_header: tuple[str, ...]
     band_rows: ColumnRows       # ``band_table`` of the chain
     summary_lines: list[str]
@@ -1021,11 +1019,11 @@ def report_summaries(chain: ChainOutput,
     unit_ids = chain.unit_ids
     inclusion = np.asarray(chain.inclusion)
     inc_header = ("unit_id", "inclusion") + tuple(f"flagged_at_{_fmt(t)}" for t in thresholds)
-    inc_rows = [[u, p] + [int(p >= t) for t in thresholds]
-                for u, p in zip(unit_ids, inclusion.tolist())]
-    lines = [f"flagged {int(np.sum(inclusion >= t))} of {len(unit_ids)} units "
-             f"at threshold {_fmt(t)}" for t in thresholds]
-    return ReportBundle(inc_header, inc_rows, BAND_HEADER, band_table(chain), lines)
+    flags = [(inclusion >= t).astype(np.int64) for t in thresholds]
+    lines = [f"flagged {int(f.sum())} of {len(unit_ids)} units at threshold {_fmt(t)}"
+             for f, t in zip(flags, thresholds)]
+    return ReportBundle(inc_header, ColumnRows(unit_ids, inclusion, *flags), BAND_HEADER,
+                        band_table(chain), lines)
 
 
 @dataclass

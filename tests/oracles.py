@@ -7,9 +7,10 @@ successive-conditional data draw, which reads the sampler state it redraws
 data for (``trajectory._trajectory_matrix``), since the test checks the
 sweeps, not that read; the per-row panel reader, which returns the
 package's panel types so that panels compare field by field; and the
-parametric screen's single-point forms, which read the package's lag
-statistics and their slopes, since they check how the target and its
-derivatives are assembled from them, not the statistics.
+parametric screen's single-point forms and ``lag_gaussian_parts``, which
+read the package's lag statistics and their coefficients and slopes, since
+they check how the target and its derivatives are assembled from them, not
+the statistics.
 """
 
 from __future__ import annotations
@@ -442,8 +443,21 @@ def maximize(f, grad, x0) -> np.ndarray:
 # ``parametric`` now scores the null of every point from the panel's pooled
 # lag statistics and takes the gradient and curvature of a Newton iterate
 # from one stacked gradient call. These are the forms it replaced: each
-# unit's null from its own ``LagStats.gaussian_parts`` row, the gradient at
-# one point, and the curvature from six gradient calls.
+# unit's null from its own ``lag_gaussian_parts`` row, the gradient at one
+# point, and the curvature from six gradient calls.
+
+
+def lag_gaussian_parts(stats, phi, v):
+    """Per-row (q_yy, q_y1, s11, logdet) of the lag statistics ``stats``, as
+    ``ar_core.gaussian_parts`` returns them for rows observed at their own
+    times. As in ``LagStats.loglik``, scalars give one value per row and 1-d
+    arrays of L pairs (rows, L) matrices."""
+    from arscreen.ar_core import _lag_coefficients
+
+    logdet, q_yy, s11, q_y1 = _lag_coefficients(phi, v, stats.sizes)
+    k = 1 + len(stats.sizes)
+    counts, quad = stats.terms[..., :k], stats.terms[..., k:]
+    return quad @ q_yy.T, stats.linear @ q_y1.T, counts @ s11.T, counts @ logdet.T
 
 
 def parametric_log_target_per_unit(stats, prior, xs) -> np.ndarray:
@@ -459,7 +473,7 @@ def parametric_log_target_per_unit(stats, prior, xs) -> np.ndarray:
               + np.log1p(-phi * phi) + np.log(v) + np.log(p) + np.log1p(-p))
     k = np.flatnonzero(np.isfinite(lp))
     total = np.full(len(xs), PENALTY)
-    q_yy, q_y1, s11, logdet = stats.gaussian_parts(phi[k], v[k])
+    q_yy, q_y1, s11, logdet = lag_gaussian_parts(stats, phi[k], v[k])
     null = -0.5 * (stats.length[:, None] * np.log(2.0 * np.pi) + logdet + q_yy)
     den = 1.0 + prior.shift_var * s11
     logbf = -0.5 * np.log(den) + 0.5 * prior.shift_var * q_y1 ** 2 / den
@@ -476,7 +490,7 @@ def parametric_grad_per_unit(stats, prior, x) -> np.ndarray:
 
     phi, v, p = np.tanh(x[0]), np.exp(x[1]), expit(x[2])
     c = prior.shift_var
-    q_yy, q_y1, s11, _ = stats.gaussian_parts(phi, v)
+    q_yy, q_y1, s11, _ = lag_gaussian_parts(stats, phi, v)
     den = 1.0 + c * s11
     logbf = -0.5 * np.log(den) + 0.5 * c * q_y1 ** 2 / den
     r = expit(x[2] + logbf)
@@ -615,6 +629,15 @@ def write_table_per_cell(path: str, header, rows, comments=()) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt_cell(x) for x in row])
+
+
+def read_table(path: str) -> tuple[tuple[str, ...], list[list[str]]]:
+    """The header and data rows of a CSV table, skipping '#' comment lines."""
+    import csv
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        return tuple(next(reader)), [row for row in reader if row]
 
 
 def write_panel_per_row(panel, path: str, comments=()) -> None:

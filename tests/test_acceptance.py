@@ -139,7 +139,7 @@ def test_criterion_1_oracle_equivalence():
         obs = [(pos, row, noise) for row in vals]
         mean, R = _stage_d_conditional(ws, pos, vals, phi, v)
         cov = whitened_gp_cov(ws.factor, R)
-        mean_o, cov_o = dense_gp_conditional(ws.cov, obs)
+        mean_o, cov_o = dense_gp_conditional(ws.factor @ ws.factor.T, obs)
         d3 = max(np.abs(mean - mean_o).max(), np.abs(cov - cov_o).max())
         worst = max(worst, d1, d2, d3)
     elapsed = time.time() - t0
@@ -318,7 +318,7 @@ def test_criterion_6_sampler_correctness():
                stats.kstest(level0[::C6_THIN["level0"]],
                             stats.norm(0, np.sqrt(cfg.kernel.variance)).cdf).pvalue,
                stats.kstest(path00[::C6_THIN["path00"]],
-                            stats.norm(0, np.sqrt(ws.cov[0, 0])).cdf).pvalue]
+                            stats.norm(0, np.sqrt((ws.factor @ ws.factor.T)[0, 0])).cdf).pvalue]
 
     # conjugate inverse-gamma QQ for the atom variance draw at phi = 0
     rng_q = stream(63, "qq")

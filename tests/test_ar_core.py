@@ -34,6 +34,7 @@ from oracles import (
     dense_ar1_cov,
     dense_ar1_loglik,
     dense_shift_loglik,
+    lag_gaussian_parts,
     pool_add_at,
     step_precision_per_unit,
 )
@@ -260,7 +261,8 @@ class TestLagStats:
         assert len(stats.sizes) >= 5
         for phi in (-0.999, 0.999, rng.uniform(-0.999, 0.999)):
             p = ArParams(float(phi), float(rng.uniform(0.05, 4.0)))
-            q_yy, q_y1, s11, logdet = stats.gaussian_parts(p.phi, p.v)
+            q_yy, q_y1, s11, logdet = lag_gaussian_parts(stats, p.phi, p.v)
+            assert all(map(np.array_equal, stats.shift_parts(p.phi, p.v), (q_y1, s11)))
             for i, s in enumerate(panel):
                 w_yy, w_y1, w_11, w_det = gaussian_parts(s.values, gap_table(s.times), p)
                 cov = dense_ar1_cov(p.phi, p.v, s.times)
@@ -281,7 +283,7 @@ class TestLagStats:
         phi = np.array([np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0)])
         assert np.all(np.isfinite(stats.loglik(phi, np.array([0.7, 0.7]))))
         for p in phi:
-            assert all(np.all(np.isfinite(x)) for x in stats.gaussian_parts(float(p), 0.7))
+            assert all(np.all(np.isfinite(x)) for x in lag_gaussian_parts(stats, float(p), 0.7))
 
     def test_pooled_row_scores_the_sum_of_its_members(self):
         rng = np.random.default_rng(9300)
@@ -407,6 +409,27 @@ class TestPanelTypes:
         s = ObservedSeries("a", np.array([0]), np.array([1.0]))
         with pytest.raises(InvalidInputError):
             SeriesPanel((s, s))
+
+    def test_duplicate_ids_counted_once(self):
+        """The ids are counted in one pass: a comparison per id pair would
+        call ``__eq__`` about N^2 times. The message lists the first five
+        duplicated ids, sorted."""
+        calls = [0]
+
+        class Id(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                calls[0] += 1
+                return str.__eq__(self, other)
+
+        names = [f"u{i:03d}" for i in range(300)] + [f"u{i:03d}" for i in range(156, 149, -1)]
+        one = (np.array([0]), np.array([1.0]))
+        series = [ObservedSeries(Id(u), *one) for u in names]
+        with pytest.raises(InvalidInputError) as err:
+            SeriesPanel(series)
+        assert str(err.value) == "duplicate unit ids in panel: ['u150', 'u151', 'u152', 'u153', 'u154']"
+        assert calls[0] <= 2 * len(names)
 
     def test_min_length_enforced(self):
         s = ObservedSeries("a", np.array([0, 1]), np.array([1.0, 2.0]))

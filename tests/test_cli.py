@@ -13,6 +13,7 @@ import pytest
 import arscreen.cli as cli
 from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel
 import oracles
+from oracles import read_table
 from arscreen.cli import (
     RunConfig,
     frozen_cluster_rerun,
@@ -28,7 +29,7 @@ from arscreen.cli import (
 )
 from arscreen.errors import DomainError, InvalidInputError, NumericalError
 from arscreen.mcmc import stream
-from arscreen.panel_io import ColumnRows, read_panel, read_table, write_panel, write_table
+from arscreen.panel_io import ColumnRows, read_panel, write_panel, write_table
 from arscreen.parametric import ParametricPrior
 from arscreen.simulation import simulate_ar1
 from arscreen.trajectory import DEFAULT_THRESHOLDS, ChainOutput, GpKernelParams, run_chain

@@ -9,9 +9,10 @@ import pytest
 
 from arscreen.ar_core import ObservedSeries, SeriesPanel
 from arscreen.errors import InvalidInputError
-from arscreen.panel_io import ColumnRows, read_panel, read_table, write_panel, write_table
+from arscreen.panel_io import ColumnRows, read_panel, write_panel, write_table
 
 import oracles
+from oracles import read_table
 
 
 def small_panel() -> SeriesPanel:
@@ -80,7 +81,7 @@ def test_min_length_filtering_error(tmp_path):
 
 def test_table_round_trip(tmp_path):
     path = tmp_path / "t.csv"
-    rows = [["a", 0.5, 1], ["b", 0.25, 0]]
+    rows = ColumnRows(["a", "b"], np.array([0.5, 0.25]), np.array([1, 0]))
     write_table(str(path), ("unit_id", "p", "flag"), rows, comments=("seed=1",))
     header, back = read_table(str(path))
     assert header == ("unit_id", "p", "flag")
@@ -88,12 +89,17 @@ def test_table_round_trip(tmp_path):
 
 
 def test_panel_writer_equals_per_row_writer(tmp_path):
-    """Values whose repr takes exponent form, -0.0, the smallest subnormal
-    and a unit id that needs quoting, written per unit and by the per-row
-    reference."""
+    """Values whose repr takes exponent form, 0.0 next to -0.0 in one block,
+    the smallest subnormal, and unit ids that need quoting, hold CR, LF or
+    non-ASCII text, or are empty, written by ``write_table``'s columns and
+    by the per-row reference."""
     panel = SeriesPanel((
         ObservedSeries('id,"quoted"', np.array([-3, 0, 7]), np.array([1e-05, -0.0, 1e16])),
         ObservedSeries("plain", np.array([1, 2, 40]), np.array([5e-324, -2.5, 0.1])),
+        ObservedSeries("cr\rhere", np.array([0, 1]), np.array([0.0, -0.0])),
+        ObservedSeries("lf\nhere", np.array([5]), np.array([-0.0])),
+        ObservedSeries("Zürich 東京", np.array([2, 3]), np.array([0.0, 2.5])),
+        ObservedSeries("", np.array([-1, 9]), np.array([-7.0, 0.0])),
     ))
     comments = ("seed = 1", "config = abc")
     write_panel(panel, str(tmp_path / "new.csv"), comments=comments)
@@ -101,6 +107,9 @@ def test_panel_writer_equals_per_row_writer(tmp_path):
     text = (tmp_path / "new.csv").read_bytes()
     assert text == (tmp_path / "ref.csv").read_bytes()
     assert b'"id,""quoted""",-3,1e-05' in text and b"5e-324" in text and b",-0.0\r\n" in text
+    assert b'"cr\rhere",0,0.0\r\n"cr\rhere",1,-0.0\r\n' in text
+    assert b'"lf\nhere",5,-0.0' in text and "Zürich 東京,2,0.0".encode() in text
+    assert text.endswith(b"\r\n,-1,-7.0\r\n,9,0.0\r\n")
 
 
 def _messy_panel(path, rng):
@@ -181,15 +190,16 @@ EDGE_HEADER = ("id", 'x,"y"', "value")
 @pytest.mark.parametrize("n_rows", [len(EDGE_COLUMNS[0]), 0])
 def test_writer_edge_cases_equal_per_cell_writer(tmp_path, n_rows):
     """``write_table`` against the per-cell reference, byte for byte, from
-    columns and from rows; a memo of formatted floats keyed by value alone
-    would write -0.0 as 0.0 (or 0.0 as -0.0)."""
+    columns of Python scalars and with the floats as an array; a memo of
+    formatted floats keyed by value alone would write -0.0 as 0.0 (or 0.0
+    as -0.0)."""
     columns = [c[:n_rows] for c in EDGE_COLUMNS]
     rows = [list(r) for r in zip(*columns)]
     comments = ("seed = 1", "config = abc")
     oracles.write_table_per_cell(str(tmp_path / "ref.csv"), EDGE_HEADER, rows, comments)
     want = (tmp_path / "ref.csv").read_bytes()
     tables = {"columns": ColumnRows(*columns), "floats as an array": ColumnRows(
-        columns[0], columns[1], np.array(columns[2])), "rows": rows}
+        columns[0], columns[1], np.array(columns[2]))}
     for name, table in tables.items():
         write_table(str(tmp_path / "new.csv"), EDGE_HEADER, table, comments)
         assert (tmp_path / "new.csv").read_bytes() == want, name
@@ -202,20 +212,21 @@ def test_writer_edge_cases_equal_per_cell_writer(tmp_path, n_rows):
 def test_writer_one_column_table_equals_per_cell_writer(tmp_path):
     """csv quotes an empty cell that is a row's only field, and an empty
     one-cell header, so that no line is blank."""
-    rows = [[""], ["a"], [""], [-0.0]]
-    oracles.write_table_per_cell(str(tmp_path / "ref.csv"), ("",), rows)
+    column = ["", "a", "", -0.0]
+    oracles.write_table_per_cell(str(tmp_path / "ref.csv"), ("",), [[x] for x in column])
     want = (tmp_path / "ref.csv").read_bytes()
     assert want == b'""\r\n""\r\na\r\n""\r\n-0.0\r\n'
-    for table in (rows, ColumnRows(["", "a", "", -0.0])):
-        write_table(str(tmp_path / "new.csv"), ("",), table)
-        assert (tmp_path / "new.csv").read_bytes() == want
+    write_table(str(tmp_path / "new.csv"), ("",), ColumnRows(column))
+    assert (tmp_path / "new.csv").read_bytes() == want
 
 
-def test_writer_rejects_rows_of_unequal_length(tmp_path):
-    """Rows are written as columns, which would drop the cells a longer row
-    has past the shortest one."""
-    with pytest.raises(ValueError, match="same number of cells"):
-        write_table(str(tmp_path / "t.csv"), ("a", "b"), [["x", 1], ["y", 2, 3]])
+def test_column_rows_reject_columns_of_unequal_length():
+    """Rows are read across the columns, so a longer column's cells past the
+    shortest one would be dropped; a table without columns has no rows to
+    count."""
+    for columns in ((["x", "y"], np.array([1, 2, 3])), (["x"], [], ["z"]), ()):
+        with pytest.raises(ValueError, match="same length"):
+            ColumnRows(*columns)
 
 
 def _traced_write_peak(path, n_rows: int) -> int:

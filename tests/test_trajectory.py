@@ -83,9 +83,8 @@ class TestKernel:
         assert ws.rank == keep.sum() == ws.factor.shape[1]
         assert np.allclose(ws.factor @ ws.factor.T, (U[:, keep] * w[keep]) @ U[:, keep].T,
                            rtol=0.0, atol=1e-12 * variance)
-        assert np.array_equal(ws.cov, ws.factor @ ws.factor.T)
         assert 0.0 <= ws.dropped_variance <= 40 * 1e-8 * variance
-        assert abs(np.trace(kernel - ws.cov) - ws.dropped_variance) < 1e-12 * variance
+        assert abs(np.trace(kernel - ws.factor @ ws.factor.T) - ws.dropped_variance) < 1e-12 * variance
 
     def test_default_kernel_ranks(self):
         for G, r in ((40, 11), (50, 12), (200, 37)):
@@ -187,7 +186,7 @@ class TestKrigingUpdate:
         mean, R = gp_atom_conditional(
             ws, *_whitened_terms(ws, *dense_gp_precision_terms(16, oracle_obs)))
         cov = whitened_gp_cov(ws.factor, R)
-        mean_o, cov_o = dense_gp_conditional(ws.cov, oracle_obs)
+        mean_o, cov_o = dense_gp_conditional(ws.factor @ ws.factor.T, oracle_obs)
         assert np.allclose(mean, mean_o, atol=1e-8)
         assert np.allclose(cov, cov_o, atol=1e-8)
 
@@ -200,7 +199,7 @@ class TestKrigingUpdate:
             ws, *_whitened_terms(ws, *dense_gp_precision_terms(16, oracle_obs)))
         r = ws.rank
         A = _gp_draw(ws, np.zeros((r, 16)), np.repeat(R[None], r, axis=0), np.eye(r))
-        _, cov_o = dense_gp_conditional(ws.cov, oracle_obs)
+        _, cov_o = dense_gp_conditional(ws.factor @ ws.factor.T, oracle_obs)
         assert np.allclose(A.T @ A, cov_o, atol=1e-8)
 
     def test_stacked_call_equals_single_calls(self):
@@ -219,7 +218,7 @@ class TestKrigingUpdate:
         ws = prepare_gp_workspace(GpKernelParams(1.25, 13.0), np.arange(8))
         mean, R = gp_atom_conditional(ws, *_whitened_terms(ws, np.zeros((8, 8)), np.zeros(8)))
         assert np.allclose(mean, 0.0)
-        assert np.allclose(whitened_gp_cov(ws.factor, R), ws.cov, atol=1e-10)
+        assert np.allclose(whitened_gp_cov(ws.factor, R), ws.factor @ ws.factor.T, atol=1e-10)
 
     def test_tight_noise_pins_prior_draw(self):
         grid = np.arange(10, dtype=np.int64)
@@ -275,7 +274,7 @@ class TestGpAtomTerms:
         noise = _unit_noise(state, table)
         ws = prepare_gp_workspace(SMALL_CONFIG.kernel, grid)
         # With the identity as the factor the whitened terms are S and b.
-        identity = GpWorkspace(grid, ws.kernel, np.eye(20), np.eye(20), 0.0)
+        identity = GpWorkspace(grid, ws.kernel, np.eye(20), 0.0)
         for L, w in ((np.eye(20), identity), (ws.factor, ws)):
             S_all, b_all = _gp_atom_terms(noise, table, labels, np.arange(3), w)
             for k in range(3):
@@ -544,7 +543,7 @@ class TestPriorInvariance:
         k1 = SMALL_CONFIG.kernel.variance
         assert stats.kstest(level0[::PRIOR_INV_THIN["level0"]],
                             stats.norm(0, np.sqrt(k1)).cdf).pvalue > 0.01
-        sd_path = np.sqrt(ws.cov[0, 0])
+        sd_path = np.sqrt((ws.factor @ ws.factor.T)[0, 0])
         assert stats.kstest(path00[::PRIOR_INV_THIN["path00"]],
                             stats.norm(0, sd_path).cdf).pvalue > 0.01
         base = SMALL_CONFIG.base

@@ -1,10 +1,16 @@
-"""No module of the package imports a name at module level that it never uses.
+"""No module of the package imports a name at module level that it never
+uses, and no module defines a function or class that nothing names.
 
 No linter runs on the package, so this AST scan stands in for pyflakes'
 F401. A name counts as used when the module reads it anywhere (also inside
 a string annotation) or lists it in ``__all__``. An import whose line
 carries ``# noqa: F401`` is exempt: those bind names only for the
 benchmark's per-layer probes, or load a module ahead of the commands.
+
+A module-level function or class counts as named when some module of the
+package reads it (by name, as an attribute, or in a string annotation),
+imports it, or lists it in ``__all__``; code that only tests call belongs
+in the tests.
 """
 
 import ast
@@ -56,6 +62,32 @@ def _names_in_string(annotation) -> set[str]:
     return {n.id for n in ast.walk(ast.parse(annotation, mode="eval")) if isinstance(n, ast.Name)}
 
 
+def _named_anywhere(tree: ast.Module) -> set[str]:
+    """Every name a module reads, reads as an attribute, imports or lists
+    in ``__all__``."""
+    named = _used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.split(".")[-1])
+    return named
+
+
+def unnamed_definitions(paths: list[str]) -> list[str]:
+    """``module:line: name`` of every module-level function or class of the
+    modules at ``paths`` that none of them names."""
+    trees = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            trees[path] = ast.parse(fh.read(), filename=path)
+    named = set().union(*map(_named_anywhere, trees.values()))
+    return [f"{os.path.basename(path)}:{node.lineno}: {node.name}"
+            for path, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in named]
+
+
 def unused_imports(path: str) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
@@ -72,6 +104,32 @@ def test_package_modules_use_every_import():
     assert "trajectory.py" in modules
     unused = [u for f in modules for u in unused_imports(os.path.join(PACKAGE, f))]
     assert unused == []
+
+
+def test_package_names_every_function_and_class():
+    modules = sorted(os.path.join(PACKAGE, f) for f in os.listdir(PACKAGE) if f.endswith(".py"))
+    assert unnamed_definitions(modules) == []
+
+
+def test_scan_finds_an_unnamed_definition(tmp_path):
+    (tmp_path / "a.py").write_text("import b\n"
+                                   "from c import C\n"
+                                   "__all__ = ['api']\n"
+                                   "def api(x: 'Hint'):\n"
+                                   "    return b.helper(x), C\n"
+                                   "class Hint:\n"
+                                   "    pass\n"
+                                   "def orphan():\n"
+                                   "    return 'orphan'\n")
+    (tmp_path / "b.py").write_text("def helper(x):\n"
+                                   "    return x\n"
+                                   "async def unused():\n"
+                                   "    pass\n")
+    (tmp_path / "c.py").write_text("class C:\n"
+                                   "    def method(self):\n"
+                                   "        pass\n")
+    paths = [str(tmp_path / f) for f in ("a.py", "b.py", "c.py")]
+    assert unnamed_definitions(paths) == ["a.py:8: orphan", "b.py:3: unused"]
 
 
 def test_scan_finds_an_unused_import(tmp_path):
