@@ -222,28 +222,18 @@ def _update_residual_atoms(state: DpResidualState, stats: LagStats, counts: np.n
     _step_atoms(state, state.pooled, np.flatnonzero(~empty), rng)
 
 
-def _sweep_residual(state: DpResidualState, table: StepTable, stats: LagStats,
-                    rng: np.random.Generator) -> None:
-    """One blocked Gibbs sweep over assignments, sticks, and atoms.
+def gibbs_sweep_residual(state: DpResidualState, table: StepTable,
+                         rng: np.random.Generator) -> DpResidualState:
+    """One blocked Gibbs sweep over assignments, sticks, and atoms for a
+    standalone residual mixture fit of ``table``, a panel's ``step_table``.
 
-    ``stats`` are the lag statistics of the values the mixture models.
-    ``table`` only names units in errors.
-    Mutates ``state`` in place and leaves the statistics pooled by the new
-    assignments in ``state.pooled``.
+    Mutates ``state`` in place, leaves the statistics pooled by the new
+    assignments in ``state.pooled``, and returns it.
     """
+    stats = table.stats
     counts = _assign_residual(state, table, stats.loglik(state.stick.phi, state.stick.v), rng)
     [(state.stick.sticks, state.stick.weights)] = sample_sticks([counts], [state.concentration], rng)
     _update_residual_atoms(state, stats, counts, rng)
-
-
-def gibbs_sweep_residual(state: DpResidualState, panel, rng: np.random.Generator) -> DpResidualState:
-    """One full Gibbs sweep for a standalone residual mixture fit.
-
-    ``panel`` may be a SeriesPanel or a prebuilt step table. The state is
-    updated in place and returned.
-    """
-    table = panel if isinstance(panel, StepTable) else step_table(panel)
-    _sweep_residual(state, table, table.stats, rng)
     return state
 
 
@@ -260,10 +250,10 @@ def run_residual_chain(panel: SeriesPanel, concentration: float, base: Parametri
                                 rng=stream(seed, "residual-chain", "init"))
     rng = stream(seed, "residual-chain", "sweeps")
     for _ in range(n_burn):
-        _sweep_residual(state, table, table.stats, rng)
+        gibbs_sweep_residual(state, table, rng)
     records = []
     for _ in range(n_keep):
-        _sweep_residual(state, table, table.stats, rng)
+        gibbs_sweep_residual(state, table, rng)
         records.append({
             "weights": state.stick.weights.copy(),
             "phi": state.stick.phi.copy(),

@@ -63,7 +63,8 @@ class MixtureScenario:
         if not (0.0 <= self.shift_prob <= 1.0):
             raise DomainError(f"shift probability must lie in [0, 1], got {self.shift_prob}")
         if not (0.0 <= self.shift_var < np.inf):
-            raise DomainError(f"shift variance must be finite and nonnegative, got {self.shift_var}")
+            raise DomainError(f"scenario key 'shift_var' must be finite and nonnegative, "
+                              f"got {self.shift_var}")
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,8 @@ def simulate_from_scenario(raw: dict[str, str], seed: int) -> tuple[SeriesPanel,
     prior-study mixture weights off the simplex raise ``InvalidInputError``
     naming the key; a component (phi, v) outside the AR(1) domain, a
     ``length`` or kernel parameter that is not positive, a ``shift_prob`` or
-    ``signal_prob`` outside [0, 1], or a negative ``noise_seed`` raise
-    ``DomainError`` naming it."""
+    ``signal_prob`` outside [0, 1], a ``shift_var`` that is negative or not
+    finite, or a negative ``noise_seed`` raise ``DomainError`` naming it."""
     kind = raw.get("kind")
     if kind not in _SCENARIO_KEYS:
         raise InvalidInputError(f"scenario kind must be 'mixture' or 'prior-study', got {kind!r}")

@@ -56,7 +56,6 @@ from .panel_io import ColumnRows, _fmt
 from .parametric import ParametricPrior, flagged_units
 
 NULL, FLAT, GP = 0, 1, 2
-COMPONENT_NAMES = ("null", "flat", "gp")
 
 DEFAULT_THRESHOLDS = (0.5, 0.9)
 BAND_QUANTILES = (0.05, 0.5, 0.95)
@@ -235,10 +234,9 @@ class FdpState:
     gp_set: TrajectorySticks
     residual: DpResidualState
     grid: np.ndarray
-    kernel: GpKernelParams
     traj_concentration: float
-    # The workspace the state was drawn with, which ``run_chain`` reuses.
-    workspace: GpWorkspace | None = field(default=None, repr=False, compare=False)
+    # The GP workspace the state was drawn with; every sweep of the state reads it.
+    workspace: GpWorkspace = field(repr=False, compare=False)
 
     @property
     def n_units(self) -> int:
@@ -267,13 +265,12 @@ class FdpState:
         return copy.deepcopy(self)
 
 
-def init_fdp_state(n_units: int, config: RunConfig, grid, *, rng: np.random.Generator,
-                   workspace: GpWorkspace | None = None) -> FdpState:
+def init_fdp_state(n_units: int, config: RunConfig, grid, *,
+                   rng: np.random.Generator) -> FdpState:
     """Exact prior draw of the full state, at ``config``'s concentrations
-    for ``n_units``."""
+    for ``n_units``, with the GP workspace of ``config``'s kernel on ``grid``."""
     grid = np.asarray(grid, dtype=np.int64)
-    if workspace is None:
-        workspace = prepare_gp_workspace(config.kernel, grid)
+    workspace = prepare_gp_workspace(config.kernel, grid)
     cp = rng.dirichlet(np.ones(3))
     alpha, nu = config.concentrations(n_units)
 
@@ -296,7 +293,7 @@ def init_fdp_state(n_units: int, config: RunConfig, grid, *, rng: np.random.Gene
 
     residual = init_residual_state(n_units, alpha, config.base, config.trunc_resid, rng=rng)
     return FdpState(cp, unit_component, unit_atom, flat_set, gp_set, residual,
-                    grid, config.kernel, nu, workspace)
+                    grid, nu, workspace)
 
 
 def gp_atom_conditional(workspace: GpWorkspace, LSL: np.ndarray,
@@ -354,12 +351,12 @@ def _noise_cells(table: StepTable, n_times: int) -> tuple[np.ndarray, np.ndarray
             table.step_unit * width + n_times + table.pair)
 
 
-def _unit_noise(state: FdpState, table: StepTable, cells=None) -> _UnitNoise:
+def _unit_noise(state: FdpState, table: StepTable) -> _UnitNoise:
     """``_UnitNoise`` of every unit in ``table`` (grid positions required).
-    Each unit is scored under its own atom only, in O(columns). ``cells``
-    are the table's ``_noise_cells``, built here when not given."""
+    Each unit is scored under its own atom only, in O(columns), and
+    scattered to the cells the table's ``_chain_index`` holds."""
     G = state.grid.size
-    diag_cells, pair_cells = _noise_cells(table, G) if cells is None else cells
+    diag_cells, pair_cells = _chain_index(state, table).noise_cells
     stick, atom = state.residual.stick, state.residual.assignments
     stats = table.stats
     logdet, q_yy, s11, q_y1 = _lag_coefficients(stick.phi, stick.v, table.sizes)
@@ -389,9 +386,9 @@ def _pair_stacks(table: StepTable, workspace: GpWorkspace) -> tuple[np.ndarray, 
     return np.vstack([L, L[prev]]), np.vstack([L, L[cur]])
 
 
-def _gp_atom_terms(noise: _UnitNoise, table: StepTable, unit_atom: np.ndarray,
-                   atoms: np.ndarray, workspace: GpWorkspace,
-                   stacks=None) -> tuple[np.ndarray, np.ndarray]:
+def _gp_atom_terms(noise: _UnitNoise, unit_atom: np.ndarray, atoms: np.ndarray,
+                   workspace: GpWorkspace,
+                   stacks: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """L'SL (K, r, r) and L'b (K, r) of S = sum P'QP and b = sum P'Qy over the
     units on each gp atom in ``atoms`` (``unit_atom`` is negative off the gp
     component), by one membership product. S is never formed: with its
@@ -399,8 +396,7 @@ def _gp_atom_terms(noise: _UnitNoise, table: StepTable, unit_atom: np.ndarray,
     L'SL = Y + Y' for Y = sum_g (d_g / 2) L_g' L_g + sum_p o_p L_prev' L_cur
     over the rows of L, in O((G + P) r^2) per atom. Members are checked
     first: in the product 0 * NaN would reach every atom, and the Cholesky
-    returns NaN without error. ``stacks`` are the ``_pair_stacks``, built
-    here when not given."""
+    returns NaN without error. ``stacks`` are the table's ``_pair_stacks``."""
     member = atoms[:, None] == unit_atom
     rows = np.flatnonzero(member.any(axis=0))
     terms = noise.grid[rows]
@@ -411,7 +407,7 @@ def _gp_atom_terms(noise: _UnitNoise, table: StepTable, unit_atom: np.ndarray,
     G = noise.n_times
     sums = member[:, rows] @ terms          # diag | pair | qy
     sums[:, :G] *= 0.5
-    left, right = _pair_stacks(table, workspace) if stacks is None else stacks
+    left, right = stacks
     Y = np.swapaxes(sums[:, :-G, None] * left, 1, 2) @ right
     return Y + np.swapaxes(Y, 1, 2), sums[:, -G:] @ workspace.factor
 
@@ -423,24 +419,22 @@ class _ChainIndex:
     and ``_pair_stacks``."""
 
     table: StepTable
-    truncations: tuple[int, int]        # (Lf, Lg)
     column_kind: np.ndarray             # (1 + Lf + Lg,) NULL | FLAT... | GP...
     column_atom: np.ndarray             # (1 + Lf + Lg,) -1 | 0..Lf-1 | 0..Lg-1
     noise_cells: tuple[np.ndarray, np.ndarray]
     stacks: tuple[np.ndarray, np.ndarray]
 
 
-def _chain_index(state: FdpState, table: StepTable, workspace: GpWorkspace) -> _ChainIndex:
-    """The ``_ChainIndex`` of ``table`` at ``state``'s truncations, kept on
-    ``workspace``: a chain builds it on its first sweep, and every later
-    sweep over the same table finds it there."""
-    truncations = (state.flat_set.truncation, state.gp_set.truncation)
+def _chain_index(state: FdpState, table: StepTable) -> _ChainIndex:
+    """The ``_ChainIndex`` of ``table``, kept on the state's workspace: a
+    chain builds it on its first sweep, and every later sweep over the same
+    table finds it there. A state's truncations never change."""
+    workspace = state.workspace
     index = workspace.chain_index
-    if index is None or index.table is not table or index.truncations != truncations:
-        Lf, Lg = truncations
+    if index is None or index.table is not table:
+        Lf, Lg = state.flat_set.truncation, state.gp_set.truncation
         index = workspace.chain_index = _ChainIndex(
-            table, truncations,
-            np.repeat(np.array([NULL, FLAT, GP], dtype=np.int8), [1, Lf, Lg]),
+            table, np.repeat(np.array([NULL, FLAT, GP], dtype=np.int8), [1, Lf, Lg]),
             np.concatenate([[-1], np.arange(Lf), np.arange(Lg)]),
             _noise_cells(table, state.grid.size), _pair_stacks(table, workspace))
     return index
@@ -487,22 +481,17 @@ def _set_traj_sticks(tset: TrajectorySticks, sticks: np.ndarray, wfree: np.ndarr
     tset.weights = np.concatenate([frozen, (1.0 - float(frozen.sum())) * wfree])
 
 
-def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
-                      workspace: GpWorkspace | None = None) -> FdpState:
-    """One full sweep of the joint sampler; mutates and returns ``state``.
-
-    ``panel`` may be a SeriesPanel or a prebuilt step table (grid positions
-    required). Burn-in and retained sweeps run this same kernel; stage (f)
-    moves the residual atoms by ``dp_residual``'s collapsed step.
+def gibbs_sweep_joint(state: FdpState, table: StepTable, rng: np.random.Generator) -> FdpState:
+    """One full sweep of the joint sampler over ``table``, a panel's
+    ``step_table(panel, grid=state.grid)``; mutates and returns ``state``.
+    Burn-in and retained sweeps run this same kernel; stage (f) moves the
+    residual atoms by ``dp_residual``'s collapsed step.
     """
-    table = panel if isinstance(panel, StepTable) else step_table(panel, grid=state.grid)
-    if workspace is None:
-        workspace = prepare_gp_workspace(state.kernel, state.grid)
-    index = _chain_index(state, table, workspace)
-    Lf, Lg = index.truncations
+    workspace, index = state.workspace, _chain_index(state, table)
+    Lf, Lg = state.flat_set.truncation, state.gp_set.truncation
 
     # (a) joint draw of (component, atom) per unit: a score column per pair
-    noise = _unit_noise(state, table, index.noise_cells)
+    noise = _unit_noise(state, table)
     pick, top = categorical_draw(_assignment_scores(state, table, noise), rng)
     finite = np.isfinite(top)
     if not finite.all():
@@ -518,7 +507,7 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     # (c) flat levels: conjugate normal given members; prior draw when empty
     a_sum = np.bincount(pick, noise.s11, minlength=1 + Lf)[1:1 + Lf]
     b_sum = np.bincount(pick, noise.q_y1, minlength=1 + Lf)[1:1 + Lf]
-    post_mean, post_var = _flat_level_posterior(state.kernel.variance, a_sum, b_sum)
+    post_mean, post_var = _flat_level_posterior(workspace.kernel.variance, a_sum, b_sum)
     start = state.flat_set.n_frozen
     new_levels = post_mean[start:] + np.sqrt(post_var[start:]) * rng.standard_normal(Lf - start)
     if not np.isfinite(new_levels).all():
@@ -531,7 +520,7 @@ def gibbs_sweep_joint(state: FdpState, panel, rng: np.random.Generator,
     state.gp_set.paths[free] = z @ workspace.factor.T
     busy = free[gp_counts[free] > 0]
     mean, R = gp_atom_conditional(        # pick - (1 + Lf) is negative off gp
-        workspace, *_gp_atom_terms(noise, table, pick - (1 + Lf), busy, workspace, index.stacks))
+        workspace, *_gp_atom_terms(noise, pick - (1 + Lf), busy, workspace, index.stacks))
     state.gp_set.paths[busy] = _gp_draw(workspace, mean, R, z[busy - state.gp_set.n_frozen])
 
     # (f) residual mixture on de-trended values. Its assignments are drawn
@@ -859,7 +848,9 @@ def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int,
               seed: int, checkpoint_stride: int = 10, fingerprint: str = "",
               initial_state: FdpState | None = None) -> ChainOutput:
     """Burn-in plus retained sweeps of the joint sampler, from a prior draw
-    or from ``initial_state``.
+    or from ``initial_state``, whose workspace must hold ``config``'s kernel
+    on the panel's grid and which must have one unit per series; any other
+    raises ``InvalidInputError``.
 
     Per-unit components are kept every ``checkpoint_stride`` retained
     sweeps; the complete-data log-likelihood is tracked for every retained
@@ -875,21 +866,21 @@ def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int,
         raise DomainError("checkpoint stride must be positive")
     if len(panel) == 0:
         raise InvalidInputError("cannot fit an empty panel")
-    grid = panel.grid
-    workspace = getattr(initial_state, "workspace", None)     # drawn with it, when given
-    if workspace is None or workspace.kernel != config.kernel or not np.array_equal(
-            workspace.grid, grid):
-        workspace = prepare_gp_workspace(config.kernel, grid)
-    table = step_table(panel, grid=grid)
-    n = len(panel)
-
-    state = initial_state if initial_state is not None else init_fdp_state(
-        n, config, grid, rng=stream(seed, "joint-chain", "init"), workspace=workspace)
+    grid, n = panel.grid, len(panel)
+    if initial_state is None:
+        state = init_fdp_state(n, config, grid, rng=stream(seed, "joint-chain", "init"))
+    else:
+        state, ws = initial_state, initial_state.workspace
+        if ws.kernel != config.kernel or not np.array_equal(ws.grid, grid) or state.n_units != n:
+            raise InvalidInputError(
+                f"initial state was drawn for {ws.kernel}, {ws.grid.size} grid times and "
+                f"{state.n_units} units; the run has {config.kernel}, {grid.size} and {n}")
     state.validate()
+    table = step_table(panel, grid=grid)
     rng = stream(seed, "joint-chain", "sweeps")
 
     for _ in range(n_burn):
-        gibbs_sweep_joint(state, table, rng, workspace=workspace)
+        gibbs_sweep_joint(state, table, rng)
 
     n_frozen_flat = state.flat_set.n_frozen
     n_frozen_gp = state.gp_set.n_frozen
@@ -910,7 +901,7 @@ def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int,
     best_sweep = -1
 
     for t in range(n_keep):
-        gibbs_sweep_joint(state, table, rng, workspace=workspace)
+        gibbs_sweep_joint(state, table, rng)
         nonnull = state.unit_component != NULL
         inclusion_counts += nonnull
         logliks[t] = complete_data_loglik(state, table)
@@ -1102,9 +1093,8 @@ def frozen_initial_state(panel: SeriesPanel, frozen: MleTrajectorySet, config: R
     gp_sel = [i for i, a in enumerate(frozen.atoms) if a.kind == "gp"]
     if len(flat_sel) >= config.trunc_flat or len(gp_sel) >= config.trunc_gp:
         raise InvalidInputError("frozen atom count must stay below the truncation level")
-    workspace = prepare_gp_workspace(config.kernel, grid)
     init_rng = stream(seed, "frozen-rerun", "init")
-    state = init_fdp_state(len(panel), config, grid, rng=init_rng, workspace=workspace)
+    state = init_fdp_state(len(panel), config, grid, rng=init_rng)
 
     for tset, sel in ((state.flat_set, flat_sel), (state.gp_set, gp_sel)):
         k = len(sel)

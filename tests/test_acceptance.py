@@ -54,6 +54,7 @@ from arscreen.trajectory import (
     RunConfig,
     TrajectorySticks,
     _gp_atom_terms,
+    _pair_stacks,
     _unit_noise,
     gibbs_sweep_joint,
     gp_atom_conditional,
@@ -98,9 +99,10 @@ def _stage_d_conditional(ws, pos, vals, phi, v):
     flat = TrajectorySticks("flat", np.empty(0), np.ones(1), levels=np.zeros(1))
     gp = TrajectorySticks("gp", np.empty(0), np.ones(1), paths=np.zeros((1, grid.size)))
     state = FdpState(np.array([0.0, 0.0, 1.0]), np.full(m, GP, dtype=np.int8),
-                     np.zeros(m, dtype=np.int64), flat, gp, residual, grid, ws.kernel, 1.0)
+                     np.zeros(m, dtype=np.int64), flat, gp, residual, grid, 1.0, ws)
     table = step_table(panel, grid=grid)
-    terms = _gp_atom_terms(_unit_noise(state, table), table, state.unit_atom, np.array([0]), ws)
+    terms = _gp_atom_terms(_unit_noise(state, table), state.unit_atom, np.array([0]), ws,
+                           _pair_stacks(table, ws))
     mean, R = gp_atom_conditional(ws, *terms)
     return mean[0], R[0]
 
@@ -295,14 +297,14 @@ def test_criterion_6_sampler_correctness():
     panel_j = SeriesPanel(tuple(ObservedSeries(f"j{i}", grid, np.zeros(5))
                                 for i in range(3)))
     table = step_table(panel_j, grid=grid)
-    ws = prepare_gp_workspace(cfg.kernel, grid)
     rng_j = stream(62, "inv-joint")
-    state_j = init_fdp_state(3, cfg, grid, rng=rng_j, workspace=ws)
+    state_j = init_fdp_state(3, cfg, grid, rng=rng_j)
+    ws = state_j.workspace
     cps = np.empty((10000, 3))
     unit0_phi, unit0_v, level0, path00 = np.empty((4, 10000))
     for t in range(10000):
         table = successive_conditional_data(state_j, table, rng_j)
-        gibbs_sweep_joint(state_j, table, rng_j, workspace=ws)
+        gibbs_sweep_joint(state_j, table, rng_j)
         sums_ok &= abs(state_j.component_probs.sum() - 1.0) < 1e-12
         sums_ok &= abs(state_j.flat_set.weights.sum() - 1.0) < 1e-12
         sums_ok &= abs(state_j.gp_set.weights.sum() - 1.0) < 1e-12

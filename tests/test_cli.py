@@ -199,7 +199,7 @@ class TestScenarios:
             with pytest.raises(DomainError, match=fr"'{key}' must lie in \[0, 1\], got 2.0"):
                 simulate_from_scenario(dict(base, **{key: "2"}), seed=0)
         for shift_var in ("-1.0", "nan", "inf"):
-            with pytest.raises(DomainError, match="shift variance"):
+            with pytest.raises(DomainError, match=f"'shift_var'.*nonnegative, got {shift_var}"):
                 simulate_from_scenario(dict(mixture, shift_var=shift_var), seed=0)
         # each kind reads only its own keys: a typo or the other kind's key is named
         for base, key in [(mixture, "shift_prb"), (mixture, "signal_prob"),

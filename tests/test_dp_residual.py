@@ -267,8 +267,9 @@ class TestSweeps:
         series.append(ObservedSeries("huge", times[1:], 1e200 * (1.0 + rng.uniform(size=6))))
         state = init_residual_state(5, 1.0, ParametricPrior(), truncation=4,
                                     rng=stream(5, "overflow-init"))
+        table = step_table(SeriesPanel(tuple(series)))
         with pytest.raises(NumericalError, match="unit 'huge'"):
-            gibbs_sweep_residual(state, SeriesPanel(tuple(series)), stream(5, "overflow-sweeps"))
+            gibbs_sweep_residual(state, table, stream(5, "overflow-sweeps"))
 
     def test_phi_step_holds_its_acceptance_untuned(self):
         """The arcsin-phi step's scale, read off each atom's observation

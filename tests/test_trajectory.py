@@ -23,6 +23,7 @@ from arscreen.trajectory import (
     _detrended_values,
     _gp_atom_terms,
     _gp_draw,
+    _pair_stacks,
     _trajectory_matrix,
     _unit_noise,
     _flat_level_posterior,
@@ -272,11 +273,11 @@ class TestGpAtomTerms:
         labels = np.array([0, 0, 1, 1, 1, -1, 2, 0, -1, 2])
         table = step_table(panel, grid=grid)
         noise = _unit_noise(state, table)
-        ws = prepare_gp_workspace(SMALL_CONFIG.kernel, grid)
+        ws = state.workspace
         # With the identity as the factor the whitened terms are S and b.
         identity = GpWorkspace(grid, ws.kernel, np.eye(20), 0.0)
         for L, w in ((np.eye(20), identity), (ws.factor, ws)):
-            S_all, b_all = _gp_atom_terms(noise, table, labels, np.arange(3), w)
+            S_all, b_all = _gp_atom_terms(noise, labels, np.arange(3), w, _pair_stacks(table, w))
             for k in range(3):
                 S, b = S_all[k], b_all[k]
                 obs = []
@@ -300,16 +301,17 @@ class TestGpAtomTerms:
         labels = np.array([0, 4, 4, 7, 7, -1, 0, 4, -1, 7])
         G = grid.size       # a noise row is diag (G) | pair | qy (G)
         noise.grid[5, 0] = np.inf
-        ws = prepare_gp_workspace(SMALL_CONFIG.kernel, grid)
-        S, b = _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]), ws)
+        ws = state.workspace
+        stacks = _pair_stacks(table, ws)
+        S, b = _gp_atom_terms(noise, labels, np.array([0, 4, 7]), ws, stacks)
         assert np.all(np.isfinite(S)) and np.all(np.isfinite(b))
         noise.grid[2, -G + 3] = np.nan
         with pytest.raises(NumericalError, match=r"gp-path stage \(d\), atom 4:"):
-            _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]), ws)
+            _gp_atom_terms(noise, labels, np.array([0, 4, 7]), ws, stacks)
         noise.grid[2, -G + 3] = 0.0
         noise.grid[9, 5] = np.inf
         with pytest.raises(NumericalError, match=r"gp-path stage \(d\), atom 7:"):
-            _gp_atom_terms(noise, table, labels, np.array([0, 4, 7]), ws)
+            _gp_atom_terms(noise, labels, np.array([0, 4, 7]), ws, stacks)
 
 
 class TestFlatLevelPosterior:
@@ -402,8 +404,9 @@ class TestAssignmentScores:
             ObservedSeries("huge", times, np.full(8, 1e300)),
         ))
         state = init_fdp_state(2, SMALL_CONFIG, times, rng=stream(10, "st"))
+        table = step_table(panel, grid=times)
         with pytest.raises(NumericalError, match="stage \\(a\\).*'huge'"):
-            gibbs_sweep_joint(state, panel, stream(10, "sw"))
+            gibbs_sweep_joint(state, table, stream(10, "sw"))
 
 
 class TestSuccessiveConditionalData:
@@ -468,9 +471,10 @@ class TestNonFiniteRowsNamed:
             out[2, 0] = bad
             return out
 
+        table = step_table(panel, grid=state.grid)
         monkeypatch.setattr(arscreen.trajectory, "_assignment_scores", scores)
         with pytest.raises(NumericalError, match=r"stage \(a\): .* unit 'u002'"):
-            gibbs_sweep_joint(state, panel, stream(4, "sw"))
+            gibbs_sweep_joint(state, table, stream(4, "sw"))
 
     @pytest.mark.parametrize("bad", BAD)
     def test_stage_f_names_the_unit_and_atom(self, bad):
@@ -494,9 +498,10 @@ class TestNonFiniteRowsNamed:
             values[table.first[1]] = np.nan
             return real(table, values)
 
+        table = step_table(panel, grid=state.grid)
         monkeypatch.setattr(arscreen.trajectory, "lag_stats", nan_stats)
         with pytest.raises(NumericalError, match=r"residual stage \(f\): .* unit 'u001' under atom 0"):
-            gibbs_sweep_joint(state, panel, stream(4, "sw"))
+            gibbs_sweep_joint(state, table, stream(4, "sw"))
 
 
 # Each coordinate is thinned by at least twice its integrated autocorrelation
@@ -519,14 +524,14 @@ class TestPriorInvariance:
         panel = SeriesPanel(tuple(
             ObservedSeries(f"u{i}", times, np.zeros(g_len)) for i in range(n_units)))
         table = step_table(panel, grid=grid)
-        ws = prepare_gp_workspace(SMALL_CONFIG.kernel, grid)
         rng = stream(123, "prior-inv")
-        state = init_fdp_state(n_units, SMALL_CONFIG, grid, rng=rng, workspace=ws)
+        state = init_fdp_state(n_units, SMALL_CONFIG, grid, rng=rng)
+        ws = state.workspace
         cps = np.empty((n_sweeps, 3))
         stick_f, stick_g, level0, path00, unit0_phi, unit0_v = np.empty((6, n_sweeps))
         for t in range(n_sweeps):
             table = successive_conditional_data(state, table, rng)
-            gibbs_sweep_joint(state, table, rng, workspace=ws)
+            gibbs_sweep_joint(state, table, rng)
             assert abs(state.flat_set.weights.sum() - 1.0) < 1e-12
             assert abs(state.gp_set.weights.sum() - 1.0) < 1e-12
             cps[t] = state.component_probs
@@ -613,16 +618,39 @@ class TestSweepMechanics:
     def test_sweep_determinism(self):
         panel = _panel(6, 10, seed=41)
         grid = np.arange(10, dtype=np.int64)
+        table = step_table(panel, grid=grid)
         states = []
         for _ in range(2):
             state = init_fdp_state(6, SMALL_CONFIG, grid, rng=stream(42, "st"))
             rng = stream(43, "sw")
             for _ in range(15):
-                gibbs_sweep_joint(state, panel, rng)
+                gibbs_sweep_joint(state, table, rng)
             states.append(state)
         assert np.array_equal(states[0].unit_component, states[1].unit_component)
         assert np.array_equal(states[0].gp_set.paths, states[1].gp_set.paths)
         assert np.array_equal(states[0].residual.stick.phi, states[1].residual.stick.phi)
+
+    def test_sweeps_build_the_workspace_and_index_once(self, monkeypatch):
+        """The state owns its workspace: a prior draw and five sweeps over one
+        prebuilt table build the GP workspace, the noise cells and the pair
+        stacks once each."""
+        calls = {"prepare_gp_workspace": 0, "_noise_cells": 0, "_pair_stacks": 0}
+        for name in calls:
+            real = getattr(arscreen.trajectory, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(arscreen.trajectory, name, counted)
+        panel = _gapped_panel(6, 10, seed=41)
+        grid = np.arange(10, dtype=np.int64)
+        state = init_fdp_state(6, SMALL_CONFIG, grid, rng=stream(42, "st"))
+        table = step_table(panel, grid=grid)
+        rng = stream(43, "sw")
+        for _ in range(5):
+            gibbs_sweep_joint(state, table, rng)
+        assert calls == dict.fromkeys(calls, 1)
 
 
 class TestRunChain:
@@ -673,6 +701,22 @@ class TestRunChain:
         assert all(f in panel.unit_ids for f in flags)
         with pytest.raises(DomainError):
             out.flagged(0.0)
+
+    @pytest.mark.parametrize("change", ["kernel", "grid", "units"])
+    def test_mismatched_initial_state_rejected(self, change):
+        """An initial state drawn for another kernel variance, grid or unit
+        count than the run's config and panel is refused, not swept."""
+        panel = _panel(6, 10, seed=111)
+        n, grid, config = 6, panel.grid, SMALL_CONFIG
+        if change == "kernel":
+            config = RunConfig(kernel_variance=4.0, trunc_resid=10, trunc_gp=12, trunc_flat=8)
+        elif change == "grid":
+            grid = np.arange(12, dtype=np.int64)
+        else:
+            n = 7
+        state = init_fdp_state(n, config, grid, rng=stream(11, "st"))
+        with pytest.raises(InvalidInputError, match="initial state was drawn for"):
+            run_chain(panel, SMALL_CONFIG, n_burn=1, n_keep=1, seed=1, initial_state=state)
 
     def test_empty_panel_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -10,7 +10,9 @@ benchmark's per-layer probes, or load a module ahead of the commands.
 A module-level function or class counts as named when some module of the
 package reads it (by name, as an attribute, or in a string annotation),
 imports it, or lists it in ``__all__``; code that only tests call belongs
-in the tests.
+in the tests. A module-level constant (a name bound by assignment) must be
+read, imported or listed in ``__all__`` the same way: assigning it does not
+count.
 """
 
 import ast
@@ -41,7 +43,7 @@ def _bound_imports(tree: ast.Module, lines: list[str]) -> dict[str, int]:
 def _used_names(tree: ast.Module) -> set[str]:
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, (ast.arg, ast.AnnAssign)) and isinstance(
                 node.annotation, ast.Constant):
@@ -74,18 +76,31 @@ def _named_anywhere(tree: ast.Module) -> set[str]:
     return named
 
 
+def _definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every module-level function, class and constant
+    (each name an assignment binds, ``__dunder__`` names aside)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.lineno, t.id) for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name) and not t.id.startswith("__")]
+    return found
+
+
 def unnamed_definitions(paths: list[str]) -> list[str]:
-    """``module:line: name`` of every module-level function or class of the
-    modules at ``paths`` that none of them names."""
+    """``module:line: name`` of every module-level function, class or
+    constant of the modules at ``paths`` that none of them names."""
     trees = {}
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             trees[path] = ast.parse(fh.read(), filename=path)
     named = set().union(*map(_named_anywhere, trees.values()))
-    return [f"{os.path.basename(path)}:{node.lineno}: {node.name}"
-            for path, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name not in named]
+    return [f"{os.path.basename(path)}:{line}: {name}"
+            for path, tree in trees.items() for line, name in _definitions(tree)
+            if name not in named]
 
 
 def unused_imports(path: str) -> list[str]:
@@ -114,22 +129,29 @@ def test_package_names_every_function_and_class():
 def test_scan_finds_an_unnamed_definition(tmp_path):
     (tmp_path / "a.py").write_text("import b\n"
                                    "from c import C\n"
-                                   "__all__ = ['api']\n"
+                                   "__all__ = ['api', 'EXPORTED']\n"
                                    "def api(x: 'Hint'):\n"
-                                   "    return b.helper(x), C\n"
+                                   "    return b.helper(x), C, LOW + b.SCALE + LIMIT\n"
                                    "class Hint:\n"
                                    "    pass\n"
                                    "def orphan():\n"
-                                   "    return 'orphan'\n")
+                                   "    return 'orphan'\n"
+                                   "EXPORTED = 1\n"
+                                   "LOW, HIGH = 0, 1\n"
+                                   "LIMIT: int = 3\n"
+                                   "UNREAD = ('x', 'y')\n")
     (tmp_path / "b.py").write_text("def helper(x):\n"
                                    "    return x\n"
                                    "async def unused():\n"
-                                   "    pass\n")
+                                   "    pass\n"
+                                   "SCALE = 2.0\n"
+                                   "_PRIVATE: float = 1.0\n")
     (tmp_path / "c.py").write_text("class C:\n"
                                    "    def method(self):\n"
                                    "        pass\n")
     paths = [str(tmp_path / f) for f in ("a.py", "b.py", "c.py")]
-    assert unnamed_definitions(paths) == ["a.py:8: orphan", "b.py:3: unused"]
+    assert unnamed_definitions(paths) == ["a.py:8: orphan", "a.py:11: HIGH", "a.py:13: UNREAD",
+                                          "b.py:3: unused", "b.py:6: _PRIVATE"]
 
 
 def test_scan_finds_an_unused_import(tmp_path):
