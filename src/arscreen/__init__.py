@@ -16,7 +16,6 @@ from .ar_core import (
     mean_shift_loglik,
     stationary_variance,
 )
-from .cli import frozen_cluster_rerun
 from .dp_residual import (
     elicit_concentration,
     expected_clusters,
@@ -48,6 +47,7 @@ from .trajectory import (
     GpKernelParams,
     RunConfig,
     TrajectoryAtom,
+    frozen_cluster_rerun,
     gibbs_sweep_joint,
     gp_covariance,
     init_fdp_state,

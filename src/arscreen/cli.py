@@ -23,13 +23,13 @@ from __future__ import annotations
 import encodings.cp437  # noqa: F401
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import numpy.random  # noqa: F401
 
-from .ar_core import SeriesPanel, cdf_standardize
+from .ar_core import cdf_standardize
 from .errors import ArscreenError, DomainError, InvalidInputError, NumericalError
 from .panel_io import ColumnRows, _fmt, read_panel, write_panel, write_table
 from .parametric import (
@@ -43,12 +43,11 @@ from .trajectory import (
     DEFAULT_THRESHOLDS,
     ChainFile,
     ChainOutput,
-    MleTrajectorySet,
     ReportBundle,
     RunConfig,
     _read_chain,
     band_table,
-    frozen_initial_state,
+    frozen_cluster_rerun,
     load_chain,
     merge_inclusion,
     mle_trajectory_set,
@@ -112,38 +111,7 @@ def _write_lines(path: str, comments, lines) -> None:
 
 
 # ---------------------------------------------------------------------------
-# frozen reruns and reports
-
-
-@dataclass
-class FrozenRerunResult:
-    """Membership table from a chain run with the MLE atoms held fixed."""
-
-    unit_ids: tuple[str, ...]
-    cluster_names: tuple[str, ...]        # columns between id and other/null
-    membership_percent: np.ndarray        # (N, len(cluster_names) + 2)
-    chain: ChainOutput
-    atom_digest: str
-
-
-def frozen_cluster_rerun(panel: SeriesPanel, frozen: MleTrajectorySet, config: RunConfig,
-                         seed: int, n_burn: int, n_keep: int) -> FrozenRerunResult:
-    """Re-run the joint chain with the given atoms' values and weights fixed.
-
-    Free atoms fill the remaining truncation slots and the leftover stick
-    mass; every retained sweep bins each unit into {one of the frozen
-    atoms, other, null}, and the table reports percentages summing to 100.
-    The frozen atoms are fingerprinted before and after to guarantee the
-    run never mutated them.
-    """
-    state, names = frozen_initial_state(panel, frozen, config, seed)
-    digest = state.frozen_digest()
-    chain = run_chain(panel, config, n_burn=n_burn, n_keep=n_keep, seed=seed,
-                      initial_state=state)
-    if state.frozen_digest() != digest:
-        raise NumericalError("frozen atoms were mutated during the re-run")
-    percent = chain.membership_counts * (100.0 / n_keep)
-    return FrozenRerunResult(chain.unit_ids, names, percent, chain, digest)
+# reports
 
 
 def write_report(bundle: ReportBundle, outdir: str, seed: int, fingerprint: str) -> None:
@@ -362,8 +330,8 @@ def _cmd_cluster_mle(args, config: RunConfig) -> int:
     if tuple(chain.unit_ids) != panel.unit_ids:
         raise InvalidInputError("chain was fit on a different panel than --input")
     frozen = mle_trajectory_set(chain, args.top)
-    result = frozen_cluster_rerun(panel, frozen, config, args.seed,
-                                  n_burn=args.burn, n_keep=args.keep)
+    names, percent, digest = frozen_cluster_rerun(panel, frozen, config, args.seed,
+                                                  n_burn=args.burn, n_keep=args.keep)
     outdir = _ensure_outdir(args.output_dir)
     comments = _output_comments(args.seed, config.fingerprint())
 
@@ -374,16 +342,16 @@ def _cmd_cluster_mle(args, config: RunConfig) -> int:
                 comments + (f"mle sweep = {frozen.sweep}",
                             f"complete-data loglik = {_fmt(frozen.loglik)}"))
 
-    header = ("identifier", "name") + result.cluster_names + ("other", "null")
-    percent = result.membership_percent
+    header = ("identifier", "name") + names + ("other", "null")
+    ids = panel.unit_ids
     write_table(os.path.join(outdir, "membership.csv"), header,
-                ColumnRows(result.unit_ids, result.unit_ids, *percent.T), comments)
+                ColumnRows(ids, ids, *percent.T), comments)
 
     width = max(len(h) for h in header)
     table = [header] + [[u, u] + [f"{x:.0f}" for x in row]
-                        for u, row in zip(result.unit_ids, percent.tolist())]
+                        for u, row in zip(ids, percent.tolist())]
     _write_lines(os.path.join(outdir, "membership_summary.txt"),
-                 comments + (f"frozen atom digest = {result.atom_digest}",),
+                 comments + (f"frozen atom digest = {digest}",),
                  ["  ".join(c.ljust(width) for c in cells).rstrip() for cells in table])
     return 0
 

@@ -414,11 +414,11 @@ def _gp_atom_terms(noise: _UnitNoise, unit_atom: np.ndarray, atoms: np.ndarray,
 
 @dataclass(frozen=True)
 class _ChainIndex:
-    """What every sweep over one step table reads and none changes: the
-    component and atom of each score column, the table's ``_noise_cells``
-    and ``_pair_stacks``."""
+    """What every sweep over one step table's layout reads and none
+    changes: the component and atom of each score column, the table's
+    ``_noise_cells`` and ``_pair_stacks``."""
 
-    table: StepTable
+    layout: tuple[np.ndarray, ...]      # the table's unit, pos, step_unit, pair, pairs
     column_kind: np.ndarray             # (1 + Lf + Lg,) NULL | FLAT... | GP...
     column_atom: np.ndarray             # (1 + Lf + Lg,) -1 | 0..Lf-1 | 0..Lg-1
     noise_cells: tuple[np.ndarray, np.ndarray]
@@ -427,14 +427,16 @@ class _ChainIndex:
 
 def _chain_index(state: FdpState, table: StepTable) -> _ChainIndex:
     """The ``_ChainIndex`` of ``table``, kept on the state's workspace: a
-    chain builds it on its first sweep, and every later sweep over the same
-    table finds it there. A state's truncations never change."""
+    chain builds it on its first sweep, and every later sweep over a table
+    with the same layout arrays finds it there, also over a copy that only
+    carries other values. A state's truncations never change."""
     workspace = state.workspace
     index = workspace.chain_index
-    if index is None or index.table is not table:
+    layout = (table.unit, table.pos, table.step_unit, table.pair, table.pairs)
+    if index is None or any(a is not b for a, b in zip(index.layout, layout)):
         Lf, Lg = state.flat_set.truncation, state.gp_set.truncation
         index = workspace.chain_index = _ChainIndex(
-            table, np.repeat(np.array([NULL, FLAT, GP], dtype=np.int8), [1, Lf, Lg]),
+            layout, np.repeat(np.array([NULL, FLAT, GP], dtype=np.int8), [1, Lf, Lg]),
             np.concatenate([[-1], np.arange(Lf), np.arange(Lg)]),
             _noise_cells(table, state.grid.size), _pair_stacks(table, workspace))
     return index
@@ -571,11 +573,9 @@ class ChainOutput:
 
     Per retained sweep: ``logliks``, ``comp_probs`` and ``comp_counts``
     (units per null/flat/gp). Every ``checkpoint_stride`` retained sweeps
-    (``gamma_sweeps``): each unit's component in ``gamma`` and, except in
-    frozen-atom reruns (``band_sweeps``), its float32 trajectory on the grid.
-    ``membership_counts`` bins units over ``membership_labels`` ({each
-    frozen atom, other, null}) in frozen-atom reruns, shape (0, 0)
-    otherwise. The ``best_*`` arrays snapshot the state at ``best_sweep``,
+    (``gamma_sweeps``, and ``band_sweeps`` likewise): each unit's component
+    in ``gamma`` and its float32 trajectory on the grid in
+    ``band_samples``. The ``best_*`` arrays snapshot the state at ``best_sweep``,
     the retained sweep of highest complete-data log-likelihood.
     """
 
@@ -593,8 +593,6 @@ class ChainOutput:
     gamma: np.ndarray                   # (n_strided, N) int8
     band_sweeps: np.ndarray
     band_samples: np.ndarray            # (n_saved, N, G) float32
-    membership_counts: np.ndarray       # (N, n_frozen_total + 2) or (0, 0)
-    membership_labels: tuple[str, ...]
     best_sweep: int
     best_component_probs: np.ndarray
     best_flat_levels: np.ndarray
@@ -625,8 +623,7 @@ def save_chain(chain: ChainOutput, path: str) -> None:
     values = {f.name: getattr(chain, f.name) for f in fields(chain)}
     values.update(schema=np.int64(1), best_loglik=chain.logliks[chain.best_sweep],
                   kernel_variance=np.float64(chain.kernel.variance),
-                  kernel_length_scale=np.float64(chain.kernel.length_scale),
-                  membership_labels=np.array(chain.membership_labels, dtype="U32"))
+                  kernel_length_scale=np.float64(chain.kernel.length_scale))
     np.savez(path, **{k: np.asarray(values[k]) for k in _CHAIN_KEYS})
 
 
@@ -826,16 +823,21 @@ def _best_snapshot(state: FdpState) -> dict[str, np.ndarray]:
             "best_unit_atom": np.copy(state.unit_atom)}
 
 
+def _unit_rows(state: FdpState) -> np.ndarray:
+    """Each unit's row of ``_trajectory_rows``. A null unit's atom is -1,
+    so its row is 0."""
+    return state.unit_atom + 1 + state.flat_set.truncation * (state.unit_component == GP)
+
+
 def _trajectory_rows(state: FdpState) -> tuple[np.ndarray, np.ndarray]:
     """Every trajectory of the state on the grid, one row each: zero (the
-    null), each flat level, each gp path; and each unit's row. A null unit's
-    atom is -1, so its row is 0."""
+    null), each flat level, each gp path; and each unit's row."""
     Lf = state.flat_set.truncation
     rows = np.empty((1 + Lf + state.gp_set.truncation, state.grid.size))
     rows[0] = 0.0
     rows[1:1 + Lf] = state.flat_set.levels[:, None]
     rows[1 + Lf:] = state.gp_set.paths
-    return rows, state.unit_atom + 1 + Lf * (state.unit_component == GP)
+    return rows, _unit_rows(state)
 
 
 def _trajectory_matrix(state: FdpState) -> np.ndarray:
@@ -845,20 +847,13 @@ def _trajectory_matrix(state: FdpState) -> np.ndarray:
 
 
 def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int,
-              seed: int, checkpoint_stride: int = 10, fingerprint: str = "",
-              initial_state: FdpState | None = None) -> ChainOutput:
-    """Burn-in plus retained sweeps of the joint sampler, from a prior draw
-    or from ``initial_state``, whose workspace must hold ``config``'s kernel
-    on the panel's grid and which must have one unit per series; any other
-    raises ``InvalidInputError``.
+              seed: int, checkpoint_stride: int = 10, fingerprint: str = "") -> ChainOutput:
+    """Burn-in plus retained sweeps of the joint sampler from a prior draw.
 
-    Per-unit components are kept every ``checkpoint_stride`` retained
-    sweeps; the complete-data log-likelihood is tracked for every retained
-    sweep so maximum-likelihood sweep selection does not depend on the
-    stride. A chain without frozen atoms also keeps each unit's trajectory
-    at those sweeps (the bands). A chain whose state has frozen atoms (a
-    frozen-atom rerun) keeps no bands and instead counts, per unit, the
-    retained sweeps spent on {each frozen atom, other, null}.
+    Per-unit components and trajectories (the bands) are kept every
+    ``checkpoint_stride`` retained sweeps; the complete-data log-likelihood
+    is tracked for every retained sweep so maximum-likelihood sweep
+    selection does not depend on the stride.
     """
     if n_burn < 0 or n_keep < 1:
         raise DomainError("need n_burn >= 0 and n_keep >= 1")
@@ -867,43 +862,26 @@ def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int,
     if len(panel) == 0:
         raise InvalidInputError("cannot fit an empty panel")
     grid, n = panel.grid, len(panel)
-    if initial_state is None:
-        state = init_fdp_state(n, config, grid, rng=stream(seed, "joint-chain", "init"))
-    else:
-        state, ws = initial_state, initial_state.workspace
-        if ws.kernel != config.kernel or not np.array_equal(ws.grid, grid) or state.n_units != n:
-            raise InvalidInputError(
-                f"initial state was drawn for {ws.kernel}, {ws.grid.size} grid times and "
-                f"{state.n_units} units; the run has {config.kernel}, {grid.size} and {n}")
-    state.validate()
+    state = init_fdp_state(n, config, grid, rng=stream(seed, "joint-chain", "init"))
     table = step_table(panel, grid=grid)
     rng = stream(seed, "joint-chain", "sweeps")
 
     for _ in range(n_burn):
         gibbs_sweep_joint(state, table, rng)
 
-    n_frozen_flat = state.flat_set.n_frozen
-    n_frozen_gp = state.gp_set.n_frozen
-    frozen = n_frozen_flat + n_frozen_gp > 0
-    labels = tuple(f"flat_{l + 1}" for l in range(n_frozen_flat)) + \
-        tuple(f"gp_{l + 1}" for l in range(n_frozen_gp)) + ("other", "null")
-    membership = np.zeros((n, len(labels)) if frozen else (0, 0), dtype=np.int64)
     strided = np.arange(0, n_keep, checkpoint_stride)
-    band_sweeps = strided[:0] if frozen else strided
-
     inclusion_counts = np.zeros(n, dtype=np.int64)
     logliks = np.empty(n_keep)
     comp_probs = np.empty((n_keep, 3))
     comp_counts = np.empty((n_keep, 3), dtype=np.int64)
     gamma = np.empty((strided.size, n), dtype=np.int8)
-    band_samples = np.empty((band_sweeps.size, n, grid.size), dtype=np.float32)
+    band_samples = np.empty((strided.size, n, grid.size), dtype=np.float32)
     best_loglik = -np.inf
     best_sweep = -1
 
     for t in range(n_keep):
         gibbs_sweep_joint(state, table, rng)
-        nonnull = state.unit_component != NULL
-        inclusion_counts += nonnull
+        inclusion_counts += state.unit_component != NULL
         logliks[t] = complete_data_loglik(state, table)
         if logliks[t] > best_loglik:
             best_loglik, best_sweep, best = logliks[t], t, _best_snapshot(state)
@@ -912,16 +890,7 @@ def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int,
         if t % checkpoint_stride == 0:
             k = t // checkpoint_stride
             gamma[k] = state.unit_component
-            if not frozen:
-                band_samples[k] = _trajectory_matrix(state)
-        if frozen:
-            bucket = np.full(n, len(labels) - 2, dtype=np.int64)   # "other"
-            bucket[~nonnull] = len(labels) - 1                      # "null"
-            fz_flat = (state.unit_component == FLAT) & (state.unit_atom < n_frozen_flat)
-            bucket[fz_flat] = state.unit_atom[fz_flat]
-            fz_gp = (state.unit_component == GP) & (state.unit_atom < n_frozen_gp)
-            bucket[fz_gp] = n_frozen_flat + state.unit_atom[fz_gp]
-            membership[np.arange(n), bucket] += 1
+            band_samples[k] = _trajectory_matrix(state)
     if best_sweep < 0:
         raise NumericalError("no retained sweep has a finite complete-data log-likelihood")
 
@@ -929,8 +898,8 @@ def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int,
         unit_ids=panel.unit_ids, grid=grid, inclusion=inclusion_counts / n_keep,
         logliks=logliks, n_burn=n_burn, n_keep=n_keep, seed=seed, fingerprint=fingerprint,
         comp_probs=comp_probs, comp_counts=comp_counts, gamma_sweeps=strided, gamma=gamma,
-        band_sweeps=band_sweeps, band_samples=band_samples, membership_counts=membership,
-        membership_labels=labels, best_sweep=best_sweep, **best, kernel=config.kernel)
+        band_sweeps=strided, band_samples=band_samples, best_sweep=best_sweep, **best,
+        kernel=config.kernel)
 
 
 def merge_inclusion(chains: list[ChainOutput]) -> np.ndarray:
@@ -1079,12 +1048,25 @@ def mle_trajectory_set(chain: ChainOutput, top_k: int) -> MleTrajectorySet:
                             top_k)
 
 
-def frozen_initial_state(panel: SeriesPanel, frozen: MleTrajectorySet, config: RunConfig,
-                         seed: int) -> tuple[FdpState, tuple[str, ...]]:
-    """Prior draw with ``frozen``'s atoms (values and within-set weights) at
-    the head of their stick sets, free sticks on the leftover mass and every
-    unit null; also the frozen names in membership column order (flat, gp)."""
-    grid = panel.grid
+def frozen_cluster_rerun(panel: SeriesPanel, frozen: MleTrajectorySet, config: RunConfig,
+                         seed: int, n_burn: int, n_keep: int
+                         ) -> tuple[tuple[str, ...], np.ndarray, str]:
+    """Cluster memberships of the panel's units with ``frozen``'s atoms held
+    fixed: their values and within-set weights head their stick sets, and
+    free atoms fill the remaining truncation slots and the leftover stick
+    mass. From a prior draw with every unit null, ``n_burn`` sweeps run,
+    then ``n_keep`` retained ones, each binning every unit into {each
+    frozen atom, other, null}.
+
+    Returns the frozen atoms' names in column order (flat, then gp), each
+    unit's percent of retained sweeps per column (rows sum to 100), and the
+    frozen atoms' digest, checked unchanged after the run.
+    """
+    if n_burn < 0 or n_keep < 1:
+        raise DomainError("need n_burn >= 0 and n_keep >= 1")
+    if len(panel) == 0:
+        raise InvalidInputError("cannot fit an empty panel")
+    grid, n = panel.grid, len(panel)
     if not np.array_equal(grid, frozen.grid):
         raise InvalidInputError("panel time grid differs from the frozen atoms' grid")
     if not frozen.atoms:
@@ -1094,8 +1076,7 @@ def frozen_initial_state(panel: SeriesPanel, frozen: MleTrajectorySet, config: R
     if len(flat_sel) >= config.trunc_flat or len(gp_sel) >= config.trunc_gp:
         raise InvalidInputError("frozen atom count must stay below the truncation level")
     init_rng = stream(seed, "frozen-rerun", "init")
-    state = init_fdp_state(len(panel), config, grid, rng=init_rng)
-
+    state = init_fdp_state(n, config, grid, rng=init_rng)
     for tset, sel in ((state.flat_set, flat_sel), (state.gp_set, gp_sel)):
         k = len(sel)
         if k == 0:
@@ -1112,4 +1093,24 @@ def frozen_initial_state(panel: SeriesPanel, frozen: MleTrajectorySet, config: R
         tset.n_frozen = k
     state.unit_component[:] = NULL
     state.unit_atom[:] = -1
-    return state, tuple(frozen.names[i] for i in flat_sel + gp_sel)
+    state.validate()
+    digest = state.frozen_digest()
+
+    # The membership column of each trajectory row (``_trajectory_rows``):
+    # the null's, each frozen atom's own, and "other" for every free atom.
+    n_flat, n_frozen, Lf = len(flat_sel), len(frozen.atoms), state.flat_set.truncation
+    column = np.full(1 + Lf + state.gp_set.truncation, n_frozen)
+    column[0] = n_frozen + 1
+    column[1:1 + n_flat] = np.arange(n_flat)
+    column[1 + Lf:1 + Lf + n_frozen - n_flat] = np.arange(n_flat, n_frozen)
+    counts = np.zeros((n, n_frozen + 2), dtype=np.int64)
+    table = step_table(panel, grid=grid)
+    rng = stream(seed, "joint-chain", "sweeps")
+    for t in range(n_burn + n_keep):
+        gibbs_sweep_joint(state, table, rng)
+        if t >= n_burn:
+            counts[np.arange(n), column[_unit_rows(state)]] += 1
+    if state.frozen_digest() != digest:
+        raise NumericalError("frozen atoms were mutated during the re-run")
+    names = tuple(frozen.names[i] for i in flat_sel + gp_sel)
+    return names, counts * (100.0 / n_keep), digest

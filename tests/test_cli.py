@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import arscreen.cli as cli
+import arscreen.trajectory
 from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel
 import oracles
 from oracles import read_table
 from arscreen.cli import (
     RunConfig,
-    frozen_cluster_rerun,
     load_chain,
     load_run_config,
     main,
@@ -32,7 +32,14 @@ from arscreen.mcmc import stream
 from arscreen.panel_io import ColumnRows, read_panel, write_panel, write_table
 from arscreen.parametric import ParametricPrior
 from arscreen.simulation import simulate_ar1
-from arscreen.trajectory import DEFAULT_THRESHOLDS, ChainOutput, GpKernelParams, run_chain
+from arscreen.trajectory import (
+    DEFAULT_THRESHOLDS,
+    ChainOutput,
+    FdpState,
+    GpKernelParams,
+    frozen_cluster_rerun,
+    run_chain,
+)
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -224,8 +231,19 @@ class TestScenarios:
                 simulate_from_scenario(dict(prior, **{key: "0"}), seed=0)
 
 
+def _assert_same_chain(a: ChainOutput, b: ChainOutput) -> None:
+    """Every field of ``a`` equals ``b``'s, arrays in dtype, shape and value."""
+    for f in fields(ChainOutput):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(y, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape, f.name
+            assert np.array_equal(x, y), f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
 class TestChainPersistence:
-    def test_round_trip(self, fitted_chain, rerun, tmp_path):
+    def test_round_trip(self, fitted_chain, tmp_path):
         panel, chain = fitted_chain
         path = str(tmp_path / "chain.npz")
         save_chain(chain, path)
@@ -240,22 +258,28 @@ class TestChainPersistence:
         assert np.array_equal(loaded.best_gp_paths, chain.best_gp_paths)
         assert np.array_equal(loaded.band_samples, chain.band_samples)
         assert loaded.kernel == chain.kernel == TEST_CONFIG.kernel
-        # Every field survives, also for a frozen rerun's chain: no bands,
-        # with membership counts.
-        frozen_chain = rerun[2].chain
-        assert len(frozen_chain.band_samples) == 0 and frozen_chain.membership_counts.size
-        for k, direct in enumerate((chain, frozen_chain)):
-            path = str(tmp_path / f"chain_{k}.npz")
-            save_chain(direct, path)
-            loaded = load_chain(path)
-            for f in fields(ChainOutput):
-                a, b = getattr(loaded, f.name), getattr(direct, f.name)
-                if isinstance(b, np.ndarray):
-                    assert a.dtype == b.dtype and a.shape == b.shape, f.name
-                    assert np.array_equal(a, b), f.name
-                else:
-                    assert type(a) is type(b) and a == b, f.name
-            assert report_summaries(loaded) == report_summaries(direct)
+        # Every field survives.
+        _assert_same_chain(loaded, chain)
+        assert report_summaries(loaded) == report_summaries(chain)
+
+    def test_older_chain_file_reads_the_same(self, fitted_chain, tmp_path):
+        """A chain file that also holds the two membership entries every
+        chain file once carried, empty counts and the labels ("other",
+        "null"), written after ``band_samples``, reads as the same chain."""
+        _, chain = fitted_chain
+        path = str(tmp_path / "chain.npz")
+        save_chain(chain, path)
+        with np.load(path) as z:
+            entries = {k: z[k] for k in z.files}
+        older = {}
+        for k, v in entries.items():
+            older[k] = v
+            if k == "band_samples":
+                older.update(membership_counts=np.zeros((0, 0), dtype=np.int64),
+                             membership_labels=np.array(("other", "null"), dtype="U32"))
+        old_path = str(tmp_path / "older.npz")
+        np.savez(old_path, **older)
+        _assert_same_chain(load_chain(old_path), load_chain(path))
 
     def test_malformed_chain_exits_3(self, fitted_chain, tmp_path, capsys):
         _, chain = fitted_chain
@@ -364,36 +388,41 @@ class TestMleTrajectorySet:
 def rerun(fitted_chain):
     panel, chain = fitted_chain
     frozen = mle_trajectory_set(chain, 2)
-    result = frozen_cluster_rerun(panel, frozen, TEST_CONFIG, seed=6,
-                                  n_burn=100, n_keep=200)
-    return panel, frozen, result
+    names, percent, digest = frozen_cluster_rerun(panel, frozen, TEST_CONFIG, seed=6,
+                                                  n_burn=100, n_keep=200)
+    return panel, frozen, names, percent, digest
 
 
 class TestFrozenRerun:
     def test_membership_rows_sum_to_100(self, rerun):
-        _, _, result = rerun
-        assert np.allclose(result.membership_percent.sum(axis=1), 100.0, atol=1e-9)
-        assert result.membership_percent.shape == (36, len(result.cluster_names) + 2)
+        _, _, names, percent, _ = rerun
+        assert np.allclose(percent.sum(axis=1), 100.0, atol=1e-9)
+        assert percent.shape == (36, len(names) + 2)
 
     def test_planted_units_join_their_cluster(self, rerun):
-        _, frozen, result = rerun
+        _, frozen, names, percent, _ = rerun
         by_level = {round(a.level if a.kind == "flat" else float(np.median(a.path))):
-                    result.cluster_names.index(n)
+                    names.index(n)
                     for n, a in zip(frozen.names, frozen.atoms)}
         hi, lo = by_level[4], by_level[-4]
-        assert np.all(result.membership_percent[:8, hi] > 50.0)
-        assert np.all(result.membership_percent[8:16, lo] > 50.0)
-        null_col = len(result.cluster_names) + 1
-        assert np.median(result.membership_percent[16:, null_col]) > 50.0
+        assert np.all(percent[:8, hi] > 50.0)
+        assert np.all(percent[8:16, lo] > 50.0)
+        null_col = len(names) + 1
+        assert np.median(percent[16:, null_col]) > 50.0
 
     def test_frozen_atoms_unchanged(self, rerun):
-        _, frozen, result = rerun
-        final = result.chain
-        k_flat = sum(label.startswith("flat_") for label in final.membership_labels)
-        for name, atom in zip(frozen.names, frozen.atoms):
-            if atom.kind == "flat":
-                assert float(atom.level) in [float(l) for l in final.best_flat_levels[:k_flat]]
-        assert result.atom_digest
+        """The digest, checked unchanged after the run, is that of the
+        frozen atoms' values and within-set weights, flat then gp, which
+        is also the column order of the names."""
+        _, frozen, names, _, digest = rerun
+        flat = [i for i, a in enumerate(frozen.atoms) if a.kind == "flat"]
+        gp = [i for i, a in enumerate(frozen.atoms) if a.kind == "gp"]
+        h = hashlib.sha256()
+        for arr in ([frozen.atoms[i].level for i in flat], frozen.set_weights[flat],
+                    [frozen.atoms[i].path for i in gp], frozen.set_weights[gp]):
+            h.update(np.array(arr, dtype=float).tobytes())
+        assert digest == h.hexdigest()
+        assert names == tuple(frozen.names[i] for i in flat + gp)
 
     def test_deterministic(self, fitted_chain):
         panel, chain = fitted_chain
@@ -402,7 +431,8 @@ class TestFrozenRerun:
                                   n_burn=30, n_keep=50)
         r2 = frozen_cluster_rerun(panel, frozen, TEST_CONFIG, seed=3,
                                   n_burn=30, n_keep=50)
-        assert np.array_equal(r1.membership_percent, r2.membership_percent)
+        assert r1[0] == r2[0] and r1[2] == r2[2]
+        assert np.array_equal(r1[1], r2[1])
 
     def test_grid_mismatch_rejected(self, fitted_chain):
         panel, chain = fitted_chain
@@ -413,13 +443,64 @@ class TestFrozenRerun:
             frozen_cluster_rerun(short, frozen, TEST_CONFIG, seed=0,
                                  n_burn=2, n_keep=2)
 
-
     def test_empty_frozen_set_rejected(self, fitted_chain):
         panel, chain = fitted_chain
         empty = replace(mle_trajectory_set(chain, 2), names=(), atoms=(),
                         set_weights=np.empty(0))
         with pytest.raises(InvalidInputError, match="at least one frozen atom"):
             frozen_cluster_rerun(panel, empty, TEST_CONFIG, seed=0, n_burn=2, n_keep=2)
+
+    @pytest.mark.parametrize("n_burn, n_keep", [(-1, 2), (2, 0)])
+    def test_sweep_counts_checked(self, fitted_chain, n_burn, n_keep):
+        panel, chain = fitted_chain
+        frozen = mle_trajectory_set(chain, 2)
+        with pytest.raises(DomainError, match="n_burn >= 0 and n_keep >= 1"):
+            frozen_cluster_rerun(panel, frozen, TEST_CONFIG, seed=0, n_burn=n_burn,
+                                 n_keep=n_keep)
+
+    def test_empty_panel_rejected(self, fitted_chain):
+        _, chain = fitted_chain
+        frozen = mle_trajectory_set(chain, 2)
+        with pytest.raises(InvalidInputError, match="empty panel"):
+            frozen_cluster_rerun(SeriesPanel(()), frozen, TEST_CONFIG, seed=0,
+                                 n_burn=2, n_keep=2)
+
+    def test_built_state_validated(self, fitted_chain, monkeypatch):
+        """The state the rerun builds is validated before any sweep: a
+        failing check stops the run there."""
+        panel, chain = fitted_chain
+        frozen = mle_trajectory_set(chain, 2)
+        seen = []
+
+        def refuse(state):
+            seen.append((state.unit_component.copy(), state.unit_atom.copy()))
+            raise InvalidInputError("refused by the test")
+
+        def no_sweep(*args):
+            raise AssertionError("swept an unvalidated state")
+
+        monkeypatch.setattr(FdpState, "validate", refuse)
+        monkeypatch.setattr(arscreen.trajectory, "gibbs_sweep_joint", no_sweep)
+        with pytest.raises(InvalidInputError, match="refused by the test"):
+            frozen_cluster_rerun(panel, frozen, TEST_CONFIG, seed=0, n_burn=2, n_keep=2)
+        [(component, atom)] = seen
+        assert np.all(component == 0) and np.all(atom == -1)
+
+    def test_mutated_atoms_detected(self, fitted_chain, monkeypatch):
+        """A sweep that moved a frozen atom fails the digest check."""
+        panel, chain = fitted_chain
+        frozen = mle_trajectory_set(chain, 2)
+        real = arscreen.trajectory.gibbs_sweep_joint
+
+        def nudging(state, table, rng):
+            real(state, table, rng)
+            tset = state.flat_set if state.flat_set.n_frozen else state.gp_set
+            (tset.levels if tset.kind == "flat" else tset.paths)[0] += 1e-12
+            return state
+
+        monkeypatch.setattr(arscreen.trajectory, "gibbs_sweep_joint", nudging)
+        with pytest.raises(NumericalError, match="frozen atoms were mutated"):
+            frozen_cluster_rerun(panel, frozen, TEST_CONFIG, seed=0, n_burn=1, n_keep=1)
 
 
 class TestReportSummaries:
@@ -490,8 +571,12 @@ class TestReportWriter:
         assert first[0].startswith('"id,""quoted""",') and "e-06" in first[0]
         assert "e+16" in first[1]
 
-    def test_frozen_rerun_chain_has_no_bands(self, rerun, tmp_path):
-        assert self._compare(rerun[2].chain, tmp_path) == ["inclusion.csv", "summary.txt"]
+    def test_chain_without_bands(self, fitted_chain, tmp_path):
+        """A chain that holds none of its bands, as ``fit-np`` keeps chain 0
+        once its bands are written, writes no bands file."""
+        _, chain = fitted_chain
+        chain = replace(chain, band_samples=chain.band_samples[:0])
+        assert self._compare(chain, tmp_path) == ["inclusion.csv", "summary.txt"]
 
     def test_column_rows_write_as_cells(self, tmp_path):
         """Floats whose repr takes exponent form, -0.0, non-finite values and a

@@ -5,7 +5,8 @@ numpy alone: no scipy module is loaded, by the import or by a command (the
 tests use scipy only as a reference). A module imported inside a command
 would only move its cost into the command's time, so the six commands of
 the README pipeline must run without importing one. Nor does a
-well-formed argv load argparse.
+well-formed argv load argparse. Nor does ``import arscreen`` load the
+command line at all.
 """
 
 import json
@@ -85,6 +86,14 @@ def test_cli_imports_no_heavy_scipy_and_commands_import_nothing(tmp_path):
     # gettext it loads, is imported only for an argv that it reads.
     assert got["argv_modules_at_import"] == []
     assert got["argv_modules_after"] == []
+
+
+def test_package_import_leaves_the_cli_out(tmp_path):
+    """The library does not load its command line: a fresh ``import
+    arscreen`` imports no ``arscreen.cli``."""
+    got = _run("import json, sys\nimport arscreen\n"
+               "print(json.dumps({'cli': 'arscreen.cli' in sys.modules}))", tmp_path)
+    assert got == {"cli": False}
 
 
 def test_pipeline_runs_with_scipy_blocked(tmp_path):

@@ -7,6 +7,10 @@ a string annotation) or lists it in ``__all__``. An import whose line
 carries ``# noqa: F401`` is exempt: those bind names only for the
 benchmark's per-layer probes, or load a module ahead of the commands.
 
+The library stays separate from its command line: no module of the
+package but ``__main__`` imports ``cli``, at module level or inside a
+function.
+
 A module-level function or class counts as named when some module of the
 package reads it (by name, as an attribute, or in a string annotation),
 imports it, or lists it in ``__all__``; code that only tests call belongs
@@ -112,6 +116,46 @@ def unused_imports(path: str) -> list[str]:
     return [f"{os.path.basename(path)}:{line}: {name}"
             for line, name in sorted((line, name) for name, line in bound.items())
             if name not in used]
+
+
+def cli_imports(path: str) -> list[str]:
+    """``module:line`` of every import of the package's ``cli`` in the
+    module at ``path``, relative or absolute, at any depth."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            loaded = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("arscreen" if node.level else "", node.module)))
+            loaded = [module] + [f"{module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name == "arscreen.cli" or name.startswith("arscreen.cli.") for name in loaded):
+            found.append(f"{os.path.basename(path)}:{node.lineno}")
+    return found
+
+
+def test_no_library_module_imports_the_cli():
+    modules = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__main__.py")
+    assert "__init__.py" in modules and "cli.py" in modules
+    assert [hit for f in modules for hit in cli_imports(os.path.join(PACKAGE, f))] == []
+    assert cli_imports(os.path.join(PACKAGE, "__main__.py")) == ["__main__.py:5"]
+
+
+def test_scan_finds_a_cli_import(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from .cli import main\n"
+                    "from . import cli, errors\n"
+                    "from .clinic import x\n"
+                    "import arscreen.cli as c\n"
+                    "import arscreen.client\n"
+                    "def f():\n"
+                    "    from arscreen import cli\n"
+                    "    from arscreen.cli import main\n"
+                    "    from . import trajectory\n")
+    assert cli_imports(str(path)) == ["mod.py:1", "mod.py:2", "mod.py:4", "mod.py:7", "mod.py:8"]
 
 
 def test_package_modules_use_every_import():
