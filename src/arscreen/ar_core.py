@@ -442,6 +442,22 @@ class StepTable:
         values never change, so every sweep of a chain reads the same ones."""
         return lag_stats(self)
 
+    @cached_property
+    def step_key(self) -> np.ndarray:
+        """(n_steps,) each step's (unit, gap) bin, ``step_unit * D + gap``,
+        which ``lag_stats`` sums by; built on first use."""
+        return self.step_unit * len(self.sizes) + self.gap
+
+    @cached_property
+    def obs_gap(self) -> np.ndarray:
+        """(n_obs,) the gap of the step into each observation, as an index
+        into ``sizes``, and D at each unit's first observation: the column
+        ``step_precision`` reads each observation's entries from; built on
+        first use."""
+        gap = np.full(self.values.size, len(self.sizes), dtype=np.int64)
+        gap[self.later] = self.gap
+        return gap
+
 
 def step_table(panel: SeriesPanel, grid: np.ndarray | None = None) -> StepTable:
     """Flat step table of a panel; with ``grid``, every time must lie on it."""
@@ -612,7 +628,7 @@ def lag_stats(table: StepTable, values: np.ndarray | None = None) -> LagStats:
     """
     y = table.values if values is None else values
     N, D = table.n_units, len(table.sizes)
-    step_key = table.step_unit * D + table.gap
+    step_key = table.step_key
 
     def per_gap(weights=None):
         return np.bincount(step_key, weights, minlength=N * D).reshape(N, D)
@@ -646,18 +662,31 @@ def step_precision(table: StepTable, phi: np.ndarray, v: np.ndarray,
     a step, the step's off-diagonal entry is -a / w; a diagonal entry is
     1 / w of the step into it (1 / s for a unit's first observation) plus
     a^2 / w of the step out of it. Each entry is evaluated once per atom
-    and gap, in an (L, D) table that each step gathers from by its unit's
-    atom. An observation has at most one term into it (1 / s or 1 / w) and
-    one out of it, so one ``bincount`` sums its diagonal.
+    and gap, in (L, D + 1) tables whose last column serves a unit's first
+    observation, and each observation gathers its entries from them by its
+    unit's atom and ``StepTable.obs_gap`` (``_precision_entries``).
     """
+    diag, off = _precision_entries(table, phi, v, atom)
+    return diag, off[table.later]
+
+
+def _precision_entries(table: StepTable, phi: np.ndarray, v: np.ndarray,
+                       atom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``step_precision``'s diagonal, and at each observation the entry of
+    the step into it, 0 at a unit's first observation. Every step joins
+    observation i - 1 to i (``earlier = later - 1``), so the term out of
+    observation i is the one gathered at i + 1 (0 there when i ends its
+    unit), added to the term into i in one shifted-slice add. The terms are
+    positive, so this is the sum a ``bincount`` of them forms, bit for bit
+    (``tests/oracles.step_precision_bincount``)."""
     coef, ratio = _gap_coefficients(phi, table.sizes)
     inv_w = 1.0 / (v[:, None] * ratio)
-    cell = atom[table.step_unit] * len(table.sizes) + table.gap
-    terms = np.concatenate([((1.0 - phi * phi) / v)[atom], inv_w.ravel()[cell],
-                            (coef * coef * inv_w).ravel()[cell]])
-    diag = np.bincount(np.concatenate([table.first, table.later, table.earlier]), terms,
-                       minlength=table.values.size)
-    return diag, (-coef * inv_w).ravel()[cell]
+    first, none = ((1.0 - phi * phi) / v)[:, None], np.zeros((phi.size, 1))
+    cell = atom[table.unit] * (len(table.sizes) + 1) + table.obs_gap
+    diag = np.hstack([inv_w, first]).ravel()[cell]
+    out = np.hstack([coef * coef * inv_w, none]).ravel()[cell]
+    np.add(diag[:-1], out[1:], out=diag[:-1])
+    return diag, np.hstack([-coef * inv_w, none]).ravel()[cell]
 
 
 def ar1_precision(params: ArParams, gaps: GapTable) -> np.ndarray:

@@ -58,8 +58,11 @@ def read_panel(path: str, min_length: int = 1) -> SeriesPanel:
             _raise_at_bad_row(path)
             raise
     units = list(map(str.strip, fields[0::3]))
+    # The kept ids are fresh copies, made while the fields fill their
+    # memory: the ids of the fields themselves would keep every block that
+    # held any field resident for as long as the panel lives.
+    first = dict.fromkeys(u.encode().decode() for u in dict.fromkeys(units))
     del fields
-    first = dict.fromkeys(units)
     code = dict(zip(first, range(len(first))))
     unit = np.fromiter(map(code.__getitem__, units), np.int64, n)
     order = np.lexsort((times, unit))          # stable: equal times keep file order

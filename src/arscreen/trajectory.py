@@ -38,8 +38,8 @@ from .ar_core import (
     StepTable,
     _lag_coefficients,
     _loglik_weights,
+    _precision_entries,
     lag_stats,
-    step_precision,
     step_table,
 )
 # Bound only for the probes in bench/layers.py; not called here (counts read 0).
@@ -354,9 +354,12 @@ def _noise_cells(table: StepTable, n_times: int) -> tuple[np.ndarray, np.ndarray
 def _unit_noise(state: FdpState, table: StepTable) -> _UnitNoise:
     """``_UnitNoise`` of every unit in ``table`` (grid positions required).
     Each unit is scored under its own atom only, in O(columns), and
-    scattered to the cells the table's ``_chain_index`` holds."""
+    scattered to the cells the table's ``_chain_index`` holds. Its grid is
+    that index's ``noise_grid``, which every sweep rewrites: the result is
+    valid until the next sweep of that chain."""
     G = state.grid.size
-    diag_cells, pair_cells = _chain_index(state, table).noise_cells
+    index = _chain_index(state, table)
+    diag_cells, pair_cells = index.noise_cells
     stick, atom = state.residual.stick, state.residual.assignments
     stats = table.stats
     logdet, q_yy, s11, q_y1 = _lag_coefficients(stick.phi, stick.v, table.sizes)
@@ -364,18 +367,21 @@ def _unit_noise(state: FdpState, table: StepTable) -> _UnitNoise:
     null = np.einsum("ij,ij->i", stats.terms, atom_loglik[atom])
     s11 = np.einsum("ij,ij->i", stats.terms[:, :s11.shape[1]], s11[atom])
     q_y1 = np.einsum("ij,ij->i", stats.linear, q_y1[atom])
-    diag, off = step_precision(table, stick.phi, stick.v, atom)
-    y, later, earlier = table.values, table.later, table.earlier
+    diag, o = _precision_entries(table, stick.phi, stick.v, atom)
+    off = o[table.later]
+    # Q y from shifted slices: step i - 1 -> i adds o_i y_(i-1) to entry i,
+    # then o_i y_i to entry i - 1, the order the steps' own loop adds them.
+    # Masked, a unit's first entry is left as it is (a -0.0 keeps its sign).
+    y, joins = table.values, index.joins_prev
     qy = diag * y
-    qy[later] += off * y[earlier]
-    qy[earlier] += off * y[later]
+    np.add(qy[1:], o[1:] * y[:-1], out=qy[1:], where=joins)
+    np.add(qy[:-1], o[1:] * y[1:], out=qy[:-1], where=joins)
     P = len(table.pairs)
-    grid = np.zeros((table.n_units, 2 * G + P))
-    flat = grid.ravel()                         # scattered into through flat indices
+    flat = index.noise_grid.ravel()             # scattered into through flat indices
     flat[diag_cells] = diag
     flat[pair_cells] = off
     flat[G + P:][diag_cells] = qy
-    return _UnitNoise(null, q_y1, s11, grid, G, atom_loglik)
+    return _UnitNoise(null, q_y1, s11, index.noise_grid, G, atom_loglik)
 
 
 def _pair_stacks(table: StepTable, workspace: GpWorkspace) -> tuple[np.ndarray, np.ndarray]:
@@ -416,29 +422,49 @@ def _gp_atom_terms(noise: _UnitNoise, unit_atom: np.ndarray, atoms: np.ndarray,
 class _ChainIndex:
     """What every sweep over one step table's layout reads and none
     changes: the component and atom of each score column, the table's
-    ``_noise_cells`` and ``_pair_stacks``."""
+    ``_noise_cells`` and ``_pair_stacks``, and which observations end a
+    step. Also the work buffers each sweep rewrites in full: the
+    ``_UnitNoise`` grid, zero off its noise cells, and the score matrices
+    of stage (a) and of stage (f), which share their memory: (a)'s is used
+    up before (f)'s is filled."""
 
     layout: tuple[np.ndarray, ...]      # the table's unit, pos, step_unit, pair, pairs
     column_kind: np.ndarray             # (1 + Lf + Lg,) NULL | FLAT... | GP...
     column_atom: np.ndarray             # (1 + Lf + Lg,) -1 | 0..Lf-1 | 0..Lg-1
     noise_cells: tuple[np.ndarray, np.ndarray]
     stacks: tuple[np.ndarray, np.ndarray]
+    joins_prev: np.ndarray              # (n_obs - 1,) observation i + 1 ends a step
+    noise_grid: np.ndarray              # (N, 2G + P)
+    scores: np.ndarray                  # (N, 1 + Lf + Lg)
+    resid_scores: np.ndarray            # (N, Lr), on the same memory
 
 
 def _chain_index(state: FdpState, table: StepTable) -> _ChainIndex:
     """The ``_ChainIndex`` of ``table``, kept on the state's workspace: a
     chain builds it on its first sweep, and every later sweep over a table
     with the same layout arrays finds it there, also over a copy that only
-    carries other values. A state's truncations never change."""
+    carries other values. A state's truncations never change. The table's
+    own cached indices (``step_key``, ``obs_gap``) are built here too,
+    with the buffers and before any sweep's temporaries: built amid those,
+    they kept a command's heap from shrinking between sweeps."""
     workspace = state.workspace
     index = workspace.chain_index
     layout = (table.unit, table.pos, table.step_unit, table.pair, table.pairs)
     if index is None or any(a is not b for a, b in zip(index.layout, layout)):
+        table.step_key, table.obs_gap
         Lf, Lg = state.flat_set.truncation, state.gp_set.truncation
+        G, n = state.grid.size, table.n_units
+        K, Lr = 1 + Lf + Lg, state.residual.truncation
+        # Column-major: stage (a) fills each column block in place, and
+        # categorical_draw sums whole columns.
+        scores = np.empty(n * max(K, Lr))
         index = workspace.chain_index = _ChainIndex(
             layout, np.repeat(np.array([NULL, FLAT, GP], dtype=np.int8), [1, Lf, Lg]),
             np.concatenate([[-1], np.arange(Lf), np.arange(Lg)]),
-            _noise_cells(table, state.grid.size), _pair_stacks(table, workspace))
+            _noise_cells(table, G), _pair_stacks(table, workspace),
+            table.obs_gap[1:] < len(table.sizes),
+            np.zeros((n, 2 * G + len(table.pairs))),
+            scores[:n * K].reshape(K, n).T, scores[:n * Lr].reshape(Lr, n).T)
     return index
 
 
@@ -447,10 +473,12 @@ def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise) -> 
 
     Columns are [null | flat atoms | gp atoms]; entry = log component prob
     + log atom weight + component log-likelihood under the unit's current
-    residual parameters, read from ``noise``.
+    residual parameters, read from ``noise``. The matrix is the table's
+    ``_chain_index`` buffer, filled in place; it is valid until the next
+    sweep of that chain.
     """
-    n = state.n_units
-    Lf, Lg = state.flat_set.truncation, state.gp_set.truncation
+    scores = _chain_index(state, table).scores
+    Lf = state.flat_set.truncation
     with np.errstate(divide="ignore"):
         log_cp = np.log(state.component_probs)
         log_wf = np.log(state.flat_set.weights)
@@ -459,13 +487,19 @@ def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise) -> 
     prev, cur = table.pairs.T
     # y'Qf - f'Qf/2 for every gp path f, in one product with the noise rows.
     gp_weights = np.hstack([-0.5 * paths * paths, -paths[:, prev] * paths[:, cur], paths])
-    null, q_y1 = noise.null[:, None], noise.q_y1[:, None]
-    # Each column block is its log prior row plus its log-likelihoods.
-    scores = np.empty((n, 1 + Lf + Lg))
-    np.add(log_cp[NULL], noise.null, out=scores[:, 0])
-    np.add(log_cp[FLAT] + log_wf, null + levels * q_y1 - 0.5 * noise.s11[:, None] * levels ** 2,
-           out=scores[:, 1:1 + Lf])
-    np.add(log_cp[GP] + log_wg, null + noise.grid @ gp_weights.T, out=scores[:, 1 + Lf:])
+    # Each column block is its log-likelihoods plus its log prior row, summed
+    # in place in its own columns, each of which is contiguous (a sum's
+    # operands commute bit for bit).
+    by_column = scores.T
+    np.add(log_cp[NULL], noise.null, out=by_column[0])
+    flat, gp = by_column[1:1 + Lf], by_column[1 + Lf:]
+    np.multiply(levels[:, None], noise.q_y1, out=flat)
+    flat += noise.null
+    flat -= 0.5 * noise.s11 * levels[:, None] ** 2
+    flat += (log_cp[FLAT] + log_wf)[:, None]
+    np.matmul(gp_weights, noise.grid.T, out=gp)
+    gp += noise.null
+    gp += (log_cp[GP] + log_wg)[:, None]
     return scores
 
 
@@ -532,7 +566,9 @@ def gibbs_sweep_joint(state: FdpState, table: StepTable, rng: np.random.Generato
     stats = lag_stats(table, _detrended_values(state, table))
     residual, nu = state.residual, state.traj_concentration
     try:
-        resid_counts = _assign_residual(residual, table, stats.terms @ noise.atom_loglik.T, rng)
+        ll = index.resid_scores
+        np.matmul(noise.atom_loglik, stats.terms.T, out=ll.T)
+        resid_counts = _assign_residual(residual, table, ll, rng)
         flat, gp, (residual.stick.sticks, residual.stick.weights) = sample_sticks(
             [flat_counts[start:], gp_counts[free], resid_counts],
             [nu, nu, residual.concentration], rng)

@@ -87,6 +87,40 @@ def step_precision_per_unit(table, phi: np.ndarray, v: np.ndarray) -> tuple[np.n
     return diag, -a * inv_w
 
 
+def step_precision_bincount(table, phi: np.ndarray, v: np.ndarray,
+                            atom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ar_core.step_precision`` in its concatenated-``bincount`` form: the
+    (atom, gap) entries gathered per step, and the diagonal summed by one
+    ``bincount`` over the terms into each observation (1 / s at a unit's
+    first, 1 / w at a step's later) and then out of it (a^2 / w at a step's
+    earlier). The reference for the shifted-slice form, which must agree
+    with it bit for bit."""
+    coef = phi[:, None] ** np.asarray(table.sizes, dtype=float)
+    ratio = (1.0 - coef * coef) / (1.0 - phi[:, None] * phi[:, None])
+    inv_w = 1.0 / (v[:, None] * ratio)
+    cell = atom[table.step_unit] * len(table.sizes) + table.gap
+    terms = np.concatenate([((1.0 - phi * phi) / v)[atom], inv_w.ravel()[cell],
+                            (coef * coef * inv_w).ravel()[cell]])
+    diag = np.bincount(np.concatenate([table.first, table.later, table.earlier]), terms,
+                       minlength=table.values.size)
+    return diag, (-coef * inv_w).ravel()[cell]
+
+
+def qy_by_steps(table, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Q y of every unit in a step table from its tridiagonal precision
+    entries, ``diag`` at each observation and ``off`` at each step: the
+    diagonal times y, then each step's entry times its earlier value added
+    at its later observation, then times its later value added at its
+    earlier one, by fancy indexing over the steps. The reference for
+    ``trajectory._unit_noise``'s shifted-slice form, in the same operations
+    per entry, so the two agree bit for bit."""
+    y = table.values
+    qy = diag * y
+    qy[table.later] += off * y[table.earlier]
+    qy[table.earlier] += off * y[table.later]
+    return qy
+
+
 def dense_ar1_loglik(y, phi: float, v: float, times) -> float:
     """AR(1) null log-likelihood via a dense multivariate normal density."""
     cov = dense_ar1_cov(phi, v, times)

@@ -36,6 +36,7 @@ from oracles import (
     dense_shift_loglik,
     lag_gaussian_parts,
     pool_add_at,
+    step_precision_bincount,
     step_precision_per_unit,
 )
 from oracles import ndtri as oracles_ndtri
@@ -501,6 +502,27 @@ class TestPanelTypes:
         got = step_precision(table, phi, v, atom)
         want = step_precision_per_unit(table, phi[atom], v[atom])
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_step_precision_equals_bincount_form_bit_for_bit(self):
+        """The shifted-slice diagonal and the gathered off-diagonal are the
+        concatenated-``bincount`` form's to the bit, on ragged times with
+        four distinct gaps, units of one observation and |phi| = 0.999."""
+        rng = np.random.default_rng(62)
+        series = []
+        for i in range(50):
+            n = 1 if i % 6 == 0 else int(rng.integers(2, 14))
+            times = np.cumsum(rng.choice([1, 2, 3, 5], size=n)) - 1
+            series.append(ObservedSeries(f"u{i}", times, rng.normal(size=n)))
+        table = step_table(SeriesPanel(tuple(series)))
+        assert len(table.sizes) >= 3
+        phi = np.array([0.999, -0.999, 0.3, -0.7, 0.0])
+        v = np.array([1.0, 0.02, 3.0, 0.5, 1e-3])
+        for seed in range(3):
+            atom = np.random.default_rng(seed).integers(0, phi.size, size=len(series))
+            got = step_precision(table, phi, v, atom)
+            want = step_precision_bincount(table, phi, v, atom)
+            for g, w in zip(got, want):
+                assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
     def test_step_table_names_unit_off_grid(self):
         panel = SeriesPanel((ObservedSeries("on", np.array([0, 2, 4]), np.zeros(3)),

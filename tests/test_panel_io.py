@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import arscreen
 from arscreen.ar_core import ObservedSeries, SeriesPanel
 from arscreen.errors import InvalidInputError
 from arscreen.panel_io import ColumnRows, read_panel, write_panel, write_table
@@ -250,3 +255,42 @@ def test_writer_memory_does_not_grow_with_rows(tmp_path):
     large = _traced_write_peak(tmp_path / "large.csv", 500_000)
     assert large <= 1.5 * small, (small, large)
     assert len((tmp_path / "large.csv").read_bytes().splitlines()) == 500_001
+
+
+# Resident memory (from /proc/self/statm) that ``read_panel`` leaves behind.
+READ_PANEL_RESIDENT = r"""
+import json, os, sys
+from arscreen.panel_io import read_panel
+
+def resident_mb():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+before = resident_mb()
+panel = read_panel(sys.argv[1])
+print(json.dumps({"growth_mb": resident_mb() - before, "units": len(panel)}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_read_panel_releases_its_parse(tmp_path):
+    """The panel keeps copies of its unit ids, not the parsed fields, so the
+    memory that held the fields is released: a 2,000 x 50 panel leaves
+    about 13 MB resident after the read, and 29 MB when the ids were the
+    fields themselves."""
+    rng = np.random.default_rng(8)
+    path = tmp_path / "panel.csv"
+    with open(path, "w") as fh:
+        fh.write("unit_id,time,value\n")
+        for u in range(2000):
+            values = rng.normal(size=50).tolist()
+            fh.writelines(f"unit_{u:05d},{t},{x!r}\n" for t, x in enumerate(values))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arscreen.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", READ_PANEL_RESIDENT, str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["units"] == 2000
+    assert got["growth_mb"] < 20.0, got

@@ -1,5 +1,6 @@
 """Tests for the trajectory alternative model and the joint Gibbs sampler."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 from scipy import stats
 
 import arscreen.trajectory
-from arscreen.ar_core import ArParams, ObservedSeries, SeriesPanel, ar1_loglik, lag_stats, step_table
+from arscreen.ar_core import (ArParams, ObservedSeries, SeriesPanel, ar1_loglik, lag_stats,
+                              step_precision, step_table)
 from arscreen.dp_residual import _assign_residual, init_residual_state
 from arscreen.errors import DomainError, InvalidInputError, NumericalError
 from arscreen.mcmc import stream
 from arscreen.parametric import ParametricPrior
-from arscreen.simulation import simulate_ar1
+from arscreen.simulation import MixtureScenario, generate_mixture_panel, simulate_ar1
 from arscreen.trajectory import (
     FLAT,
     GP,
@@ -22,6 +24,7 @@ from arscreen.trajectory import (
     RunConfig,
     TrajectoryAtom,
     _assignment_scores,
+    _chain_index,
     _detrended_values,
     _gp_atom_terms,
     _gp_draw,
@@ -30,11 +33,13 @@ from arscreen.trajectory import (
     _unit_noise,
     _flat_level_posterior,
     complete_data_loglik,
+    frozen_cluster_rerun,
     gibbs_sweep_joint,
     gp_atom_conditional,
     gp_covariance,
     init_fdp_state,
     merge_inclusion,
+    mle_trajectory_set,
     prepare_gp_workspace,
     run_chain,
 )
@@ -45,6 +50,7 @@ from oracles import (
     dense_gp_conditional,
     dense_gp_precision_terms,
     jittered_gp_chol,
+    qy_by_steps,
     successive_conditional_data,
     whitened_gp_cov,
 )
@@ -314,6 +320,128 @@ class TestGpAtomTerms:
         noise.grid[9, 5] = np.inf
         with pytest.raises(NumericalError, match=r"gp-path stage \(d\), atom 7:"):
             _gp_atom_terms(noise, labels, np.array([0, 4, 7]), ws, stacks)
+
+
+def _state_bits(state) -> list[bytes]:
+    """The raw bytes of every array a sweep moves."""
+    r = state.residual
+    return [np.ascontiguousarray(a).tobytes() for a in (
+        state.component_probs, state.unit_component, state.unit_atom, state.flat_set.levels,
+        state.flat_set.weights, state.gp_set.paths, state.gp_set.weights, r.stick.phi, r.stick.v,
+        r.stick.weights, r.assignments, r.pooled.terms, r.pooled.linear)]
+
+
+class TestUnitNoise:
+    @staticmethod
+    def _edge_panel():
+        """Ragged units over several gaps, one-observation units, and -0.0
+        observations: one alone in its unit between units ending and
+        starting on positive values, one starting a unit, one inside one."""
+        rng = np.random.default_rng(17)
+        series = []
+        for i in range(24):
+            n = 1 if i % 5 == 0 else int(rng.integers(2, 9))
+            times = np.cumsum(rng.choice([1, 2, 3, 5], size=n)) - 1
+            series.append(ObservedSeries(f"e{i}", times, np.abs(rng.normal(size=n)) + 0.5))
+        for i, k in ((10, 0), (11, 0), (12, 1)):
+            values = series[i].values.copy()
+            values[k] = -0.0
+            series[i] = ObservedSeries(series[i].unit_id, series[i].times, values)
+        return SeriesPanel(tuple(series))
+
+    def test_qy_equals_step_form_bit_for_bit(self):
+        """The Q y columns of the noise rows, formed from shifted slices, hold
+        the fancy-index form's values to the bit, -0.0 included, with
+        residual atoms at |phi| = 0.999; and the rows, rewritten in the
+        chain's buffer, are those scattered into fresh zeros."""
+        panel = self._edge_panel()
+        grid = np.arange(int(panel.grid[-1]) + 1, dtype=np.int64)
+        table = step_table(panel, grid=grid)
+        assert len(table.sizes) >= 3 and np.signbit(table.values).sum() == 3
+        state = init_fdp_state(len(panel), SMALL_CONFIG, grid, rng=stream(5, "edge"))
+        stick = state.residual.stick
+        stick.phi[:3] = (0.999, -0.999, 0.4)
+        state.residual.assignments = np.arange(len(panel)) % 3
+        for _ in range(2):      # the second call rewrites the chain's buffers
+            noise = _unit_noise(state, table)
+            diag, off = step_precision(table, stick.phi, stick.v, state.residual.assignments)
+            want = qy_by_steps(table, diag, off)
+            G, P = grid.size, len(table.pairs)
+            diag_cells, pair_cells = _chain_index(state, table).noise_cells
+            got = noise.grid.ravel()[G + P:][diag_cells]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.signbit(got[table.first[10]])     # the lone -0.0 keeps its sign
+            fresh = np.zeros_like(noise.grid)
+            fresh.ravel()[diag_cells], fresh.ravel()[pair_cells] = diag, off
+            fresh.ravel()[G + P:][diag_cells] = want
+            assert np.array_equal(noise.grid.view(np.int64), fresh.view(np.int64))
+            state.residual.assignments = (state.residual.assignments + 1) % 3
+
+
+class TestWorkBuffers:
+    """A chain's sweeps reuse the buffers its first sweep over a table built."""
+
+    def test_reused_buffers_match_fresh_ones_across_layouts(self):
+        """A state swept over one table, then over another layout of the
+        same units, then the first again, moves bit for bit as a state whose
+        index is rebuilt before every sweep."""
+        panel = _panel(12, 15, seed=23, shift=2.0, n_shift=4)
+        gapped = SeriesPanel(tuple(ObservedSeries(s.unit_id, s.times[::1 + i % 2],
+                                                  s.values[::1 + i % 2])
+                                   for i, s in enumerate(panel)))
+        grid = panel.grid
+        tables = [step_table(p, grid=grid) for p in (panel, gapped, panel)]
+        kept, fresh = (init_fdp_state(12, SMALL_CONFIG, grid, rng=stream(24, "st")) for _ in range(2))
+        rngs = [stream(25, "sw"), stream(25, "sw")]
+        for table in tables:
+            for _ in range(3):
+                gibbs_sweep_joint(kept, table, rngs[0])
+                fresh.workspace.chain_index = None
+                gibbs_sweep_joint(fresh, table, rngs[1])
+                assert _state_bits(kept) == _state_bits(fresh)
+
+    def test_rerun_then_chains_equal_separate_runs(self):
+        """A frozen rerun on one panel, then two chains on a panel of another
+        size, in one process, give what each gives run on its own."""
+        small, large = _panel(8, 12, seed=31, shift=2.5, n_shift=3), _panel(11, 12, seed=32)
+        frozen = mle_trajectory_set(run_chain(small, SMALL_CONFIG, 4, 6, seed=1), 2)
+
+        rerun = frozen_cluster_rerun(small, frozen, SMALL_CONFIG, 3, 4, 5)
+        first, second = (run_chain(large, SMALL_CONFIG, 4, 6, seed=2) for _ in range(2))
+        alone = run_chain(large, SMALL_CONFIG, 4, 6, seed=2)
+        rerun_alone = frozen_cluster_rerun(small, frozen, SMALL_CONFIG, 3, 4, 5)
+        assert rerun[0] == rerun_alone[0] and rerun[2] == rerun_alone[2]
+        assert rerun[1].tobytes() == rerun_alone[1].tobytes()
+        for chain in (first, second):
+            for name in ("inclusion", "logliks", "comp_probs", "gamma", "band_samples",
+                         "best_gp_paths", "best_flat_levels", "best_unit_atom"):
+                assert getattr(chain, name).tobytes() == getattr(alone, name).tobytes(), name
+
+    def test_steady_state_sweep_allocates_no_score_matrix(self):
+        """After three warm-up sweeps of a 1,000-unit panel, a sweep's traced
+        peak above its start stays below one N x (1 + Lf + Lg) score matrix:
+        the noise grid and the score matrices are the chain's buffers. The
+        panel has 10 times so that the sweep's per-observation temporaries
+        stay below that size too; the peak reads 0.82 of it here, and 2.79
+        when each sweep allocated its own grid and scores."""
+        scenario = MixtureScenario(((ArParams(0.2, 0.5), 0.5), (ArParams(0.95, 0.05), 0.5)),
+                                   n_units=1000, length=10, shift_prob=0.2)
+        panel, _ = generate_mixture_panel(scenario, seed=3)
+        config = RunConfig()
+        state = init_fdp_state(len(panel), config, panel.grid, rng=stream(1, "init"))
+        table = step_table(panel, grid=panel.grid)
+        rng = stream(1, "sweeps")
+        for _ in range(3):
+            gibbs_sweep_joint(state, table, rng)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            gibbs_sweep_joint(state, table, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        score_bytes = 8 * len(panel) * (1 + config.trunc_flat + config.trunc_gp)
+        assert peak - start < score_bytes, (peak - start, score_bytes)
 
 
 class TestFlatLevelPosterior:
