@@ -443,12 +443,6 @@ class StepTable:
         return lag_stats(self)
 
     @cached_property
-    def step_key(self) -> np.ndarray:
-        """(n_steps,) each step's (unit, gap) bin, ``step_unit * D + gap``,
-        which ``lag_stats`` sums by; built on first use."""
-        return self.step_unit * len(self.sizes) + self.gap
-
-    @cached_property
     def obs_gap(self) -> np.ndarray:
         """(n_obs,) the gap of the step into each observation, as an index
         into ``sizes``, and D at each unit's first observation: the column
@@ -628,7 +622,7 @@ def lag_stats(table: StepTable, values: np.ndarray | None = None) -> LagStats:
     """
     y = table.values if values is None else values
     N, D = table.n_units, len(table.sizes)
-    step_key = table.step_key
+    step_key = table.step_unit * D + table.gap
 
     def per_gap(weights=None):
         return np.bincount(step_key, weights, minlength=N * D).reshape(N, D)

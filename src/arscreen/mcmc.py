@@ -76,21 +76,12 @@ def sample_sticks(counts, concentrations, rng: np.random.Generator) -> list[tupl
     return out
 
 
-# Rows from which ``categorical_draw`` sums a column-major matrix a whole
-# column at a time: one numpy call costs about what ``cumsum``'s sequential
-# adds take over 300 entries (3 ns each), and a column add is about a tenth
-# of that per entry. Both give the same sums.
-COLUMN_ADD_ROWS = 300
-
-
 def categorical_draw(log_scores: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One index per row of ``log_scores`` drawn proportionally to exp(score),
     by inverse CDF, and each row's maximum.
 
     Rows are unnormalized log probabilities; they are overwritten with their
-    cumulative masses, relative to the row's maximum (in either memory
-    order; a column-major matrix of ``COLUMN_ADD_ROWS`` or more rows is
-    summed by adding whole columns, the same sums). Each row takes one
+    cumulative masses, relative to the row's maximum. Each row takes one
     uniform u in [0, 1) and picks the first column whose cumulative mass
     exceeds u times the row's total. A -inf (zero-mass) column leaves the
     cumulative mass where it was, so it is never the first to exceed it.
@@ -103,13 +94,7 @@ def categorical_draw(log_scores: np.ndarray, rng: np.random.Generator) -> tuple[
     top = log_scores.max(axis=1)
     with np.errstate(invalid="ignore"):         # -inf - -inf in a row of -inf
         log_scores -= top[:, None]
-    cum = np.exp(log_scores, out=log_scores)
-    if cum.flags.f_contiguous and len(cum) >= COLUMN_ADD_ROWS:
-        columns = cum.T         # the same sums, as running adds of whole columns
-        for k in range(1, len(columns)):
-            np.add(columns[k - 1], columns[k], out=columns[k])
-    else:
-        cum.cumsum(axis=1, out=cum)
+    cum = np.exp(log_scores, out=log_scores).cumsum(axis=1, out=log_scores)
     target = rng.random(len(cum)) * cum[:, -1]
     return (cum > target[:, None]).argmax(axis=1), top
 

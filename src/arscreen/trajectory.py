@@ -424,9 +424,10 @@ class _ChainIndex:
     changes: the component and atom of each score column, the table's
     ``_noise_cells`` and ``_pair_stacks``, and which observations end a
     step. Also the work buffers each sweep rewrites in full: the
-    ``_UnitNoise`` grid, zero off its noise cells, and the score matrices
-    of stage (a) and of stage (f), which share their memory: (a)'s is used
-    up before (f)'s is filled."""
+    ``_UnitNoise`` grid, zero off its noise cells; the row-major score
+    matrices of stage (a) and of stage (f), which share their memory, since
+    (a)'s is used up before (f)'s is filled; and the contiguous blocks in
+    which stage (a) forms its flat and then its gp log-likelihoods."""
 
     layout: tuple[np.ndarray, ...]      # the table's unit, pos, step_unit, pair, pairs
     column_kind: np.ndarray             # (1 + Lf + Lg,) NULL | FLAT... | GP...
@@ -437,34 +438,30 @@ class _ChainIndex:
     noise_grid: np.ndarray              # (N, 2G + P)
     scores: np.ndarray                  # (N, 1 + Lf + Lg)
     resid_scores: np.ndarray            # (N, Lr), on the same memory
+    blocks: tuple[np.ndarray, np.ndarray]   # (N, Lf) and (N, Lg), on one memory
 
 
 def _chain_index(state: FdpState, table: StepTable) -> _ChainIndex:
     """The ``_ChainIndex`` of ``table``, kept on the state's workspace: a
     chain builds it on its first sweep, and every later sweep over a table
     with the same layout arrays finds it there, also over a copy that only
-    carries other values. A state's truncations never change. The table's
-    own cached indices (``step_key``, ``obs_gap``) are built here too,
-    with the buffers and before any sweep's temporaries: built amid those,
-    they kept a command's heap from shrinking between sweeps."""
+    carries other values. A state's truncations never change."""
     workspace = state.workspace
     index = workspace.chain_index
     layout = (table.unit, table.pos, table.step_unit, table.pair, table.pairs)
     if index is None or any(a is not b for a, b in zip(index.layout, layout)):
-        table.step_key, table.obs_gap
         Lf, Lg = state.flat_set.truncation, state.gp_set.truncation
         G, n = state.grid.size, table.n_units
         K, Lr = 1 + Lf + Lg, state.residual.truncation
-        # Column-major: stage (a) fills each column block in place, and
-        # categorical_draw sums whole columns.
-        scores = np.empty(n * max(K, Lr))
+        joins_prev = table.obs_gap[1:] < len(table.sizes)
+        scores, block = np.empty(n * max(K, Lr)), np.empty(n * max(Lf, Lg))
         index = workspace.chain_index = _ChainIndex(
             layout, np.repeat(np.array([NULL, FLAT, GP], dtype=np.int8), [1, Lf, Lg]),
             np.concatenate([[-1], np.arange(Lf), np.arange(Lg)]),
-            _noise_cells(table, G), _pair_stacks(table, workspace),
-            table.obs_gap[1:] < len(table.sizes),
+            _noise_cells(table, G), _pair_stacks(table, workspace), joins_prev,
             np.zeros((n, 2 * G + len(table.pairs))),
-            scores[:n * K].reshape(K, n).T, scores[:n * Lr].reshape(Lr, n).T)
+            scores[:n * K].reshape(n, K), scores[:n * Lr].reshape(n, Lr),
+            (block[:n * Lf].reshape(n, Lf), block[:n * Lg].reshape(n, Lg)))
     return index
 
 
@@ -477,7 +474,8 @@ def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise) -> 
     ``_chain_index`` buffer, filled in place; it is valid until the next
     sweep of that chain.
     """
-    scores = _chain_index(state, table).scores
+    index = _chain_index(state, table)
+    scores, (flat, gp) = index.scores, index.blocks
     Lf = state.flat_set.truncation
     with np.errstate(divide="ignore"):
         log_cp = np.log(state.component_probs)
@@ -487,19 +485,19 @@ def _assignment_scores(state: FdpState, table: StepTable, noise: _UnitNoise) -> 
     prev, cur = table.pairs.T
     # y'Qf - f'Qf/2 for every gp path f, in one product with the noise rows.
     gp_weights = np.hstack([-0.5 * paths * paths, -paths[:, prev] * paths[:, cur], paths])
-    # Each column block is its log-likelihoods plus its log prior row, summed
-    # in place in its own columns, each of which is contiguous (a sum's
-    # operands commute bit for bit).
-    by_column = scores.T
-    np.add(log_cp[NULL], noise.null, out=by_column[0])
-    flat, gp = by_column[1:1 + Lf], by_column[1 + Lf:]
-    np.multiply(levels[:, None], noise.q_y1, out=flat)
-    flat += noise.null
-    flat -= 0.5 * noise.s11 * levels[:, None] ** 2
-    flat += (log_cp[FLAT] + log_wf)[:, None]
-    np.matmul(gp_weights, noise.grid.T, out=gp)
-    gp += noise.null
-    gp += (log_cp[GP] + log_wg)[:, None]
+    null = noise.null[:, None]
+    # Each column block is its log prior row plus its log-likelihoods, which
+    # are formed in the contiguous ``blocks`` first (a sum's operands commute
+    # bit for bit). The gp block is the product in the noise rows' own roles:
+    # with its operands swapped, BLAS rounds some entries otherwise.
+    np.add(log_cp[NULL], noise.null, out=scores[:, 0])
+    np.multiply(levels, noise.q_y1[:, None], out=flat)
+    flat += null
+    flat -= 0.5 * noise.s11[:, None] * levels ** 2
+    np.add(log_cp[FLAT] + log_wf, flat, out=scores[:, 1:1 + Lf])
+    np.matmul(noise.grid, gp_weights.T, out=gp)
+    gp += null
+    np.add(log_cp[GP] + log_wg, gp, out=scores[:, 1 + Lf:])
     return scores
 
 
@@ -566,8 +564,7 @@ def gibbs_sweep_joint(state: FdpState, table: StepTable, rng: np.random.Generato
     stats = lag_stats(table, _detrended_values(state, table))
     residual, nu = state.residual, state.traj_concentration
     try:
-        ll = index.resid_scores
-        np.matmul(noise.atom_loglik, stats.terms.T, out=ll.T)
+        ll = np.matmul(stats.terms, noise.atom_loglik.T, out=index.resid_scores)
         resid_counts = _assign_residual(residual, table, ll, rng)
         flat, gp, (residual.stick.sticks, residual.stick.weights) = sample_sticks(
             [flat_counts[start:], gp_counts[free], resid_counts],

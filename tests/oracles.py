@@ -121,6 +121,36 @@ def qy_by_steps(table, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return qy
 
 
+def assignment_scores_fresh(state, table, noise) -> np.ndarray:
+    """``trajectory._assignment_scores`` as a fresh row-major matrix, each
+    column block its log prior row plus its log-likelihoods, formed whole
+    and added in one call (columns: null, then the flat atoms, then the gp
+    atoms). The reference for the in-place fill of a chain's buffer, which
+    must agree with it bit for bit."""
+    Lf = state.flat_set.truncation
+    with np.errstate(divide="ignore"):
+        log_cp = np.log(state.component_probs)
+        log_wf = np.log(state.flat_set.weights)
+        log_wg = np.log(state.gp_set.weights)
+    levels, paths = state.flat_set.levels, state.gp_set.paths
+    prev, cur = table.pairs.T
+    gp_weights = np.hstack([-0.5 * paths * paths, -paths[:, prev] * paths[:, cur], paths])
+    null, q_y1 = noise.null[:, None], noise.q_y1[:, None]
+    scores = np.empty((state.n_units, 1 + Lf + state.gp_set.truncation))
+    np.add(log_cp[0], noise.null, out=scores[:, 0])
+    np.add(log_cp[1] + log_wf, null + levels * q_y1 - 0.5 * noise.s11[:, None] * levels ** 2,
+           out=scores[:, 1:1 + Lf])
+    np.add(log_cp[2] + log_wg, null + noise.grid @ gp_weights.T, out=scores[:, 1 + Lf:])
+    return scores
+
+
+def residual_scores_fresh(stats, noise) -> np.ndarray:
+    """The joint sweep's stage (f) residual scores as a fresh matrix: each
+    unit's de-trended lag statistics ``stats`` under every residual atom of
+    ``noise``. The reference for the product into a chain's buffer."""
+    return stats.terms @ noise.atom_loglik.T
+
+
 def dense_ar1_loglik(y, phi: float, v: float, times) -> float:
     """AR(1) null log-likelihood via a dense multivariate normal density."""
     cov = dense_ar1_cov(phi, v, times)

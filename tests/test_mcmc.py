@@ -6,7 +6,7 @@ import pytest
 from scipy.special import softmax
 from scipy.stats import beta, chisquare, kstest
 
-from arscreen.mcmc import COLUMN_ADD_ROWS, categorical_draw, sample_sticks, stick_weights, stream
+from arscreen.mcmc import categorical_draw, sample_sticks, stick_weights, stream
 
 NEG = -np.inf
 # Rows with zero-mass (-inf) columns, a score spread of 1e3 (the last column
@@ -68,23 +68,6 @@ class TestCategoricalDraw:
         pick, top = categorical_draw(scores, stream(6, "bad-rows"))
         assert np.isfinite(top).tolist() == [True, False, False, False]
         assert pick[0] in (0, 1)
-
-    @pytest.mark.parametrize("n_rows", [COLUMN_ADD_ROWS - 1, COLUMN_ADD_ROWS, 3000])
-    def test_column_major_equals_row_major_bit_for_bit(self, n_rows):
-        """A column-major matrix, summed by ``cumsum`` or by running column
-        adds as its rows allow, gives the row-major draw's picks, maxima and
-        cumulative masses to the bit, with -inf columns and rows."""
-        rng = np.random.default_rng(n_rows)
-        scores = rng.normal(scale=rng.uniform(0.1, 30.0, size=(n_rows, 1)), size=(n_rows, 91))
-        scores[rng.uniform(size=scores.shape) < 0.2] = NEG
-        scores[:, 7] = NEG
-        scores[3] = NEG
-        rows, columns = scores.copy(), np.asfortranarray(scores)
-        pick, top = categorical_draw(rows, stream(9, "layout"))
-        pick_f, top_f = categorical_draw(columns, stream(9, "layout"))
-        assert np.array_equal(pick, pick_f)
-        assert np.array_equal(top.view(np.int64), top_f.view(np.int64))
-        assert np.array_equal(rows.view(np.int64), columns.view(np.int64))
 
 
 class TestSampleSticks:

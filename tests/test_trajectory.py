@@ -44,6 +44,7 @@ from arscreen.trajectory import (
     run_chain,
 )
 from oracles import (
+    assignment_scores_fresh,
     conjugate_level_posterior,
     dense_ar1_cov,
     dense_ar1_loglik,
@@ -51,6 +52,7 @@ from oracles import (
     dense_gp_precision_terms,
     jittered_gp_chol,
     qy_by_steps,
+    residual_scores_fresh,
     successive_conditional_data,
     whitened_gp_cov,
 )
@@ -378,6 +380,47 @@ class TestUnitNoise:
             state.residual.assignments = (state.residual.assignments + 1) % 3
 
 
+    def test_score_buffers_equal_fresh_matrices_bit_for_bit(self, monkeypatch):
+        """Stage (a)'s scores, filled in the chain's buffer block by block,
+        and stage (f)'s residual scores, multiplied into that same buffer,
+        are the fresh matrices' to the bit, over sweeps that start with
+        residual atoms at |phi| = 0.999."""
+        panel = self._edge_panel()
+        grid = np.arange(int(panel.grid[-1]) + 1, dtype=np.int64)
+        table = step_table(panel, grid=grid)
+        state = init_fdp_state(len(panel), SMALL_CONFIG, grid, rng=stream(6, "edge"))
+        state.residual.stick.phi[:3] = (0.999, -0.999, 0.4)
+        state.residual.assignments = np.arange(len(panel)) % 3
+        seen = {"a": [], "f": []}
+        unit_noise, lag, assign = (arscreen.trajectory._unit_noise, arscreen.trajectory.lag_stats,
+                                   arscreen.trajectory._assign_residual)
+
+        def scored_noise(state, table):
+            seen["noise"] = noise = unit_noise(state, table)
+            scores = _assignment_scores(state, table, noise)
+            seen["a"].append((scores.copy(), assignment_scores_fresh(state, table, noise)))
+            return noise
+
+        def kept_stats(table, values=None):
+            seen["stats"] = lag(table, values)
+            return seen["stats"]
+
+        def checked_assign(residual, table, ll, rng):
+            seen["f"].append((ll.copy(), residual_scores_fresh(seen["stats"], seen["noise"])))
+            return assign(residual, table, ll, rng)
+
+        monkeypatch.setattr(arscreen.trajectory, "_unit_noise", scored_noise)
+        monkeypatch.setattr(arscreen.trajectory, "lag_stats", kept_stats)
+        monkeypatch.setattr(arscreen.trajectory, "_assign_residual", checked_assign)
+        rng = stream(7, "edge")
+        for _ in range(3):
+            gibbs_sweep_joint(state, table, rng)
+        assert len(seen["a"]) == len(seen["f"]) == 3
+        for got, want in seen["a"] + seen["f"]:
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestWorkBuffers:
     """A chain's sweeps reuse the buffers its first sweep over a table built."""
 
@@ -420,10 +463,11 @@ class TestWorkBuffers:
     def test_steady_state_sweep_allocates_no_score_matrix(self):
         """After three warm-up sweeps of a 1,000-unit panel, a sweep's traced
         peak above its start stays below one N x (1 + Lf + Lg) score matrix:
-        the noise grid and the score matrices are the chain's buffers. The
-        panel has 10 times so that the sweep's per-observation temporaries
-        stay below that size too; the peak reads 0.82 of it here, and 2.79
-        when each sweep allocated its own grid and scores."""
+        the noise grid, the score matrices and stage (a)'s column blocks are
+        the chain's buffers. The panel has 10 times so that the sweep's
+        per-observation temporaries stay below that size too. The peak reads
+        0.92 of it; 1.47 with stage (a)'s blocks formed as fresh temporaries,
+        and 2.79 when each sweep also allocated its own grid and scores."""
         scenario = MixtureScenario(((ArParams(0.2, 0.5), 0.5), (ArParams(0.95, 0.05), 0.5)),
                                    n_units=1000, length=10, shift_prob=0.2)
         panel, _ = generate_mixture_panel(scenario, seed=3)
