@@ -6,28 +6,28 @@ and innovation variance v, so the covariance between observations at t_i
 and t_j is v / (1 - phi^2) * phi^(|t_i - t_j|). The observed series is
 Markov whatever its gaps (Jones 1980): across a gap of d steps the
 transition coefficient is phi^d and the innovation variance is
-v (1 - phi^(2d)) / (1 - phi^2). One O(T) prediction-error recursion
-therefore whitens every time pattern, and the precision matrix is
-tridiagonal in closed form. Both read a gap table that stores each
-distinct gap once, so the per-gap coefficients are evaluated once per call.
+v (1 - phi^(2d)) / (1 - phi^2).
 
-The log-likelihood under any (phi, v) depends on a unit only through a
-few lag statistics per distinct gap: the first value and its square, and
-over the steps of each gap the sums of the step difference, of the
-previous value, and of their squares and product. A ``StepTable`` holds
-a whole panel flat: every observation with its unit, and every step with
-its gap, whatever each unit's time pattern. ``lag_stats`` sums over its
-steps; ``LagStats`` then turns the sums into the log-likelihood of every
-unit under every parameter pair with one (units x statistics) by
+The log-likelihood under any (phi, v) therefore depends on a unit only
+through a few lag statistics per distinct gap: the first value and its
+square, and over the steps of each gap the sums of the step difference,
+of the previous value, and of their squares and product. A ``StepTable``
+holds a whole panel flat: every observation with its unit, and every step
+with its gap, whatever each unit's time pattern. ``lag_stats`` sums over
+its steps; ``LagStats`` then turns the sums into the log-likelihood of
+every unit under every parameter pair with one (units x statistics) by
 (statistics x pairs) matrix product, and into the mean-shift quadratic
-forms with products of the same kind. Statistics add across units,
-so a pooled row scores a whole cluster in O(number of gaps).
+forms with products of the same kind. Statistics add across units, so a
+pooled row scores a whole cluster, and ``ar1_loglik`` one series, in
+O(number of gaps).
 ``step_precision`` gives the entries of every unit's tridiagonal precision
 at once, for the terms that involve other paths than the data.
 
 A constant mean shift with prior N(0, shift_var) can be integrated out in
 closed form, which yields the conditional Bayes factor used by both the
 parametric and nonparametric screens.
+Whitening over a ``GapTable`` and ``TimesGroup`` remain only for the
+benchmark's per-layer probes; no command calls them.
 """
 
 from __future__ import annotations
@@ -218,13 +218,9 @@ def _whiten(values: np.ndarray, gaps: GapTable, params: ArParams) -> tuple[np.nd
     coef, ratio = _gap_coefficients(params.phi, gaps.sizes)
     innov_var = params.v * ratio
     logdet = float(np.log(s) + np.dot(gaps.counts, np.log(innov_var)))
-    if coef.size == 1:
-        coef, innov_var = float(coef[0]), float(innov_var[0])
-    else:
-        coef, innov_var = coef[gaps.step], innov_var[gaps.step]
     E = np.empty_like(values)
     E[:, 0] = values[:, 0] / np.sqrt(s)
-    E[:, 1:] = (values[:, 1:] - coef * values[:, :-1]) / np.sqrt(innov_var)
+    E[:, 1:] = (values[:, 1:] - coef[gaps.step] * values[:, :-1]) / np.sqrt(innov_var[gaps.step])
     return E, logdet
 
 
@@ -247,9 +243,7 @@ def gaussian_parts(values: np.ndarray, gaps: GapTable,
 
 def ar1_loglik(series: ObservedSeries, params: ArParams) -> float:
     """Log-likelihood of a series under the stationary AR(1) null."""
-    E, logdet = _whiten(series.values, gap_table(series.times), params)
-    q_yy = float(E[0] @ E[0])
-    return -0.5 * (len(series) * LOG_2PI + logdet + q_yy)
+    return float(step_table(SeriesPanel((series,))).stats.loglik(params.phi, params.v)[0])
 
 
 def log_shift_bayes_factor(q_y1, s11, shift_var: float):
@@ -264,15 +258,13 @@ def mean_shift_loglik(series: ObservedSeries, params: ArParams, shift_var: float
     """Marginal log-likelihood with a constant mean shift N(0, shift_var) integrated out."""
     if shift_var < 0.0:
         raise DomainError(f"shift variance must be nonnegative, got {shift_var}")
-    q_yy, q_y1, s11, logdet = gaussian_parts(series.values, gap_table(series.times), params)
-    null = -0.5 * (len(series) * LOG_2PI + logdet + float(q_yy[0]))
-    return null + log_shift_bayes_factor(float(q_y1[0]), s11, shift_var)
+    return ar1_loglik(series, params) + log_conditional_bayes_factor(series, params, shift_var)
 
 
 def log_conditional_bayes_factor(series: ObservedSeries, params: ArParams, shift_var: float) -> float:
     """Log Bayes factor of the mean-shift alternative against the AR(1) null."""
-    _, q_y1, s11, _ = gaussian_parts(series.values, gap_table(series.times), params)
-    return log_shift_bayes_factor(float(q_y1[0]), s11, shift_var)
+    q_y1, s11 = step_table(SeriesPanel((series,))).stats.shift_parts(params.phi, params.v)
+    return float(log_shift_bayes_factor(q_y1[0], s11[0], shift_var))
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

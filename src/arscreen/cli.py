@@ -65,10 +65,12 @@ from .trajectory import prepare_gp_workspace  # noqa: F401
 
 def parse_kv_file(path: str) -> dict[str, str]:
     """Read a ``key = value`` text file; '#' starts a comment."""
-    if not os.path.exists(path):
-        raise InvalidInputError(f"config file not found: {path}")
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:      # missing, a directory, or not readable by this process
+        raise InvalidInputError(f"cannot read {path}: {exc.strerror}") from None
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -134,7 +136,9 @@ def _ensure_outdir(path: str) -> str:
 
 
 def _check_outdir(path: str) -> None:
-    """Reject an output directory that is a file or lies under one."""
+    """Reject an empty output directory, or one that is a file or lies under one."""
+    if not path:
+        raise InvalidInputError("--output-dir must not be empty")
     existing = os.path.abspath(path)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -295,8 +299,7 @@ def _cmd_fit_np(args, config: RunConfig) -> int:
     paths = [os.path.join(outdir, f"chain_{c}.npz") for c in range(args.chains)]
 
     def run(c: int) -> ChainOutput:
-        chain = run_chain(panel, config, n_burn=args.burn, n_keep=args.keep,
-                          seed=args.seed + c, fingerprint=fingerprint)
+        chain = run_chain(panel, config, n_burn=args.burn, n_keep=args.keep, seed=args.seed + c)
         save_chain(chain, paths[c])
         if c == 0:      # its bands are written while the workers run their chains
             write_table(os.path.join(outdir, "bands.csv"), BAND_HEADER, band_table(chain),

@@ -43,12 +43,12 @@ def expected_clusters(concentration: float, n_units: int) -> float:
     return float(np.sum(concentration / (concentration + i)))
 
 
-def elicit_concentration(target_clusters: float, n_units: int, tol: float = 1e-10) -> float:
+def elicit_concentration(target_clusters: float, n_units: int) -> float:
     """Concentration whose prior expected cluster count equals the target.
 
     The expected count is strictly increasing in the concentration with
-    range (1, n); solved by bisection on the log scale to ``tol`` in the
-    cluster count.
+    range (1, n); solved by bisection on the log scale, and NumericalError
+    raised when the result's count misses the target by more than 1e-8.
     """
     if n_units < 2:
         raise DomainError("cluster-count elicitation needs at least two units")
@@ -70,7 +70,7 @@ def elicit_concentration(target_clusters: float, n_units: int, tol: float = 1e-1
         if hi - lo < 1e-14:
             break
     alpha = np.exp(0.5 * (lo + hi))
-    if abs(expected_clusters(alpha, n_units) - target_clusters) > max(tol, 1e-8):
+    if abs(expected_clusters(alpha, n_units) - target_clusters) > 1e-8:
         raise NumericalError(f"concentration elicitation did not converge for target {target_clusters}")
     return float(alpha)
 

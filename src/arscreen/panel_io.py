@@ -10,7 +10,6 @@ traceable to the configuration that produced it. Floats are written with
 from __future__ import annotations
 
 import csv
-import os
 from collections.abc import Sequence
 from itertools import chain, filterfalse, repeat
 from operator import methodcaller
@@ -43,9 +42,10 @@ def read_panel(path: str, min_length: int = 1) -> SeriesPanel:
     file with a row that does not convert is read again row by row, to name
     that row's line.
     """
-    if not os.path.exists(path):
-        raise InvalidInputError(f"panel file not found: {path}")
-    fields = _bulk_fields(path)
+    try:
+        fields = _bulk_fields(path)
+    except OSError as exc:      # missing, a directory, or not readable by this process
+        raise InvalidInputError(f"cannot read panel file {path}: {exc.strerror}") from None
     if fields is None:
         fields = _csv_fields(path)
     n = len(fields) // 3

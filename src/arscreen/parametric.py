@@ -34,6 +34,8 @@ from .mcmc import normalized_weights_and_ess, stream
 ESS_WARN_FRACTION = 0.01
 ESS_DEGENERATE = 10.0
 PROPOSAL_DF = 5.0
+# Points of the logit-scale grid on which the mixing-fraction density is evaluated.
+_MODE_GRID = 512
 
 
 def ndtr(x: float) -> float:
@@ -437,7 +439,7 @@ def _weighted_quantile(x: np.ndarray, w: np.ndarray, q: float) -> float:
     return float(np.interp(q, cw / cw[-1], x[order]))
 
 
-def posterior_mixing_mode(draws: WeightedDraws, grid_size: int = 512) -> float:
+def posterior_mixing_mode(draws: WeightedDraws) -> float:
     """Posterior mode of the prevalence p from the weighted draws.
 
     A weighted Gaussian kernel density estimate is built on the logit scale
@@ -459,9 +461,9 @@ def posterior_mixing_mode(draws: WeightedDraws, grid_size: int = 512) -> float:
     if spread <= 0.0 or not np.isfinite(spread):
         return float(expit(mu))
     h = 0.9 * spread * ess ** (-0.2)
-    xs = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, grid_size)
-    dens_x = np.zeros(grid_size)
-    for rows in _blocks(grid_size, x.size):
+    xs = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, _MODE_GRID)
+    dens_x = np.zeros(_MODE_GRID)
+    for rows in _blocks(_MODE_GRID, x.size):
         dens_x += np.exp(-0.5 * ((xs[:, None] - x[None, rows]) / h) ** 2) @ wbar[rows]
     dens_x /= h * np.sqrt(2.0 * np.pi)
     ps = expit(xs)

@@ -59,6 +59,8 @@ NULL, FLAT, GP = 0, 1, 2
 
 DEFAULT_THRESHOLDS = (0.5, 0.9)
 BAND_QUANTILES = (0.05, 0.5, 0.95)
+# Retained sweeps between the sweeps whose components and bands a chain keeps.
+CHECKPOINT_STRIDE = 10
 
 # Kernel eigenvalues kept in the GP prior factor, relative to the kernel variance.
 EIGEN_FLOOR = 1e-8
@@ -605,7 +607,7 @@ class ChainOutput:
     """Everything retained from one MCMC run, one field per ``.npz`` entry.
 
     Per retained sweep: ``logliks``, ``comp_probs`` and ``comp_counts``
-    (units per null/flat/gp). Every ``checkpoint_stride`` retained sweeps
+    (units per null/flat/gp). Every ``CHECKPOINT_STRIDE`` retained sweeps
     (``gamma_sweeps``, and ``band_sweeps`` likewise): each unit's component
     in ``gamma`` and its float32 trajectory on the grid in
     ``band_samples``. The ``best_*`` arrays snapshot the state at ``best_sweep``,
@@ -879,19 +881,16 @@ def _trajectory_matrix(state: FdpState) -> np.ndarray:
     return rows[unit_row]
 
 
-def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int,
-              seed: int, checkpoint_stride: int = 10, fingerprint: str = "") -> ChainOutput:
+def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int, seed: int) -> ChainOutput:
     """Burn-in plus retained sweeps of the joint sampler from a prior draw.
 
     Per-unit components and trajectories (the bands) are kept every
-    ``checkpoint_stride`` retained sweeps; the complete-data log-likelihood
+    ``CHECKPOINT_STRIDE`` retained sweeps; the complete-data log-likelihood
     is tracked for every retained sweep so maximum-likelihood sweep
-    selection does not depend on the stride.
+    selection does not depend on the stride. The chain carries ``config.fingerprint()``.
     """
     if n_burn < 0 or n_keep < 1:
         raise DomainError("need n_burn >= 0 and n_keep >= 1")
-    if checkpoint_stride < 1:
-        raise DomainError("checkpoint stride must be positive")
     if len(panel) == 0:
         raise InvalidInputError("cannot fit an empty panel")
     grid, n = panel.grid, len(panel)
@@ -902,7 +901,7 @@ def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int,
     for _ in range(n_burn):
         gibbs_sweep_joint(state, table, rng)
 
-    strided = np.arange(0, n_keep, checkpoint_stride)
+    strided = np.arange(0, n_keep, CHECKPOINT_STRIDE)
     inclusion_counts = np.zeros(n, dtype=np.int64)
     logliks = np.empty(n_keep)
     comp_probs = np.empty((n_keep, 3))
@@ -920,8 +919,8 @@ def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int,
             best_loglik, best_sweep, best = logliks[t], t, _best_snapshot(state)
         comp_probs[t] = state.component_probs
         comp_counts[t] = np.bincount(state.unit_component, minlength=3)
-        if t % checkpoint_stride == 0:
-            k = t // checkpoint_stride
+        if t % CHECKPOINT_STRIDE == 0:
+            k = t // CHECKPOINT_STRIDE
             gamma[k] = state.unit_component
             band_samples[k] = _trajectory_matrix(state)
     if best_sweep < 0:
@@ -929,7 +928,7 @@ def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int,
 
     return ChainOutput(
         unit_ids=panel.unit_ids, grid=grid, inclusion=inclusion_counts / n_keep,
-        logliks=logliks, n_burn=n_burn, n_keep=n_keep, seed=seed, fingerprint=fingerprint,
+        logliks=logliks, n_burn=n_burn, n_keep=n_keep, seed=seed, fingerprint=config.fingerprint(),
         comp_probs=comp_probs, comp_counts=comp_counts, gamma_sweeps=strided, gamma=gamma,
         band_sweeps=strided, band_samples=band_samples, best_sweep=best_sweep, **best,
         kernel=config.kernel)

@@ -633,15 +633,16 @@ def read_panel_per_row(path: str, min_length: int = 1):
     each unit's rows sorted by time. The reference for the package's
     column reader, with the same error messages and line numbers."""
     import csv
-    import os
 
     from arscreen.ar_core import ObservedSeries, SeriesPanel
     from arscreen.errors import InvalidInputError
 
-    if not os.path.exists(path):
-        raise InvalidInputError(f"panel file not found: {path}")
     rows: dict[str, list[tuple[int, float]]] = {}
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read panel file {path}: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(line for line in fh if not line.startswith("#"))
         try:
             header = next(reader)

@@ -20,6 +20,7 @@ from arscreen.ar_core import (
     group_gaussian_parts,
     lag_stats,
     log_conditional_bayes_factor,
+    log_shift_bayes_factor,
     mean_shift_loglik,
     ndtri,
     panel_groups,
@@ -200,6 +201,28 @@ class TestMeanShift:
         s = ObservedSeries("u", np.array([0]), np.array([1.0]))
         with pytest.raises(DomainError):
             mean_shift_loglik(s, ArParams(0.0, 1.0), -0.5)
+
+
+def test_one_unit_lag_stats_match_whitening():
+    """``ar1_loglik`` and ``mean_shift_loglik`` score a series through a
+    one-unit step table; on 3,000 random gapped cases with |phi| <= 0.999
+    they match the whitening forms (``gaussian_parts`` over the series'
+    gap table) to 1e-12 relative."""
+    rng = np.random.default_rng(20261020)
+    worst_null = worst_shift = 0.0
+    for _ in range(3000):
+        T = int(rng.integers(2, 51))
+        times = np.sort(rng.choice(3 * T, size=T, replace=False))
+        p = ArParams(float(rng.uniform(-0.999, 0.999)), float(rng.uniform(0.05, 3.0)))
+        sv = float(rng.uniform(0.1, 4.0))
+        y = rng.normal(size=T) * np.sqrt(stationary_variance(p))
+        s = ObservedSeries("u", times, y)
+        q_yy, q_y1, s11, logdet = gaussian_parts(y, gap_table(times), p)
+        null = -0.5 * (T * np.log(2 * np.pi) + logdet + q_yy[0])
+        shift = null + log_shift_bayes_factor(q_y1[0], s11, sv)
+        worst_null = max(worst_null, abs(ar1_loglik(s, p) - null) / abs(null))
+        worst_shift = max(worst_shift, abs(mean_shift_loglik(s, p, sv) - shift) / abs(shift))
+    assert worst_null <= 1e-12 and worst_shift <= 1e-12
 
 
 class TestGaussianParts:

@@ -64,8 +64,7 @@ def _two_group_panel(seed=17):
 @pytest.fixture(scope="module")
 def fitted_chain():
     panel = _two_group_panel()
-    chain = run_chain(panel, TEST_CONFIG, n_burn=150, n_keep=300, seed=4,
-                      fingerprint="deadbeefdeadbeef")
+    chain = run_chain(panel, TEST_CONFIG, n_burn=150, n_keep=300, seed=4)
     return panel, chain
 
 
@@ -253,7 +252,7 @@ class TestChainPersistence:
         assert np.array_equal(loaded.logliks, chain.logliks)
         assert loaded.best_sweep == chain.best_sweep
         assert loaded.seed == chain.seed
-        assert loaded.fingerprint == "deadbeefdeadbeef"
+        assert loaded.fingerprint == TEST_CONFIG.fingerprint()
         assert np.array_equal(loaded.best_flat_levels, chain.best_flat_levels)
         assert np.array_equal(loaded.best_gp_paths, chain.best_gp_paths)
         assert np.array_equal(loaded.band_samples, chain.band_samples)
@@ -347,12 +346,12 @@ class TestMleTrajectorySet:
         assert levels[0] == pytest.approx(-4.0, abs=0.5)
         assert levels[1] == pytest.approx(4.0, abs=0.5)
 
-    def test_stride_invariant(self):
+    def test_stride_invariant(self, monkeypatch):
         panel = _two_group_panel(seed=23)
-        a = run_chain(panel, TEST_CONFIG, n_burn=40, n_keep=60, seed=8,
-                      checkpoint_stride=1)
-        b = run_chain(panel, TEST_CONFIG, n_burn=40, n_keep=60, seed=8,
-                      checkpoint_stride=17)
+        monkeypatch.setattr(arscreen.trajectory, "CHECKPOINT_STRIDE", 1)
+        a = run_chain(panel, TEST_CONFIG, n_burn=40, n_keep=60, seed=8)
+        monkeypatch.setattr(arscreen.trajectory, "CHECKPOINT_STRIDE", 17)
+        b = run_chain(panel, TEST_CONFIG, n_burn=40, n_keep=60, seed=8)
         sa, sb = mle_trajectory_set(a, 3), mle_trajectory_set(b, 3)
         assert sa.sweep == sb.sweep
         assert sa.loglik == sb.loglik
@@ -809,6 +808,36 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert f"{blocker} is not a directory" in err and "missing" not in err
         assert blocker.read_text() == "unit_id,time,value\n"
+
+    @pytest.mark.parametrize("command", ["standardize", "simulate", "fit-parametric", "fit-np",
+                                         "report", "cluster-mle"])
+    def test_empty_output_dir_exits_3(self, tmp_path, capsys, command):
+        """An empty --output-dir exits 3 before any input is read (no input
+        here exists)."""
+        missing = str(tmp_path / "missing")
+        inputs = {"standardize": ["--input", missing], "simulate": ["--scenario", missing],
+                  "fit-parametric": ["--input", missing], "fit-np": ["--input", missing],
+                  "report": ["--chain", missing],
+                  "cluster-mle": ["--input", missing, "--chain", missing, "--top", "2"]}
+        assert main([command, *inputs[command], "--output-dir", ""]) == 3
+        err = capsys.readouterr().err
+        assert "--output-dir must not be empty" in err and "missing" not in err
+
+    @pytest.mark.parametrize("command,flag", [("standardize", "--input"),
+                                              ("simulate", "--scenario"),
+                                              ("fit-np", "--config")])
+    def test_directory_for_a_file_exits_3(self, tmp_path, capsys, command, flag):
+        """A directory where a file is read exits 3 naming it, before the
+        output directory is made."""
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        outdir = tmp_path / "out"
+        argv = [command, flag, str(folder), "--output-dir", str(outdir)]
+        if flag == "--config":
+            argv += ["--input", _write_small_panel(tmp_path, n=10)]
+        assert main(argv) == 3
+        assert f"{folder}: Is a directory" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_console_entry_point(self, tmp_path):
         panel_path = _write_small_panel(tmp_path)

@@ -128,7 +128,7 @@ def chain_path(tmp_path_factory):
                        + (2.0 if i < 3 else 0.0))
         for i in range(10)))
     chain = trajectory.run_chain(panel, cli.RunConfig(trunc_gp=6, trunc_flat=5, trunc_resid=6),
-                                 n_burn=3, n_keep=12, seed=2, checkpoint_stride=4)
+                                 n_burn=3, n_keep=12, seed=2)
     assert chain.best_gp_paths.flags.f_contiguous and not chain.best_gp_paths.flags.c_contiguous
     path = str(tmp_path_factory.mktemp("chain") / "chain.npz")
     save_chain(chain, path)

@@ -843,12 +843,12 @@ class TestRunChain:
         assert out1.band_samples.shape == (3, 10, 15)
         assert out1.logliks.size == 30
 
-    def test_best_sweep_is_argmax_regardless_of_stride(self):
+    def test_best_sweep_is_argmax_regardless_of_stride(self, monkeypatch):
         panel = _panel(8, 12, seed=61, shift=2.0, n_shift=2)
-        out_a = run_chain(panel, SMALL_CONFIG, n_burn=15, n_keep=40, seed=6,
-                          checkpoint_stride=1)
-        out_b = run_chain(panel, SMALL_CONFIG, n_burn=15, n_keep=40, seed=6,
-                          checkpoint_stride=13)
+        monkeypatch.setattr(arscreen.trajectory, "CHECKPOINT_STRIDE", 1)
+        out_a = run_chain(panel, SMALL_CONFIG, n_burn=15, n_keep=40, seed=6)
+        monkeypatch.setattr(arscreen.trajectory, "CHECKPOINT_STRIDE", 13)
+        out_b = run_chain(panel, SMALL_CONFIG, n_burn=15, n_keep=40, seed=6)
         assert out_a.best_sweep == int(np.argmax(out_a.logliks))
         assert out_b.best_sweep == out_a.best_sweep
         assert np.array_equal(out_a.logliks, out_b.logliks)

@@ -17,6 +17,11 @@ imports it, or lists it in ``__all__``; code that only tests call belongs
 in the tests. A module-level constant (a name bound by assignment) must be
 read, imported or listed in ``__all__`` the same way: assigning it does not
 count.
+
+No option goes unused: a parameter with a default of a module-level
+function that the package calls must be set, by keyword or by position,
+by at least one of those calls. A value that no caller changes is a
+constant of the module, not a parameter.
 """
 
 import ast
@@ -107,6 +112,47 @@ def unnamed_definitions(paths: list[str]) -> list[str]:
             if name not in named]
 
 
+def _defaulted(func: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, or None for a keyword-only one, name) of every parameter
+    of ``func`` that has a default."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def _sets(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether ``call`` passes the parameter, by keyword or by position; a
+    call that unpacks ``*args`` or ``**kwargs`` may pass any."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return (position is not None and position < len(call.args)) or any(
+        k.arg == name for k in call.keywords)
+
+
+def unset_options(paths: list[str]) -> list[str]:
+    """``module:line: function(parameter)`` of every defaulted parameter of
+    a module-level function of the modules at ``paths`` that some call in
+    them reaches but none sets. A call reaches every function of the name
+    it calls, plainly (``f(...)``) or as an attribute (``m.f(...)``)."""
+    trees = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            trees[path] = ast.parse(fh.read(), filename=path)
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    return [f"{os.path.basename(path)}:{func.lineno}: {func.name}({name})"
+            for path, tree in trees.items() for func in tree.body
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func.name in calls
+            for position, name in _defaulted(func)
+            if not any(_sets(call, position, name) for call in calls[func.name])]
+
+
 def unused_imports(path: str) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
@@ -168,6 +214,43 @@ def test_package_modules_use_every_import():
 def test_package_names_every_function_and_class():
     modules = sorted(os.path.join(PACKAGE, f) for f in os.listdir(PACKAGE) if f.endswith(".py"))
     assert unnamed_definitions(modules) == []
+
+
+# ``cli.main``'s ``argv`` is exempt: ``main`` is the console entry point,
+# which the installed script and ``python -m arscreen`` call without
+# arguments so that it reads ``sys.argv``; a caller in the same process
+# (the tests, an embedding program) passes its argv.
+ENTRY_POINT_OPTION = ("cli.py", "main(argv)")
+
+
+def test_package_sets_every_option():
+    modules = sorted(os.path.join(PACKAGE, f) for f in os.listdir(PACKAGE) if f.endswith(".py"))
+    unset = [u for u in unset_options(modules)
+             if (u.split(":")[0], u.split(": ")[1]) != ENTRY_POINT_OPTION]
+    assert unset == []
+
+
+def test_scan_finds_an_unset_option(tmp_path):
+    (tmp_path / "a.py").write_text("import b\n"
+                                   "def f(x, scale=1.0, *, mode='a', tag=None):\n"
+                                   "    return x\n"
+                                   "def g(x, y=2):\n"
+                                   "    return x\n"
+                                   "def h(z=0):\n"
+                                   "    return z\n"
+                                   "def uncalled(w=0):\n"
+                                   "    return w\n"
+                                   "def k(q=1):\n"
+                                   "    return q\n"
+                                   "f(1, 2.0)\n"
+                                   "b.f(1, mode='b')\n"
+                                   "g(1)\n"
+                                   "h(*[])\n"
+                                   "k(**{})\n")
+    (tmp_path / "b.py").write_text("def f(x, scale=1.0, *, mode='a', tag=None):\n"
+                                   "    return x\n")
+    paths = [str(tmp_path / f) for f in ("a.py", "b.py")]
+    assert unset_options(paths) == ["a.py:2: f(tag)", "a.py:4: g(y)", "b.py:1: f(tag)"]
 
 
 def test_scan_finds_an_unnamed_definition(tmp_path):
