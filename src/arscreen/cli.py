@@ -21,6 +21,7 @@ from __future__ import annotations
 # import, and no command imports a module; only an argv that argparse reads
 # (help, an error) loads more: argparse itself, with its gettext and locale.
 import encodings.cp437  # noqa: F401
+import io
 import os
 import sys
 from dataclasses import fields, replace
@@ -31,7 +32,7 @@ import numpy.random  # noqa: F401
 
 from .ar_core import cdf_standardize
 from .errors import ArscreenError, DomainError, InvalidInputError, NumericalError
-from .panel_io import ColumnRows, _fmt, read_panel, write_panel, write_table
+from .panel_io import ColumnRows, _fmt, read_panel, read_text, write_panel, write_table
 from .parametric import (
     build_importance_sampler,
     inclusion_probabilities_parametric,
@@ -64,25 +65,24 @@ from .trajectory import prepare_gp_workspace  # noqa: F401
 
 
 def parse_kv_file(path: str) -> dict[str, str]:
-    """Read a ``key = value`` text file; '#' starts a comment."""
+    """Read a ``key = value`` UTF-8 text file; '#' starts a comment."""
     try:
-        fh = open(path, encoding="utf-8")
+        text = read_text(path)
     except OSError as exc:      # missing, a directory, or not readable by this process
         raise InvalidInputError(f"cannot read {path}: {exc.strerror}") from None
     out: dict[str, str] = {}
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidInputError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key or not value:
-                raise InvalidInputError(f"{path}:{lineno}: empty key or value")
-            if key in out:
-                raise InvalidInputError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):   # universal newlines
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidInputError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key or not value:
+            raise InvalidInputError(f"{path}:{lineno}: empty key or value")
+        if key in out:
+            raise InvalidInputError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
     return out
 
 

@@ -10,6 +10,7 @@ traceable to the configuration that produced it. Floats are written with
 from __future__ import annotations
 
 import csv
+import io
 from collections.abc import Sequence
 from itertools import chain, filterfalse, repeat
 from operator import methodcaller
@@ -36,26 +37,27 @@ def read_panel(path: str, min_length: int = 1) -> SeriesPanel:
 
     Rows within a unit are sorted by time; duplicate times and non-finite
     values are rejected as ``ObservedSeries`` rejects them, naming the first
-    such unit. The fields come from one bulk split of the file
-    (``_bulk_fields``) or, for a file that split cannot read as csv would,
-    from one csv pass; they are converted a column at a time, and only a
-    file with a row that does not convert is read again row by row, to name
-    that row's line.
+    such unit. The file is read once (``read_text``). The fields come from
+    one bulk split of its text (``_bulk_fields``) or, for a text that split
+    cannot read as csv would, from one csv pass; they are converted a
+    column at a time, and only a text with a row that does not convert is
+    read again row by row, to name that row's line.
     """
     try:
-        fields = _bulk_fields(path)
+        text = read_text(path)
     except OSError as exc:      # missing, a directory, or not readable by this process
         raise InvalidInputError(f"cannot read panel file {path}: {exc.strerror}") from None
+    fields = _bulk_fields(text)
     if fields is None:
-        fields = _csv_fields(path)
+        fields = _csv_fields(text, path)
     n = len(fields) // 3
     try:
         times, values = _numbers(fields[1::3], fields[2::3], n)
-    except ValueError:
+    except (ValueError, OverflowError):
         try:    # int and float ignore padding, but not \x1c-\x1f, which str.strip removes
             times, values = _numbers(map(str.strip, fields[1::3]), map(str.strip, fields[2::3]), n)
-        except ValueError:
-            _raise_at_bad_row(path)
+        except (ValueError, OverflowError):
+            _raise_at_bad_row(text, path)
             raise
     units = list(map(str.strip, fields[0::3]))
     # The kept ids are fresh copies, made while the fields fill their
@@ -75,16 +77,27 @@ def _numbers(times, values, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.fromiter(map(int, times), np.int64, n), np.fromiter(map(float, values), float, n)
 
 
-def _bulk_fields(path: str) -> list[str] | None:
-    """The data fields of a panel file, three per row, split from the whole
-    text at once, as ``_csv_fields`` splits them. None for a file whose
-    fields csv might read otherwise (one with a quote, a NUL, a line end
+def read_text(path: str) -> str:
+    """The whole of a text file, read in one pass (so a pipe is read once)
+    and decoded as UTF-8; bytes that are not UTF-8 raise
+    ``InvalidInputError`` naming the path and the offset of the first bad
+    byte. An ``OSError`` from opening or reading the file propagates."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from None
+
+
+def _bulk_fields(text: str) -> list[str] | None:
+    """The data fields of a panel file's text, three per row, split at
+    once, as ``_csv_fields`` splits them. None for a text whose fields csv
+    might read otherwise (one with a quote, a NUL, a line end
     other than LF and CRLF, or a field over csv's size limit), for one
     with a comment or blank line among its rows, and for one that does not
     read cleanly (a bad header, no data row, a row of other than three
     fields): ``_csv_fields`` reads those."""
-    with open(path, newline="") as fh:
-        text = fh.read()
     if '"' in text or "\0" in text:        # csv before Python 3.11 refuses a NUL
         return None
     if "\r" in text:
@@ -98,7 +111,6 @@ def _bulk_fields(path: str) -> list[str] | None:
             return None
     end = text.find("\n", start)
     header, body = text[start:end], text[end + 1:].rstrip("\n")
-    del text
     limit = csv.field_size_limit()
     if (end < 0 or not body or body[0] in "\n#" or "\n\n" in body or "\n#" in body
             or len(header) > limit
@@ -117,46 +129,43 @@ def _bulk_fields(path: str) -> list[str] | None:
     return body.replace("\n", ",").split(",")
 
 
-def _csv_fields(path: str) -> list[str]:
-    """The data fields of a panel file, three per row, from one csv pass
-    over its non-comment lines; raises for an empty file, a bad header, no
-    data rows or a row of other than three fields."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(filterfalse(_IS_COMMENT, fh))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInputError(f"{path}: empty panel file") from None
-        if tuple(h.strip() for h in header) != PANEL_HEADER:
-            raise InvalidInputError(f"{path}: expected header {','.join(PANEL_HEADER)!r}, got {header!r}")
-        # Rows as tuples of strings, which the cyclic garbage collector stops
-        # tracking: kept as lists, 700,000 rows cost more in collections than
-        # in parsing.
-        rows = list(map(tuple, filter(None, reader)))
+def _csv_fields(text: str, path: str) -> list[str]:
+    """The data fields of a panel file's text, three per row, from one csv
+    pass over its non-comment lines; raises, naming ``path``, for an empty
+    file, a bad header, no data rows or a row of other than three fields."""
+    reader = csv.reader(filterfalse(_IS_COMMENT, io.StringIO(text, newline="")))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InvalidInputError(f"{path}: empty panel file") from None
+    if tuple(h.strip() for h in header) != PANEL_HEADER:
+        raise InvalidInputError(f"{path}: expected header {','.join(PANEL_HEADER)!r}, got {header!r}")
+    # Rows as tuples of strings, which the cyclic garbage collector stops
+    # tracking: kept as lists, 700,000 rows cost more in collections than
+    # in parsing.
+    rows = list(map(tuple, filter(None, reader)))
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
     if set(map(len, rows)) != {3}:
-        _raise_at_bad_row(path)
+        _raise_at_bad_row(text, path)
     return list(chain.from_iterable(rows))
 
 
-def _raise_at_bad_row(path: str) -> None:
-    """Raise the error that names the first data row of a panel file that
-    does not hold three fields, an integer time and a float value; lines
-    are numbered among the non-comment lines, the header being line 1."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(filterfalse(_IS_COMMENT, fh))
-        next(reader)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InvalidInputError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                int(row[1].strip())
-                float(row[2].strip())
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+def _raise_at_bad_row(text: str, path: str) -> None:
+    """Raise the error that names the first data row of a panel file's text
+    that does not hold three fields, an int64 time and a float value;
+    lines are numbered among the non-comment lines, the header being line 1."""
+    reader = csv.reader(filterfalse(_IS_COMMENT, io.StringIO(text, newline="")))
+    next(reader)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise InvalidInputError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+        try:
+            _numbers((row[1].strip(),), (row[2].strip(),), 1)
+        except (ValueError, OverflowError) as exc:     # not a number, or a time beyond int64
+            raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
 
 
 class ColumnRows(Sequence):
@@ -254,7 +263,7 @@ def write_table(path: str, header: tuple[str, ...], rows: ColumnRows,
     numpy) by repr, anything else by str. The rows are rendered a block at
     a time (``_render``) and each block is written as one string. Panels
     and every command's result tables are written here."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("".join(f"# {c}\n" for c in comments))
         fh.write(_lines([[_quote(_fmt(h))] for h in header]))    # one row of one-cell columns
         for columns in _blocks(rows):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import math
 import os
 import warnings
 import zipfile
@@ -662,81 +661,27 @@ def save_chain(chain: ChainOutput, path: str) -> None:
     np.savez(path, **{k: np.asarray(values[k]) for k in _CHAIN_KEYS})
 
 
-# Header lengths numpy reads by default (np.load's max_header_size).
-_MAX_NPY_HEADER = 10000
-
-
-def _npy_layout(header: str) -> tuple[np.dtype, bool, tuple[int, ...]] | None:
-    """The dtype, Fortran order and shape of a ``.npy`` header in the form
-    numpy writes it (``{'descr': '<f8', 'fortran_order': False, 'shape':
-    (3, 4), }`` and padding), parsed without compiling it; None for any
-    other header, and for object dtypes."""
-    body = header.rstrip(" \n")
-    if not (body.startswith("{'descr': '") and body.endswith("), }")):
-        return None
-    descr, _, rest = body[11:-4].partition("', 'fortran_order': ")
-    order, _, shape = rest.partition(", 'shape': (")
-    dims = [shape[:-1]] if shape.endswith(",") else shape.split(", ") if shape else []
-    if (order not in ("True", "False") or descr[:1] not in ("<", ">", "|", "=")
-            or not (descr[1:].isascii() and descr[1:].isalnum())
-            or not all(d.isascii() and d.isdigit() and (d == "0" or d[0] != "0") for d in dims)):
-        return None
-    try:
-        dtype = np.dtype(descr)
-    except TypeError:
-        return None
-    return None if dtype.hasobject else (dtype, order == "True", tuple(map(int, dims)))
-
-
-def _read_npy(f, size: int, crc: int) -> np.ndarray | None:
-    """The array of the ``.npy`` member of ``size`` bytes and CRC-32 ``crc``
-    that starts at ``f``'s position, read in one pass straight into the
-    array: the dtype, shape and memory order ``np.load`` gives. None for a
-    member whose header ``_npy_layout`` does not parse, whose data is
-    shorter than its shape, or whose CRC does not match."""
-    preamble = f.read(10)
-    if preamble[:6] != b"\x93NUMPY" or preamble[6:8] not in (b"\x01\x00", b"\x02\x00", b"\x03\x00"):
-        return None
-    if preamble[6] > 1:         # versions 2 and 3 give the header length in 4 bytes
-        preamble += f.read(2)
-    length = int.from_bytes(preamble[8:], "little")
-    if len(preamble) != (10 if preamble[6] == 1 else 12) or length > _MAX_NPY_HEADER:
-        return None
-    header = f.read(length)
-    if len(header) != length or len(preamble) + length > size:
-        return None
-    try:
-        layout = _npy_layout(header.decode("utf8" if preamble[6] == 3 else "latin1"))
-    except UnicodeDecodeError:
-        return None
-    if layout is None:
-        return None
-    dtype, fortran, shape = layout
-    flat = np.ndarray(math.prod(shape), dtype=dtype)
-    data = memoryview(flat).cast("B")
-    used = len(preamble) + length + data.nbytes
-    if used > size or f.readinto(data) != data.nbytes:
-        return None
-    # The CRC covers the whole member, so it is checked, as zipfile checks
-    # it, only when the array ends the member.
-    if used == size and zlib.crc32(data, zlib.crc32(header, zlib.crc32(preamble))) != crc:
-        return None
-    return flat.reshape(shape[::-1]).transpose() if fortran else flat.reshape(shape)
+# What zipfile and numpy's .npy reader raise on a damaged archive or member:
+# a bad header, CRC or data (BadZipFile, ValueError, OSError); a zip feature
+# zipfile does not read (NotImplementedError, and RuntimeError for an
+# encrypted member); compressed data cut short (EOFError) or corrupt
+# (zlib.error); and a header shape too large to allocate (MemoryError).
+_UNREADABLE = (OSError, ValueError, zipfile.BadZipFile, RuntimeError, EOFError, zlib.error,
+               MemoryError)
 
 
 class ChainFile:
     """A chain file's ``.npz`` archive, opened once. ``chain_file[key]``
-    reads one entry: an uncompressed member in one pass from the file
-    (``_read_npy``), any other member, or one ``_read_npy`` declines,
-    through zipfile and numpy's own reader, which raise what ``np.load``
-    raises. A missing file, one that is not an archive and any failure to
-    read raise ``InvalidInputError`` naming the path (and the entry)."""
+    reads one entry through zipfile and numpy's own reader, which raise
+    what ``np.load`` raises. A missing file, one that is not an archive and
+    any failure to read raise ``InvalidInputError`` naming the path (and
+    the entry)."""
 
     def __init__(self, path: str):
         self.path = path
         try:
             self.zip = zipfile.ZipFile(path)
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        except _UNREADABLE as exc:
             if not os.path.exists(path):
                 raise InvalidInputError(f"chain file not found: {path}") from None
             if not zipfile.is_zipfile(path):
@@ -757,30 +702,11 @@ class ChainFile:
             raise InvalidInputError(f"chain file {self.path} lacks entry {key!r}")
         info = self.zip.getinfo(key if key in self.zip.NameToInfo else f"{key}.npy")
         try:
-            array = self._read_stored(info)
-            if array is None:
-                with self.zip.open(info) as fh:
-                    array = np.lib.format.read_array(fh, allow_pickle=False)
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            with self.zip.open(info) as fh:
+                return np.lib.format.read_array(fh, allow_pickle=False)
+        except _UNREADABLE as exc:
             raise InvalidInputError(
                 f"unreadable chain file {self.path}: entry {key!r}: {exc}") from exc
-        return array
-
-    def _read_stored(self, info: zipfile.ZipInfo) -> np.ndarray | None:
-        """``_read_npy`` of an uncompressed, unencrypted member whose local
-        header is sound; None for any other member."""
-        if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 1:
-            return None
-        f = self.zip.fp         # the archive's file, which zipfile keeps open
-        f.seek(info.header_offset)
-        local = f.read(30)
-        if len(local) < 30 or local[:4] != b"PK\x03\x04":
-            return None
-        name = f.read(int.from_bytes(local[26:28], "little"))
-        if name != info.filename.encode():
-            return None
-        f.seek(int.from_bytes(local[28:30], "little"), 1)
-        return _read_npy(f, info.compress_size, info.CRC)
 
 
 def _converted(path: str, key: str, convert, array: np.ndarray):

@@ -639,7 +639,7 @@ def read_panel_per_row(path: str, min_length: int = 1):
 
     rows: dict[str, list[tuple[int, float]]] = {}
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InvalidInputError(f"cannot read panel file {path}: {exc.strerror}") from None
     with fh:

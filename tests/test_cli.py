@@ -152,6 +152,16 @@ class TestKvParsing:
         with pytest.raises(InvalidInputError, match="no/such/file"):
             parse_kv_file("no/such/file.cfg")
 
+    def test_line_ends_and_utf8(self, tmp_path):
+        """CR, LF and CRLF each end a line; bytes that are not UTF-8 are
+        named by their offset."""
+        path = tmp_path / "f.cfg"
+        path.write_bytes("a = 1\rb = 2\r\nc = Zürich\n".encode())
+        assert parse_kv_file(str(path)) == {"a": "1", "b": "2", "c": "Zürich"}
+        path.write_bytes(b"a = 1\nb = \xff\n")
+        with pytest.raises(InvalidInputError, match=r"f\.cfg: not UTF-8 text at byte 10"):
+            parse_kv_file(str(path))
+
 
 class TestScenarios:
     def test_mixture_scenario(self):

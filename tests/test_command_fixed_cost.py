@@ -2,10 +2,10 @@
 
 ``main`` reads a well-formed argv from the option table (``cli.COMMANDS``)
 and leaves any other argv to argparse, built from the same table; chain
-files are opened once and each entry read once (``trajectory.ChainFile``);
-panel files are split in bulk when csv would split them the same way
-(``panel_io._bulk_fields``). Each fast path is checked against the path it
-replaces.
+files are opened once and each entry read once (``trajectory.ChainFile``),
+with what ``np.load`` gives; panel files are read once and split in bulk
+when csv would split them the same way (``panel_io._bulk_fields``). The
+argv and panel fast paths are checked against the paths they replace.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import dataclasses
 import io
 import math
 import os
+import struct
 import zipfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -249,6 +250,87 @@ def test_corrupt_data_fails_the_crc(chain_path, tmp_path, capsys):
     assert "flipped.npz" in err and "'logliks'" in err and "CRC" in err
 
 
+def _directory_entry(raw: bytes, start: int, name: str) -> int:
+    """The offset of member ``name``'s entry in the central directory that
+    begins at ``start``."""
+    pos = start
+    while raw[pos + 46:pos + 46 + int.from_bytes(raw[pos + 28:pos + 30], "little")] != name.encode():
+        pos = raw.index(b"PK\x01\x02", pos + 4)
+    return pos
+
+
+def _bad_block_type(raw: bytearray, info: zipfile.ZipInfo, entry: int) -> None:
+    """The member's first deflate block takes the reserved type 3."""
+    local = info.header_offset
+    start = local + 30 + int.from_bytes(raw[local + 26:local + 28], "little") + int.from_bytes(
+        raw[local + 28:local + 30], "little")
+    raw[start] |= 0x06
+
+
+# Edits of one member of a chain file, given the archive's bytes, the
+# member's ZipInfo and the offset of its central directory entry.
+ZIP_EDITS = {
+    "flag bit 5": lambda raw, info, entry: struct.pack_into("<H", raw, entry + 8,
+                                                            info.flag_bits | 1 << 5),
+    "encrypted": lambda raw, info, entry: struct.pack_into("<H", raw, entry + 8,
+                                                           info.flag_bits | 1),
+    "compression method": lambda raw, info, entry: struct.pack_into("<H", raw, entry + 10, 99),
+    # The local header's extra field runs past the end of the file.
+    "cut short": lambda raw, info, entry: struct.pack_into("<H", raw, info.header_offset + 28,
+                                                           0xFFFF),
+    "invalid block type": _bad_block_type,
+}
+
+
+def _huge_shape(data: bytes) -> bytes:
+    """The header's first dimension prefixed by 15 digits (2 PiB of float64),
+    in place of 15 bytes of its padding."""
+    return data.replace(b"'shape': (", b"'shape': (300000000000000", 1).replace(
+        b" " * 15 + b"\n", b"\n", 1)
+
+
+@pytest.mark.parametrize("archive, entry, edit, cause", [
+    ("stored", "logliks", "flag bit 5", "NotImplementedError"),
+    ("compressed", "logliks", "flag bit 5", "NotImplementedError"),
+    ("stored", "logliks", "encrypted", "RuntimeError"),
+    ("stored", "gamma", "compression method", "NotImplementedError"),
+    ("compressed", "kernel_length_scale", "cut short", "EOFError"),   # the last member
+    ("stored", "kernel_length_scale", "cut short", "EOFError"),
+    ("compressed", "gamma", "invalid block type", "error"),           # zlib.error
+])
+def test_zip_refusals_exit_3_naming_file_and_entry(chain_path, tmp_path, capsys,
+                                                   archive, entry, edit, cause):
+    """What zipfile refuses in a member (patched data, encryption, an
+    unknown method), a member cut short by the end of the file and a
+    corrupt deflate stream exit 3, naming the file and the entry."""
+    src = chain_path
+    if archive == "compressed":
+        src = str(tmp_path / "compressed.npz")
+        with np.load(chain_path) as z:
+            np.savez_compressed(src, **{k: z[k] for k in z.files})
+    with open(src, "rb") as fh:
+        raw = bytearray(fh.read())
+    with zipfile.ZipFile(src) as z:
+        info = z.getinfo(f"{entry}.npy")
+        ZIP_EDITS[edit](raw, info, _directory_entry(raw, z.start_dir, info.filename))
+    bad = tmp_path / "edited.npz"
+    bad.write_bytes(raw)
+    with pytest.raises(InvalidInputError) as exc:
+        trajectory.load_chain(str(bad))
+    assert type(exc.value.__cause__).__name__ == cause
+    assert cli.main(["report", "--chain", str(bad), "--output-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "edited.npz" in err and repr(entry) in err, err
+
+
+def test_shape_too_large_to_allocate_exits_3(chain_path, tmp_path, capsys):
+    bad = str(tmp_path / "huge.npz")
+    _rewrite_member(chain_path, bad, "logliks.npy", _huge_shape)
+    assert cli.main(["report", "--chain", bad, "--output-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "huge.npz" in err and "'logliks'" in err and "allocate" in err, err
+
+
 def test_not_an_archive_and_missing_chain(tmp_path):
     text = tmp_path / "chain.npz"
     text.write_text("unit_id,time,value\n")
@@ -300,8 +382,8 @@ def test_bulk_fields_equal_csv_fields(tmp_path, eol):
                        "padded": text.replace(",", " ,\t")}.items():
         p = tmp_path / f"{name}.csv"
         p.write_bytes(body.encode())
-        fields = _bulk_fields(str(p))
-        assert fields is not None and fields == _csv_fields(str(p)), name
+        fields = _bulk_fields(body)
+        assert fields is not None and fields == _csv_fields(body, str(p)), name
         _same_outcome(str(p))
 
 
@@ -340,9 +422,7 @@ def test_only_plain_files_are_split_in_bulk(tmp_path):
                  "unit_id,time,value\na,1,2.0\n# c\nb,1,2.0\n",
                  "unit_id,time,value\na,1,2.0\n\nb,1,2.0\n", "unit_id,time,value\na,1,2.0\rb,1,2\n",
                  "unit_id,time,value\na,1,2.0,4\nb,1\n", "unit_id,time,value\n"):
-        path = tmp_path / "p.csv"
-        path.write_bytes(text.encode())
-        assert _bulk_fields(str(path)) is None, text
+        assert _bulk_fields(text) is None, text
 
 
 def test_first_failing_unit_in_file_order_is_named(tmp_path):
@@ -433,12 +513,8 @@ def test_pipeline_pays_each_fixed_cost_once(tmp_path, monkeypatch):
         raise AssertionError("argparse was built")
 
     reads, builds = Counter(), Counter()
-    read_stored, zip_open = ChainFile._read_stored, zipfile.ZipFile.open
+    zip_open = zipfile.ZipFile.open
     lag_stats, prepare = ar_core.lag_stats, trajectory.prepare_gp_workspace
-
-    def count_stored(self, info):
-        reads[info.filename] += 1
-        return read_stored(self, info)
 
     def count_open(self, name, mode="r", *args, **kwargs):
         if mode == "r":
@@ -452,7 +528,6 @@ def test_pipeline_pays_each_fixed_cost_once(tmp_path, monkeypatch):
         return counted
 
     monkeypatch.setattr(cli, "build_parser", refuse)
-    monkeypatch.setattr(ChainFile, "_read_stored", count_stored)
     monkeypatch.setattr(zipfile.ZipFile, "open", count_open)
     monkeypatch.setattr(ar_core, "lag_stats", count("lag_stats", lag_stats))
     monkeypatch.setattr(trajectory, "prepare_gp_workspace", count("workspace", prepare))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -179,6 +180,84 @@ def test_errors_equal_per_row_reader(tmp_path, text):
     with pytest.raises(InvalidInputError) as got:
         read_panel(str(path))
     assert str(got.value) == str(want.value)
+
+
+def _read_through_pipe(tmp_path, text: str) -> SeriesPanel:
+    """``read_panel`` of a FIFO filled with ``text``, in a thread. A reader
+    that opens the FIFO a second time blocks until a writer opens it; it
+    is then let through to an empty pipe."""
+    fifo = str(tmp_path / "panel.fifo")
+    os.mkfifo(fifo)
+    result = {}
+
+    def read():
+        try:
+            result["panel"] = read_panel(fifo)
+        except InvalidInputError as exc:
+            result["error"] = exc
+
+    reader = threading.Thread(target=read)
+    reader.start()
+    with open(fifo, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    reader.join(timeout=10)
+    if reader.is_alive():
+        open(fifo, "w").close()
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    if "error" in result:
+        raise result["error"]
+    return result["panel"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+def test_pipe_is_read_once(tmp_path):
+    """A pipe that the bulk split declines (a comment among the rows) is
+    read by csv from the text already read, and a bad row in it is named
+    by its line, as in a regular file."""
+    text = "unit_id,time,value\na,1,2.0\n# c\na,2,3.0\nb,1,1.0\n"
+    panel = _read_through_pipe(tmp_path, text)
+    assert panel.unit_ids == ("a", "b") and panel[0].values.tolist() == [2.0, 3.0]
+    (tmp_path / "panel.fifo").unlink()
+    with pytest.raises(InvalidInputError, match=r"panel\.fifo:4: could not convert"):
+        _read_through_pipe(tmp_path, text.replace("b,1,1.0", "b,1,x"))
+
+
+def test_text_that_is_not_utf8_names_path_and_byte(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("unit_id,time,value\nZürich,1,2.0\n".encode("latin-1"))
+    with pytest.raises(InvalidInputError, match=r"latin1\.csv: not UTF-8 text at byte 20"):
+        read_panel(str(path))
+
+
+def test_time_beyond_int64_names_its_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("unit_id,time,value\na,1,2.0\na,99999999999999999999,3.0\n")
+    with pytest.raises(InvalidInputError, match=r"big\.csv:3: .*too large"):
+        read_panel(str(path))
+
+
+# Write a panel with a non-ASCII id and read it back.
+ROUND_TRIP = r"""
+import sys
+from arscreen.ar_core import ObservedSeries, SeriesPanel
+from arscreen.panel_io import read_panel, write_panel
+
+write_panel(SeriesPanel((ObservedSeries("Z\u00fcrich", [1, 2], [0.5, 1.5]),)), sys.argv[1])
+print(read_panel(sys.argv[1]).unit_ids == ("Z\u00fcrich",))
+"""
+
+
+def test_round_trip_is_utf8_in_any_locale(tmp_path):
+    """Panels are written and read as UTF-8 under an ASCII locale too."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arscreen.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONUTF8"))}
+    env.update(LC_ALL="C", PYTHONPATH=src)
+    path = tmp_path / "panel.csv"
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", ROUND_TRIP, str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.strip() == "True", proc.stderr
+    assert "Zürich,1,0.5".encode() in path.read_bytes()
 
 
 # A float column with 0.0 and -0.0 in one block (equal, with equal hashes),
