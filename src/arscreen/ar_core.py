@@ -11,13 +11,13 @@ v (1 - phi^(2d)) / (1 - phi^2).
 The log-likelihood under any (phi, v) therefore depends on a unit only
 through a few lag statistics per distinct gap: the first value and its
 square, and over the steps of each gap the sums of the step difference,
-of the previous value, and of their squares and product. A ``StepTable``
-holds a whole panel flat: every observation with its unit, and every step
-with its gap, whatever each unit's time pattern. ``lag_stats`` sums over
-its steps; ``LagStats`` then turns the sums into the log-likelihood of
-every unit under every parameter pair with one (units x statistics) by
-(statistics x pairs) matrix product, and into the mean-shift quadratic
-forms with products of the same kind. Statistics add across units, so a
+of the previous value, and of their squares and product. A ``SeriesPanel``
+is one flat table of observations, unit after unit; its ``StepTable`` adds
+every observation's unit and every step with its gap, whatever each unit's
+time pattern. ``lag_stats`` sums over its steps; ``LagStats`` then turns
+the sums into the log-likelihood of every unit under every parameter pair
+with one (units x statistics) by (statistics x pairs) matrix product, and
+into the mean-shift quadratic forms with products of the same kind. Statistics add across units, so a
 pooled row scores a whole cluster, and ``ar1_loglik`` one series, in
 O(number of gaps).
 ``step_precision`` gives the entries of every unit's tridiagonal precision
@@ -33,6 +33,7 @@ benchmark's per-layer probes; no command calls them.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -98,44 +99,70 @@ class ObservedSeries:
         return series
 
 
-@dataclass(frozen=True)
-class SeriesPanel:
-    """A panel of series with unique unit ids, each at least ``min_length`` long."""
+class SeriesPanel(Sequence):
+    """A panel of series with unique unit ids, each at least ``min_length``
+    long, held as one flat table: unit k is ``unit_ids[k]`` with the rows
+    ``bounds[k]:bounds[k + 1]`` of int64 ``times``, strictly increasing
+    within a unit, and of finite float ``values``. Indexing and iteration
+    hand out the ``ObservedSeries`` views of ``series``."""
 
-    series: tuple[ObservedSeries, ...]
-    min_length: int = 1
+    def __init__(self, series=(), min_length: int = 1):
+        series = tuple(series)
+        self._validate(tuple(s.unit_id for s in series), np.cumsum([0] + [len(s) for s in series]),
+                       np.concatenate([s.times for s in series] + [np.empty(0, dtype=np.int64)]),
+                       np.concatenate([s.values for s in series] + [np.empty(0)]), min_length)
 
-    def __post_init__(self):
-        object.__setattr__(self, "series", tuple(self.series))
-        counts = Counter(s.unit_id for s in self.series)
-        if len(counts) != len(self.series):
-            dupes = sorted(u for u, c in counts.items() if c > 1)
+    @classmethod
+    def from_flat(cls, unit_ids: tuple[str, ...], bounds: np.ndarray, times: np.ndarray,
+                  values: np.ndarray, min_length: int = 1) -> "SeriesPanel":
+        """The panel of the flat table ``unit_ids``, ``bounds``, ``times`` and
+        ``values``, checked as the series constructor checks it."""
+        panel = object.__new__(cls)
+        panel._validate(tuple(unit_ids), bounds, times, values, min_length)
+        return panel
+
+    def _validate(self, unit_ids, bounds, times, values, min_length) -> None:
+        """Check the flat table once and keep it. The first unit, in order,
+        that is empty, has a time not above the one before it or has a
+        non-finite value raises what its ``ObservedSeries`` raises; then
+        duplicate ids are named; then the first unit below ``min_length``."""
+        lengths = np.diff(bounds)
+        unit = np.repeat(np.arange(lengths.size), lengths)
+        failing = np.concatenate([np.flatnonzero(lengths == 0), unit[~np.isfinite(values)],
+                                  unit[1:][(unit[1:] == unit[:-1]) & (times[1:] <= times[:-1])]])
+        if failing.size:
+            k = int(failing.min())
+            ObservedSeries(unit_ids[k], times[bounds[k]:bounds[k + 1]], values[bounds[k]:bounds[k + 1]])
+        dupes = sorted(u for u, c in Counter(unit_ids).items() if c > 1)
+        if dupes:
             raise InvalidInputError(f"duplicate unit ids in panel: {dupes[:5]}")
-        for s in self.series:
-            if len(s) < self.min_length:
-                raise InvalidInputError(
-                    f"unit {s.unit_id!r} has {len(s)} observations, fewer than min_length={self.min_length}"
-                )
+        short = np.flatnonzero(lengths < min_length)
+        if short.size:
+            k = int(short[0])
+            raise InvalidInputError(f"unit {unit_ids[k]!r} has {int(lengths[k])} observations, "
+                                    f"fewer than min_length={min_length}")
+        self.unit_ids, self.bounds, self.times, self.values = unit_ids, bounds, times, values
+        self.min_length = min_length
 
     def __len__(self) -> int:
-        return len(self.series)
+        return len(self.unit_ids)
 
-    def __iter__(self):
-        return iter(self.series)
+    def __getitem__(self, k: int) -> ObservedSeries:
+        return self.series[k]
 
-    def __getitem__(self, i: int) -> ObservedSeries:
-        return self.series[i]
-
-    @property
-    def unit_ids(self) -> tuple[str, ...]:
-        return tuple(s.unit_id for s in self.series)
+    @cached_property
+    def series(self) -> tuple[ObservedSeries, ...]:
+        """Each unit's ``ObservedSeries`` view, one object per unit, built on first use."""
+        cuts = self.bounds[1:-1]
+        return tuple(map(ObservedSeries._checked, self.unit_ids, np.split(self.times, cuts),
+                         np.split(self.values, cuts)))
 
     @cached_property
     def grid(self) -> np.ndarray:
         """Every distinct time of the panel, ascending: the trajectory grid.
         Sorted and masked rather than ``np.unique``d, which would load
         ``numpy.ma`` in the command that first calls it."""
-        times = np.sort(np.concatenate([s.times for s in self.series]))
+        times = np.sort(self.times)
         distinct = np.empty(times.size, dtype=bool)
         distinct[:1] = True
         np.not_equal(times[1:], times[:-1], out=distinct[1:])
@@ -146,28 +173,6 @@ class SeriesPanel:
         """Lag statistics of the panel's ``step_table``, built on first use:
         every reader of the same panel shares them."""
         return step_table(self).stats
-
-    @classmethod
-    def from_flat(cls, unit_ids: tuple[str, ...], unit: np.ndarray, times: np.ndarray,
-                  values: np.ndarray, min_length: int = 1) -> "SeriesPanel":
-        """The panel whose unit ``unit_ids[k]`` has the rows i with
-        ``unit[i] == k``: ``unit`` ascending, int64 ``times`` ascending within
-        a unit, float ``values``. Order and finiteness are checked once over
-        the flat arrays; the first failing unit in ``unit_ids`` order raises
-        what its ``ObservedSeries`` raises."""
-        counts = np.bincount(unit, minlength=len(unit_ids))
-        ends = np.cumsum(counts).tolist()
-        starts = [0] + ends[:-1]
-        same_unit = unit[1:] == unit[:-1]
-        failing = np.concatenate([np.flatnonzero(counts == 0),
-                                  unit[1:][same_unit & (times[1:] <= times[:-1])],
-                                  unit[~np.isfinite(values)]])
-        if failing.size:
-            k = int(failing.min())
-            ObservedSeries(unit_ids[k], times[starts[k]:ends[k]], values[starts[k]:ends[k]])
-        checked = ObservedSeries._checked
-        return cls(tuple(checked(u, times[a:b], values[a:b])
-                         for u, a, b in zip(unit_ids, starts, ends)), min_length=min_length)
 
 
 @dataclass(frozen=True)
@@ -243,7 +248,7 @@ def gaussian_parts(values: np.ndarray, gaps: GapTable,
 
 def ar1_loglik(series: ObservedSeries, params: ArParams) -> float:
     """Log-likelihood of a series under the stationary AR(1) null."""
-    return float(step_table(SeriesPanel((series,))).stats.loglik(params.phi, params.v)[0])
+    return float(SeriesPanel((series,)).stats.loglik(params.phi, params.v)[0])
 
 
 def log_shift_bayes_factor(q_y1, s11, shift_var: float):
@@ -263,7 +268,7 @@ def mean_shift_loglik(series: ObservedSeries, params: ArParams, shift_var: float
 
 def log_conditional_bayes_factor(series: ObservedSeries, params: ArParams, shift_var: float) -> float:
     """Log Bayes factor of the mean-shift alternative against the AR(1) null."""
-    q_y1, s11 = step_table(SeriesPanel((series,))).stats.shift_parts(params.phi, params.v)
+    q_y1, s11 = SeriesPanel((series,)).stats.shift_parts(params.phi, params.v)
     return float(log_shift_bayes_factor(q_y1[0], s11[0], shift_var))
 
 
@@ -344,18 +349,9 @@ def cdf_standardize(panel: SeriesPanel) -> SeriesPanel:
     increasing transformations of the raw values, and never produces
     infinities since (rank - 0.5) / n stays inside (0, 1).
     """
-    if len(panel) == 0:
-        return panel
-    pooled = np.concatenate([s.values for s in panel])
-    ranks = _average_ranks(pooled)
-    scores = ndtri((ranks - 0.5) / pooled.size)
-    out = []
-    pos = 0
-    for s in panel:
-        n = len(s)
-        out.append(ObservedSeries(s.unit_id, s.times, scores[pos:pos + n]))
-        pos += n
-    return SeriesPanel(tuple(out), min_length=panel.min_length)
+    scores = ndtri((_average_ranks(panel.values) - 0.5) / panel.values.size)
+    return SeriesPanel.from_flat(panel.unit_ids, panel.bounds, panel.times, scores,
+                                 min_length=panel.min_length)
 
 
 # --- panel representations for vectorized likelihood work ---
@@ -381,15 +377,11 @@ class TimesGroup:
 
 def panel_groups(panel: SeriesPanel) -> list[TimesGroup]:
     """Group panel units by their observation-time vectors."""
-    buckets: dict[tuple[int, ...], list[int]] = {}
+    buckets: dict[bytes, list[int]] = {}
     for i, s in enumerate(panel):
-        buckets.setdefault(tuple(int(t) for t in s.times), []).append(i)
-    groups = []
-    for key, idx in buckets.items():
-        times = np.asarray(key, dtype=np.int64)
-        values = np.vstack([panel[i].values for i in idx])
-        groups.append(TimesGroup(np.asarray(idx, dtype=np.int64), values, gap_table(times)))
-    return groups
+        buckets.setdefault(s.times.tobytes(), []).append(i)
+    return [TimesGroup(np.asarray(idx, dtype=np.int64), np.vstack([panel[i].values for i in idx]),
+                       gap_table(panel[idx[0]].times)) for idx in buckets.values()]
 
 
 def group_gaussian_parts(group: TimesGroup, params: ArParams) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -447,14 +439,9 @@ class StepTable:
 
 def step_table(panel: SeriesPanel, grid: np.ndarray | None = None) -> StepTable:
     """Flat step table of a panel; with ``grid``, every time must lie on it."""
-    lengths = np.array([len(s) for s in panel], dtype=np.int64)
-    times = np.concatenate([s.times for s in panel] + [np.empty(0, dtype=np.int64)])
-    values = np.concatenate([s.values for s in panel] + [np.empty(0)])
+    times, first, lengths = panel.times, panel.bounds[:-1], np.diff(panel.bounds)
     unit = np.repeat(np.arange(lengths.size), lengths)
-    first = np.cumsum(lengths) - lengths
-    is_later = np.ones(times.size, dtype=bool)
-    is_later[first] = False
-    later = np.flatnonzero(is_later)
+    later = np.flatnonzero(unit[1:] == unit[:-1]) + 1
     earlier = later - 1
     sizes, gap = np.unique(times[later] - times[earlier], return_inverse=True)
     pos = pairs = pair = None
@@ -462,11 +449,11 @@ def step_table(panel: SeriesPanel, grid: np.ndarray | None = None) -> StepTable:
         pos = np.searchsorted(grid, times)
         off = (pos >= grid.size) | (grid[np.minimum(pos, grid.size - 1)] != times)
         if np.any(off):
-            bad = panel[int(unit[np.argmax(off)])].unit_id
+            bad = panel.unit_ids[unit[np.argmax(off)]]
             raise InvalidInputError(f"unit {bad!r} has times outside the trajectory grid")
         keys, pair = np.unique(pos[earlier] * grid.size + pos[later], return_inverse=True)
         pairs = np.column_stack(np.divmod(keys, grid.size))
-    return StepTable(panel.unit_ids, values, unit, first, tuple(sizes.tolist()), later, earlier,
+    return StepTable(panel.unit_ids, panel.values, unit, first, tuple(sizes.tolist()), later, earlier,
                      unit[later], gap, pos, pairs, pair)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from collections.abc import Sequence
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse
 from operator import methodcaller
 
 import numpy as np
@@ -63,12 +63,12 @@ def read_panel(path: str, min_length: int = 1) -> SeriesPanel:
     # The kept ids are fresh copies, made while the fields fill their
     # memory: the ids of the fields themselves would keep every block that
     # held any field resident for as long as the panel lives.
-    first = dict.fromkeys(u.encode().decode() for u in dict.fromkeys(units))
+    code = {u.encode().decode(): k for k, u in enumerate(dict.fromkeys(units))}
     del fields
-    code = dict(zip(first, range(len(first))))
     unit = np.fromiter(map(code.__getitem__, units), np.int64, n)
     order = np.lexsort((times, unit))          # stable: equal times keep file order
-    return SeriesPanel.from_flat(tuple(first), unit[order], times[order], values[order],
+    bounds = np.append(0, np.cumsum(np.bincount(unit)))
+    return SeriesPanel.from_flat(tuple(code), bounds, times[order], values[order],
                                  min_length=min_length)
 
 
@@ -79,13 +79,14 @@ def _numbers(times, values, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def read_text(path: str) -> str:
     """The whole of a text file, read in one pass (so a pipe is read once)
-    and decoded as UTF-8; bytes that are not UTF-8 raise
-    ``InvalidInputError`` naming the path and the offset of the first bad
-    byte. An ``OSError`` from opening or reading the file propagates."""
+    and decoded as UTF-8 less one leading byte-order mark, which "CSV UTF-8"
+    exports write; bytes that are not UTF-8 raise ``InvalidInputError``
+    naming the path and the file offset of the first bad byte. An
+    ``OSError`` from opening or reading the file propagates."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from None
 
@@ -273,7 +274,5 @@ def write_table(path: str, header: tuple[str, ...], rows: ColumnRows,
 def write_panel(panel: SeriesPanel, path: str, comments: tuple[str, ...] = ()) -> None:
     """Write a panel file, one row per observation, through ``write_table``
     over the panel's flat id, time and value columns."""
-    ids = list(chain.from_iterable(repeat(s.unit_id, len(s)) for s in panel))
-    times = np.concatenate([s.times for s in panel] + [np.empty(0, dtype=np.int64)])
-    values = np.concatenate([s.values for s in panel] + [np.empty(0)])
-    write_table(path, PANEL_HEADER, ColumnRows(ids, times, values), comments)
+    ids = np.repeat(np.array(panel.unit_ids, dtype=object), np.diff(panel.bounds)).tolist()
+    write_table(path, PANEL_HEADER, ColumnRows(ids, panel.times, panel.values), comments)

@@ -346,11 +346,10 @@ def _t_proposal(loc: np.ndarray, shape: np.ndarray, df: float, n: int,
 def _require_fittable(panel: SeriesPanel) -> None:
     if len(panel) == 0:
         raise InvalidInputError("cannot fit an empty panel")
-    for s in panel:
-        if len(s) < 2:
-            raise InvalidInputError(
-                f"unit {s.unit_id!r} has a single observation; model fitting needs length >= 2"
-            )
+    single = np.flatnonzero(np.diff(panel.bounds) < 2)
+    if single.size:
+        raise InvalidInputError(f"unit {panel.unit_ids[single[0]]!r} has a single observation; "
+                                "model fitting needs length >= 2")
 
 
 def build_importance_sampler(panel: SeriesPanel, prior: ParametricPrior,
@@ -420,7 +419,7 @@ def inclusion_probabilities_parametric(draws: WeightedDraws, panel: SeriesPanel,
         if not np.all(np.isfinite(logbf)):
             k, unit = np.argwhere(~np.isfinite(logbf.T))[0]   # first draw, then first unit
             raise NumericalError(
-                f"non-finite Bayes factor for unit {panel[unit].unit_id!r} at draw {rows.start + k}"
+                f"non-finite Bayes factor for unit {panel.unit_ids[unit]!r} at draw {rows.start + k}"
             )
         pi = expit(logit(p[rows]) + logbf)
         w = wbar[rows]

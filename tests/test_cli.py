@@ -162,6 +162,43 @@ class TestKvParsing:
         with pytest.raises(InvalidInputError, match=r"f\.cfg: not UTF-8 text at byte 10"):
             parse_kv_file(str(path))
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        """A panel, a config and a scenario that start with a UTF-8
+        byte-order mark (as spreadsheets' "CSV UTF-8" exports write) give
+        the outputs of their copies without it; a bad byte after the mark is
+        named by its offset in the file."""
+        panel = _write_small_panel(tmp_path)
+        scenario = tmp_path / "scen.cfg"
+        scenario.write_text("n_units = 5\nkind = mixture\nlength = 7\ncomponents = 0.5:0.25:1.0\n")
+        config = tmp_path / "run.cfg"
+        config.write_text("n_draws = 600\nkernel_variance = 1.5\n")
+        outputs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            for path in (panel, scenario, config):
+                data = open(path, "rb").read().removeprefix(b"\xef\xbb\xbf")
+                open(path, "wb").write(mark + data)
+            out = tmp_path / f"out{len(mark)}"
+            assert main(["standardize", "--input", panel, "--config", str(config),
+                         "--output-dir", str(out / "std")]) == 0
+            assert main(["fit-parametric", "--input", panel, "--config", str(config),
+                         "--output-dir", str(out / "par")]) == 0
+            assert main(["simulate", "--scenario", str(scenario), "--seed", "2",
+                         "--output-dir", str(out / "sim")]) == 0
+            outputs.append({name: (out / name).read_bytes() for name in (
+                "std/standardized.csv", "par/parametric_inclusion.csv", "sim/panel.csv",
+                "sim/truth.csv")})
+        assert outputs[0] == outputs[1]
+        assert b"config = " + RunConfig(n_draws=600, kernel_variance=1.5).fingerprint().encode() \
+            in outputs[1]["std/standardized.csv"]
+        for path in (panel, str(scenario), str(config)):
+            open(path, "wb").write(b"\xef\xbb\xbf\xff" + open(path, "rb").read()[3:])
+        for argv in (["standardize", "--input", panel], ["standardize", "--input", panel,
+                                                         "--config", str(config)],
+                     ["simulate", "--scenario", str(scenario)]):
+            capsys.readouterr()
+            assert main(argv + ["--output-dir", str(tmp_path / "bad")]) == 3
+            assert "not UTF-8 text at byte 3: invalid start byte" in capsys.readouterr().err
+
 
 class TestScenarios:
     def test_mixture_scenario(self):

@@ -548,3 +548,42 @@ def test_pipeline_pays_each_fixed_cost_once(tmp_path, monkeypatch):
         if argv[0] == "cluster-mle":
             assert builds["workspace"] == 1
     assert os.path.exists(tmp_path / "clus" / "membership.csv")
+
+
+def test_commands_build_no_per_unit_series(tmp_path, monkeypatch):
+    """``standardize``, ``fit-parametric``, ``fit-np`` and ``cluster-mle``
+    read a 2,000-unit ragged panel through its columns: no ``ObservedSeries``
+    is built, by its own constructor or by ``_checked``. Iterating the panel
+    afterwards counts one view per unit, so the counters do count."""
+    rng = np.random.default_rng(8)
+    panel = SeriesPanel(tuple(
+        ObservedSeries(f"u{i:04d}", np.sort(rng.choice(12, size=n, replace=False)), rng.normal(size=n))
+        for i, n in enumerate(rng.integers(2, 7, size=2000))))
+    path, cfg = str(tmp_path / "panel.csv"), tmp_path / "run.cfg"
+    write_panel(panel, path)
+    cfg.write_text("n_draws = 50\n")
+
+    calls = Counter()
+    post_init, checked = ObservedSeries.__post_init__, ObservedSeries._checked.__func__
+
+    def counted_post_init(self):
+        calls["__post_init__"] += 1
+        post_init(self)
+
+    def counted_checked(cls, *args):
+        calls["_checked"] += 1
+        return checked(cls, *args)
+
+    monkeypatch.setattr(ObservedSeries, "__post_init__", counted_post_init)
+    monkeypatch.setattr(ObservedSeries, "_checked", classmethod(counted_checked))
+    fit = str(tmp_path / "fit")
+    for argv in (["standardize", "--input", path],
+                 ["fit-parametric", "--input", path, "--config", str(cfg)],
+                 ["fit-np", "--input", path, "--chains", "1", "--burn", "0", "--keep", "1"],
+                 ["cluster-mle", "--input", path, "--chain", f"{fit}/chain_0.npz",
+                  "--top", "2", "--burn", "0", "--keep", "1"]):
+        out = fit if argv[0] == "fit-np" else str(tmp_path / argv[0])
+        assert cli.main(argv + ["--output-dir", out]) == 0, argv
+    assert calls == Counter()
+    assert len(list(read_panel(path))) == 2000
+    assert calls == Counter(_checked=2000)

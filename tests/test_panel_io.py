@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import arscreen
-from arscreen.ar_core import ObservedSeries, SeriesPanel
+from arscreen.ar_core import ObservedSeries, SeriesPanel, StepTable, step_table
 from arscreen.errors import InvalidInputError
 from arscreen.panel_io import ColumnRows, read_panel, write_panel, write_table
 
@@ -373,3 +374,81 @@ def test_read_panel_releases_its_parse(tmp_path):
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got["units"] == 2000
     assert got["growth_mb"] < 20.0, got
+
+
+def _constructors(tmp_path, units, min_length=1):
+    """Builders of one panel from ``units`` ((id, times, values) triples):
+    through ``ObservedSeries`` and ``SeriesPanel(series)``, through
+    ``SeriesPanel.from_flat`` over the concatenated rows, and through
+    ``read_panel`` of a file holding those rows in order."""
+    ids = tuple(u for u, _, _ in units)
+    bounds = np.cumsum([0] + [len(t) for _, t, _ in units])
+    times = np.array([int(t) for _, ts, _ in units for t in ts], dtype=np.int64)
+    values = np.array([float(v) for _, _, vs in units for v in vs])
+    path = tmp_path / "panel.csv"
+    path.write_text("unit_id,time,value\n" + "".join(
+        f"{u},{int(t)},{float(v)!r}\n" for u, ts, vs in units for t, v in zip(ts, vs)))
+    return {"series": lambda: SeriesPanel((ObservedSeries(*u) for u in units), min_length=min_length),
+            "flat": lambda: SeriesPanel.from_flat(ids, bounds, times, values, min_length=min_length),
+            "file": lambda: read_panel(str(path), min_length=min_length)}
+
+
+OK = ("ok", [1, 2], [1.0, 2.0])
+
+# units, min_length, and whether a file can hold the fault (it cannot hold
+# two units of one id, an empty unit or rows out of time order).
+INVALID_PANELS = {
+    "duplicate ids": ([("a", [1], [1.0]), OK, ("a", [2], [2.0]), ("b", [3], [1.0]), ("b", [4], [2.0])],
+                      1, False),
+    "duplicate ids and a bad unit": ([("a", [1], [1.0]), ("a", [2], [2.0]), ("n", [1], [np.nan])],
+                                     1, False),
+    "empty unit": ([OK, ("e", [], []), ("n", [1], [np.nan])], 1, False),
+    "repeated time": ([OK, ("r", [3, 3], [1.0, 2.0]), ("n", [1], [np.nan])], 1, True),
+    "decreasing times": ([OK, ("d", [4, 2], [1.0, 2.0]), ("n", [1], [np.nan])], 1, False),
+    "nan": ([OK, ("n", [1, 2], [1.0, np.nan]), ("r", [3, 3], [1.0, 2.0])], 1, True),
+    "inf": ([OK, ("i", [1, 2], [np.inf, 1.0]), ("s", [1], [1.0])], 2, True),
+    "short": ([OK, ("s", [1], [1.0]), ("t", [2], [1.0])], 2, True),
+    "short after a bad unit": ([("s", [1], [1.0]), OK, ("n", [1, 2], [1.0, -np.inf])], 2, True),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_PANELS)
+def test_invalid_panel_raises_the_same_through_every_constructor(tmp_path, case):
+    units, min_length, in_file = INVALID_PANELS[case]
+    builders = _constructors(tmp_path, units, min_length)
+    with pytest.raises(InvalidInputError) as want:
+        builders.pop("series")()
+    if not in_file:
+        del builders["file"]
+    for name, build in builders.items():
+        with pytest.raises(InvalidInputError) as got:
+            build()
+        assert str(got.value) == str(want.value), name
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_valid_panel_is_the_same_from_every_constructor(tmp_path, seed):
+    """Bit-identical columns, grid, step tables and lag statistics; the
+    panel's series equal the ones it was built from."""
+    rng = np.random.default_rng(seed)
+    series = [ObservedSeries(f"u{i}", np.sort(rng.choice(np.arange(-5, 30), size=n, replace=False)),
+                             rng.normal(size=n) * 10.0 ** rng.integers(-3, 4))
+              for i, n in enumerate(rng.integers(1, 9, size=int(rng.integers(1, 30))))]
+    panels = [build() for build in
+              _constructors(tmp_path, [(s.unit_id, s.times, s.values) for s in series]).values()]
+    want = panels[0]
+    assert [(s.unit_id, s.times.tobytes(), s.values.tobytes()) for s in want] == \
+        [(s.unit_id, s.times.tobytes(), s.values.tobytes()) for s in series]
+    for got in panels[1:]:
+        assert got.unit_ids == want.unit_ids and got.min_length == want.min_length
+        for name in ("bounds", "times", "values", "grid"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        for grid in (None, want.grid):
+            a, b = step_table(got, grid), step_table(want, grid)
+            for f in dataclasses.fields(StepTable):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert (x is None and y is None) if y is None else \
+                    np.asarray(x).tobytes() == np.asarray(y).tobytes(), f.name
+        for name in ("terms", "linear"):
+            assert getattr(got.stats, name).tobytes() == getattr(want.stats, name).tobytes()
