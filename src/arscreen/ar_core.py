@@ -63,7 +63,7 @@ def stationary_variance(params: ArParams) -> float:
     return params.v / (1.0 - params.phi * params.phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservedSeries:
     """One unit's observations: strictly increasing integer times and finite values."""
 
@@ -175,7 +175,7 @@ class SeriesPanel(Sequence):
         return step_table(self).stats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapTable:
     """Steps between consecutive observation times, stored by distinct gap.
 
@@ -357,7 +357,7 @@ def cdf_standardize(panel: SeriesPanel) -> SeriesPanel:
 # --- panel representations for vectorized likelihood work ---
 
 
-@dataclass
+@dataclass(eq=False)
 class TimesGroup:
     """Units sharing one observation-time vector, stacked for vectorized whitening."""
 
@@ -394,7 +394,7 @@ def group_whiten(group: TimesGroup, params: ArParams) -> tuple[np.ndarray, float
     return _whiten(group.values, group.gaps, params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepTable:
     """Every observation of a panel in one flat array, unit by unit in panel
     order, with the steps between them. A step joins an observation to the
@@ -460,7 +460,7 @@ def step_table(panel: SeriesPanel, grid: np.ndarray | None = None) -> StepTable:
 # --- lag statistics: every unit reduced to a few sums per distinct gap ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagStats:
     """AR(1) sufficient statistics of a set of rows (units, or pooled units).
 

@@ -24,7 +24,7 @@ import encodings.cp437  # noqa: F401
 import io
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,14 +42,12 @@ from .simulation import simulate_from_scenario
 from .trajectory import (
     BAND_HEADER,
     DEFAULT_THRESHOLDS,
-    ChainFile,
-    ChainOutput,
     ReportBundle,
     RunConfig,
-    _read_chain,
     band_table,
     frozen_cluster_rerun,
     load_chain,
+    load_inclusion,
     merge_inclusion,
     mle_trajectory_set,
     report_summaries,
@@ -120,9 +118,6 @@ def write_report(bundle: ReportBundle, outdir: str, seed: int, fingerprint: str)
     comments = _output_comments(seed, fingerprint)
     write_table(os.path.join(outdir, "inclusion.csv"), bundle.inclusion_header,
                 bundle.inclusion_rows, comments)
-    if bundle.band_rows:
-        write_table(os.path.join(outdir, "bands.csv"), bundle.band_header, bundle.band_rows,
-                    comments)
     _write_lines(os.path.join(outdir, "summary.txt"), comments, bundle.summary_lines)
 
 
@@ -285,12 +280,6 @@ def _run_chains(run, n_chains: int, n_proc: int):
             os.waitpid(pid, 0)
 
 
-def _saved_inclusion(path: str) -> SimpleNamespace:
-    """The unit ids and inclusion of a chain file, without its bands."""
-    with ChainFile(path) as z:
-        return SimpleNamespace(unit_ids=tuple(map(str, z["unit_ids"])), inclusion=z["inclusion"])
-
-
 def _cmd_fit_np(args, config: RunConfig) -> int:
     panel = read_panel(args.input, min_length=2)
     fingerprint = config.fingerprint()
@@ -298,23 +287,21 @@ def _cmd_fit_np(args, config: RunConfig) -> int:
     outdir = _ensure_outdir(args.output_dir)
     paths = [os.path.join(outdir, f"chain_{c}.npz") for c in range(args.chains)]
 
-    def run(c: int) -> ChainOutput:
+    def run(c: int) -> SimpleNamespace:
         chain = run_chain(panel, config, n_burn=args.burn, n_keep=args.keep, seed=args.seed + c)
         save_chain(chain, paths[c])
         if c == 0:      # its bands are written while the workers run their chains
             write_table(os.path.join(outdir, "bands.csv"), BAND_HEADER, band_table(chain),
                         comments)
-            chain = replace(chain, band_samples=chain.band_samples[:0])
-        return chain
+        return SimpleNamespace(unit_ids=chain.unit_ids, inclusion=chain.inclusion)
 
     n_proc = min(args.chains, _usable_cpus()) if hasattr(os, "fork") else 1
-    first = _run_chains(run, args.chains, n_proc)
-    # Chain 0 is kept without its bands, which are written; a later chain is
-    # pooled from its file's unit ids and inclusion, so no process holds two
-    # chains' bands.
-    pooled = merge_inclusion([first] + [_saved_inclusion(p) for p in paths[1:]])
+    pooled = _run_chains(run, args.chains, n_proc)
+    # Only chain 0's ids and inclusion outlive its run; a later chain is
+    # pooled from its file's, so no process holds two chains' bands.
+    pooled.inclusion = merge_inclusion([pooled] + [load_inclusion(p) for p in paths[1:]])
     thresholds = tuple(sorted(set(DEFAULT_THRESHOLDS) | {args.threshold}))
-    bundle = report_summaries(replace(first, inclusion=pooled), thresholds=thresholds)
+    bundle = report_summaries(pooled, thresholds=thresholds)
     write_report(bundle, outdir, args.seed, fingerprint)
     return 0
 
@@ -323,13 +310,15 @@ def _cmd_report(args, config: RunConfig) -> int:
     chain = load_chain(args.chain)
     bundle = report_summaries(chain)
     outdir = _ensure_outdir(args.output_dir)
+    write_table(os.path.join(outdir, "bands.csv"), BAND_HEADER, band_table(chain),
+                _output_comments(chain.seed, chain.fingerprint))
     write_report(bundle, outdir, chain.seed, chain.fingerprint)
     return 0
 
 
 def _cmd_cluster_mle(args, config: RunConfig) -> int:
     panel = read_panel(args.input, min_length=2)
-    chain = _read_chain(args.chain, bands=False)     # neither step reads the bands
+    chain = load_chain(args.chain, bands=False)     # neither step reads the bands
     if tuple(chain.unit_ids) != panel.unit_ids:
         raise InvalidInputError("chain was fit on a different panel than --input")
     frozen = mle_trajectory_set(chain, args.top)

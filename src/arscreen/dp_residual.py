@@ -75,7 +75,7 @@ def elicit_concentration(target_clusters: float, n_units: int) -> float:
     return float(alpha)
 
 
-@dataclass
+@dataclass(eq=False)
 class StickState:
     """Truncated stick-breaking state: fractions, weights, and AR(1) atoms."""
 
@@ -89,7 +89,7 @@ class StickState:
         return int(self.weights.size)
 
 
-@dataclass
+@dataclass(eq=False)
 class DpResidualState:
     """Full sampler state for the residual mixture."""
 

@@ -111,7 +111,7 @@ class ParametricPrior:
         return np.where((-1.0 < phi) & (phi < 1.0) & (v > 0.0), lp_phi + lp_v, -np.inf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorMode:
     """Where a mode search stopped: x = (atanh phi, log v, logit p), the
     target and its Hessian there, the Newton steps taken, and max |gradient|."""
@@ -127,7 +127,7 @@ class PosteriorMode:
         return float(np.tanh(self.x[0])), float(np.exp(self.x[1])), float(expit(self.x[2]))
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightedDraws:
     """Importance sample of (phi, v, p) with unnormalized log-weights."""
 
@@ -148,7 +148,7 @@ class WeightedDraws:
         return w
 
 
-@dataclass
+@dataclass(eq=False)
 class InclusionSummary:
     """Per-unit posterior inclusion probabilities with Monte Carlo error."""
 

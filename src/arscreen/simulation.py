@@ -67,7 +67,7 @@ class MixtureScenario:
                               f"got {self.shift_var}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthLabels:
     """Ground truth for a generated panel, aligned with panel order."""
 

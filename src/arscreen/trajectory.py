@@ -29,6 +29,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -88,7 +89,7 @@ def gp_covariance(kernel: GpKernelParams, times) -> np.ndarray:
     return kernel.variance * np.exp(-0.5 * dt * dt)
 
 
-@dataclass
+@dataclass(eq=False)
 class GpWorkspace:
     """Per-chain cache of the grid kernel as a rank-r eigen root: the prior
     covariance the sampler uses is factor @ factor.T."""
@@ -123,7 +124,7 @@ def prepare_gp_workspace(kernel: GpKernelParams, grid) -> GpWorkspace:
     return GpWorkspace(grid, kernel, factor, float(np.maximum(values[~keep], 0.0).sum()))
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajectoryAtom:
     """One trajectory mixture atom: a constant level or a grid-valued path."""
 
@@ -148,7 +149,7 @@ class TrajectoryAtom:
             raise InvalidInputError(f"atom weight must be nonnegative, got {self.weight}")
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajectorySticks:
     """A truncated stick-breaking set of trajectory atoms of one kind.
 
@@ -224,7 +225,7 @@ class RunConfig:
                 self.traj_concentration or 15.0 / log_n)
 
 
-@dataclass
+@dataclass(eq=False)
 class FdpState:
     """Complete sampler state for the joint model."""
 
@@ -323,7 +324,7 @@ def _gp_draw(workspace: GpWorkspace, mean: np.ndarray, R: np.ndarray,
     return mean + v @ workspace.factor.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _UnitNoise:
     """Each unit's AR(1) noise under its current residual atom, computed once
     per sweep: the null log-likelihood and the flat-level terms q_y1 and
@@ -419,7 +420,7 @@ def _gp_atom_terms(noise: _UnitNoise, unit_atom: np.ndarray, atoms: np.ndarray,
     return Y + np.swapaxes(Y, 1, 2), sums[:, -G:] @ workspace.factor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ChainIndex:
     """What every sweep over one step table's layout reads and none
     changes: the component and atom of each score column, the table's
@@ -601,7 +602,7 @@ def complete_data_loglik(state: FdpState, table: StepTable) -> float:
     return float(np.trace(pooled.loglik(stick.phi, stick.v)))
 
 
-@dataclass
+@dataclass(eq=False)
 class ChainOutput:
     """Everything retained from one MCMC run, one field per ``.npz`` entry.
 
@@ -718,18 +719,12 @@ def _converted(path: str, key: str, convert, array: np.ndarray):
         raise InvalidInputError(f"unreadable chain file {path}: entry {key!r}: {exc}") from exc
 
 
-def load_chain(path: str) -> ChainOutput:
+def load_chain(path: str, bands: bool = True) -> ChainOutput:
     """Read a chain written by ``save_chain``; a missing or malformed file
     raises ``InvalidInputError`` naming the path (and the offending entry).
     The archive is opened once (``ChainFile``) and each entry read once,
-    the scalars first."""
-    return _read_chain(path, bands=True)
-
-
-def _read_chain(path: str, bands: bool) -> ChainOutput:
-    """``load_chain``; without ``bands``, the ``band_samples`` entry must be
-    present but is never read, and the chain holds none of its sweeps
-    (``band_samples[:0]``, of the shape a written chain 0 keeps)."""
+    the scalars first. Without ``bands``, ``band_samples`` must be present
+    but is never read, and the chain holds none of its sweeps."""
     with ChainFile(path) as z:
         entries = {}
         for k in _SCALAR_KEYS:
@@ -769,6 +764,13 @@ def _read_chain(path: str, bands: bool) -> ChainOutput:
     if not 0 <= chain.best_sweep < k:
         raise InvalidInputError(f"chain file {path}: entry 'best_sweep' is not one of {k} sweeps")
     return chain
+
+
+def load_inclusion(path: str) -> SimpleNamespace:
+    """The ``unit_ids`` and ``inclusion`` of a chain file, all that
+    ``merge_inclusion`` reads; no other entry is read."""
+    with ChainFile(path) as z:
+        return SimpleNamespace(unit_ids=tuple(map(str, z["unit_ids"])), inclusion=z["inclusion"])
 
 
 def _best_snapshot(state: FdpState) -> dict[str, np.ndarray]:
@@ -883,9 +885,12 @@ BAND_HEADER = ("unit_id", "time", "band_lo", "band_mid", "band_hi")
 class ReportBundle:
     inclusion_header: tuple[str, ...]
     inclusion_rows: ColumnRows
-    band_header: tuple[str, ...]
-    band_rows: ColumnRows       # ``band_table`` of the chain
     summary_lines: list[str]
+
+
+# The most (sweep, unit, time) cells ``band_table`` hands ``band_quantiles``
+# at once, so the float64 copy it partitions is one block's, not the chain's.
+_BAND_BLOCK_ENTRIES = 1 << 22
 
 
 def band_quantiles(samples: np.ndarray) -> np.ndarray:
@@ -918,19 +923,24 @@ def band_quantiles(samples: np.ndarray) -> np.ndarray:
 def band_table(chain: ChainOutput) -> ColumnRows:
     """Plot-ready trajectory bands, one row per unit and grid time
     (``BAND_HEADER``): the ``BAND_QUANTILES`` of the unit's saved
-    trajectories at that time, each quantile a float64 column. No rows when
-    the chain kept no bands."""
-    if not len(chain.band_samples):
-        return ColumnRows([], [], [], [], [])
-    lo, mid, hi = band_quantiles(chain.band_samples).reshape(len(BAND_QUANTILES), -1)
-    ids = np.repeat(np.array(chain.unit_ids, dtype=object), chain.grid.size).tolist()
-    return ColumnRows(ids, np.tile(chain.grid, len(chain.unit_ids)), lo, mid, hi)
+    trajectories at that time, each quantile a float64 column. Quantiles
+    are per (unit, time), so they are taken one block of units at a time
+    and only one block is ever copied to float64."""
+    samples = chain.band_samples
+    n_saved, n, G = samples.shape
+    cols = np.empty((len(BAND_QUANTILES), n, G))
+    block = max(1, _BAND_BLOCK_ENTRIES // (n_saved * G))
+    for i in range(0, n, block):
+        cols[:, i:i + block] = band_quantiles(samples[:, i:i + block])
+    lo, mid, hi = cols.reshape(len(BAND_QUANTILES), -1)
+    ids = np.repeat(np.array(chain.unit_ids, dtype=object), G).tolist()
+    return ColumnRows(ids, np.tile(chain.grid, n), lo, mid, hi)
 
 
 def report_summaries(chain: ChainOutput,
                      thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS) -> ReportBundle:
-    """Inclusion table with flag columns, the chain's ``band_table``, and
-    one discovery-count line per threshold."""
+    """Inclusion table with flag columns and one discovery-count line per
+    threshold; reads only the chain's ``unit_ids`` and ``inclusion``."""
     for t in thresholds:
         if not (0.0 < t <= 1.0):
             raise DomainError(f"thresholds must lie in (0, 1], got {t}")
@@ -940,11 +950,10 @@ def report_summaries(chain: ChainOutput,
     flags = [(inclusion >= t).astype(np.int64) for t in thresholds]
     lines = [f"flagged {int(f.sum())} of {len(unit_ids)} units at threshold {_fmt(t)}"
              for f, t in zip(flags, thresholds)]
-    return ReportBundle(inc_header, ColumnRows(unit_ids, inclusion, *flags), BAND_HEADER,
-                        band_table(chain), lines)
+    return ReportBundle(inc_header, ColumnRows(unit_ids, inclusion, *flags), lines)
 
 
-@dataclass
+@dataclass(eq=False)
 class MleTrajectorySet:
     """Top trajectory atoms of the best retained sweep, ranked by weight.
 

@@ -722,8 +722,7 @@ def write_panel_per_row(panel, path: str, comments=()) -> None:
 
 
 def write_report_per_cell(chain, thresholds, outdir: str, seed: int, fingerprint: str) -> None:
-    """``inclusion.csv``, ``bands.csv`` (when the chain kept bands) and
-    ``summary.txt`` of a chain, built one row tuple per (unit, time) and
+    """``inclusion.csv``, ``bands.csv`` and ``summary.txt`` of a chain, built one row tuple per (unit, time) and
     written one cell at a time: the reference for the package's column
     writer."""
     import os
@@ -735,15 +734,14 @@ def write_report_per_cell(chain, thresholds, outdir: str, seed: int, fingerprint
         ("unit_id", "inclusion") + tuple(f"flagged_at_{_fmt_cell(t)}" for t in thresholds),
         [[u, p] + [int(p >= t) for t in thresholds]
          for u, p in zip(chain.unit_ids, inclusion.tolist())], comments)
-    if len(chain.band_samples):
-        lo, mid, hi = np.quantile(np.asarray(chain.band_samples, dtype=float),
-                                  (0.05, 0.5, 0.95), axis=0).tolist()
-        times = [int(t) for t in chain.grid]
-        rows = []
-        for u, a, b, c in zip(chain.unit_ids, lo, mid, hi):
-            rows.extend(zip([u] * len(times), times, a, b, c))
-        write_table_per_cell(os.path.join(outdir, "bands.csv"),
-                             ("unit_id", "time", "band_lo", "band_mid", "band_hi"), rows, comments)
+    lo, mid, hi = np.quantile(np.asarray(chain.band_samples, dtype=float),
+                              (0.05, 0.5, 0.95), axis=0).tolist()
+    times = [int(t) for t in chain.grid]
+    rows = []
+    for u, a, b, c in zip(chain.unit_ids, lo, mid, hi):
+        rows.extend(zip([u] * len(times), times, a, b, c))
+    write_table_per_cell(os.path.join(outdir, "bands.csv"),
+                         ("unit_id", "time", "band_lo", "band_mid", "band_hi"), rows, comments)
     with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.writelines([f"# {c}\n" for c in comments] + [
             f"flagged {int(np.sum(inclusion >= t))} of {len(chain.unit_ids)} units "

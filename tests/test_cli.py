@@ -33,10 +33,12 @@ from arscreen.panel_io import ColumnRows, read_panel, write_panel, write_table
 from arscreen.parametric import ParametricPrior
 from arscreen.simulation import simulate_ar1
 from arscreen.trajectory import (
+    BAND_HEADER,
     DEFAULT_THRESHOLDS,
     ChainOutput,
     FdpState,
     GpKernelParams,
+    band_table,
     frozen_cluster_rerun,
     run_chain,
 )
@@ -307,6 +309,7 @@ class TestChainPersistence:
         # Every field survives.
         _assert_same_chain(loaded, chain)
         assert report_summaries(loaded) == report_summaries(chain)
+        assert band_table(loaded) == band_table(chain)
 
     def test_older_chain_file_reads_the_same(self, fitted_chain, tmp_path):
         """A chain file that also holds the two membership entries every
@@ -563,18 +566,17 @@ class TestReportSummaries:
 
     def test_band_quantiles_match_numpy(self, fitted_chain):
         _, chain = fitted_chain
-        bundle = report_summaries(chain)
+        bands = band_table(chain)
         qs = np.quantile(np.asarray(chain.band_samples, dtype=float),
                          (0.05, 0.5, 0.95), axis=0)
-        row = bundle.band_rows[0]
+        row = bands[0]
         assert row[0] == chain.unit_ids[0] and row[1] == int(chain.grid[0])
         assert row[2] == qs[0, 0, 0] and row[3] == qs[1, 0, 0] and row[4] == qs[2, 0, 0]
-        assert len(bundle.band_rows) == len(chain.unit_ids) * chain.grid.size
+        assert len(bands) == len(chain.unit_ids) * chain.grid.size
 
     def test_null_unit_band_covers_zero(self, fitted_chain):
         _, chain = fitted_chain
-        bundle = report_summaries(chain)
-        rows = [r for r in bundle.band_rows if r[0] == chain.unit_ids[20]]
+        rows = [r for r in band_table(chain) if r[0] == chain.unit_ids[20]]
         assert all(r[2] <= 0.0 <= r[4] for r in rows)
 
     def test_bad_threshold_rejected(self, fitted_chain):
@@ -584,8 +586,9 @@ class TestReportSummaries:
 
 
 class TestReportWriter:
-    """The report files written from columns are byte for byte those of the
-    per-cell reference writer in ``oracles``."""
+    """The report files written from columns, ``write_report``'s and the
+    ``band_table`` that ``fit-np`` and ``report`` write, are byte for byte
+    those of the per-cell reference writer in ``oracles``."""
 
     @staticmethod
     def _compare(chain, tmp_path, thresholds=DEFAULT_THRESHOLDS):
@@ -594,6 +597,9 @@ class TestReportWriter:
         ref.mkdir()
         write_report(report_summaries(chain, thresholds=thresholds), str(new),
                      chain.seed, chain.fingerprint)
+        assert sorted(os.listdir(new)) == ["inclusion.csv", "summary.txt"]
+        write_table(str(new / "bands.csv"), BAND_HEADER, band_table(chain),
+                    (f"seed = {chain.seed}", f"config = {chain.fingerprint}"))
         oracles.write_report_per_cell(chain, thresholds, str(ref), chain.seed, chain.fingerprint)
         names = sorted(os.listdir(ref))
         assert sorted(os.listdir(new)) == names
@@ -616,13 +622,6 @@ class TestReportWriter:
         first = (tmp_path / "new" / "bands.csv").read_text().splitlines()[3:6]
         assert first[0].startswith('"id,""quoted""",') and "e-06" in first[0]
         assert "e+16" in first[1]
-
-    def test_chain_without_bands(self, fitted_chain, tmp_path):
-        """A chain that holds none of its bands, as ``fit-np`` keeps chain 0
-        once its bands are written, writes no bands file."""
-        _, chain = fitted_chain
-        chain = replace(chain, band_samples=chain.band_samples[:0])
-        assert self._compare(chain, tmp_path) == ["inclusion.csv", "summary.txt"]
 
     def test_column_rows_write_as_cells(self, tmp_path):
         """Floats whose repr takes exponent form, -0.0, non-finite values and a
@@ -716,7 +715,11 @@ class TestCliCommands:
         rc = main(["report", "--chain", os.path.join(npdir, "chain_0.npz"),
                    "--output-dir", str(tmp_path / "rep")])
         assert rc == 0
-        assert os.path.exists(str(tmp_path / "rep" / "bands.csv"))
+        # One way to write bands: the report's are fit-np's, byte for byte.
+        for name in ("bands.csv", "inclusion.csv", "summary.txt"):
+            assert os.path.exists(tmp_path / "rep" / name)
+        assert (tmp_path / "rep" / "bands.csv").read_bytes() == open(
+            os.path.join(npdir, "bands.csv"), "rb").read()
 
         rc = main(["cluster-mle", "--input", panel_path,
                    "--chain", os.path.join(npdir, "chain_0.npz"),

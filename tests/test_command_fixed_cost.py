@@ -15,6 +15,7 @@ import io
 import math
 import os
 import struct
+import tracemalloc
 import zipfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -31,7 +32,7 @@ from arscreen.errors import InvalidInputError
 from arscreen.mcmc import stream
 from arscreen.panel_io import _bulk_fields, _csv_fields, read_panel, write_panel
 from arscreen.simulation import simulate_ar1
-from arscreen.trajectory import BAND_QUANTILES, ChainFile, band_quantiles, save_chain
+from arscreen.trajectory import BAND_QUANTILES, ChainFile, band_quantiles, band_table, save_chain
 
 # ---------------------------------------------------------------------------
 # argv
@@ -154,7 +155,7 @@ def test_chain_entries_equal_np_load(chain_path):
 def test_chain_without_bands_equals_load_chain(chain_path):
     """``cluster-mle``'s read: every other field as ``load_chain`` reads it,
     and no band sweep."""
-    full, lean = trajectory.load_chain(chain_path), trajectory._read_chain(chain_path, bands=False)
+    full, lean = trajectory.load_chain(chain_path), trajectory.load_chain(chain_path, bands=False)
     for f in dataclasses.fields(full):
         a, b = getattr(full, f.name), getattr(lean, f.name)
         if f.name == "band_samples":
@@ -339,7 +340,7 @@ def test_not_an_archive_and_missing_chain(tmp_path):
     with pytest.raises(InvalidInputError, match="not a chain file .*"):
         trajectory.load_chain(str(tmp_path))
     with pytest.raises(InvalidInputError, match="chain file not found: .*nowhere.npz"):
-        cli._saved_inclusion(str(tmp_path / "nowhere.npz"))
+        trajectory.load_inclusion(str(tmp_path / "nowhere.npz"))
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +483,34 @@ def test_band_quantiles_equal_np_quantile_bitwise(n):
         got = band_quantiles(x)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), trial
+
+
+def test_band_table_copies_one_block_of_units_at_a_time(chain_path, monkeypatch):
+    """With the block cap lowered so that a chain's 400 units span 8
+    blocks, ``band_table``'s traced peak stays below half of one float64
+    copy of its bands, and its columns are whole-array ``band_quantiles``
+    bit for bit."""
+    n, G, S = 400, 20, 64
+    rng = np.random.default_rng(11)
+    samples = rng.normal(size=(S, n, G)).astype(np.float32)
+    samples[:, ::3] = 0.0                               # null units: ties at zero
+    samples[rng.integers(S), 5, 7] = np.nan
+    chain = dataclasses.replace(
+        trajectory.load_chain(chain_path, bands=False), unit_ids=tuple(f"u{i}" for i in range(n)),
+        grid=np.arange(G, dtype=np.int64), band_sweeps=np.arange(S) * 10, band_samples=samples)
+    monkeypatch.setattr(trajectory, "_BAND_BLOCK_ENTRIES", S * G * n // 8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = band_table(chain)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < samples.size * 8 / 2, peak
+    want = band_quantiles(samples).reshape(len(BAND_QUANTILES), -1)
+    for got, col in zip(rows.columns[2:], want):
+        assert got.dtype == col.dtype and got.tobytes() == col.tobytes()
+    assert rows.columns[0][G] == "u1" and np.array_equal(rows.columns[1], np.tile(chain.grid, n))
 
 
 README_PIPELINE = [

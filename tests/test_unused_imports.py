@@ -22,10 +22,18 @@ No option goes unused: a parameter with a default of a module-level
 function that the package calls must be set, by keyword or by position,
 by at least one of those calls. A value that no caller changes is a
 constant of the module, not a parameter.
+
+No dataclass compares an array: a dataclass that holds a field annotated
+``np.ndarray`` takes ``eq=False``, since the ``__eq__`` it would generate
+raises on arrays (and a frozen one's ``__hash__`` would too).
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import os
+import pkgutil
 
 import arscreen
 
@@ -295,3 +303,42 @@ def test_scan_finds_an_unused_import(tmp_path):
                     "def f(x: 'Seq[int]') -> 'Any':\n"
                     "    return x\n")
     assert unused_imports(str(path)) == ["mod.py:2: os", "mod.py:6: loads"]
+
+
+def comparing_array_dataclasses(modules) -> list[str]:
+    """``module.Class.field`` of every field annotated ``np.ndarray`` that a
+    dataclass defined in one of ``modules`` compares in its ``__eq__``."""
+    return [f"{module.__name__}.{name}.{f.name}"
+            for module in modules for name, cls in vars(module).items()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__
+            and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.eq
+            for f in dataclasses.fields(cls) if f.compare and "np.ndarray" in str(f.type)]
+
+
+def test_no_dataclass_compares_an_array():
+    modules = [importlib.import_module(f"arscreen.{m.name}")
+               for m in pkgutil.iter_modules(arscreen.__path__)]
+    assert len(modules) > 5
+    assert comparing_array_dataclasses(modules) == []
+
+
+def test_scan_finds_a_compared_array(tmp_path, monkeypatch):
+    (tmp_path / "arrays_mod.py").write_text(
+        "from __future__ import annotations\n"
+        "from dataclasses import dataclass, field\n"
+        "import numpy as np\n"
+        "@dataclass(frozen=True)\n"
+        "class Held:\n"
+        "    x: np.ndarray\n"
+        "    y: np.ndarray | None = None\n"
+        "    n: int = 0\n"
+        "@dataclass(eq=False)\n"
+        "class Skipped:\n"
+        "    x: np.ndarray\n"
+        "@dataclass\n"
+        "class Uncompared:\n"
+        "    x: np.ndarray = field(compare=False)\n"
+        "    n: int = 0\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    module = importlib.import_module("arrays_mod")
+    assert comparing_array_dataclasses([module]) == ["arrays_mod.Held.x", "arrays_mod.Held.y"]
