@@ -318,7 +318,7 @@ def _cmd_report(args, config: RunConfig) -> int:
 
 def _cmd_cluster_mle(args, config: RunConfig) -> int:
     panel = read_panel(args.input, min_length=2)
-    chain = load_chain(args.chain, bands=False)     # neither step reads the bands
+    chain = load_chain(args.chain)
     if tuple(chain.unit_ids) != panel.unit_ids:
         raise InvalidInputError("chain was fit on a different panel than --input")
     frozen = mle_trajectory_set(chain, args.top)

@@ -608,9 +608,9 @@ class ChainOutput:
 
     Per retained sweep: ``logliks``, ``comp_probs`` and ``comp_counts``
     (units per null/flat/gp). Every ``CHECKPOINT_STRIDE`` retained sweeps
-    (``gamma_sweeps``, and ``band_sweeps`` likewise): each unit's component
-    in ``gamma`` and its float32 trajectory on the grid in
-    ``band_samples``. The ``best_*`` arrays snapshot the state at ``best_sweep``,
+    (``band_sweeps``): its float32 trajectory rows on the grid (the null's
+    zero, the flat levels, the gp paths) and each unit's row, which gives
+    its component. The ``best_*`` arrays snapshot the state at ``best_sweep``,
     the retained sweep of highest complete-data log-likelihood.
     """
 
@@ -624,10 +624,9 @@ class ChainOutput:
     fingerprint: str
     comp_probs: np.ndarray              # (n_keep, 3)
     comp_counts: np.ndarray             # (n_keep, 3)
-    gamma_sweeps: np.ndarray
-    gamma: np.ndarray                   # (n_strided, N) int8
-    band_sweeps: np.ndarray
-    band_samples: np.ndarray            # (n_saved, N, G) float32
+    band_sweeps: np.ndarray             # (S,)
+    band_rows: np.ndarray               # (S, 1 + Lf + Lg, G) float32
+    band_unit_row: np.ndarray           # (S, N) int32
     best_sweep: int
     best_component_probs: np.ndarray
     best_flat_levels: np.ndarray
@@ -642,22 +641,22 @@ class ChainOutput:
         return flagged_units(self.unit_ids, self.inclusion, threshold)
 
 
-# Entries of a schema-1 chain file in the order ``save_chain`` writes them: the
-# schema, then one per field, with the best sweep's loglik after ``best_sweep``
-# and the kernel's two parameters in place of ``kernel``.
-_SPLIT = {"best_sweep": ("best_sweep", "best_loglik"),
-          "kernel": ("kernel_variance", "kernel_length_scale")}
-_CHAIN_KEYS = ("schema",) + tuple(k for f in fields(ChainOutput)
-                                   for k in _SPLIT.get(f.name, (f.name,)))
-_SCALAR_KEYS = ("schema", "best_loglik", "kernel_variance", "kernel_length_scale") + tuple(
+# Entries of a schema-2 chain file in the order ``save_chain`` writes them: the
+# schema, then one per field, the kernel (the last) as its two parameters.
+_CHAIN_KEYS = ("schema",) + tuple(f.name for f in fields(ChainOutput))[:-1] + (
+    "kernel_variance", "kernel_length_scale")
+# Schema 1 holds each unit's trajectories, ``band_samples`` (S, N, G), in place of
+# the two band entries; its ``gamma``, ``gamma_sweeps`` and ``best_loglik`` go unread.
+_SCHEMA_1_KEYS = tuple("band_samples" if k == "band_rows" else k for k in _CHAIN_KEYS
+                       if k != "band_unit_row")
+_SCALAR_KEYS = ("schema", "kernel_variance", "kernel_length_scale") + tuple(
     f.name for f in fields(ChainOutput) if f.type in ("int", "str"))
 
 
 def save_chain(chain: ChainOutput, path: str) -> None:
-    """Persist a chain to ``.npz`` (schema 1), one entry per field."""
+    """Persist a chain to ``.npz`` (schema 2), one entry per field."""
     values = {f.name: getattr(chain, f.name) for f in fields(chain)}
-    values.update(schema=np.int64(1), best_loglik=chain.logliks[chain.best_sweep],
-                  kernel_variance=np.float64(chain.kernel.variance),
+    values.update(schema=np.int64(2), kernel_variance=np.float64(chain.kernel.variance),
                   kernel_length_scale=np.float64(chain.kernel.length_scale))
     np.savez(path, **{k: np.asarray(values[k]) for k in _CHAIN_KEYS})
 
@@ -719,12 +718,11 @@ def _converted(path: str, key: str, convert, array: np.ndarray):
         raise InvalidInputError(f"unreadable chain file {path}: entry {key!r}: {exc}") from exc
 
 
-def load_chain(path: str, bands: bool = True) -> ChainOutput:
-    """Read a chain written by ``save_chain``; a missing or malformed file
-    raises ``InvalidInputError`` naming the path (and the offending entry).
-    The archive is opened once (``ChainFile``) and each entry read once,
-    the scalars first. Without ``bands``, ``band_samples`` must be present
-    but is never read, and the chain holds none of its sweeps."""
+def load_chain(path: str) -> ChainOutput:
+    """Read a chain written by ``save_chain``, or a schema-1 chain (each unit
+    its own row of ``band_samples``); a missing or malformed file raises
+    ``InvalidInputError`` naming the path (and the offending entry). The
+    archive is opened once (``ChainFile``), each entry read once, scalars first."""
     with ChainFile(path) as z:
         entries = {}
         for k in _SCALAR_KEYS:
@@ -733,27 +731,28 @@ def load_chain(path: str, bands: bool = True) -> ChainOutput:
                 if entries[k].shape != ():
                     raise InvalidInputError(f"chain file {path}: entry {k!r} is not a scalar")
         schema = _converted(path, "schema", int, entries["schema"]) if "schema" in entries else 1
-        if schema != 1:
+        if schema not in (1, 2):
             raise InvalidInputError(f"unsupported chain schema {schema} in {path}")
-        missing = [k for k in _CHAIN_KEYS if k not in z]
+        keys = _CHAIN_KEYS if schema == 2 else _SCHEMA_1_KEYS
+        missing = [k for k in keys if k not in z]
         if missing:
             raise InvalidInputError(f"chain file {path} lacks entry {missing[0]!r}")
-        entries.update((k, z[k]) for k in _CHAIN_KEYS
-                       if k not in entries and (bands or k != "band_samples"))
+        entries.update((k, z[k]) for k in keys if k not in entries)
     cast = {"int": int, "str": str, "tuple[str, ...]": lambda a: tuple(map(str, a))}
     values = {f.name: _converted(path, f.name, cast.get(f.type, np.asarray), entries[f.name])
               for f in fields(ChainOutput) if f.name in entries}
-    if not bands:
-        values["band_samples"] = np.empty((0, len(values["unit_ids"]), values["grid"].size),
-                                          dtype=np.float32)
+    n, S = len(values["unit_ids"]), values["band_sweeps"].size
+    if schema == 1:
+        values.update(band_rows=entries["band_samples"],
+                      band_unit_row=np.tile(np.arange(n, dtype=np.int32), (S, 1)))
     kernel = GpKernelParams(*(_converted(path, k, float, entries[k])
                               for k in ("kernel_variance", "kernel_length_scale")))
     chain = ChainOutput(**values, kernel=kernel)
-    n, k, G = len(chain.unit_ids), chain.n_keep, chain.grid.size
+    k, G = chain.n_keep, chain.grid.size
     lf, lg = chain.best_flat_weights.size, chain.best_gp_weights.size
+    n_rows = n if schema == 1 else 1 + lf + lg
     shapes = {"inclusion": (n,), "logliks": (k,), "comp_probs": (k, 3), "comp_counts": (k, 3),
-              "gamma": (len(chain.gamma_sweeps), n),
-              "band_samples": (len(chain.band_sweeps) if bands else 0, n, G),
+              "grid": (G,), "band_sweeps": (S,), "band_rows": (S, n_rows, G), "band_unit_row": (S, n),
               "best_component_probs": (3,), "best_flat_weights": (lf,), "best_flat_levels": (lf,),
               "best_gp_weights": (lg,), "best_gp_paths": (lg, G),
               "best_unit_component": (n,), "best_unit_atom": (n,)}
@@ -761,6 +760,12 @@ def load_chain(path: str, bands: bool = True) -> ChainOutput:
         if getattr(chain, name).shape != want:
             raise InvalidInputError(f"chain file {path}: entry {name!r} has shape "
                                     f"{getattr(chain, name).shape}, expected {want}")
+    if not S:
+        raise InvalidInputError(f"chain file {path}: entry 'band_sweeps' is empty")
+    row = chain.band_unit_row
+    if row.dtype.kind not in "iu" or row.size and not 0 <= row.min() <= row.max() < n_rows:
+        raise InvalidInputError(f"chain file {path}: entry 'band_unit_row' is not an integer "
+                                f"array of rows in [0, {n_rows})")
     if not 0 <= chain.best_sweep < k:
         raise InvalidInputError(f"chain file {path}: entry 'best_sweep' is not one of {k} sweeps")
     return chain
@@ -803,16 +808,10 @@ def _trajectory_rows(state: FdpState) -> tuple[np.ndarray, np.ndarray]:
     return rows, _unit_rows(state)
 
 
-def _trajectory_matrix(state: FdpState) -> np.ndarray:
-    """Per-unit trajectory values on the grid at the current state."""
-    rows, unit_row = _trajectory_rows(state)
-    return rows[unit_row]
-
-
 def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int, seed: int) -> ChainOutput:
     """Burn-in plus retained sweeps of the joint sampler from a prior draw.
 
-    Per-unit components and trajectories (the bands) are kept every
+    The trajectory rows and each unit's row (the bands) are kept every
     ``CHECKPOINT_STRIDE`` retained sweeps; the complete-data log-likelihood
     is tracked for every retained sweep so maximum-likelihood sweep
     selection does not depend on the stride. The chain carries ``config.fingerprint()``.
@@ -834,31 +833,30 @@ def run_chain(panel: SeriesPanel, config: RunConfig, n_burn: int, n_keep: int, s
     logliks = np.empty(n_keep)
     comp_probs = np.empty((n_keep, 3))
     comp_counts = np.empty((n_keep, 3), dtype=np.int64)
-    gamma = np.empty((strided.size, n), dtype=np.int8)
-    band_samples = np.empty((strided.size, n, grid.size), dtype=np.float32)
-    best_loglik = -np.inf
+    band_rows = np.empty((strided.size, 1 + config.trunc_flat + config.trunc_gp, grid.size),
+                         dtype=np.float32)
+    band_unit_row = np.empty((strided.size, n), dtype=np.int32)
     best_sweep = -1
 
     for t in range(n_keep):
         gibbs_sweep_joint(state, table, rng)
         inclusion_counts += state.unit_component != NULL
         logliks[t] = complete_data_loglik(state, table)
-        if logliks[t] > best_loglik:
-            best_loglik, best_sweep, best = logliks[t], t, _best_snapshot(state)
+        if logliks[t] > (logliks[best_sweep] if best_sweep >= 0 else -np.inf):
+            best_sweep, best = t, _best_snapshot(state)
         comp_probs[t] = state.component_probs
         comp_counts[t] = np.bincount(state.unit_component, minlength=3)
         if t % CHECKPOINT_STRIDE == 0:
             k = t // CHECKPOINT_STRIDE
-            gamma[k] = state.unit_component
-            band_samples[k] = _trajectory_matrix(state)
+            band_rows[k], band_unit_row[k] = _trajectory_rows(state)
     if best_sweep < 0:
         raise NumericalError("no retained sweep has a finite complete-data log-likelihood")
 
     return ChainOutput(
         unit_ids=panel.unit_ids, grid=grid, inclusion=inclusion_counts / n_keep,
         logliks=logliks, n_burn=n_burn, n_keep=n_keep, seed=seed, fingerprint=config.fingerprint(),
-        comp_probs=comp_probs, comp_counts=comp_counts, gamma_sweeps=strided, gamma=gamma,
-        band_sweeps=strided, band_samples=band_samples, best_sweep=best_sweep, **best,
+        comp_probs=comp_probs, comp_counts=comp_counts, band_sweeps=strided, band_rows=band_rows,
+        band_unit_row=band_unit_row, best_sweep=best_sweep, **best,
         kernel=config.kernel)
 
 
@@ -924,14 +922,15 @@ def band_table(chain: ChainOutput) -> ColumnRows:
     """Plot-ready trajectory bands, one row per unit and grid time
     (``BAND_HEADER``): the ``BAND_QUANTILES`` of the unit's saved
     trajectories at that time, each quantile a float64 column. Quantiles
-    are per (unit, time), so they are taken one block of units at a time
-    and only one block is ever copied to float64."""
-    samples = chain.band_samples
-    n_saved, n, G = samples.shape
+    are per (unit, time), so one block of units at a time is gathered from
+    ``band_rows`` and copied to float64."""
+    unit_row = chain.band_unit_row
+    (n_saved, n), G = unit_row.shape, chain.grid.size
+    sweeps = np.arange(n_saved)[:, None]
     cols = np.empty((len(BAND_QUANTILES), n, G))
-    block = max(1, _BAND_BLOCK_ENTRIES // (n_saved * G))
+    block = max(1, _BAND_BLOCK_ENTRIES // (n_saved * G or 1))
     for i in range(0, n, block):
-        cols[:, i:i + block] = band_quantiles(samples[:, i:i + block])
+        cols[:, i:i + block] = band_quantiles(chain.band_rows[sweeps, unit_row[:, i:i + block]])
     lo, mid, hi = cols.reshape(len(BAND_QUANTILES), -1)
     ids = np.repeat(np.array(chain.unit_ids, dtype=object), G).tolist()
     return ColumnRows(ids, np.tile(chain.grid, n), lo, mid, hi)

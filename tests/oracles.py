@@ -4,7 +4,7 @@ Everything here is deliberately naive: dense matrices, direct formulas,
 exhaustive enumeration. No code is shared with the package beyond numpy
 and scipy, so agreement is meaningful. The exceptions are the
 successive-conditional data draw, which reads the sampler state it redraws
-data for (``trajectory._trajectory_matrix``), since the test checks the
+data for (``trajectory._trajectory_rows``), since the test checks the
 sweeps, not that read; the per-row panel reader, which returns the
 package's panel types so that panels compare field by field; and the
 parametric screen's single-point forms and ``lag_gaussian_parts``, which
@@ -46,7 +46,7 @@ def successive_conditional_data(state, table, rng: np.random.Generator):
     keep p(theta | y) invariant gives a chain whose theta-marginal is the
     prior. The copy is a new instance, so its cached statistics are fresh.
     """
-    from arscreen.trajectory import FdpState, _trajectory_matrix
+    from arscreen.trajectory import FdpState, _trajectory_rows
 
     residual = state.residual if isinstance(state, FdpState) else state
     atom = residual.assignments[table.unit]
@@ -60,7 +60,8 @@ def successive_conditional_data(state, table, rng: np.random.Generator):
         y[k] += a * y[k - 1]      # steps run in order, so y[k - 1] is final
     y = np.array(y)
     if residual is not state:
-        y += _trajectory_matrix(state)[table.unit, table.pos]
+        rows, unit_row = _trajectory_rows(state)
+        y += rows[unit_row[table.unit], table.pos]
     return dataclasses.replace(table, values=y)
 
 
@@ -734,7 +735,7 @@ def write_report_per_cell(chain, thresholds, outdir: str, seed: int, fingerprint
         ("unit_id", "inclusion") + tuple(f"flagged_at_{_fmt_cell(t)}" for t in thresholds),
         [[u, p] + [int(p >= t) for t in thresholds]
          for u, p in zip(chain.unit_ids, inclusion.tolist())], comments)
-    lo, mid, hi = np.quantile(np.asarray(chain.band_samples, dtype=float),
+    lo, mid, hi = np.quantile(np.asarray(band_samples(chain), dtype=float),
                               (0.05, 0.5, 0.95), axis=0).tolist()
     times = [int(t) for t in chain.grid]
     rows = []
@@ -746,3 +747,40 @@ def write_report_per_cell(chain, thresholds, outdir: str, seed: int, fingerprint
         fh.writelines([f"# {c}\n" for c in comments] + [
             f"flagged {int(np.sum(inclusion >= t))} of {len(chain.unit_ids)} units "
             f"at threshold {_fmt_cell(t)}\n" for t in thresholds])
+
+
+def band_samples(chain) -> np.ndarray:
+    """Each unit's saved trajectory at each saved sweep, (S, N, G), copied
+    unit by unit from the chain's ``band_rows`` at its ``band_unit_row``:
+    the schema-1 ``band_samples``."""
+    n_saved, n = chain.band_unit_row.shape
+    out = np.empty((n_saved, n, chain.grid.size), dtype=chain.band_rows.dtype)
+    for s in range(n_saved):
+        for i in range(n):
+            out[s, i] = chain.band_rows[s, chain.band_unit_row[s, i]]
+    return out
+
+
+# The entries of a schema-1 chain file, in the order its writer wrote them.
+SCHEMA_1_KEYS = ("schema", "unit_ids", "grid", "inclusion", "logliks", "n_burn", "n_keep",
+                 "seed", "fingerprint", "comp_probs", "comp_counts", "gamma_sweeps", "gamma",
+                 "band_sweeps", "band_samples", "best_sweep", "best_loglik",
+                 "best_component_probs", "best_flat_levels", "best_flat_weights",
+                 "best_gp_paths", "best_gp_weights", "best_unit_component", "best_unit_atom",
+                 "kernel_variance", "kernel_length_scale")
+
+
+def save_chain_schema_1(chain, path: str) -> None:
+    """``chain`` written as a schema-1 file, the layout of chain files before
+    schema 2: each unit's trajectory per saved sweep in float32
+    ``band_samples``, its component (0 null, 1 flat, 2 gp) in int8 ``gamma``
+    at ``gamma_sweeps``, and the best sweep's loglik in ``best_loglik``."""
+    n_flat = chain.best_flat_weights.size
+    unit_row = chain.band_unit_row
+    values = {f.name: getattr(chain, f.name) for f in dataclasses.fields(chain)}
+    values.update(schema=np.int64(1), gamma_sweeps=chain.band_sweeps,
+                  gamma=(unit_row > 0).astype(np.int8) + (unit_row > n_flat),
+                  band_samples=band_samples(chain), best_loglik=chain.logliks[chain.best_sweep],
+                  kernel_variance=np.float64(chain.kernel.variance),
+                  kernel_length_scale=np.float64(chain.kernel.length_scale))
+    np.savez(path, **{k: np.asarray(values[k]) for k in SCHEMA_1_KEYS})

@@ -279,6 +279,24 @@ class TestScenarios:
                 simulate_from_scenario(dict(prior, **{key: "0"}), seed=0)
 
 
+# A unit's row must be an integer in [0, 1 + Lf + Lg): past either end,
+# ``band_table``'s gather would fail or read another unit's trajectory.
+def _row_past_the_last(unit_row: np.ndarray) -> np.ndarray:
+    out = unit_row.copy()
+    out[-1, 5] = 1 + TEST_CONFIG.trunc_flat + TEST_CONFIG.trunc_gp
+    return out
+
+
+def _row_below_zero(unit_row: np.ndarray) -> np.ndarray:
+    out = unit_row.copy()
+    out[0, 0] = -1
+    return out
+
+
+def _rows_as_floats(unit_row: np.ndarray) -> np.ndarray:
+    return unit_row.astype(float)
+
+
 def _assert_same_chain(a: ChainOutput, b: ChainOutput) -> None:
     """Every field of ``a`` equals ``b``'s, arrays in dtype, shape and value."""
     for f in fields(ChainOutput):
@@ -304,7 +322,8 @@ class TestChainPersistence:
         assert loaded.fingerprint == TEST_CONFIG.fingerprint()
         assert np.array_equal(loaded.best_flat_levels, chain.best_flat_levels)
         assert np.array_equal(loaded.best_gp_paths, chain.best_gp_paths)
-        assert np.array_equal(loaded.band_samples, chain.band_samples)
+        assert np.array_equal(loaded.band_rows, chain.band_rows)
+        assert np.array_equal(loaded.band_unit_row, chain.band_unit_row)
         assert loaded.kernel == chain.kernel == TEST_CONFIG.kernel
         # Every field survives.
         _assert_same_chain(loaded, chain)
@@ -312,12 +331,12 @@ class TestChainPersistence:
         assert band_table(loaded) == band_table(chain)
 
     def test_older_chain_file_reads_the_same(self, fitted_chain, tmp_path):
-        """A chain file that also holds the two membership entries every
-        chain file once carried, empty counts and the labels ("other",
+        """A schema-1 chain file that also holds the two membership entries
+        every chain file once carried, empty counts and the labels ("other",
         "null"), written after ``band_samples``, reads as the same chain."""
         _, chain = fitted_chain
         path = str(tmp_path / "chain.npz")
-        save_chain(chain, path)
+        oracles.save_chain_schema_1(chain, path)
         with np.load(path) as z:
             entries = {k: z[k] for k in z.files}
         older = {}
@@ -329,6 +348,47 @@ class TestChainPersistence:
         old_path = str(tmp_path / "older.npz")
         np.savez(old_path, **older)
         _assert_same_chain(load_chain(old_path), load_chain(path))
+
+    def test_schema_1_file_writes_what_its_schema_2_file_writes(self, fitted_chain, tmp_path):
+        """``report`` and ``cluster-mle`` on a chain written as schema 1 (the
+        layout ``oracles.save_chain_schema_1`` keeps) write the files they
+        write on the same chain as ``save_chain`` writes it, byte for byte.
+        The schema-1 chain gives each unit a band row of its own."""
+        panel, chain = fitted_chain
+        panel_path = str(tmp_path / "panel.csv")
+        write_panel(panel, panel_path)
+        paths = {"v2": str(tmp_path / "v2.npz"), "v1": str(tmp_path / "v1.npz")}
+        save_chain(chain, paths["v2"])
+        oracles.save_chain_schema_1(chain, paths["v1"])
+        old = load_chain(paths["v1"])
+        assert old.band_rows.shape == (len(chain.band_sweeps), 36, chain.grid.size)
+        assert np.array_equal(old.band_unit_row[-1], np.arange(36))
+        outputs = {}
+        for name, path in paths.items():
+            for argv in (["report", "--chain", path],
+                         ["cluster-mle", "--input", panel_path, "--chain", path, "--top", "2",
+                          "--burn", "2", "--keep", "3", "--seed", "5"]):
+                out = tmp_path / name / argv[0]
+                assert main(argv + ["--output-dir", str(out)]) == 0, argv
+                outputs[name, argv[0]] = _digests(out)
+        for command in ("report", "cluster-mle"):
+            assert outputs["v1", command] == outputs["v2", command], command
+        assert sorted(outputs["v1", "report"]) == ["bands.csv", "inclusion.csv", "summary.txt"]
+
+    def test_chain_without_saved_sweeps_exits_3(self, fitted_chain, tmp_path, capsys):
+        """Bands need a saved sweep; a chain whose band entries hold none
+        is refused naming ``band_sweeps``."""
+        _, chain = fitted_chain
+        save_chain(chain, str(tmp_path / "full.npz"))
+        with np.load(str(tmp_path / "full.npz")) as z:
+            entries = {k: z[k] for k in z.files}
+        for k in ("band_sweeps", "band_rows", "band_unit_row"):
+            entries[k] = entries[k][:0]
+        path = str(tmp_path / "unsaved.npz")
+        np.savez(path, **entries)
+        assert main(["report", "--chain", path, "--output-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "unsaved.npz" in err and "'band_sweeps' is empty" in err, err
 
     def test_malformed_chain_exits_3(self, fitted_chain, tmp_path, capsys):
         _, chain = fitted_chain
@@ -348,7 +408,12 @@ class TestChainPersistence:
 
     @pytest.mark.parametrize("entry, rewrite", [
         ("inclusion", lambda a: a[:-5]),
-        ("band_samples", lambda a: a[:, :, :-1]),
+        ("grid", lambda a: a.reshape(5, 5)),
+        ("band_rows", lambda a: a[:, :, :-1]),
+        ("band_unit_row", lambda a: a[:, :-1]),
+        ("band_unit_row", _row_past_the_last),
+        ("band_unit_row", _row_below_zero),
+        ("band_unit_row", _rows_as_floats),
         ("schema", lambda a: np.array([1, 1])),
         ("best_component_probs", lambda a: a[:2]),
         ("best_flat_levels", lambda a: a[:3]),
@@ -567,7 +632,7 @@ class TestReportSummaries:
     def test_band_quantiles_match_numpy(self, fitted_chain):
         _, chain = fitted_chain
         bands = band_table(chain)
-        qs = np.quantile(np.asarray(chain.band_samples, dtype=float),
+        qs = np.quantile(np.asarray(oracles.band_samples(chain), dtype=float),
                          (0.05, 0.5, 0.95), axis=0)
         row = bands[0]
         assert row[0] == chain.unit_ids[0] and row[1] == int(chain.grid[0])
@@ -614,10 +679,14 @@ class TestReportWriter:
 
     def test_quoted_id_and_exponent_bands(self, fitted_chain, tmp_path):
         _, chain = fitted_chain
-        bands = chain.band_samples.copy()
-        bands[:, 0, :3] = (1e-05, 1e16, -0.0)
+        # Unit 0 moves to a row of its own, appended to every saved sweep.
+        own = chain.band_rows[np.arange(len(chain.band_sweeps)), chain.band_unit_row[:, 0]]
+        own[:, :3] = (1e-05, 1e16, -0.0)
+        unit_row = chain.band_unit_row.copy()
+        unit_row[:, 0] = chain.band_rows.shape[1]
         chain = replace(chain, unit_ids=('id,"quoted"',) + chain.unit_ids[1:],
-                        band_samples=bands)
+                        band_rows=np.concatenate([chain.band_rows, own[:, None]], axis=1),
+                        band_unit_row=unit_row)
         self._compare(chain, tmp_path)
         first = (tmp_path / "new" / "bands.csv").read_text().splitlines()[3:6]
         assert first[0].startswith('"id,""quoted""",') and "e-06" in first[0]

@@ -152,20 +152,6 @@ def test_chain_entries_equal_np_load(chain_path):
             _assert_same_arrays(c[k], z[k], k)
 
 
-def test_chain_without_bands_equals_load_chain(chain_path):
-    """``cluster-mle``'s read: every other field as ``load_chain`` reads it,
-    and no band sweep."""
-    full, lean = trajectory.load_chain(chain_path), trajectory.load_chain(chain_path, bands=False)
-    for f in dataclasses.fields(full):
-        a, b = getattr(full, f.name), getattr(lean, f.name)
-        if f.name == "band_samples":
-            assert len(a) and b.shape == (0,) + a.shape[1:] and b.dtype == a.dtype
-        elif isinstance(a, np.ndarray):
-            _assert_same_arrays(b, a, f.name)
-        else:
-            assert b == a, f.name
-
-
 def test_npy_layouts_equal_np_load(tmp_path):
     """Every dtype, order and shape a chain holds, and some it does not:
     0-d, empty, one-row Fortran, big-endian and unicode."""
@@ -213,13 +199,13 @@ def _oversized_header(data: bytes) -> bytes:
 
 @pytest.mark.parametrize("entry, edit", [
     ("logliks", lambda d: d[:-8]),                              # data shorter than the shape
-    ("band_samples", lambda d: d[:200]),
+    ("band_rows", lambda d: d[:200]),
     ("grid", lambda d: d.replace(b"'descr'", b"'desc!'")),      # malformed headers
     ("inclusion", lambda d: d.replace(b"), }", b"), )")),
     ("n_keep", lambda d: d.replace(b"'shape': ()", b"'shape': 1")),
     ("best_gp_paths", _object_member),
     ("unit_ids", _object_member),
-    ("gamma", _oversized_header),
+    ("band_unit_row", _oversized_header),
     ("seed", lambda d: b"not an npy member"),
 ])
 def test_bad_member_exits_3_naming_file_and_entry(chain_path, tmp_path, capsys, entry, edit):
@@ -294,10 +280,10 @@ def _huge_shape(data: bytes) -> bytes:
     ("stored", "logliks", "flag bit 5", "NotImplementedError"),
     ("compressed", "logliks", "flag bit 5", "NotImplementedError"),
     ("stored", "logliks", "encrypted", "RuntimeError"),
-    ("stored", "gamma", "compression method", "NotImplementedError"),
+    ("stored", "band_unit_row", "compression method", "NotImplementedError"),
     ("compressed", "kernel_length_scale", "cut short", "EOFError"),   # the last member
     ("stored", "kernel_length_scale", "cut short", "EOFError"),
-    ("compressed", "gamma", "invalid block type", "error"),           # zlib.error
+    ("compressed", "band_unit_row", "invalid block type", "error"),   # zlib.error
 ])
 def test_zip_refusals_exit_3_naming_file_and_entry(chain_path, tmp_path, capsys,
                                                    archive, entry, edit, cause):
@@ -488,29 +474,34 @@ def test_band_quantiles_equal_np_quantile_bitwise(n):
 def test_band_table_copies_one_block_of_units_at_a_time(chain_path, monkeypatch):
     """With the block cap lowered so that a chain's 400 units span 8
     blocks, ``band_table``'s traced peak stays below half of one float64
-    copy of its bands, and its columns are whole-array ``band_quantiles``
-    bit for bit."""
-    n, G, S = 400, 20, 64
+    copy of its bands, gathered for every unit, and its columns are
+    whole-array ``band_quantiles`` of those bands bit for bit."""
+    n, G, S, rows = 400, 20, 64, 91
     rng = np.random.default_rng(11)
-    samples = rng.normal(size=(S, n, G)).astype(np.float32)
-    samples[:, ::3] = 0.0                               # null units: ties at zero
-    samples[rng.integers(S), 5, 7] = np.nan
+    band_rows = rng.normal(size=(S, rows, G)).astype(np.float32)
+    band_rows[:, 0] = 0.0                               # the null's row
+    band_rows[rng.integers(S), 7, 7] = np.nan
+    unit_row = rng.integers(0, rows, size=(S, n)).astype(np.int32)
+    unit_row[:, ::3] = 0                                # null units: ties at zero
     chain = dataclasses.replace(
-        trajectory.load_chain(chain_path, bands=False), unit_ids=tuple(f"u{i}" for i in range(n)),
-        grid=np.arange(G, dtype=np.int64), band_sweeps=np.arange(S) * 10, band_samples=samples)
+        trajectory.load_chain(chain_path), unit_ids=tuple(f"u{i}" for i in range(n)),
+        grid=np.arange(G, dtype=np.int64), band_sweeps=np.arange(S) * 10, band_rows=band_rows,
+        band_unit_row=unit_row)
+    samples = oracles.band_samples(chain)
     monkeypatch.setattr(trajectory, "_BAND_BLOCK_ENTRIES", S * G * n // 8)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rows = band_table(chain)
+        table = band_table(chain)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert peak < samples.size * 8 / 2, peak
     want = band_quantiles(samples).reshape(len(BAND_QUANTILES), -1)
-    for got, col in zip(rows.columns[2:], want):
+    for got, col in zip(table.columns[2:], want):
         assert got.dtype == col.dtype and got.tobytes() == col.tobytes()
-    assert rows.columns[0][G] == "u1" and np.array_equal(rows.columns[1], np.tile(chain.grid, n))
+    assert np.isnan(want).any()
+    assert table.columns[0][G] == "u1" and np.array_equal(table.columns[1], np.tile(chain.grid, n))
 
 
 README_PIPELINE = [
@@ -529,10 +520,9 @@ README_PIPELINE = [
 
 def test_pipeline_pays_each_fixed_cost_once(tmp_path, monkeypatch):
     """The six README-pipeline commands run without building argparse;
-    ``report`` reads each chain entry once, ``cluster-mle`` each entry but
-    the bands once and the bands never, ``fit-np`` reads two entries of
-    chain 1; ``fit-parametric`` builds the panel's lag statistics once and
-    ``cluster-mle`` prepares one GP workspace."""
+    ``report`` and ``cluster-mle`` read each chain entry once, ``fit-np``
+    reads two entries of chain 1; ``fit-parametric`` builds the panel's lag
+    statistics once and ``cluster-mle`` prepares one GP workspace."""
     scenario, cfg = tmp_path / "scenario.cfg", tmp_path / "run.cfg"
     scenario.write_text("kind = mixture\nn_units = 12\nlength = 10\n"
                         "components = 0.3:0.4:0.5; 0.9:0.1:0.5\nshift_prob = 0.5\n")
@@ -566,10 +556,8 @@ def test_pipeline_pays_each_fixed_cost_once(tmp_path, monkeypatch):
         reads.clear()
         builds.clear()
         assert cli.main(argv) == 0, argv
-        if argv[0] == "report":
+        if argv[0] in ("report", "cluster-mle"):
             assert reads == entries
-        if argv[0] == "cluster-mle":
-            assert reads == entries - Counter(["band_samples.npy"])
         if argv[0] == "fit-np":
             assert reads == Counter(["unit_ids.npy", "inclusion.npy"])
         if argv[0] == "fit-parametric":

@@ -5,13 +5,15 @@ time (bytes overwritten, inserted, deleted, repeated or cut off), with
 ``random.Random`` seeds fixed here, and each mutant is run through a
 command that reads it, in process through ``cli.main``. Whatever the
 bytes, the command returns 0, 3 (invalid input) or 4 (numerical failure)
-and raises nothing. Inserted and repeated spans are at most two bytes, so
+and raises nothing; a chain that still reads writes what the valid one
+writes. Inserted and repeated spans are at most two bytes, so
 that no mutant asks ``simulate`` for a panel much larger than the valid one.
 """
 
 from __future__ import annotations
 
 import random
+import shutil
 import zipfile
 from collections import Counter
 
@@ -65,22 +67,24 @@ def _panel_bytes(tmp_path) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def chains(tmp_path_factory) -> dict[str, bytes]:
-    """A small chain as ``save_chain`` writes it, and the same entries as
-    ``np.savez_compressed`` writes them."""
+def chains(tmp_path_factory) -> tuple[str, dict[str, bytes]]:
+    """The panel file of a small chain, the chain as ``save_chain`` writes
+    it, and the same entries as ``np.savez_compressed`` writes them."""
     work = tmp_path_factory.mktemp("chains")
     times = np.arange(8, dtype=np.int64)
     panel = SeriesPanel(tuple(
         ObservedSeries(f"u{i}", times, simulate_ar1(ArParams(0.4, 0.5), 8, stream(4, "mut", i))
                        + (2.0 if i < 2 else 0.0))
         for i in range(6)))
+    write_panel(panel, str(work / "panel.csv"))
     chain = run_chain(panel, RunConfig(trunc_gp=4, trunc_flat=3, trunc_resid=4),
                       n_burn=1, n_keep=2, seed=1)
     stored, compressed = work / "stored.npz", work / "compressed.npz"
     save_chain(chain, str(stored))
     with np.load(stored) as z:
         np.savez_compressed(compressed, **{k: z[k] for k in z.files})
-    return {"stored": stored.read_bytes(), "compressed": compressed.read_bytes()}
+    return str(work / "panel.csv"), {"stored": stored.read_bytes(),
+                                     "compressed": compressed.read_bytes()}
 
 
 def _structure(path) -> list[int]:
@@ -122,15 +126,36 @@ def test_mutated_text_inputs_exit_0_3_or_4(tmp_path, capsys):
 def test_mutated_chains_exit_0_3_or_4(chains, tmp_path, capsys):
     """Half of the mutants are of the uncompressed chain, half of its
     compressed copy; half of each are edits in the zip and ``.npy``
-    headers, half anywhere in the file."""
-    out = str(tmp_path / "out")
+    headers, half anywhere in the file. Each mutant goes through
+    ``report``, and every other one through ``cluster-mle`` too; where a
+    command reads the mutant (exit 0), it writes the valid chain's files
+    byte for byte."""
+    panel, files = chains
+    config = tmp_path / "c.cfg"
+    config.write_bytes(CONFIG)
+    options = {"report": [], "cluster-mle": ["--input", panel, "--config", str(config),
+                                             "--top", "2", "--burn", "1", "--keep", "2"]}
+
+    def outputs(command: str, path) -> tuple[int, dict[str, bytes]]:
+        out = tmp_path / command
+        shutil.rmtree(out, ignore_errors=True)
+        code = _run([command, "--chain", str(path), *options[command], "--output-dir", str(out)],
+                    capsys)
+        return code, {p.name: p.read_bytes() for p in out.iterdir()} if code == 0 else {}
+
     codes = Counter()
     rng = random.Random(6)
-    for name, valid in chains.items():
+    for name, valid in files.items():
         path = tmp_path / f"{name}.npz"
         path.write_bytes(valid)
         structure = _structure(path)
+        want = {command: outputs(command, path)[1] for command in options}
         for j in range(200):
             path.write_bytes(_mutate(valid, rng, structure if j % 2 else None))
-            codes[name, _run(["report", "--chain", str(path), "--output-dir", out], capsys)] += 1
-    assert all(codes[name, c] for name in chains for c in (0, 3)), codes
+            for command in options if j % 4 < 2 else ("report",):
+                code, got = outputs(command, path)
+                codes[name, command, code] += 1
+                if code == 0:
+                    assert got == want[command], (name, j, command)
+    assert all(codes[name, command, c] for name in files for command in options
+               for c in (0, 3)), codes

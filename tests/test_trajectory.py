@@ -29,7 +29,6 @@ from arscreen.trajectory import (
     _gp_atom_terms,
     _gp_draw,
     _pair_stacks,
-    _trajectory_matrix,
     _unit_noise,
     _flat_level_posterior,
     complete_data_loglik,
@@ -456,7 +455,7 @@ class TestWorkBuffers:
         assert rerun[0] == rerun_alone[0] and rerun[2] == rerun_alone[2]
         assert rerun[1].tobytes() == rerun_alone[1].tobytes()
         for chain in (first, second):
-            for name in ("inclusion", "logliks", "comp_probs", "gamma", "band_samples",
+            for name in ("inclusion", "logliks", "comp_probs", "band_rows", "band_unit_row",
                          "best_gp_paths", "best_flat_levels", "best_unit_atom"):
                 assert getattr(chain, name).tobytes() == getattr(alone, name).tobytes(), name
 
@@ -621,7 +620,10 @@ class TestSuccessiveConditionalData:
         state.unit_atom[:] = (-1, 0, 1, 2, 1, 0)
         joint = successive_conditional_data(state, table, stream(4, "scd"))
         noise = successive_conditional_data(state.residual, table, stream(4, "scd"))
-        trend = _trajectory_matrix(state)[table.unit, table.pos]
+        levels, paths = state.flat_set.levels, state.gp_set.paths
+        per_unit = [np.zeros(12) if c == NULL else np.full(12, levels[a]) if c == FLAT else paths[a]
+                    for c, a in zip(state.unit_component, state.unit_atom)]
+        trend = np.array(per_unit)[table.unit, table.pos]
         assert np.allclose(joint.values - noise.values, trend, rtol=0.0, atol=1e-12)
         assert joint is not table and joint.stats is not table.stats
 
@@ -839,8 +841,10 @@ class TestRunChain:
         assert np.array_equal(out1.logliks, out2.logliks)
         assert out1.best_sweep == out2.best_sweep
         assert out1.unit_ids == panel.unit_ids
-        assert out1.band_samples.dtype == np.float32
-        assert out1.band_samples.shape == (3, 10, 15)
+        assert out1.band_rows.dtype == np.float32
+        assert out1.band_rows.shape == (3, 1 + 8 + 12, 15)
+        assert out1.band_unit_row.dtype == np.int32
+        assert out1.band_unit_row.shape == (3, 10)
         assert out1.logliks.size == 30
 
     def test_best_sweep_is_argmax_regardless_of_stride(self, monkeypatch):
@@ -851,6 +855,14 @@ class TestRunChain:
         out_b = run_chain(panel, SMALL_CONFIG, n_burn=15, n_keep=40, seed=6)
         assert out_a.best_sweep == int(np.argmax(out_a.logliks))
         assert out_b.best_sweep == out_a.best_sweep
+        # Every sweep is saved at stride 1: the best one's band entries are
+        # its trajectory rows, cast to float32, and each unit's row in them.
+        best, comp, atom = out_a.best_sweep, out_a.best_unit_component, out_a.best_unit_atom
+        rows = np.vstack([np.zeros((1, 12)), np.repeat(out_a.best_flat_levels[:, None], 12, axis=1),
+                          out_a.best_gp_paths]).astype(np.float32)
+        assert out_a.band_rows[best].tobytes() == rows.tobytes()
+        assert np.array_equal(out_a.band_unit_row[best],
+                              np.where(comp == NULL, 0, atom + 1 + 8 * (comp == GP)))
         assert np.array_equal(out_a.logliks, out_b.logliks)
         assert np.array_equal(out_a.inclusion, out_b.inclusion)
 
